@@ -154,7 +154,8 @@ fn pack_weighted_str(points: Vec<Point>, weights: &[f64], leaf_capacity: usize) 
             page.push(points[i]);
             acc += weights[i];
             if (acc >= weight_per_page || page.len() >= leaf_capacity) && !page.is_empty() {
-                store.allocate(std::mem::take(&mut page));
+                store.allocate_slice(&page);
+                page.clear();
                 acc = 0.0;
             }
         }

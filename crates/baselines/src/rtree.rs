@@ -107,7 +107,10 @@ impl PackedRTree {
     /// id to `on_page` as it is discovered — no page list is materialized.
     ///
     /// Timing: page visits are accumulated as scan-phase time, the tree
-    /// traversal as projection-phase time (the split of Figure 9).
+    /// traversal as projection-phase time (the split of Figure 9). The
+    /// clock is read once per *run* of leaves popped back to back, not
+    /// twice per page: a run opens at a leaf and closes at the next
+    /// internal node or at loop exit.
     fn scan_range(
         &self,
         query: &Rect,
@@ -116,10 +119,14 @@ impl PackedRTree {
     ) {
         let kernel_start = std::time::Instant::now();
         let mut scan_ns = 0u64;
+        let mut run_start: Option<std::time::Instant> = None;
         let mut stack = vec![self.root];
         while let Some(index) = stack.pop() {
             match &self.nodes[index as usize] {
                 RNode::Internal { children, .. } => {
+                    if let Some(start) = run_start.take() {
+                        scan_ns += start.elapsed().as_nanos() as u64;
+                    }
                     stats.nodes_visited += 1;
                     for &child in children {
                         stats.bbs_checked += 1;
@@ -129,11 +136,13 @@ impl PackedRTree {
                     }
                 }
                 RNode::Leaf { page, .. } => {
-                    let scan_start = std::time::Instant::now();
+                    run_start.get_or_insert_with(std::time::Instant::now);
                     on_page(&self.store, *page, stats);
-                    scan_ns += scan_start.elapsed().as_nanos() as u64;
                 }
             }
+        }
+        if let Some(start) = run_start {
+            scan_ns += start.elapsed().as_nanos() as u64;
         }
         stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
     }
@@ -244,7 +253,7 @@ impl PackedRTree {
             RNode::Internal { .. } => return,
         };
         let split_on_x = mbr.width() >= mbr.height();
-        let points = self.store.page(page).points().to_vec();
+        let points = self.store.page(page).to_vec();
         let mut coords: Vec<f64> = points
             .iter()
             .map(|q| if split_on_x { q.x } else { q.y })
@@ -378,30 +387,18 @@ impl PackedRTree {
                     // the leaf; point comparisons stay attributed per query.
                     let scan_start = std::time::Instant::now();
                     response.shared.pages_scanned += 1;
-                    let points = self.store.page(*page).points();
+                    let page = self.store.page(*page);
                     for &qi in &active {
-                        // Copy the rectangle into a local: the hot filter
-                        // loop must not reload its bounds through the
-                        // request slice, which the optimiser cannot prove
-                        // disjoint from the output it writes.
-                        let rect = requests[qi].rect;
+                        let rect = &requests[qi].rect;
                         let stats = &mut response.per_query[qi];
-                        stats.points_scanned += points.len() as u64;
                         match &mut response.outputs[qi] {
                             RangeBatchOutput::Points(out) => {
                                 let before = out.len();
-                                for p in points {
-                                    if rect.contains(p) {
-                                        out.push(*p);
-                                    }
-                                }
+                                page.filter_into_shared(rect, out, stats);
                                 stats.results += (out.len() - before) as u64;
                             }
                             RangeBatchOutput::Count(count) => {
-                                let mut matches = 0u64;
-                                for p in points {
-                                    matches += u64::from(rect.contains(p));
-                                }
+                                let matches = page.count_in_shared(rect, stats);
                                 *count += matches;
                                 stats.results += matches;
                             }
@@ -640,7 +637,7 @@ mod tests {
             .map(|i| Point::new((i % 32) as f64 / 32.0, (i / 32) as f64 / 32.0))
             .collect();
         for chunk in points.chunks(8) {
-            store.allocate(chunk.to_vec());
+            store.allocate_slice(chunk);
         }
         PackedRTree::from_packed_pages(store, n)
     }

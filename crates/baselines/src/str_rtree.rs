@@ -52,7 +52,7 @@ pub(crate) fn pack_str(mut points: Vec<Point>, leaf_capacity: usize) -> PageStor
     for slice in points.chunks_mut(slice_size.max(1)) {
         slice.sort_unstable_by(|a, b| a.y.total_cmp(&b.y).then_with(|| a.x.total_cmp(&b.x)));
         for run in slice.chunks(leaf_capacity) {
-            store.allocate(run.to_vec());
+            store.allocate_slice(run);
         }
     }
     store

@@ -267,7 +267,7 @@ impl BuildContext {
     /// Creates a leaf node and its clustered page.
     fn make_leaf(&mut self, points: &[Point], region: Rect) -> NodeRef {
         let bbox = Rect::bounding(points);
-        let page = self.store.allocate(points.to_vec());
+        let page = self.store.allocate_slice(points);
         let leaf_index = self.leaves.len() as u32;
         self.leaves
             .push(Leaf::new(region, bbox, page, points.len()));

@@ -98,8 +98,8 @@ impl ZIndex {
                     page.len()
                 ));
             }
-            for p in page.points() {
-                if !leaf.bbox.contains(p) {
+            for p in page.iter() {
+                if !leaf.bbox.contains(&p) {
                     return Err(format!("leaf {i}: point {p} outside its bounding box"));
                 }
             }
@@ -128,9 +128,9 @@ impl ZIndex {
             let earlier = self.store.page(self.leaves[i].page);
             for (j, later_leaf) in self.leaves.iter().enumerate().skip(i + 1) {
                 let later = self.store.page(later_leaf.page);
-                for a in earlier.points() {
-                    for b in later.points() {
-                        if b.dominated_by(a) {
+                for a in earlier.iter() {
+                    for b in later.iter() {
+                        if b.dominated_by(&a) {
                             return Err(format!(
                                 "monotonicity violated: point {b} in leaf {j} is dominated by point {a} in earlier leaf {i}"
                             ));

@@ -335,6 +335,33 @@ fn deletes_remove_points_and_keep_queries_exact() {
 }
 
 #[test]
+fn a_delete_that_misses_leaves_every_page_shared_with_a_fork() {
+    let points = uniform_points(600, 16);
+    let mut index = ZIndexBuilder::base()
+        .with_config(ZIndexConfig::base().with_leaf_capacity(32))
+        .build(points.clone(), &[]);
+    let fork = index.clone();
+    let shared = |index: &crate::ZIndex| {
+        index
+            .store
+            .pages()
+            .filter(|page| index.store.shares_page_with(&fork.store, page.id()))
+            .count()
+    };
+    let pages = index.store.page_count();
+    // Inside a leaf's bounding box but not stored, and outside every box.
+    let mut near = points[0];
+    near.x += 1e-9;
+    assert_eq!(index.delete(&near), Ok(false));
+    assert_eq!(index.delete(&Point::new(5.0, 5.0)), Ok(false));
+    assert_eq!(shared(&index), pages, "a miss must not unshare a page");
+    // A hit unshares exactly the page it touches.
+    assert_eq!(index.delete(&points[0]), Ok(true));
+    assert_eq!(shared(&index), pages - 1);
+    assert_eq!(fork.len(), points.len());
+}
+
+#[test]
 fn insert_into_empty_index_bootstraps_a_leaf() {
     let mut index = ZIndexBuilder::wazi().build(Vec::new(), &[]);
     assert!(index.is_empty());

@@ -86,19 +86,19 @@ impl ZIndex {
             return Ok(false);
         }
         let (leaf_index, path) = self.locate_leaf_with_path(p);
-        let page_id = self.leaves[leaf_index as usize].page;
-        let removed = self.store.page_mut(page_id).remove(p);
-        if removed {
-            let bbox = self.store.page(page_id).bbox();
-            let leaf = &mut self.leaves[leaf_index as usize];
-            leaf.count -= 1;
-            leaf.bbox = bbox;
-            for (node, _) in &path {
-                self.nodes[*node as usize].count -= 1;
-            }
-            self.len -= 1;
+        let leaf = &mut self.leaves[leaf_index as usize];
+        // A miss must not copy a page a snapshot still shares:
+        // `PageStore::remove` unshares only on a hit.
+        if !leaf.bbox.contains(p) || !self.store.remove(leaf.page, p) {
+            return Ok(false);
         }
-        Ok(removed)
+        leaf.count -= 1;
+        leaf.bbox = self.store.page(leaf.page).bbox();
+        for (node, _) in &path {
+            self.nodes[*node as usize].count -= 1;
+        }
+        self.len -= 1;
+        Ok(true)
     }
 
     /// Splits an overflowing leaf along its data medians into four children
@@ -113,7 +113,7 @@ impl ZIndex {
         let leaf_pos = leaf_index as usize;
         let region = self.leaves[leaf_pos].region;
         let page_id = self.leaves[leaf_pos].page;
-        let points = self.store.page(page_id).points().to_vec();
+        let points = self.store.page(page_id).to_vec();
         let split = crate::build::median_split(&points);
         let ordering = CellOrdering::Abcd;
 
@@ -137,8 +137,7 @@ impl ZIndex {
             let child_region = quadrant.region(&region, &split);
             let page = page_ids[position];
             let stored = self.store.page(page);
-            let bbox = Rect::bounding(stored.points());
-            new_leaves.push(Leaf::new(child_region, bbox, page, stored.len()));
+            new_leaves.push(Leaf::new(child_region, stored.bbox(), page, stored.len()));
         }
 
         // Splice the new leaves into the leaf list: the first replaces the

@@ -20,7 +20,10 @@ pub struct ExecStats {
     pub bbs_checked: u64,
     /// Pages whose points were scanned.
     pub pages_scanned: u64,
-    /// Points compared against the query predicate.
+    /// Points charged to the query: the paper's Eq. 5 cost. A range scan
+    /// charges every point of every page it visits, compared or not (a
+    /// page lying wholly inside the query is accepted without comparing
+    /// one); a point probe charges the comparisons up to its hit.
     pub points_scanned: u64,
     /// Points returned in the result set.
     pub results: u64,

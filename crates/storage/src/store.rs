@@ -11,9 +11,10 @@
 //! Pages are held behind [`Arc`], so cloning a `PageStore` is a *fork*: the
 //! clone shares every page payload with the original and only copies the
 //! page table (one pointer per page). Mutating a page through the store
-//! ([`PageStore::page_mut`], [`PageStore::append`], [`PageStore::split_page`])
-//! copies exactly that page first if it is shared (`Arc::make_mut`), leaving
-//! every other fork's view untouched. This is the storage seam the epoch
+//! ([`PageStore::page_mut`], [`PageStore::append`], a [`PageStore::remove`]
+//! that hits) copies exactly that page first if it is shared
+//! (`Arc::make_mut`), and [`PageStore::split_page`] installs fresh pages
+//! beside the one it reads, leaving every other fork's view untouched. This is the storage seam the epoch
 //! snapshot layer (`wazi_core`'s `VersionedIndex`) builds on: a reader
 //! holding a forked store can never observe a torn page, because a writer
 //! never mutates a page some fork still references — it mutates a private
@@ -64,8 +65,14 @@ impl PageStore {
     /// Allocates a new page holding `points` and returns its identifier.
     /// Pages allocated consecutively model consecutive placement on storage.
     pub fn allocate(&mut self, points: Vec<Point>) -> PageId {
+        self.allocate_slice(&points)
+    }
+
+    /// [`PageStore::allocate`] from borrowed points (see
+    /// [`Page::from_slice`]).
+    pub fn allocate_slice(&mut self, points: &[Point]) -> PageId {
         let id = PageId(self.pages.len() as u32);
-        self.pages.push(Arc::new(Page::new(id, points)));
+        self.pages.push(Arc::new(Page::from_slice(id, points)));
         id
     }
 
@@ -102,6 +109,18 @@ impl PageStore {
     /// are responsible for splitting when the length exceeds the capacity.
     pub fn append(&mut self, id: PageId, p: Point) -> usize {
         Arc::make_mut(&mut self.pages[id.index()]).push(p)
+    }
+
+    /// Removes the first point equal to `p` from a page, returning whether
+    /// one was removed. The page is looked at before it is touched: only a
+    /// hit unshares a payload a fork still holds, a miss copies nothing.
+    pub fn remove(&mut self, id: PageId, p: &Point) -> bool {
+        let page = &mut self.pages[id.index()];
+        let position = page.position(p);
+        if let Some(pos) = position {
+            Arc::make_mut(page).swap_remove(pos);
+        }
+        position.is_some()
     }
 
     /// Returns `true` when a page is over capacity and must be split.
@@ -152,10 +171,10 @@ impl PageStore {
 
     /// Splits the contents of `id` into `parts` new pages according to the
     /// provided partition function: point `p` goes to part `partition(p)`.
-    /// The original page keeps part `0`; the remaining parts are appended as
-    /// new pages. Returns the identifiers of all parts in order (including
-    /// the reused original page). Empty parts still receive a page so the
-    /// caller can map child leaves one-to-one.
+    /// The original identifier keeps part `0`; the remaining parts are
+    /// appended as new pages. Returns the identifiers of all parts in order
+    /// (including the reused original one). Empty parts still receive a
+    /// page so the caller can map child leaves one-to-one.
     pub fn split_page(
         &mut self,
         id: PageId,
@@ -163,20 +182,17 @@ impl PageStore {
         mut partition: impl FnMut(&Point) -> usize,
     ) -> Vec<PageId> {
         assert!(parts >= 2, "splitting requires at least two parts");
-        let points = Arc::make_mut(&mut self.pages[id.index()]).take_points();
         let mut buckets: Vec<Vec<Point>> = vec![Vec::new(); parts];
-        for p in points {
-            let part = partition(&p).min(parts - 1);
-            buckets[part].push(p);
+        for p in self.pages[id.index()].iter() {
+            buckets[partition(&p).min(parts - 1)].push(p);
         }
         let mut ids = Vec::with_capacity(parts);
         let mut buckets = buckets.into_iter();
-        // Reuse the original page slot for the first bucket.
+        // The original slot receives a fresh page holding the first bucket:
+        // the old payload is only read, so a fork still sharing it keeps it
+        // and nothing is copied just to be emptied.
         let first = buckets.next().expect("at least two parts requested");
-        let original = Arc::make_mut(&mut self.pages[id.index()]);
-        for p in first {
-            original.push(p);
-        }
+        self.pages[id.index()] = Arc::new(Page::new(id, first));
         ids.push(id);
         for bucket in buckets {
             ids.push(self.allocate(bucket));
@@ -248,8 +264,8 @@ mod tests {
         assert_eq!(ids[0], id);
         assert_eq!(store.page(ids[0]).len(), 4);
         assert_eq!(store.page(ids[1]).len(), 4);
-        assert!(store.page(ids[0]).points().iter().all(|p| p.x < 0.5));
-        assert!(store.page(ids[1]).points().iter().all(|p| p.x >= 0.5));
+        assert!(store.page(ids[0]).iter().all(|p| p.x < 0.5));
+        assert!(store.page(ids[1]).iter().all(|p| p.x >= 0.5));
         assert_eq!(store.total_points(), 8);
     }
 
@@ -306,6 +322,33 @@ mod tests {
         assert_eq!(fork.page(id).len(), 8);
         assert_eq!(fork.page_count(), 2);
         assert_eq!(store.page(parts[1]).len(), 4);
+    }
+
+    #[test]
+    fn split_of_a_shared_page_leaves_the_forks_page_untouched() {
+        let mut store = PageStore::new(4);
+        let points: Vec<Point> = (0..8).map(|i| Point::new(i as f64 / 8.0, 0.5)).collect();
+        let id = store.allocate(points.clone());
+        let (fork, other_fork) = (store.clone(), store.clone());
+        store.split_page(id, 2, |p| usize::from(p.x >= 0.5));
+        // The shared payload was read, never copied or drained: the forks
+        // still hold the one pre-split page between them, in arrival order.
+        assert!(fork.shares_page_with(&other_fork, id));
+        assert!(!store.shares_page_with(&fork, id));
+        assert_eq!(fork.page(id).to_vec(), points);
+        assert_eq!(store.page(id).to_vec(), points[..4]);
+    }
+
+    #[test]
+    fn remove_unshares_only_on_a_hit() {
+        let (mut store, ids) = store_with_grid();
+        let fork = store.clone();
+        assert!(!store.remove(ids[0], &Point::new(0.015, 0.5)));
+        assert!(store.shares_page_with(&fork, ids[0]));
+        assert!(store.remove(ids[0], &Point::new(0.01, 0.5)));
+        assert!(!store.shares_page_with(&fork, ids[0]));
+        assert_eq!(store.page(ids[0]).len(), 3);
+        assert_eq!(fork.page(ids[0]).len(), 4);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn random_pages_round_trip_bit_exactly() {
         let bytes = page.to_bytes();
         let decoded = Page::from_bytes(&bytes).expect("well-formed page must decode");
         assert_eq!(decoded.id(), page.id());
-        assert_eq!(decoded.points(), page.points());
+        assert_eq!(decoded.to_vec(), page.to_vec());
         assert_eq!(decoded.bbox(), page.bbox());
         // Re-encoding is deterministic.
         assert_eq!(decoded.to_bytes(), bytes);

@@ -481,6 +481,12 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
         wazi_core::Query::point(dup_miss),
         wazi_core::Query::point(Point::new(4.0, 4.0)),
         wazi_core::Query::range_count(Rect::from_coords(2.0, 2.0, 3.0, 3.0)),
+        // Rectangles large enough to contain whole leaves, one per range
+        // mode: the pages inside them take the storage layer's whole-page
+        // branch, the pages on their rim the filtered one.
+        wazi_core::Query::range(Rect::from_coords(0.1, 0.1, 0.9, 0.9)),
+        wazi_core::Query::range_count(Rect::from_coords(0.0, 0.0, 0.6, 1.0)),
+        wazi_core::Query::range_stream(Rect::from_coords(0.3, 0.0, 1.0, 0.7)),
     ]);
     let ranges = batch.iter().filter(|q| q.is_range()).count();
     let probes = batch

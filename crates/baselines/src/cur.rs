@@ -388,7 +388,7 @@ mod tests {
                 collect: false,
             })
             .collect();
-        let response = kernel.run_range_batch(&requests);
+        let (response, _) = wazi_core::run_range_batch(kernel, &requests, 1);
         let mut sequential_pages = 0u64;
         for (qi, request) in requests.iter().enumerate() {
             let mut stats = ExecStats::default();

@@ -10,9 +10,9 @@
 //! of the training workload and keeping the cheapest one.
 
 use wazi_core::{
-    run_full_sweep, BatchProjection, IndexError, PointBatchKernel, PointBatchResponse,
-    RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds,
-    ShardedRangeBatchKernel, SpatialIndex, SweepInterval,
+    BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
+    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds, SpatialIndex,
+    SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -260,16 +260,6 @@ impl SpatialIndex for FloodIndex {
     }
 }
 
-impl RangeBatchKernel for FloodIndex {
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse {
-        run_full_sweep(self, requests, self.columns.len() as u32)
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        Some(self)
-    }
-}
-
 /// Flood's fused batch kernel: the sweep address space is the column grid.
 ///
 /// Overlapping queries share their *column visits* — at every column the
@@ -279,7 +269,7 @@ impl RangeBatchKernel for FloodIndex {
 /// Per-request work is unchanged vs. the sequential path: every request
 /// still pays one bounding-box (column) check per column of its range and
 /// one y-run binary search, so fused counters never exceed sequential ones.
-impl ShardedRangeBatchKernel for FloodIndex {
+impl RangeBatchKernel for FloodIndex {
     /// Maps every request onto its column interval. Column location is the
     /// same clamped binary search the sequential path uses and charges
     /// nothing, matching the sequential scan's accounting.
@@ -303,12 +293,12 @@ impl ShardedRangeBatchKernel for FloodIndex {
     }
 
     /// Sweeps the requests owned by one shard of the column grid
-    /// (owner-based sharding: a request belongs to the shard containing its
-    /// first column and is swept over its whole column interval here, so
-    /// its per-column work is identical to its solo scan whatever the shard
-    /// plan). Requests enter the active set at their first column and leave
-    /// after their last; there is no skipping machinery (Flood's relevance
-    /// test *is* the column interval), so the active set is a dense vector.
+    /// ([`BatchProjection::owned_by`]: each over its whole column interval,
+    /// so its per-column work is identical to its solo scan whatever the
+    /// shard plan). Requests enter the active set at their first column and
+    /// leave after their last; there is no skipping machinery (Flood's
+    /// relevance test *is* the column interval), so the active set is a
+    /// dense vector.
     /// Per column, every active request binary-searches its y-run
     /// (projection phase, charged as a bounding-box check like the
     /// sequential scan) and filters the run by x (scan phase, charged per
@@ -321,21 +311,10 @@ impl ShardedRangeBatchKernel for FloodIndex {
         bounds: ShardBounds,
     ) -> RangeBatchResponse {
         let mut response = RangeBatchResponse::zeroed(requests);
-        let columns = self.columns.len() as u32;
-        if bounds.start >= bounds.end || bounds.start >= columns {
-            return response;
-        }
-        let mut entries: Vec<(u32, u32, usize)> = Vec::new();
-        for (qi, interval) in projection.intervals.iter().enumerate() {
-            if interval.lo < bounds.start || interval.lo >= bounds.end {
-                continue;
-            }
-            entries.push((interval.lo, interval.hi.min(columns - 1), qi));
-        }
+        let entries = projection.owned_by(bounds);
         if entries.is_empty() {
             return response;
         }
-        entries.sort_unstable();
 
         let kernel_start = std::time::Instant::now();
         let mut scan_ns = 0u64;
@@ -345,14 +324,14 @@ impl ShardedRangeBatchKernel for FloodIndex {
         let mut column = entries[0].0;
         loop {
             while next_entry < entries.len() && entries[next_entry].0 <= column {
-                let (_, hi, qi) = entries[next_entry];
-                active.push((hi, qi));
+                let (_, qi) = entries[next_entry];
+                active.push((projection.intervals[qi].hi, qi));
                 next_entry += 1;
             }
             active.retain(|&(hi, _)| hi >= column);
             if active.is_empty() {
                 match entries.get(next_entry) {
-                    Some(&(lo, _, _)) => {
+                    Some(&(lo, _)) => {
                         column = lo;
                         continue;
                     }

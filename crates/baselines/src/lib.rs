@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use wazi_baselines::StrRTree;
-//! use wazi_core::{RangeBatchOutput, RangeBatchRequest, SpatialIndex};
+//! use wazi_core::{run_range_batch, RangeBatchOutput, RangeBatchRequest, SpatialIndex};
 //! use wazi_geom::{Point, Rect};
 //! use wazi_storage::ExecStats;
 //!
@@ -46,7 +46,8 @@
 //!     RangeBatchRequest { rect: Rect::from_coords(0.2, 0.2, 0.6, 0.6), collect: false },
 //!     RangeBatchRequest { rect: Rect::from_coords(0.25, 0.25, 0.65, 0.65), collect: false },
 //! ];
-//! let response = kernel.run_range_batch(&requests);
+//! let (response, shards) = run_range_batch(kernel, &requests, 1);
+//! assert_eq!(shards, 1);
 //!
 //! let mut sequential = ExecStats::default();
 //! let mut sequential_counts = Vec::new();

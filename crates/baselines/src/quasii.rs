@@ -13,9 +13,9 @@
 //! x-piece.
 
 use wazi_core::{
-    run_full_sweep, BatchProjection, IndexError, PointBatchKernel, PointBatchResponse,
-    RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds,
-    ShardedRangeBatchKernel, SpatialIndex, SweepInterval,
+    BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
+    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds, SpatialIndex,
+    SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -345,23 +345,13 @@ impl Quasii {
     }
 }
 
-impl RangeBatchKernel for Quasii {
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse {
-        run_full_sweep(self, requests, self.slices.len() as u32)
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        Some(self)
-    }
-}
-
 /// QUASII's fused batch kernel: the sweep address space is the x-slice
 /// list. A y-piece relevant to `k` of a slice's active queries is scanned
 /// once per batch instead of once per query; per-query charges (the
 /// per-slice traversal tick, per-piece bounding-box checks, point
 /// comparisons) replicate the sequential [`Quasii`] scan exactly, so fused
 /// counters never exceed sequential ones.
-impl ShardedRangeBatchKernel for Quasii {
+impl RangeBatchKernel for Quasii {
     /// Maps every request onto its contiguous run of overlapping x-slices
     /// (two binary searches, charged to nothing — the sequential scan
     /// charges its slice walk per slice, which the sweep replicates).
@@ -387,8 +377,8 @@ impl ShardedRangeBatchKernel for Quasii {
     }
 
     /// Sweeps the requests owned by one shard of the slice list
-    /// (owner-based: the shard containing a request's first overlapping
-    /// slice walks its whole run). The sequential scan ticks `nodes_visited`
+    /// ([`BatchProjection::owned_by`]: the owning shard walks a request's
+    /// whole run of overlapping slices). The sequential scan ticks `nodes_visited`
     /// once per slice for *every* query — overlap or not — so each owned
     /// request is charged the full slice count up front; piece work then
     /// happens only inside the request's overlapping run, exactly as the
@@ -400,23 +390,15 @@ impl ShardedRangeBatchKernel for Quasii {
         bounds: ShardBounds,
     ) -> RangeBatchResponse {
         let mut response = RangeBatchResponse::zeroed(requests);
-        let slices = self.slices.len() as u32;
-        if bounds.start >= bounds.end || bounds.start >= slices {
-            return response;
-        }
-        let mut entries: Vec<(u32, u32, usize)> = Vec::new();
-        for (qi, interval) in projection.intervals.iter().enumerate() {
-            if interval.lo < bounds.start || interval.lo >= bounds.end {
-                continue;
-            }
-            // The full-slice-walk tick of the sequential scan.
-            response.per_query[qi].nodes_visited += u64::from(slices);
-            entries.push((interval.lo, interval.hi.min(slices - 1), qi));
-        }
+        let entries = projection.owned_by(bounds);
         if entries.is_empty() {
             return response;
         }
-        entries.sort_unstable();
+        let slices = self.slices.len() as u32;
+        for &(_, qi) in &entries {
+            // The full-slice-walk tick of the sequential scan.
+            response.per_query[qi].nodes_visited += u64::from(slices);
+        }
 
         let kernel_start = std::time::Instant::now();
         let mut scan_ns = 0u64;
@@ -427,14 +409,14 @@ impl ShardedRangeBatchKernel for Quasii {
         let mut at = entries[0].0;
         loop {
             while next_entry < entries.len() && entries[next_entry].0 <= at {
-                let (_, hi, qi) = entries[next_entry];
-                active.push((hi, qi));
+                let (_, qi) = entries[next_entry];
+                active.push((projection.intervals[qi].hi, qi));
                 next_entry += 1;
             }
             active.retain(|&(hi, _)| hi >= at);
             if active.is_empty() {
                 match entries.get(next_entry) {
-                    Some(&(lo, _, _)) => {
+                    Some(&(lo, _)) => {
                         at = lo;
                         continue;
                     }
@@ -707,7 +689,7 @@ mod tests {
                 collect: true,
             })
             .collect();
-        let response = kernel.run_range_batch(&requests);
+        let (response, _) = wazi_core::run_range_batch(kernel, &requests, 1);
         let mut sequential_pages = 0u64;
         for (qi, rect) in rects.iter().enumerate() {
             let mut stats = ExecStats::default();

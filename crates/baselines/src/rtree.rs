@@ -10,7 +10,7 @@
 
 use wazi_core::{
     BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, RangeBatchResponse, ShardBounds, ShardedRangeBatchKernel, SweepInterval,
+    RangeBatchRequest, RangeBatchResponse, ShardBounds, SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageId, PageStore};
@@ -341,23 +341,106 @@ impl PackedRTree {
 }
 
 impl PackedRTree {
-    /// The fused batch descent shared by [`RangeBatchKernel::run_range_batch`]
-    /// and [`ShardedRangeBatchKernel::sweep_shard`]: one traversal of the
-    /// tree carrying an *active-query set* per node. A node overlapped by
-    /// `k` of the batch's queries is fetched once, not `k` times; per-query
-    /// pruning replicates the sequential [`PackedRTree::scan_range`] stack
+    /// The first leaf page the sequential [`PackedRTree::point_query`] walk
+    /// would probe for `p`, computed without charging anything (the fused
+    /// probe re-runs the walk with full accounting). `None` when no leaf's
+    /// bounding box contains the point.
+    fn first_probe_page(&self, p: &Point) -> Option<PageId> {
+        let mut stack = vec![self.root];
+        while let Some(index) = stack.pop() {
+            match &self.nodes[index as usize] {
+                RNode::Internal { children, .. } => {
+                    for &child in children {
+                        if self.nodes[child as usize].mbr().contains(p) {
+                            stack.push(child);
+                        }
+                    }
+                }
+                RNode::Leaf { page, .. } => return Some(*page),
+            }
+        }
+        None
+    }
+}
+
+/// The packed R-tree's fused range kernel: the sweep address space is the
+/// clustered page list (pages are allocated in packing order, so nearby
+/// addresses hold spatially nearby leaves). A request's interval is the
+/// hull `[first, last]` of the leaf pages its solo walk reaches — purely an
+/// ownership and load-balancing hint: [`RangeBatchKernel::sweep_shard`]
+/// re-runs the pruning descent for the requests it owns, so per-request
+/// counters never depend on the interval's tightness.
+impl RangeBatchKernel for PackedRTree {
+    /// One uncharged pruning descent over the whole batch, recording the
+    /// page-address hull every request reaches. Requests overlapping no
+    /// leaf project onto `[0, 0]` so they still have exactly one owner
+    /// (their walk dies near the root, wherever it executes).
+    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
+        let start = std::time::Instant::now();
+        let mut hulls: Vec<Option<(u32, u32)>> = vec![None; requests.len()];
+        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
+        while let Some((index, active)) = stack.pop() {
+            match &self.nodes[index as usize] {
+                RNode::Internal { children, .. } => {
+                    for &child in children {
+                        let child_mbr = self.nodes[child as usize].mbr();
+                        let child_active: Vec<usize> = active
+                            .iter()
+                            .copied()
+                            .filter(|&qi| child_mbr.overlaps(&requests[qi].rect))
+                            .collect();
+                        if !child_active.is_empty() {
+                            stack.push((child, child_active));
+                        }
+                    }
+                }
+                RNode::Leaf { page, .. } => {
+                    for &qi in &active {
+                        let hull = hulls[qi].get_or_insert((page.0, page.0));
+                        hull.0 = hull.0.min(page.0);
+                        hull.1 = hull.1.max(page.0);
+                    }
+                }
+            }
+        }
+        BatchProjection {
+            intervals: hulls
+                .into_iter()
+                .map(|hull| {
+                    let (lo, hi) = hull.unwrap_or((0, 0));
+                    SweepInterval { lo, hi }
+                })
+                .collect(),
+            per_query: vec![ExecStats::default(); requests.len()],
+            elapsed_ns: start.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// The fused batch descent for the requests one shard owns
+    /// ([`BatchProjection::owned_by`]): one traversal of the tree carrying
+    /// an *active-query set* per node. A node overlapped by `k` of the
+    /// owned queries is fetched once, not `k` times; per-query pruning
+    /// replicates the sequential [`PackedRTree::scan_range`] stack
     /// discipline exactly (children pushed in order, popped LIFO), so every
     /// query's node visits, bounding-box checks, point comparisons and
-    /// result order are identical to its solo walk — only the physical page
-    /// visit moves to the shared stats, charged once per reached leaf.
-    fn descend_batch(
+    /// result order are identical to its solo walk for every shard plan —
+    /// only the physical page visit moves to the shared stats, charged once
+    /// per reached leaf. A page inside several owners' hulls is fetched at
+    /// most once per shard, never more than the sequential once-per-query.
+    fn sweep_shard(
         &self,
         requests: &[RangeBatchRequest],
-        owned: Vec<usize>,
-        response: &mut RangeBatchResponse,
-    ) {
+        projection: &BatchProjection,
+        bounds: ShardBounds,
+    ) -> RangeBatchResponse {
+        let mut response = RangeBatchResponse::zeroed(requests);
+        let owned: Vec<usize> = projection
+            .owned_by(bounds)
+            .into_iter()
+            .map(|(_, qi)| qi)
+            .collect();
         if owned.is_empty() {
-            return;
+            return response;
         }
         let kernel_start = std::time::Instant::now();
         let mut scan_ns = 0u64;
@@ -411,116 +494,6 @@ impl PackedRTree {
         response
             .shared
             .charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-    }
-
-    /// The first leaf page the sequential [`PackedRTree::point_query`] walk
-    /// would probe for `p`, computed without charging anything (the fused
-    /// probe re-runs the walk with full accounting). `None` when no leaf's
-    /// bounding box contains the point.
-    fn first_probe_page(&self, p: &Point) -> Option<PageId> {
-        let mut stack = vec![self.root];
-        while let Some(index) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    for &child in children {
-                        if self.nodes[child as usize].mbr().contains(p) {
-                            stack.push(child);
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => return Some(*page),
-            }
-        }
-        None
-    }
-}
-
-impl RangeBatchKernel for PackedRTree {
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        self.descend_batch(requests, (0..requests.len()).collect(), &mut response);
-        response
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        Some(self)
-    }
-}
-
-/// The packed R-tree's sharded capability: the sweep address space is the
-/// clustered page list (pages are allocated in packing order, so nearby
-/// addresses hold spatially nearby leaves). A request's interval is the
-/// hull `[first, last]` of the leaf pages its solo walk reaches — purely an
-/// ownership and load-balancing hint: [`ShardedRangeBatchKernel::sweep_shard`]
-/// re-runs the pruning descent for the requests it owns, so per-request
-/// counters never depend on the interval's tightness.
-impl ShardedRangeBatchKernel for PackedRTree {
-    /// One uncharged pruning descent over the whole batch, recording the
-    /// page-address hull every request reaches. Requests overlapping no
-    /// leaf project onto `[0, 0]` so they still have exactly one owner
-    /// (their walk dies near the root, wherever it executes).
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let start = std::time::Instant::now();
-        let mut hulls: Vec<Option<(u32, u32)>> = vec![None; requests.len()];
-        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
-        while let Some((index, active)) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    for &child in children {
-                        let child_mbr = self.nodes[child as usize].mbr();
-                        let child_active: Vec<usize> = active
-                            .iter()
-                            .copied()
-                            .filter(|&qi| child_mbr.overlaps(&requests[qi].rect))
-                            .collect();
-                        if !child_active.is_empty() {
-                            stack.push((child, child_active));
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => {
-                    for &qi in &active {
-                        let hull = hulls[qi].get_or_insert((page.0, page.0));
-                        hull.0 = hull.0.min(page.0);
-                        hull.1 = hull.1.max(page.0);
-                    }
-                }
-            }
-        }
-        BatchProjection {
-            intervals: hulls
-                .into_iter()
-                .map(|hull| {
-                    let (lo, hi) = hull.unwrap_or((0, 0));
-                    SweepInterval { lo, hi }
-                })
-                .collect(),
-            per_query: vec![ExecStats::default(); requests.len()],
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// Owner-based sharding: the shard containing a request's first reached
-    /// page runs the request's *whole* pruning descent (the fused batch
-    /// descent restricted to the owned requests), so per-request walks are
-    /// identical to the single sweep's — and the sequential loop's — for
-    /// every shard plan. A page inside several owners' hulls is fetched at
-    /// most once per shard, never more than the sequential once-per-query.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        let owned: Vec<usize> = projection
-            .intervals
-            .iter()
-            .enumerate()
-            .filter(|(_, interval)| interval.lo >= bounds.start && interval.lo < bounds.end)
-            .map(|(qi, _)| qi)
-            .collect();
-        self.descend_batch(requests, owned, &mut response);
         response
     }
 

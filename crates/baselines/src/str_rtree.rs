@@ -226,7 +226,7 @@ mod tests {
                 collect: true,
             })
             .collect();
-        let response = kernel.run_range_batch(&requests);
+        let (response, _) = wazi_core::run_range_batch(kernel, &requests, 1);
         let mut sequential_pages = 0u64;
         for (qi, rect) in rects.iter().enumerate() {
             let mut stats = ExecStats::default();

@@ -10,9 +10,9 @@
 //! jump over runs of codes outside the query rectangle.
 
 use wazi_core::{
-    run_full_sweep, BatchProjection, IndexError, KernelClass, PointBatchKernel, PointBatchResponse,
+    BatchProjection, IndexError, KernelClass, PointBatchKernel, PointBatchResponse,
     RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds,
-    ShardedRangeBatchKernel, SpatialIndex, SweepInterval,
+    SpatialIndex, SweepInterval,
 };
 use wazi_geom::zorder::{bigmin, ZOrderMapper};
 use wazi_geom::{Point, Rect};
@@ -179,7 +179,8 @@ impl SpatialIndex for ZOrderSorted {
     }
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
-        Some(self)
+        // An empty array has no address space to project onto.
+        (!self.entries.is_empty()).then_some(self as &dyn RangeBatchKernel)
     }
 
     fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
@@ -212,40 +213,24 @@ impl SpatialIndex for ZOrderSorted {
 /// identical. The kernel declares [`KernelClass::FlatArray`] so the
 /// engine's `Auto` strategy routes such batches to the sequential loop
 /// unless parallelism can split the sweep.
+///
+/// The sweep address space is the entry array itself (one address per
+/// sorted `(code, point)` pair), and a shard owns every request whose code
+/// interval's first array position — the position the sequential scan's
+/// initial binary search lands on — falls inside its bounds
+/// ([`BatchProjection::owned_by`]). The owning shard runs the request's
+/// whole shared-BIGMIN walk, jumps included, so per-request counters are
+/// bit-identical for every shard count by the same argument as the other
+/// kernels: each walk *is* the solo sequential walk.
+///
+/// No [`RangeBatchKernel::address_counts`] override is needed: one address
+/// holds exactly one point, so the coverage planner's unit weights already
+/// measure scan work exactly.
 impl RangeBatchKernel for ZOrderSorted {
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse {
-        if self.entries.is_empty() {
-            return RangeBatchResponse::zeroed(requests);
-        }
-        run_full_sweep(self, requests, self.entries.len() as u32)
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self)
-        }
-    }
-
     fn cost_class(&self) -> KernelClass {
         KernelClass::FlatArray
     }
-}
 
-/// The sorted array's sharded capability: the sweep address space is the
-/// entry array itself (one address per sorted `(code, point)` pair), and a
-/// shard owns every request whose code interval's first array position —
-/// the position the sequential scan's initial binary search lands on —
-/// falls inside its bounds. The owning shard runs the request's whole
-/// shared-BIGMIN walk, jumps included, so per-request counters are
-/// bit-identical for every shard count by the same argument as the other
-/// sharded kernels: each walk *is* the solo sequential walk.
-///
-/// No [`ShardedRangeBatchKernel::address_counts`] override is needed: one
-/// address holds exactly one point, so the coverage planner's unit weights
-/// already measure scan work exactly.
-impl ShardedRangeBatchKernel for ZOrderSorted {
     fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
         let projection_start = std::time::Instant::now();
         let intervals = requests
@@ -287,10 +272,6 @@ impl ShardedRangeBatchKernel for ZOrderSorted {
         use std::collections::BinaryHeap;
 
         let mut response = RangeBatchResponse::zeroed(requests);
-        let entry_count = self.entries.len() as u32;
-        if bounds.start >= bounds.end || bounds.start >= entry_count {
-            return response;
-        }
         // Per-request sweep state, packed into one record so the hot loop
         // touches a single cache line per due request: the interval codes,
         // the filter rectangle and the miss counter. Each owned request
@@ -311,14 +292,11 @@ impl ShardedRangeBatchKernel for ZOrderSorted {
             })
             .collect();
         let mut parked: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-        for (qi, interval) in projection.intervals.iter().enumerate() {
-            if interval.lo < bounds.start || interval.lo >= bounds.end {
-                continue; // another shard owns this request
-            }
+        for (lo, qi) in projection.owned_by(bounds) {
             let (lo_code, hi_code) = self.mapper.query_interval(&states[qi].rect);
             states[qi].lo_code = lo_code;
             states[qi].hi_code = hi_code;
-            parked.push(Reverse((interval.lo as usize, qi)));
+            parked.push(Reverse((lo as usize, qi)));
         }
 
         let scan_start = std::time::Instant::now();
@@ -535,7 +513,7 @@ mod tests {
             })
             .collect();
         let kernel = index.range_batch_kernel().expect("Zpgm fuses ranges");
-        let response = kernel.run_range_batch(&requests);
+        let (response, _) = wazi_core::run_range_batch(kernel, &requests, 1);
         for (qi, request) in requests.iter().enumerate() {
             let mut stats = ExecStats::default();
             if request.collect {
@@ -571,7 +549,7 @@ mod tests {
     /// of crossing intervals.
     #[test]
     fn sharded_sweep_is_bit_identical_for_every_shard_count() {
-        use wazi_core::{merge_shard_responses, plan_shard_bounds};
+        use wazi_core::run_range_batch;
         let points = dataset(20_000, 5);
         let index = ZOrderSorted::with_default_bits(points);
         let mut rects: Vec<Rect> = (0..6)
@@ -594,16 +572,11 @@ mod tests {
             })
             .collect();
         let kernel = index.range_batch_kernel().expect("Zpgm fuses ranges");
-        let sharded = kernel.sharded().expect("Zpgm shards its sweep");
-        let full = kernel.run_range_batch(&requests);
+        let (full, one) = run_range_batch(kernel, &requests, 1);
+        assert_eq!(one, 1);
         for shards in [2usize, 3, 4, 8, 64] {
-            let projection = sharded.project_batch(&requests);
-            let plan = plan_shard_bounds(&projection.intervals, shards);
-            let responses: Vec<RangeBatchResponse> = plan
-                .iter()
-                .map(|&bounds| sharded.sweep_shard(&requests, &projection, bounds))
-                .collect();
-            let merged = merge_shard_responses(&requests, &projection, responses);
+            let (merged, used) = run_range_batch(kernel, &requests, shards);
+            assert!(used >= 2 && used <= shards, "{shards} shards: swept {used}");
             assert_eq!(
                 merged.outputs, full.outputs,
                 "{shards} shards: outputs differ"
@@ -622,16 +595,26 @@ mod tests {
         }
     }
 
-    /// An empty index advertises no sharded capability (there is no address
-    /// space to cut), and the flat array declares the flat cost class.
+    /// An empty index advertises no range kernel (there is no address space
+    /// to cut) — and driven directly it still answers zeroed slots — while
+    /// the flat array declares the flat cost class.
     #[test]
     fn sharded_capability_and_cost_class() {
         let empty = ZOrderSorted::with_default_bits(Vec::new());
-        let kernel = empty.range_batch_kernel().expect("kernel exists");
-        assert!(kernel.sharded().is_none(), "no address space when empty");
+        assert!(
+            empty.range_batch_kernel().is_none(),
+            "no address space when empty"
+        );
+        let requests = [RangeBatchRequest {
+            rect: Rect::UNIT,
+            collect: true,
+        }];
+        let (response, _) = wazi_core::run_range_batch(&empty, &requests, 4);
+        let zeroed = RangeBatchResponse::zeroed(&requests);
+        assert_eq!(response.outputs, zeroed.outputs);
+        assert_eq!(response.per_query, zeroed.per_query);
         let index = ZOrderSorted::with_default_bits(dataset(100, 6));
         let kernel = index.range_batch_kernel().expect("kernel exists");
-        assert!(kernel.sharded().is_some());
         assert_eq!(kernel.cost_class(), KernelClass::FlatArray);
     }
 }

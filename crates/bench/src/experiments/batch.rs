@@ -332,14 +332,10 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             assert_decisions_sane(kind, "scattered", &auto_m.decisions, workers);
         }
 
-        // Shard scaling for every index whose kernel can split its sweep —
-        // since Zpgm's entry array partitions by code range, that is the
+        // Shard scaling for every index with a fused range kernel — the
         // whole overview suite. The closing `auto` row shows what the
         // scheduler does with the same big overlapping batch.
-        if index
-            .range_batch_kernel()
-            .is_some_and(|k| k.sharded().is_some())
-        {
+        if index.range_batch_kernel().is_some() {
             let mut one_shard_ns = None;
             for shards in SHARD_SWEEP {
                 let m = measure_warm(

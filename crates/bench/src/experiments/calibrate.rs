@@ -59,9 +59,33 @@ pub const CALIBRATE_JSON_PATH: &str = "BENCH_calibrate.json";
 /// the parallel constants on a single-core container) and the baked value
 /// stands.
 struct Fitted {
+    class: &'static str,
     name: &'static str,
     baked: f64,
     fitted: Option<f64>,
+}
+
+impl Fitted {
+    /// Fitted over baked, when this host could fit the constant.
+    fn ratio(&self) -> Option<f64> {
+        let fitted = self.fitted?;
+        Some(if self.baked > 0.0 {
+            fitted / self.baked
+        } else {
+            0.0
+        })
+    }
+}
+
+/// One decision-boundary row: what Auto chose for `batch` on `kind`, beside
+/// the measured latency of every candidate.
+struct Boundary {
+    kind: IndexKind,
+    batch: &'static str,
+    chosen: ChosenStrategy,
+    sequential_ns: u64,
+    fused_ns: u64,
+    auto_ns: u64,
 }
 
 /// Warm-up pass plus best-of-N measurement. The minimum is the right
@@ -105,10 +129,27 @@ fn fit_per_query_ns(m: &BatchMeasurement, point_ns: f64, page_ns: f64) -> Option
     (m.queries > 0 && residual > 0.0).then(|| residual / m.queries as f64)
 }
 
-/// Fits the page-backed class on WaZI and the flat class on Zpgm, returning
-/// the per-class constant rows plus the decision-boundary measurements the
-/// asserts and the report both use.
+/// Runs the experiment: the fit, the checks that depend on this host's
+/// clock, and the report (written to `BENCH_calibrate.json` when artifact
+/// emission is on).
 pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
+    let (fits, boundaries) = fit(ctx);
+    check_against_the_clock(&fits, &boundaries);
+    let reports = render(&fits, &boundaries);
+    if ctx.emit_artifacts {
+        match std::fs::write(CALIBRATE_JSON_PATH, Report::json_array(&reports)) {
+            Ok(()) => eprintln!("   wrote {CALIBRATE_JSON_PATH}"),
+            Err(e) => eprintln!("   could not write {CALIBRATE_JSON_PATH}: {e}"),
+        }
+    }
+    reports
+}
+
+/// Fits the page-backed class on WaZI and the flat class on Zpgm, returning
+/// the per-class constant rows and the decision-boundary measurements.
+/// Asserts only what no clock can change: which strategy Auto *chose* on the
+/// two workloads built to pin the boundaries.
+fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
     let (points, train, _) =
         workload_setup(ctx, CALIBRATE_REGION, OVERLAP_SELECTIVITY, ctx.dataset_size);
     let scattered = generate_scattered_batch(
@@ -124,18 +165,9 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
         ctx.seed ^ 0xF17,
     );
 
-    let mut table = Report::new(
-        "calibrate-constants",
-        "Cost-model constants: baked (engine/cost.rs) vs fitted on this host",
-    )
-    .with_headers(&["Class", "Constant", "Baked", "Fitted", "Ratio"]);
-    let mut boundaries = Report::new(
-        "calibrate-boundaries",
-        "Decision boundaries under the baked table on this host",
-    )
-    .with_headers(&["Index", "Batch", "Chosen", "Sequential", "Fused", "Auto"]);
-
-    for (kind, class_name, baked) in [
+    let mut fits = Vec::new();
+    let mut boundaries = Vec::new();
+    for (kind, class, baked) in [
         (
             IndexKind::Wazi,
             "page-backed",
@@ -171,48 +203,23 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
         // request, or tiny disjoint batches would fuse: clamp the fit to
         // preserve the model's structural invariant.
         .map(|ns| ns.max(seq_query_ns.unwrap_or(0.0) * 1.1));
-
-        let fits = constants_rows(&baked, point_ns, page_ns, seq_query_ns, fused_query_ns);
-        for fit in &fits {
-            let (fitted_cell, ratio_cell) = match fit.fitted {
-                Some(f) => {
-                    let ratio = if fit.baked > 0.0 { f / fit.baked } else { 0.0 };
-                    assert!(
-                        ratio < SANITY_BAND && (ratio > 1.0 / SANITY_BAND || fit.baked == 0.0),
-                        "{class_name}/{}: fitted {f:.1} ns is outside the sanity band \
-                         of baked {:.1} ns",
-                        fit.name,
-                        fit.baked
-                    );
-                    (format!("{f:.1}"), format!("{ratio:.2}x"))
-                }
-                None => ("-".to_string(), "-".to_string()),
-            };
-            table.push_row(vec![
-                class_name.to_string(),
-                fit.name.to_string(),
-                format!("{:.1}", fit.baked),
-                fitted_cell,
-                ratio_cell,
-            ]);
-        }
+        fits.extend(constants_rows(
+            class,
+            &baked,
+            point_ns,
+            page_ns,
+            seq_query_ns,
+            fused_query_ns,
+        ));
 
         // Decision boundaries. Scattered: the flat class must go
-        // sequential and measure no slower there; fused setup has nothing
-        // to amortise against on either class.
+        // sequential; fused setup has nothing to amortise against on
+        // either class.
         let chosen = auto_m
             .decisions
             .range
             .map(|d| d.chosen)
             .expect("the scattered batch has a range partition to decide");
-        boundaries.push_row(vec![
-            kind.name().to_string(),
-            "scattered".to_string(),
-            chosen.to_string(),
-            format_ns(seq_m.batch_latency_ns as f64),
-            format_ns(fused_m.batch_latency_ns as f64),
-            format_ns(auto_m.batch_latency_ns as f64),
-        ]);
         if kind == IndexKind::Zpgm {
             assert_ne!(
                 chosen,
@@ -220,17 +227,17 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
                 "calibration boundary: Zpgm's scattered batch must not take the \
                  plain fused sweep"
             );
-            assert!(
-                seq_m.batch_latency_ns <= fused_m.batch_latency_ns + BOUNDARY_SLACK_NS,
-                "calibration boundary: Zpgm's sequential scattered batch ({}) \
-                 measured slower than fused ({}) — the flat-class model is wrong",
-                format_ns(seq_m.batch_latency_ns as f64),
-                format_ns(fused_m.batch_latency_ns as f64)
-            );
         }
+        boundaries.push(Boundary {
+            kind,
+            batch: "scattered",
+            chosen,
+            sequential_ns: seq_m.batch_latency_ns,
+            fused_ns: fused_m.batch_latency_ns,
+            auto_ns: auto_m.batch_latency_ns,
+        });
 
-        // Overlapping: the page-backed class must fuse and measure no
-        // slower fused.
+        // Overlapping: the page-backed class must fuse.
         let fused_o = warm(index, &overlapping, BatchStrategy::Fused);
         let auto_o = warm(index, &overlapping, BatchStrategy::Auto);
         let chosen_o = auto_o
@@ -238,28 +245,97 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
             .range
             .map(|d| d.chosen)
             .expect("the overlapping batch has a range partition to decide");
-        boundaries.push_row(vec![
-            kind.name().to_string(),
-            "overlapping".to_string(),
-            chosen_o.to_string(),
-            format_ns(seq_o.batch_latency_ns as f64),
-            format_ns(fused_o.batch_latency_ns as f64),
-            format_ns(auto_o.batch_latency_ns as f64),
-        ]);
         if kind == IndexKind::Wazi {
             assert_ne!(
                 chosen_o,
                 ChosenStrategy::Sequential,
                 "calibration boundary: WaZI's heavily overlapping batch must fuse"
             );
-            assert!(
-                fused_o.batch_latency_ns <= seq_o.batch_latency_ns + BOUNDARY_SLACK_NS,
+        }
+        boundaries.push(Boundary {
+            kind,
+            batch: "overlapping",
+            chosen: chosen_o,
+            sequential_ns: seq_o.batch_latency_ns,
+            fused_ns: fused_o.batch_latency_ns,
+            auto_ns: auto_o.batch_latency_ns,
+        });
+    }
+    (fits, boundaries)
+}
+
+/// The checks that read this host's clock: every fitted constant inside the
+/// sanity band of its baked value, and each class measuring no slower on
+/// the side of its boundary the model sends it to. Meaningful on a release
+/// build with the machine to itself (the CLI run), noise anywhere else.
+fn check_against_the_clock(fits: &[Fitted], boundaries: &[Boundary]) {
+    for fit in fits {
+        let (Some(f), Some(ratio)) = (fit.fitted, fit.ratio()) else {
+            continue;
+        };
+        assert!(
+            ratio < SANITY_BAND && (ratio > 1.0 / SANITY_BAND || fit.baked == 0.0),
+            "{}/{}: fitted {f:.1} ns is outside the sanity band of baked {:.1} ns",
+            fit.class,
+            fit.name,
+            fit.baked
+        );
+    }
+    for b in boundaries {
+        match (b.kind, b.batch) {
+            (IndexKind::Zpgm, "scattered") => assert!(
+                b.sequential_ns <= b.fused_ns + BOUNDARY_SLACK_NS,
+                "calibration boundary: Zpgm's sequential scattered batch ({}) \
+                 measured slower than fused ({}) — the flat-class model is wrong",
+                format_ns(b.sequential_ns as f64),
+                format_ns(b.fused_ns as f64)
+            ),
+            (IndexKind::Wazi, "overlapping") => assert!(
+                b.fused_ns <= b.sequential_ns + BOUNDARY_SLACK_NS,
                 "calibration boundary: WaZI's fused overlapping batch ({}) measured \
                  slower than sequential ({}) — the page-backed model is wrong",
-                format_ns(fused_o.batch_latency_ns as f64),
-                format_ns(seq_o.batch_latency_ns as f64)
-            );
+                format_ns(b.fused_ns as f64),
+                format_ns(b.sequential_ns as f64)
+            ),
+            _ => {}
         }
+    }
+}
+
+/// Lays the fit out as the two report tables.
+fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
+    let mut table = Report::new(
+        "calibrate-constants",
+        "Cost-model constants: baked (engine/cost.rs) vs fitted on this host",
+    )
+    .with_headers(&["Class", "Constant", "Baked", "Fitted", "Ratio"]);
+    for fit in fits {
+        let (fitted_cell, ratio_cell) = match (fit.fitted, fit.ratio()) {
+            (Some(f), Some(ratio)) => (format!("{f:.1}"), format!("{ratio:.2}x")),
+            _ => ("-".to_string(), "-".to_string()),
+        };
+        table.push_row(vec![
+            fit.class.to_string(),
+            fit.name.to_string(),
+            format!("{:.1}", fit.baked),
+            fitted_cell,
+            ratio_cell,
+        ]);
+    }
+    let mut boundary_table = Report::new(
+        "calibrate-boundaries",
+        "Decision boundaries under the baked table on this host",
+    )
+    .with_headers(&["Index", "Batch", "Chosen", "Sequential", "Fused", "Auto"]);
+    for b in boundaries {
+        boundary_table.push_row(vec![
+            b.kind.name().to_string(),
+            b.batch.to_string(),
+            b.chosen.to_string(),
+            format_ns(b.sequential_ns as f64),
+            format_ns(b.fused_ns as f64),
+            format_ns(b.auto_ns as f64),
+        ]);
     }
 
     table.push_note(format!(
@@ -275,27 +351,20 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
          and re-run `reproduce batch`",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
-    boundaries.push_note(
+    boundary_table.push_note(
         "asserted: Zpgm (flat class) never takes the plain fused sweep on the \
          scattered batch and measures sequential <= fused there; WaZI (page-backed) \
          fuses the overlapping batch and measures fused <= sequential. These are the \
          decision boundaries the Auto scheduler exists to get right — a violation \
          fails the run, baked constants or not",
     );
-
-    let reports = vec![table, boundaries];
-    if ctx.emit_artifacts {
-        match std::fs::write(CALIBRATE_JSON_PATH, Report::json_array(&reports)) {
-            Ok(()) => eprintln!("   wrote {CALIBRATE_JSON_PATH}"),
-            Err(e) => eprintln!("   could not write {CALIBRATE_JSON_PATH}: {e}"),
-        }
-    }
-    reports
+    vec![table, boundary_table]
 }
 
 /// Lays out the per-class constant rows: fitted where this host could
 /// measure, `None` (baked stands) elsewhere.
 fn constants_rows(
+    class: &'static str,
     baked: &CostConstants,
     point_ns: Option<f64>,
     page_ns: Option<f64>,
@@ -304,41 +373,49 @@ fn constants_rows(
 ) -> Vec<Fitted> {
     vec![
         Fitted {
+            class,
             name: "seq_query_ns",
             baked: baked.seq_query_ns,
             fitted: seq_query_ns,
         },
         Fitted {
+            class,
             name: "fused_query_ns",
             baked: baked.fused_query_ns,
             fitted: fused_query_ns,
         },
         Fitted {
+            class,
             name: "page_ns",
             baked: baked.page_ns,
             fitted: page_ns,
         },
         Fitted {
+            class,
             name: "check_ns",
             baked: baked.check_ns,
             fitted: None,
         },
         Fitted {
+            class,
             name: "point_ns",
             baked: baked.point_ns,
             fitted: point_ns,
         },
         Fitted {
+            class,
             name: "fused_point_penalty_ns",
             baked: baked.fused_point_penalty_ns,
             fitted: None,
         },
         Fitted {
+            class,
             name: "spawn_ns",
             baked: baked.spawn_ns,
             fitted: None,
         },
         Fitted {
+            class,
             name: "parallel_efficiency",
             baked: baked.parallel_efficiency,
             fitted: None,
@@ -350,13 +427,17 @@ fn constants_rows(
 mod tests {
     use super::*;
 
-    /// The calibrate experiment's own acceptance: it runs at smoke scale
-    /// without tripping its asserts, covers every constant of both classes,
-    /// and records all four decision-boundary rows.
+    /// The calibrate experiment's own acceptance: the fit runs at smoke
+    /// scale, Auto lands on the right side of both decision boundaries (the
+    /// asserts inside `fit`), every constant of both classes is covered and
+    /// all four decision-boundary rows are recorded. Nothing here reads the
+    /// clock: a debug build beside parallel tests times nothing meaningful,
+    /// so the sanity band and the latency comparisons stay with the CLI run.
     #[test]
     fn calibrate_fits_both_classes_and_checks_the_boundaries() {
         let ctx = ExperimentContext::smoke_test();
-        let reports = calibrate(&ctx);
+        let (fits, measured) = fit(&ctx);
+        let reports = render(&fits, &measured);
         assert_eq!(reports.len(), 2);
         let [table, boundaries] = &reports[..] else {
             panic!("expected two reports");

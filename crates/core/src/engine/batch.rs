@@ -10,22 +10,23 @@
 //! for indexes without one, so fusion is purely an optimization: answers
 //! are identical either way.
 //!
-//! On top of the plain kernel sits the *sharded* capability
-//! ([`ShardedRangeBatchKernel`]): a kernel that can split its fused sweep
-//! into two phases — projecting every request onto a one-dimensional sweep
-//! address space ([`ShardedRangeBatchKernel::project_batch`]) and sweeping
-//! the requests owned by any contiguous slice of that space independently
-//! ([`ShardedRangeBatchKernel::sweep_shard`]). Ownership is by entry
-//! address: the shard containing a request's first address sweeps the
-//! request's whole interval, so every request's walk is its solo sequential
-//! walk and shards never exchange skip state. Because ownership partitions
-//! the requests, the engine can sweep shards on worker threads and merge
-//! the partial responses deterministically ([`merge_shard_responses`]):
-//! point outputs concatenate in shard order (each request's output comes
-//! wholly from its owning shard), counts and counters sum. For WaZI the
-//! address space is the leaf list, for Flood the column grid, for the
-//! packed R-trees (STR/CUR) the clustered page list, and for QUASII the
-//! cracked x-slice list.
+//! The kernel protocol has two phases — projecting every request onto a
+//! one-dimensional sweep address space ([`RangeBatchKernel::project_batch`])
+//! and sweeping the requests owned by any contiguous slice of that space
+//! independently ([`RangeBatchKernel::sweep_shard`]) — and one driver,
+//! [`run_range_batch`]: project, plan shard bounds, sweep, merge. A plain
+//! fused sweep is the one-shard plan swept on the calling thread. Ownership
+//! is by entry address ([`BatchProjection::owned_by`]): the shard containing
+//! a request's first address sweeps the request's whole interval, so every
+//! request's walk is its solo sequential walk and shards never exchange skip
+//! state. Because ownership partitions the requests, the driver can sweep
+//! shards on worker threads and merge the partial responses
+//! deterministically: point outputs concatenate in shard order (each
+//! request's output comes wholly from its owning shard), counts and counters
+//! sum. For WaZI the address space is the leaf list, for Flood the column
+//! grid, for the packed R-trees (STR/CUR) the clustered page list, for
+//! QUASII the cracked x-slice list, and for the sorted Z-order array the
+//! entry array.
 
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -88,46 +89,6 @@ impl RangeBatchResponse {
     }
 }
 
-/// Fused execution of many range requests in one pass over the index.
-///
-/// # Contract
-///
-/// Implementations must return, for every request, exactly the answer the
-/// sequential [`crate::SpatialIndex::range_query`] /
-/// [`crate::SpatialIndex::range_count`] path returns — same points, same
-/// order — while being free to share physical work (page visits) between
-/// requests and to account that shared work in
-/// [`RangeBatchResponse::shared`] rather than per query. Per-request
-/// bounding-box checks and point comparisons must not exceed what the
-/// sequential path would charge: fusion shares work, it never adds any.
-pub trait RangeBatchKernel {
-    /// Executes all `requests` in one fused pass.
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse;
-
-    /// The kernel's sharded capability, when it has one.
-    ///
-    /// Returning `Some` promises that
-    /// [`ShardedRangeBatchKernel::sweep_shard`] over any disjoint partition
-    /// of the projected span, merged with [`merge_shard_responses`], is
-    /// output-equivalent to [`RangeBatchKernel::run_range_batch`]. The
-    /// default advertises nothing, and
-    /// [`crate::BatchStrategy::FusedParallel`] falls back to the
-    /// single-threaded fused sweep.
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        None
-    }
-
-    /// The kernel's physical profile, consumed by the engine's cost model
-    /// under [`crate::BatchStrategy::Auto`]. The default declares a
-    /// page-backed sweep (the common case: leaves, columns, clustered
-    /// pages, cracked slices); kernels sweeping a flat in-memory array with
-    /// no fetch to share override this with
-    /// [`KernelClass::FlatArray`].
-    fn cost_class(&self) -> KernelClass {
-        KernelClass::PageBacked
-    }
-}
-
 /// Inclusive interval of sweep addresses a request's fused scan covers
 /// (leaf indices for the Z-index, grid columns for Flood).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +109,8 @@ pub struct ShardBounds {
     pub end: u32,
 }
 
-/// The projection phase of a sharded fused batch: every request mapped onto
-/// the kernel's sweep address space, with the work that mapping cost.
+/// The projection phase of a fused batch: every request mapped onto the
+/// kernel's sweep address space, with the work that mapping cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchProjection {
     /// One sweep interval per request, in request order.
@@ -162,41 +123,71 @@ pub struct BatchProjection {
     pub elapsed_ns: u64,
 }
 
-/// A fused kernel whose sweep can be split into disjoint address-space
-/// shards and run on worker threads (`Sync` because shard sweeps execute
-/// concurrently against the same index).
+impl BatchProjection {
+    /// The requests a shard owns, as `(first address, request index)` pairs
+    /// in ascending order — the order their walks join a sweep.
+    ///
+    /// Sharding is **owner-based**: a request belongs to the one shard whose
+    /// bounds contain its interval's *first* address, and that shard sweeps
+    /// the request over its whole interval — intervals are never split
+    /// across shards. Each request's walk is therefore exactly its solo
+    /// sequential walk, look-ahead jumps included, so per-request
+    /// bounding-box checks and skip counts are identical whatever the shard
+    /// count, and no skip-cursor state ever needs to be handed across a
+    /// shard boundary (the zero-overhead cross-shard handoff). The price is
+    /// that a page inside a crossing request's tail may be fetched by more
+    /// than one shard; page visits remain bounded by the sequential loop's.
+    pub fn owned_by(&self, bounds: ShardBounds) -> Vec<(u32, usize)> {
+        // Sized for the one-shard run, which owns every request.
+        let mut owned = Vec::with_capacity(self.intervals.len());
+        owned.extend(
+            self.intervals
+                .iter()
+                .enumerate()
+                .filter(|(_, interval)| interval.lo >= bounds.start && interval.lo < bounds.end)
+                .map(|(qi, interval)| (interval.lo, qi)),
+        );
+        owned.sort_unstable();
+        owned
+    }
+}
+
+/// Fused execution of many range requests in one pass over the index
+/// (`Sync` because shard sweeps may execute concurrently against the same
+/// index).
 ///
-/// The engine drives the protocol: one [`project_batch`] call, a shard plan
-/// over the projected intervals ([`plan_shard_bounds_weighted`] when the
-/// kernel exposes [`address_counts`], [`plan_shard_bounds`] otherwise), one
-/// [`sweep_shard`] call per shard (possibly concurrent), and a
-/// deterministic merge ([`merge_shard_responses`]).
+/// [`run_range_batch`] drives the protocol: one [`project_batch`] call, a
+/// shard plan over the projected intervals (work-weighted when the kernel
+/// exposes [`address_counts`], coverage-weighted otherwise), one
+/// [`sweep_shard`] call per shard, and a deterministic merge. A plain fused
+/// sweep is the one-shard plan: the hull of the projected intervals, swept
+/// on the calling thread.
 ///
-/// Sharding is **owner-based**: a request belongs to the one shard whose
-/// bounds contain its interval's *first* address, and that shard sweeps the
-/// request over its whole interval — intervals are never split across
-/// shards. Each request's walk is therefore exactly its solo sequential
-/// walk, look-ahead jumps included, so per-request bounding-box checks and
-/// skip counts are identical to the single fused sweep's whatever the shard
-/// count, and no skip-cursor state ever needs to be handed across a shard
-/// boundary (the zero-overhead cross-shard handoff). The price is that a
-/// page inside a crossing request's tail may be fetched by more than one
-/// shard; page visits remain bounded by the sequential loop's.
+/// # Contract
 ///
-/// [`project_batch`]: ShardedRangeBatchKernel::project_batch
-/// [`sweep_shard`]: ShardedRangeBatchKernel::sweep_shard
-/// [`address_counts`]: ShardedRangeBatchKernel::address_counts
-pub trait ShardedRangeBatchKernel: RangeBatchKernel + Sync {
+/// The merged answer must hold, for every request, exactly what the
+/// sequential [`crate::SpatialIndex::range_query`] /
+/// [`crate::SpatialIndex::range_count`] path returns — same points, same
+/// order — for **every** disjoint partition of the projected span, while
+/// being free to share physical work (page visits) between requests and to
+/// account that shared work in [`RangeBatchResponse::shared`] rather than
+/// per query. Per-request bounding-box checks and point comparisons must
+/// not exceed what the sequential path would charge: fusion shares work, it
+/// never adds any.
+///
+/// [`project_batch`]: RangeBatchKernel::project_batch
+/// [`sweep_shard`]: RangeBatchKernel::sweep_shard
+/// [`address_counts`]: RangeBatchKernel::address_counts
+pub trait RangeBatchKernel: Sync {
     /// Maps every request onto the sweep address space, charging the
     /// projection work per request. Called once per batch, before any
     /// shard sweeps.
     fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection;
 
-    /// Runs the fused sweep for every request whose interval *starts*
-    /// inside `bounds`, over the request's whole interval (owner-based
-    /// sharding — see the trait docs). Requests entering elsewhere
-    /// contribute nothing; the returned response holds outputs and counters
-    /// for exactly the requests this shard owns.
+    /// Runs the fused sweep for the requests `bounds` owns
+    /// ([`BatchProjection::owned_by`]), each over its whole interval.
+    /// Requests entering elsewhere contribute nothing; the returned response
+    /// holds outputs and counters for exactly the requests this shard owns.
     fn sweep_shard(
         &self,
         requests: &[RangeBatchRequest],
@@ -206,12 +197,23 @@ pub trait ShardedRangeBatchKernel: RangeBatchKernel + Sync {
 
     /// Per-address point counts over the sweep address space (points per
     /// leaf for the Z-index, per column for Flood), consumed by the
-    /// work-weighted shard planner ([`plan_shard_bounds_weighted`]): shards
-    /// then balance estimated *scan* work, not just interval coverage. The
-    /// default advertises nothing and the engine falls back to the
-    /// coverage-weighted planner.
+    /// work-weighted shard planner and the cost model: shards then balance
+    /// estimated *scan* work, not just interval coverage. The default
+    /// advertises nothing and the planner falls back to coverage weights.
+    /// Never asked for by a one-shard run, whose plan is the hull whatever
+    /// the counts.
     fn address_counts(&self) -> Option<Vec<u64>> {
         None
+    }
+
+    /// The kernel's physical profile, consumed by the engine's cost model
+    /// under [`crate::BatchStrategy::Auto`]. The default declares a
+    /// page-backed sweep (the common case: leaves, columns, clustered
+    /// pages, cracked slices); kernels sweeping a flat in-memory array with
+    /// no fetch to share override this with
+    /// [`KernelClass::FlatArray`].
+    fn cost_class(&self) -> KernelClass {
+        KernelClass::PageBacked
     }
 }
 
@@ -273,65 +275,31 @@ fn cut_balanced(lo: u32, weights: &[i64], shards: usize) -> Vec<ShardBounds> {
 }
 
 /// Plans up to `shards` disjoint, contiguous, work-balanced shard bounds
-/// covering the hull of the projected intervals.
+/// covering the hull of the projected intervals. Returns fewer bounds than
+/// requested when the hull has fewer addresses than shards, the hull itself
+/// for one shard (whatever the counts), and an empty plan for an empty
+/// batch.
 ///
-/// Work is estimated as interval coverage: every (request, address) pair
-/// with the address inside the request's interval counts one unit. The
-/// planner cuts the hull so each shard carries roughly `total / shards`
-/// units, which balances overlapping batches far better than equal-width
-/// cuts (hot spans where many intervals stack are split, cold spans are
-/// merged). Returns fewer bounds than requested when the hull has fewer
-/// addresses than shards; returns an empty plan for an empty batch.
+/// With per-address point `counts` ([`RangeBatchKernel::address_counts`])
+/// the plan is **work-weighted**. Under owner-based sharding a request's
+/// *whole* walk executes in the shard containing its entry address, so each
+/// entry address is charged the estimated cost of the walks starting there:
+/// one bounding-box check per covered address plus one point comparison per
+/// point stored under the interval (from a prefix sum over `counts`, so
+/// planning stays linear in requests plus addresses; addresses beyond
+/// `counts` weigh zero points). Cuts then equalize estimated *scan* work —
+/// a shard owning few but point-heavy intervals ends up as narrow as one
+/// owning many light intervals.
 ///
-/// This is the fallback planner; when per-address point counts are
-/// available ([`ShardedRangeBatchKernel::address_counts`]) the engine uses
-/// [`plan_shard_bounds_weighted`], which balances estimated scan work
-/// rather than check work alone.
-pub fn plan_shard_bounds(intervals: &[SweepInterval], shards: usize) -> Vec<ShardBounds> {
-    let Some((lo, hi)) = interval_hull(intervals) else {
-        return Vec::new();
-    };
-    let span = (hi - lo + 1) as usize;
-    let shards = shards.clamp(1, span);
-    if shards == 1 {
-        return vec![ShardBounds {
-            start: lo,
-            end: hi + 1,
-        }];
-    }
-    // Coverage histogram over the hull via a difference array.
-    let mut diff = vec![0i64; span + 1];
-    for interval in intervals {
-        diff[(interval.lo - lo) as usize] += 1;
-        diff[(interval.hi - lo) as usize + 1] -= 1;
-    }
-    let mut coverage = 0i64;
-    let mut weights = Vec::with_capacity(span);
-    for d in &diff[..span] {
-        coverage += d;
-        weights.push(coverage.max(1));
-    }
-    cut_balanced(lo, &weights, shards)
-}
-
-/// Plans up to `shards` work-weighted shard bounds from per-address point
-/// counts ([`ShardedRangeBatchKernel::address_counts`]).
-///
-/// Under owner-based sharding a request's *whole* walk executes in the
-/// shard containing its entry address, so the planner charges each entry
-/// address the estimated cost of the walks starting there: one
-/// bounding-box check per covered address plus one point comparison per
-/// point stored under the interval (computed from a prefix sum over
-/// `counts`, so planning stays linear in requests plus addresses). Cuts
-/// then equalize estimated *scan* work per shard — a shard owning few but
-/// point-heavy intervals ends up as narrow as one owning many light
-/// intervals — where the coverage planner ([`plan_shard_bounds`]) can only
-/// equalize check work. Addresses beyond `counts` weigh zero points;
-/// returns an empty plan for an empty batch.
-pub fn plan_shard_bounds_weighted(
+/// Without counts, work is estimated as interval **coverage**: every
+/// (request, address) pair with the address inside the request's interval
+/// counts one unit, which can only equalize check work but still balances
+/// overlapping batches far better than equal-width cuts (hot spans where
+/// many intervals stack are split, cold spans are merged).
+pub(crate) fn plan_shard_bounds(
     intervals: &[SweepInterval],
     shards: usize,
-    counts: &[u64],
+    counts: Option<&[u64]>,
 ) -> Vec<ShardBounds> {
     let Some((lo, hi)) = interval_hull(intervals) else {
         return Vec::new();
@@ -344,23 +312,38 @@ pub fn plan_shard_bounds_weighted(
             end: hi + 1,
         }];
     }
-    // Prefix sums of the point counts over the hull: points(a..=b) =
-    // prefix[b + 1] - prefix[a], with addresses relative to `lo`.
-    let mut prefix = Vec::with_capacity(span + 1);
-    prefix.push(0u64);
-    for offset in 0..span {
-        let count = counts.get(lo as usize + offset).copied().unwrap_or(0);
-        prefix.push(prefix[offset] + count);
-    }
-    // Estimated whole-walk work of every request, charged to the address
-    // where its walk enters the sweep (owner-based sharding).
     let mut weights = vec![0i64; span];
-    for interval in intervals {
-        let enter = (interval.lo - lo) as usize;
-        let exit = (interval.hi - lo) as usize;
-        let checks = (exit - enter + 1) as i64;
-        let scans = (prefix[exit + 1] - prefix[enter]) as i64;
-        weights[enter] += checks + scans;
+    match counts {
+        Some(counts) => {
+            // Prefix sums of the point counts over the hull: points(a..=b)
+            // = prefix[b + 1] - prefix[a], with addresses relative to `lo`.
+            let mut prefix = Vec::with_capacity(span + 1);
+            prefix.push(0u64);
+            for offset in 0..span {
+                let count = counts.get(lo as usize + offset).copied().unwrap_or(0);
+                prefix.push(prefix[offset] + count);
+            }
+            for interval in intervals {
+                let enter = (interval.lo - lo) as usize;
+                let exit = (interval.hi - lo) as usize;
+                let checks = (exit - enter + 1) as i64;
+                let scans = (prefix[exit + 1] - prefix[enter]) as i64;
+                weights[enter] += checks + scans;
+            }
+        }
+        None => {
+            // Coverage histogram over the hull via a difference array.
+            let mut diff = vec![0i64; span + 1];
+            for interval in intervals {
+                diff[(interval.lo - lo) as usize] += 1;
+                diff[(interval.hi - lo) as usize + 1] -= 1;
+            }
+            let mut coverage = 0i64;
+            for (weight, d) in weights.iter_mut().zip(&diff) {
+                coverage += d;
+                *weight = coverage;
+            }
+        }
     }
     for weight in &mut weights {
         *weight = (*weight).max(1);
@@ -368,28 +351,112 @@ pub fn plan_shard_bounds_weighted(
     cut_balanced(lo, &weights, shards)
 }
 
-/// Runs a sharded kernel's full protocol as one unsharded sweep: project
-/// the batch, sweep the whole address space `[0, span_end)` on the calling
-/// thread, and fold the projection in.
+/// Worker threads the host can usefully run
+/// ([`std::thread::available_parallelism`], one when unknown). Feeds both
+/// the oversubscription guard of the threaded sweep and the cost model's
+/// parallel-candidate gate — on a single-core host the model never picks
+/// [`crate::BatchStrategy::FusedParallel`].
+pub(crate) fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs a whole range batch through `kernel`: project once, plan up to
+/// `shards` work-balanced shard bounds over the batch's sweep span, sweep
+/// them, and merge the partial responses deterministically in shard order.
+/// Returns the merged response and the number of shards actually swept (the
+/// planner produces fewer than requested on narrow spans).
 ///
-/// This is the canonical [`RangeBatchKernel::run_range_batch`] body for
-/// kernels that implement [`ShardedRangeBatchKernel`] — every such kernel
-/// shares it instead of restating the project/sweep/merge boilerplate.
-pub fn run_full_sweep(
-    kernel: &dyn ShardedRangeBatchKernel,
+/// With `shards <= 1` this is the plain fused sweep: the plan is the hull of
+/// the projected intervals, swept on the calling thread, and the kernel's
+/// [`RangeBatchKernel::address_counts`] are never asked for. Every shard
+/// count yields bit-identical outputs and per-request counters; only shared
+/// page visits may rise with the shard count, bounded by once per shard.
+pub fn run_range_batch(
+    kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
-    span_end: u32,
-) -> RangeBatchResponse {
-    if requests.is_empty() {
-        return RangeBatchResponse::zeroed(requests);
-    }
+    shards: usize,
+) -> (RangeBatchResponse, usize) {
     let projection = kernel.project_batch(requests);
-    let full_span = ShardBounds {
-        start: 0,
-        end: span_end,
+    let counts = if shards > 1 {
+        kernel.address_counts()
+    } else {
+        None
     };
-    let swept = kernel.sweep_shard(requests, &projection, full_span);
-    merge_shard_responses(requests, &projection, vec![swept])
+    run_projected_batch(kernel, requests, projection, counts.as_deref(), shards)
+}
+
+/// [`run_range_batch`] with the projection phase already done — the entry
+/// point the Auto strategy uses so the projection (and address counts) that
+/// fed the cost model are reused by the execution it chose, never
+/// recomputed.
+///
+/// Oversubscription guard: spawned workers are capped at the host's
+/// [`available_workers`] — extra threads for CPU-bound sweeps can only add
+/// scheduling overhead. The shard *plan* itself is never host-dependent
+/// (shard bounds, and therefore all deterministic counters, are identical
+/// whatever machine executes the batch); when there are more shards than
+/// workers, each worker sweeps a contiguous run of shards, and on a
+/// single-core host every shard is swept inline on the calling thread —
+/// same shards, same merge, no threads.
+pub(crate) fn run_projected_batch(
+    kernel: &dyn RangeBatchKernel,
+    requests: &[RangeBatchRequest],
+    projection: BatchProjection,
+    counts: Option<&[u64]>,
+    shards: usize,
+) -> (RangeBatchResponse, usize) {
+    debug_assert_eq!(projection.intervals.len(), requests.len());
+    let plan = plan_shard_bounds(&projection.intervals, shards, counts);
+    let workers = available_workers().min(plan.len());
+    let merged = if workers <= 1 {
+        let sweeps = plan
+            .iter()
+            .map(|&bounds| kernel.sweep_shard(requests, &projection, bounds));
+        merge_shard_responses(requests, &projection, sweeps)
+    } else {
+        let sweeps = sweep_shards_threaded(kernel, requests, &projection, &plan, workers);
+        merge_shard_responses(requests, &projection, sweeps)
+    };
+    (merged, plan.len().max(1))
+}
+
+/// Sweeps the planned shards on at most `workers` scoped worker threads —
+/// each worker takes a contiguous run of shards and sweeps them in order —
+/// returning the partial responses in plan (= shard) order however the
+/// workers were scheduled.
+pub(crate) fn sweep_shards_threaded(
+    kernel: &dyn RangeBatchKernel,
+    requests: &[RangeBatchRequest],
+    projection: &BatchProjection,
+    plan: &[ShardBounds],
+    workers: usize,
+) -> Vec<RangeBatchResponse> {
+    let chunk_size = plan.len().div_ceil(workers.max(1));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = plan
+            .chunks(chunk_size)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&bounds| kernel.sweep_shard(requests, projection, bounds))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                // Re-raise a shard worker's panic with its original payload,
+                // so a kernel panic on a worker thread reaches the engine's
+                // isolation boundary (catch_execution_panic) with its
+                // message intact instead of being masked by a join error.
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 /// Deterministically merges per-shard partial responses (in ascending shard
@@ -401,10 +468,10 @@ pub fn run_full_sweep(
 /// exactly. Counts, per-query counters and shared counters sum; the
 /// projection's per-request work and wall-clock are folded in so the merged
 /// response accounts for the whole fused execution.
-pub fn merge_shard_responses(
+pub(crate) fn merge_shard_responses(
     requests: &[RangeBatchRequest],
     projection: &BatchProjection,
-    responses: Vec<RangeBatchResponse>,
+    responses: impl IntoIterator<Item = RangeBatchResponse>,
 ) -> RangeBatchResponse {
     let mut merged = RangeBatchResponse::zeroed(requests);
     merged.per_query.clone_from_slice(&projection.per_query);
@@ -440,12 +507,12 @@ mod tests {
 
     #[test]
     fn empty_batch_has_no_shards() {
-        assert!(plan_shard_bounds(&[], 4).is_empty());
+        assert!(plan_shard_bounds(&[], 4, None).is_empty());
     }
 
     #[test]
     fn single_shard_covers_the_hull() {
-        let plan = plan_shard_bounds(&[interval(3, 9), interval(5, 20)], 1);
+        let plan = plan_shard_bounds(&[interval(3, 9), interval(5, 20)], 1, None);
         assert_eq!(plan, vec![ShardBounds { start: 3, end: 21 }]);
     }
 
@@ -458,7 +525,7 @@ mod tests {
             interval(25, 63),
         ];
         for shards in [2, 3, 4, 8] {
-            let plan = plan_shard_bounds(&intervals, shards);
+            let plan = plan_shard_bounds(&intervals, shards, None);
             assert!(!plan.is_empty() && plan.len() <= shards);
             assert_eq!(plan.first().unwrap().start, 0);
             assert_eq!(plan.last().unwrap().end, 64);
@@ -471,7 +538,7 @@ mod tests {
 
     #[test]
     fn shards_clamp_to_the_span() {
-        let plan = plan_shard_bounds(&[interval(7, 9)], 16);
+        let plan = plan_shard_bounds(&[interval(7, 9)], 16, None);
         assert!(plan.len() <= 3, "3-address span cannot feed 16 shards");
         assert_eq!(plan.first().unwrap().start, 7);
         assert_eq!(plan.last().unwrap().end, 10);
@@ -483,7 +550,7 @@ mod tests {
         // a work-balanced 2-shard plan cuts well before the midpoint 50.
         let mut intervals = vec![interval(10, 99)];
         intervals.extend((0..10).map(|_| interval(0, 9)));
-        let plan = plan_shard_bounds(&intervals, 2);
+        let plan = plan_shard_bounds(&intervals, 2, None);
         assert_eq!(plan.len(), 2);
         assert!(
             plan[0].end <= 30,
@@ -503,14 +570,14 @@ mod tests {
         for count in counts.iter_mut().take(4) {
             *count = 1_000;
         }
-        let weighted = plan_shard_bounds_weighted(&intervals, 2, &counts);
+        let weighted = plan_shard_bounds(&intervals, 2, Some(&counts));
         assert_eq!(weighted.len(), 2);
         assert!(
             weighted[0].end <= 5,
             "weighted cut at {} ignores the heavy prefix",
             weighted[0].end
         );
-        let coverage = plan_shard_bounds(&intervals, 2);
+        let coverage = plan_shard_bounds(&intervals, 2, None);
         assert_eq!(coverage[0].end, 8, "uniform coverage cuts at the midpoint");
         // Both planners partition the hull without gaps.
         for plan in [&weighted, &coverage] {
@@ -532,7 +599,7 @@ mod tests {
         let mut intervals = vec![interval(0, 15)];
         intervals.extend((0..10).map(|_| interval(12, 15)));
         let counts = vec![10u64; 16];
-        let plan = plan_shard_bounds_weighted(&intervals, 2, &counts);
+        let plan = plan_shard_bounds(&intervals, 2, Some(&counts));
         assert_eq!(plan.len(), 2);
         assert!(
             plan[0].end <= 12,
@@ -543,14 +610,14 @@ mod tests {
 
     #[test]
     fn weighted_planner_handles_degenerate_inputs() {
-        assert!(plan_shard_bounds_weighted(&[], 4, &[1, 2, 3]).is_empty());
+        assert!(plan_shard_bounds(&[], 4, Some(&[1, 2, 3])).is_empty());
         // Counts shorter than the hull weigh the tail as zero points.
-        let plan = plan_shard_bounds_weighted(&[interval(0, 9)], 4, &[5]);
+        let plan = plan_shard_bounds(&[interval(0, 9)], 4, Some(&[5]));
         assert_eq!(plan.first().unwrap().start, 0);
         assert_eq!(plan.last().unwrap().end, 10);
         // One shard returns the hull whatever the counts.
         assert_eq!(
-            plan_shard_bounds_weighted(&[interval(3, 9)], 1, &[]),
+            plan_shard_bounds(&[interval(3, 9)], 1, Some(&[])),
             vec![ShardBounds { start: 3, end: 10 }]
         );
     }

@@ -3,9 +3,9 @@
 //! The paper's thesis is that a cost-aware index adapts its *layout* to the
 //! workload; this module applies the same discipline one level up and adapts
 //! the *execution strategy* to the batch. The engine computes cheap
-//! statistics the sharded projection phase already produces — batch size,
+//! statistics the kernel's projection phase already produces — batch size,
 //! interval overlap mass, estimated sweep work from
-//! [`ShardedRangeBatchKernel::address_counts`], available parallelism — and
+//! [`RangeBatchKernel::address_counts`], available parallelism — and
 //! feeds them into a calibrated per-kernel-class cost model that picks
 //! Sequential vs Fused vs FusedParallel (and the shard count) per partition.
 //!
@@ -16,8 +16,8 @@
 //! `reproduce calibrate` experiment, which re-measures every constant and
 //! asserts the baked values have not rotted.
 //!
-//! [`ShardedRangeBatchKernel::address_counts`]:
-//! super::ShardedRangeBatchKernel::address_counts
+//! [`RangeBatchKernel::address_counts`]:
+//! super::RangeBatchKernel::address_counts
 
 use super::SweepInterval;
 
@@ -128,7 +128,7 @@ impl CalibrationTable {
 }
 
 /// Cheap statistics of one projected range batch — everything the cost model
-/// consumes, computed in one pass over the projection the sharded protocol
+/// consumes, computed in one pass over the projection the kernel protocol
 /// produces anyway (plus a prefix sum over the kernel's address counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RangeBatchStats {
@@ -146,7 +146,7 @@ pub struct RangeBatchStats {
     pub covered: u64,
     /// Estimated point comparisons of the batch: points stored under each
     /// request's interval, summed over requests (from
-    /// [`super::ShardedRangeBatchKernel::address_counts`] prefix sums; one
+    /// [`super::RangeBatchKernel::address_counts`] prefix sums; one
     /// point per address when the kernel publishes no counts, which is exact
     /// for flat entry arrays).
     pub est_points: u64,
@@ -230,10 +230,11 @@ impl RangeBatchStats {
 pub enum ChosenStrategy {
     /// Run the partition through the per-query sequential loop.
     Sequential,
-    /// Run the partition through the single-threaded fused kernel.
+    /// Run the partition through the fused kernel as one shard, swept on
+    /// the calling thread.
     Fused,
-    /// Run the partition through the sharded fused kernel on worker
-    /// threads.
+    /// Run the partition through the same fused kernel with its sweep cut
+    /// into shards on worker threads.
     FusedParallel {
         /// Planned shard count.
         shards: usize,

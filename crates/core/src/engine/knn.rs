@@ -14,8 +14,9 @@
 //! 2. each group runs a **shared expanding-ring sweep**
 //!    ([`run_knn_batch`]): per ring, the sweep boxes of every still-active
 //!    plan in the group execute as *one* fused range batch through the
-//!    index's [`RangeBatchKernel`], so a candidate page relevant to several
-//!    plans is scanned once per ring instead of once per plan;
+//!    index's [`RangeBatchKernel`] ([`run_range_batch`]), so a candidate
+//!    page relevant to several plans is scanned once per ring instead of
+//!    once per plan;
 //! 3. a plan leaves its group's sweep the moment its own doubling loop
 //!    would have terminated — the per-plan ring geometry, candidate sets
 //!    and termination tests replicate the sequential fallback exactly, so
@@ -41,7 +42,9 @@
 //!     (Point::new(0.22, 0.22), 2),
 //!     (Point::new(0.90, 0.90), 0),
 //! ];
-//! let response = run_knn_batch(&index, kernel, &plans);
+//! // One shard: every ring is a single fused sweep on this thread.
+//! let (response, ring_shards) = run_knn_batch(&index, kernel, &plans, 1);
+//! assert_eq!(ring_shards, 1);
 //! // Outputs are bit-identical to the sequential fallback, plan by plan.
 //! let mut stats = ExecStats::default();
 //! for ((q, k), got) in plans.iter().zip(&response.neighbors) {
@@ -50,7 +53,7 @@
 //! ```
 
 use crate::engine::batch::{
-    RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse,
+    run_range_batch, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
 };
 use crate::index::SpatialIndex;
 use wazi_geom::{Point, Rect};
@@ -209,26 +212,18 @@ pub fn group_knn_plans(seed_boxes: &[Rect]) -> Vec<Vec<usize>> {
 
 /// Executes a batch of kNN plans `(q, k)` through the index's fused range
 /// kernel: plans are grouped by seed-box overlap and each group runs a
-/// shared expanding-ring sweep, one fused range batch per ring (see the
-/// module docs). Outputs are bit-identical to calling
-/// [`crate::SpatialIndex::knn`] per plan.
+/// shared expanding-ring sweep, one fused range batch of up to `shards`
+/// shards per ring ([`run_range_batch`]; see the module docs). Outputs are
+/// bit-identical to calling [`crate::SpatialIndex::knn`] per plan. Returns
+/// the response and the largest shard count any ring was swept with (one
+/// when no ring ran).
 pub fn run_knn_batch(
     index: &dyn SpatialIndex,
     kernel: &dyn RangeBatchKernel,
     plans: &[(Point, usize)],
-) -> KnnBatchResponse {
-    run_knn_batch_with(index, plans, &mut |requests| {
-        kernel.run_range_batch(requests)
-    })
-}
-
-/// [`run_knn_batch`] with a caller-supplied ring runner, so the engine can
-/// route each ring's fused range batch through the sharded parallel path.
-pub(crate) fn run_knn_batch_with(
-    index: &dyn SpatialIndex,
-    plans: &[(Point, usize)],
-    run_ring: &mut dyn FnMut(&[RangeBatchRequest]) -> RangeBatchResponse,
-) -> KnnBatchResponse {
+    shards: usize,
+) -> (KnnBatchResponse, usize) {
+    let mut shards_used = 1usize;
     let mut response = KnnBatchResponse {
         neighbors: vec![Vec::new(); plans.len()],
         per_query: vec![ExecStats::default(); plans.len()],
@@ -251,9 +246,9 @@ pub(crate) fn run_knn_batch_with(
         // A singleton group has nothing to share: run its doubling loop
         // directly against the index — the same state machine, so the same
         // answer and the same per-query counters as the sequential
-        // fallback — instead of paying the fused-kernel (and, under the
-        // parallel strategy, shard-planning and thread-scope) machinery
-        // once per ring for a single request.
+        // fallback — instead of paying the fused-kernel (and, with several
+        // shards, shard-planning and thread-scope) machinery once per ring
+        // for a single request.
         if let [lone] = group.as_slice() {
             let i = live[*lone];
             let state = states[i].as_mut().expect("live plans have state");
@@ -282,8 +277,9 @@ pub(crate) fn run_knn_batch_with(
                     }
                 })
                 .collect();
-            let ring = run_ring(&requests);
+            let (ring, ring_shards) = run_range_batch(kernel, &requests, shards);
             debug_assert_eq!(ring.outputs.len(), active.len());
+            shards_used = shards_used.max(ring_shards);
             response.shared.merge(&ring.shared);
             let mut still_active = Vec::with_capacity(active.len());
             for (((i, output), stats), covers_everything) in active
@@ -309,7 +305,7 @@ pub(crate) fn run_knn_batch_with(
             active = still_active;
         }
     }
-    response
+    (response, shards_used)
 }
 
 #[cfg(test)]

@@ -53,17 +53,17 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
+use batch::{available_workers, run_projected_batch};
 pub use batch::{
-    merge_shard_responses, plan_shard_bounds, plan_shard_bounds_weighted, run_full_sweep,
-    BatchProjection, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse,
-    ShardBounds, ShardedRangeBatchKernel, SweepInterval,
+    run_range_batch, BatchProjection, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    RangeBatchResponse, ShardBounds, SweepInterval,
 };
 pub use cost::{
     decide_knn_strategy, decide_point_strategy, decide_range_strategy, CalibrationTable,
     ChosenStrategy, CostConstants, CostEstimate, KernelClass, PartitionDecision, RangeBatchStats,
 };
+pub(crate) use knn::KnnSweepState;
 pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
-pub(crate) use knn::{run_knn_batch_with, KnnSweepState};
 pub use plan::{Query, QueryOutput, RangeMode};
 pub use point::{run_point_batch, run_point_batch_sharded, PointBatchKernel, PointBatchResponse};
 pub use report::{BatchReport, QueryReport, StrategyDecisions};
@@ -74,7 +74,7 @@ pub use snapshot::{WriteFault, WriteFaultPlan, WritePhase};
 use crate::index::{IndexError, SpatialIndex};
 use std::time::Instant;
 use wazi_geom::Point;
-use wazi_storage::{ExecStats, StatsCollector};
+use wazi_storage::ExecStats;
 
 /// Errors returned by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,7 +174,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// * [`BatchStrategy::Auto`] (the default) lets the engine pick per batch
 ///   and per partition, using the cost model in [`cost`]: cheap statistics
-///   the sharded projection phase already produces feed calibrated
+///   the projection phase already produces feed calibrated
 ///   per-kernel-class formulas, and the cheapest predicted candidate runs.
 ///   The decision is recorded in [`BatchReport::strategy_chosen`].
 /// * [`BatchStrategy::Sequential`] wins on batches whose queries barely
@@ -231,16 +231,15 @@ pub enum BatchStrategy {
     /// walks (bounding-box checks, look-ahead skips) are identical to the
     /// single sweep's; shard bounds are planned work-weighted from the
     /// batch's projected intervals and the index's per-leaf point counts
-    /// ([`ShardedRangeBatchKernel::address_counts`]); partial results merge
+    /// ([`RangeBatchKernel::address_counts`]); partial results merge
     /// deterministically in sweep order, so outputs are bit-identical to
     /// the other strategies regardless of thread scheduling. The point
     /// partition parallelizes the same way: its sorted probe-group list is
     /// split at group boundaries ([`run_point_batch_sharded`]) onto worker
     /// threads — groups are disjoint by construction, so probe-heavy
-    /// batches scale without any cross-chunk coordination. Falls back to
-    /// [`BatchStrategy::Fused`] when the index has no sharded kernel
-    /// ([`RangeBatchKernel::sharded`]), when `shards <= 1`, or when the
-    /// batch's span is too narrow to split.
+    /// batches scale without any cross-chunk coordination. Degenerates to
+    /// [`BatchStrategy::Fused`] — the same sweep with a one-shard plan —
+    /// when `shards <= 1` or the batch's span is too narrow to split.
     FusedParallel {
         /// Upper bound on the number of concurrently swept shards (clamped
         /// to the batch's address span; `0` is treated as `1`).
@@ -430,12 +429,12 @@ impl<'a> QueryEngine<'a> {
     /// answers are reassembled into input order.
     ///
     /// Under [`BatchStrategy::Auto`] each partition first passes through
-    /// the cost model ([`cost`]): the range partition is projected once,
-    /// its statistics decide among the candidates, and the projection is
-    /// reused by whichever fused execution wins — deciding never projects
-    /// twice. A partition the model routes to `Sequential` executes
-    /// through the per-query loop (zero fused counters, exactly as if the
-    /// engine were pinned sequential); every decision is recorded in
+    /// the cost model ([`cost`]): the range partition's projection feeds
+    /// the statistics that decide among the candidates and is reused by
+    /// whichever fused execution wins — deciding never projects twice. A
+    /// partition the model routes to `Sequential` executes through the
+    /// per-query loop (zero fused counters, exactly as if the engine were
+    /// pinned sequential); every decision is recorded in
     /// [`BatchReport::strategy_chosen`].
     fn execute_batch_fused(
         &self,
@@ -444,151 +443,92 @@ impl<'a> QueryEngine<'a> {
         point_kernel: Option<&dyn PointBatchKernel>,
     ) -> Result<BatchReport, EngineError> {
         let auto = self.strategy == BatchStrategy::Auto;
-        let shards = match self.strategy {
-            BatchStrategy::FusedParallel { shards } if shards > 1 => shards,
-            _ => 1,
+        // What a pinned fused strategy runs every partition as.
+        let pinned = match self.strategy {
+            BatchStrategy::FusedParallel { shards } if shards > 1 => {
+                ChosenStrategy::FusedParallel { shards }
+            }
+            _ => ChosenStrategy::Fused,
         };
         let workers = available_workers();
         let mut slots: Vec<Option<QueryReport>> = (0..queries.len()).map(|_| None).collect();
-        let mut shards_used = 0usize;
-        let mut decisions = StrategyDecisions::default();
 
         // Range partition: one fused sweep for every range plan.
-        let mut range_shared = ExecStats::default();
-        let mut fused_queries = 0usize;
+        let mut range = PartitionOutcome::default();
         if let Some(kernel) = kernel {
-            let mut range_positions = Vec::new();
-            let mut requests = Vec::new();
-            for (i, query) in queries.iter().enumerate() {
-                if let Query::Range { rect, mode } = query {
-                    range_positions.push(i);
-                    requests.push(RangeBatchRequest {
-                        rect: *rect,
-                        collect: *mode == RangeMode::Collect,
-                    });
-                }
-            }
+            let (positions, requests) = gather(queries, |query| match query {
+                Query::Range { rect, mode } => Some(RangeBatchRequest {
+                    rect: *rect,
+                    collect: *mode == RangeMode::Collect,
+                }),
+                _ => None,
+            });
             if requests.len() >= 2 {
-                // Pick the partition's execution. Auto projects the batch
-                // once, decides from the projected statistics, and hands
-                // the projection to whichever fused execution wins.
-                let mut prepared: Option<(BatchProjection, Option<Vec<u64>>)> = None;
-                let (chosen, estimate) = if auto {
-                    match kernel.sharded() {
-                        Some(sharded) => {
-                            let projection = sharded.project_batch(&requests);
-                            let counts = sharded.address_counts();
-                            let stats = RangeBatchStats::from_projection(
-                                &projection.intervals,
-                                counts.as_deref(),
-                            );
-                            let (chosen, estimate) = decide_range_strategy(
-                                kernel.cost_class(),
-                                &stats,
-                                workers,
-                                &CalibrationTable::BAKED,
-                            );
-                            prepared = Some((projection, counts));
-                            (chosen, Some(estimate))
-                        }
-                        // No sharded protocol to project through: fall back
-                        // to the class rule (page-backed sweeps share
-                        // fetches, flat sweeps have none to share).
-                        None => (
-                            match kernel.cost_class() {
-                                KernelClass::PageBacked => ChosenStrategy::Fused,
-                                KernelClass::FlatArray => ChosenStrategy::Sequential,
-                            },
-                            None,
-                        ),
-                    }
-                } else if shards > 1 && kernel.sharded().is_some() {
-                    (ChosenStrategy::FusedParallel { shards }, None)
+                // Auto decides from the projected statistics; the
+                // projection (and the counts that weighted it) then serve
+                // whichever fused execution wins. A pinned single sweep
+                // plans the hull whatever the counts, so it never asks.
+                let projection = kernel.project_batch(&requests);
+                let counts = if auto || pinned != ChosenStrategy::Fused {
+                    kernel.address_counts()
                 } else {
-                    (ChosenStrategy::Fused, None)
+                    None
                 };
-                let executed = Instant::now();
-                match chosen {
-                    ChosenStrategy::Sequential => {
-                        for &position in &range_positions {
-                            slots[position] = Some(self.execute(&queries[position])?);
-                        }
-                    }
-                    ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
-                        let plan_shards = match chosen {
-                            ChosenStrategy::FusedParallel { shards } => shards,
-                            _ => 1,
-                        };
-                        let (response, used) = match (prepared, kernel.sharded()) {
-                            (Some((projection, counts)), Some(sharded)) => {
-                                Self::run_projected_batch(
-                                    sharded,
-                                    &requests,
-                                    projection,
-                                    counts,
-                                    plan_shards,
-                                )
-                            }
-                            (_, Some(sharded)) if plan_shards > 1 => {
-                                Self::run_sharded_batch(sharded, &requests, plan_shards)
-                            }
-                            _ => (kernel.run_range_batch(&requests), 1),
-                        };
-                        debug_assert_eq!(response.outputs.len(), requests.len());
-                        debug_assert_eq!(response.per_query.len(), requests.len());
-                        for ((&position, output), stats) in range_positions
-                            .iter()
-                            .zip(response.outputs)
-                            .zip(response.per_query)
-                        {
-                            let mode = match &queries[position] {
-                                Query::Range { mode, .. } => *mode,
-                                _ => unreachable!("range positions only index range plans"),
-                            };
-                            let output = match (output, mode) {
+                let choice = if auto {
+                    let stats =
+                        RangeBatchStats::from_projection(&projection.intervals, counts.as_deref());
+                    let (chosen, estimate) = decide_range_strategy(
+                        kernel.cost_class(),
+                        &stats,
+                        workers,
+                        &CalibrationTable::BAKED,
+                    );
+                    (chosen, Some(estimate))
+                } else {
+                    (pinned, None)
+                };
+                range =
+                    self.run_partition(queries, &positions, &mut slots, choice, |shards| {
+                        let (response, shards_used) = run_projected_batch(
+                            kernel,
+                            &requests,
+                            projection,
+                            counts.as_deref(),
+                            shards,
+                        );
+                        let outputs = positions.iter().zip(response.outputs).map(
+                            |(&position, output)| match (output, &queries[position]) {
                                 (RangeBatchOutput::Points(points), _) => {
                                     QueryOutput::Points(points)
                                 }
-                                (RangeBatchOutput::Count(n), RangeMode::Stream) => {
-                                    QueryOutput::Streamed(n)
-                                }
+                                (
+                                    RangeBatchOutput::Count(n),
+                                    Query::Range {
+                                        mode: RangeMode::Stream,
+                                        ..
+                                    },
+                                ) => QueryOutput::Streamed(n),
                                 (RangeBatchOutput::Count(n), _) => QueryOutput::Count(n),
-                            };
-                            slots[position] = Some(QueryReport {
-                                output,
-                                stats,
-                                latency_ns: 0,
-                            });
+                            },
+                        );
+                        FusedRun {
+                            outputs,
+                            per_query: response.per_query,
+                            shared: response.shared,
+                            shards_used,
                         }
-                        range_shared = response.shared;
-                        fused_queries = range_positions.len();
-                        shards_used = shards_used.max(used);
-                    }
-                }
-                if auto {
-                    decisions.range = Some(PartitionDecision {
-                        queries: range_positions.len(),
-                        chosen,
-                        estimate,
-                        actual_ns: executed.elapsed().as_nanos() as u64,
-                    });
-                }
+                    })?;
             }
         }
 
         // Point partition: probes grouped by owning page, one visit per
-        // group (`run_point_batch`'s sorted pass owns the grouping).
-        let mut point_shared = ExecStats::default();
-        let mut fused_points = 0usize;
+        // group (`run_point_batch_sharded`'s sorted pass owns the grouping).
+        let mut point = PartitionOutcome::default();
         if let Some(point_kernel) = point_kernel {
-            let mut point_positions = Vec::new();
-            let mut probes = Vec::new();
-            for (i, query) in queries.iter().enumerate() {
-                if let Query::Point(p) = query {
-                    point_positions.push(i);
-                    probes.push(*p);
-                }
-            }
+            let (positions, probes) = gather(queries, |query| match query {
+                Query::Point(p) => Some(*p),
+                _ => None,
+            });
             if probes.len() >= 2 {
                 // Auto routes the partition by the range kernel's class
                 // rule: grouped probes share page fetches on page-backed
@@ -597,53 +537,29 @@ impl<'a> QueryEngine<'a> {
                 let chosen = if auto {
                     let class = kernel.map_or(KernelClass::PageBacked, |k| k.cost_class());
                     decide_point_strategy(class, probes.len(), workers)
-                } else if shards > 1 {
-                    ChosenStrategy::FusedParallel { shards }
                 } else {
-                    ChosenStrategy::Fused
+                    pinned
                 };
-                let executed = Instant::now();
-                match chosen {
-                    ChosenStrategy::Sequential => {
-                        for &position in &point_positions {
-                            slots[position] = Some(self.execute(&queries[position])?);
-                        }
-                    }
-                    ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
+                point = self.run_partition(
+                    queries,
+                    &positions,
+                    &mut slots,
+                    (chosen, None),
+                    |shards| {
                         // Probe-heavy batches parallelize too: the sorted
                         // group list splits at group boundaries (groups are
                         // disjoint by construction), so chunked execution
                         // is bit-identical to the single pass.
-                        let (response, point_shards) = match chosen {
-                            ChosenStrategy::FusedParallel { shards } => {
-                                run_point_batch_sharded(point_kernel, &probes, shards)
-                            }
-                            _ => (run_point_batch(point_kernel, &probes), 1),
-                        };
-                        for ((&position, found), stats) in point_positions
-                            .iter()
-                            .zip(response.found)
-                            .zip(response.per_query)
-                        {
-                            slots[position] = Some(QueryReport {
-                                output: QueryOutput::Found(found),
-                                stats,
-                                latency_ns: 0,
-                            });
+                        let (response, shards_used) =
+                            run_point_batch_sharded(point_kernel, &probes, shards);
+                        FusedRun {
+                            outputs: response.found.into_iter().map(QueryOutput::Found),
+                            per_query: response.per_query,
+                            shared: response.shared,
+                            shards_used,
                         }
-                        point_shared = response.shared;
-                        fused_points = point_positions.len();
-                        shards_used = shards_used.max(point_shards);
-                    }
-                }
-                if auto {
-                    decisions.point = Some(PartitionDecision {
-                        queries: point_positions.len(),
-                        chosen,
-                        estimate: None,
-                        actual_ns: executed.elapsed().as_nanos() as u64,
-                    });
-                }
+                    },
+                )?;
             }
         }
 
@@ -651,17 +567,12 @@ impl<'a> QueryEngine<'a> {
         // driven through a shared expanding-ring sweep whose rings execute
         // as fused range batches (sharded rings under the parallel
         // strategy).
-        let mut knn_shared = ExecStats::default();
-        let mut fused_knn = 0usize;
+        let mut knn = PartitionOutcome::default();
         if let Some(kernel) = kernel {
-            let mut knn_positions = Vec::new();
-            let mut plans = Vec::new();
-            for (i, query) in queries.iter().enumerate() {
-                if let Query::Knn { q, k } = query {
-                    knn_positions.push(i);
-                    plans.push((*q, *k));
-                }
-            }
+            let (positions, plans) = gather(queries, |query| match query {
+                Query::Knn { q, k } => Some((*q, *k)),
+                _ => None,
+            });
             if plans.len() >= 2 {
                 // Auto routes the partition by the range kernel's class
                 // rule: ring sweeps share candidate pages on page-backed
@@ -669,63 +580,25 @@ impl<'a> QueryEngine<'a> {
                 // coordination, so the per-plan loop wins.
                 let chosen = if auto {
                     decide_knn_strategy(kernel.cost_class(), plans.len(), workers)
-                } else if shards > 1 {
-                    ChosenStrategy::FusedParallel { shards }
                 } else {
-                    ChosenStrategy::Fused
+                    pinned
                 };
-                let executed = Instant::now();
-                match chosen {
-                    ChosenStrategy::Sequential => {
-                        for &position in &knn_positions {
-                            slots[position] = Some(self.execute(&queries[position])?);
+                knn = self.run_partition(
+                    queries,
+                    &positions,
+                    &mut slots,
+                    (chosen, None),
+                    |shards| {
+                        let (response, shards_used) =
+                            run_knn_batch(self.index, kernel, &plans, shards);
+                        FusedRun {
+                            outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
+                            per_query: response.per_query,
+                            shared: response.shared,
+                            shards_used,
                         }
-                    }
-                    ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
-                        let ring_shards = match chosen {
-                            ChosenStrategy::FusedParallel { shards } => shards,
-                            _ => 1,
-                        };
-                        let sharded = if ring_shards > 1 {
-                            kernel.sharded()
-                        } else {
-                            None
-                        };
-                        let mut ring_shards_used = 1usize;
-                        let mut run_ring = |requests: &[RangeBatchRequest]| match sharded {
-                            Some(sharded) => {
-                                let (response, used) =
-                                    Self::run_sharded_batch(sharded, requests, ring_shards);
-                                ring_shards_used = ring_shards_used.max(used);
-                                response
-                            }
-                            None => kernel.run_range_batch(requests),
-                        };
-                        let response = run_knn_batch_with(self.index, &plans, &mut run_ring);
-                        for ((&position, neighbors), stats) in knn_positions
-                            .iter()
-                            .zip(response.neighbors)
-                            .zip(response.per_query)
-                        {
-                            slots[position] = Some(QueryReport {
-                                output: QueryOutput::Neighbors(neighbors),
-                                stats,
-                                latency_ns: 0,
-                            });
-                        }
-                        knn_shared = response.shared;
-                        fused_knn = knn_positions.len();
-                        shards_used = shards_used.max(ring_shards_used);
-                    }
-                }
-                if auto {
-                    decisions.knn = Some(PartitionDecision {
-                        queries: knn_positions.len(),
-                        chosen,
-                        estimate: None,
-                        actual_ns: executed.elapsed().as_nanos() as u64,
-                    });
-                }
+                    },
+                )?;
             }
         }
 
@@ -736,152 +609,118 @@ impl<'a> QueryEngine<'a> {
                 *slot = Some(self.execute(query)?);
             }
         }
-        let mut shared_stats = range_shared;
-        shared_stats.merge(&point_shared);
-        shared_stats.merge(&knn_shared);
+        let mut shared_stats = range.shared;
+        shared_stats.merge(&point.shared);
+        shared_stats.merge(&knn.shared);
         Ok(BatchReport {
             reports: slots
                 .into_iter()
                 .map(|s| s.expect("every slot filled above"))
                 .collect(),
             shared_stats,
-            range_shared_stats: range_shared,
-            point_shared_stats: point_shared,
-            knn_shared_stats: knn_shared,
+            range_shared_stats: range.shared,
+            point_shared_stats: point.shared,
+            knn_shared_stats: knn.shared,
             latency_ns: 0,
-            fused_queries,
-            fused_points,
-            fused_knn,
-            shards_used,
-            strategy_chosen: decisions,
+            fused_queries: range.fused,
+            fused_points: point.fused,
+            fused_knn: knn.fused,
+            shards_used: range
+                .shards_used
+                .max(point.shards_used)
+                .max(knn.shards_used),
+            strategy_chosen: StrategyDecisions {
+                range: range.decision,
+                point: point.decision,
+                knn: knn.decision,
+            },
         })
     }
 
-    /// The parallel fused sweep: project once, plan work-balanced shard
-    /// bounds over the batch's sweep span, sweep every shard on its own
-    /// scoped worker thread, and merge the partial responses
-    /// deterministically in shard order. Per-shard shared stats flow
-    /// through a thread-safe [`StatsCollector`]; per-query outputs and
-    /// counters merge from the ordered responses, so the result is
-    /// bit-identical across runs whatever the thread interleaving.
-    ///
-    /// Oversubscription guard: spawned workers are capped at the host's
-    /// [`std::thread::available_parallelism`] — extra threads for CPU-bound
-    /// sweeps can only add scheduling overhead. The shard *plan* itself is
-    /// never host-dependent (shard bounds, and therefore all deterministic
-    /// counters, are identical whatever machine executes the batch); when
-    /// there are more shards than workers, each worker sweeps a contiguous
-    /// run of shards, and on a single-core host every shard is swept inline
-    /// on the calling thread — same shards, same merge, no threads.
-    ///
-    /// Returns the merged response and the number of shards actually swept
-    /// (the planner may produce fewer than requested on narrow spans; a
-    /// single-shard plan is swept inline without spawning).
-    fn run_sharded_batch(
-        sharded: &dyn ShardedRangeBatchKernel,
-        requests: &[RangeBatchRequest],
-        shards: usize,
-    ) -> (RangeBatchResponse, usize) {
-        let projection = sharded.project_batch(requests);
-        let counts = sharded.address_counts();
-        Self::run_projected_batch(sharded, requests, projection, counts, shards)
-    }
-
-    /// [`QueryEngine::run_sharded_batch`] with the projection phase already
-    /// done — the entry point the Auto strategy uses so the projection that
-    /// fed the cost model is reused by the execution it chose, never
-    /// recomputed. A `shards` of one degenerates to the single fused sweep
-    /// (one hull-bounds shard swept inline), which is bit-identical to
-    /// [`RangeBatchKernel::run_range_batch`] for every sharded kernel.
-    fn run_projected_batch(
-        sharded: &dyn ShardedRangeBatchKernel,
-        requests: &[RangeBatchRequest],
-        projection: BatchProjection,
-        counts: Option<Vec<u64>>,
-        shards: usize,
-    ) -> (RangeBatchResponse, usize) {
-        debug_assert_eq!(projection.intervals.len(), requests.len());
-        // Work-weighted planning when the kernel exposes per-address point
-        // counts; interval-coverage balancing otherwise.
-        let plan = match counts {
-            Some(counts) => plan_shard_bounds_weighted(&projection.intervals, shards, &counts),
-            None => plan_shard_bounds(&projection.intervals, shards),
-        };
-        let workers = available_workers().min(plan.len());
-        let responses: Vec<RangeBatchResponse> = if plan.len() <= 1 || workers <= 1 {
-            plan.iter()
-                .map(|&bounds| sharded.sweep_shard(requests, &projection, bounds))
-                .collect()
-        } else {
-            sweep_shards_threaded(sharded, requests, &projection, &plan, workers)
-        };
-        let shards_used = responses.len().max(1);
-        (
-            merge_shard_responses(requests, &projection, responses),
-            shards_used,
-        )
+    /// The partition driver: executes one plan-type partition (the members
+    /// of `queries` at `positions`) the way `choice` says — through the
+    /// per-query loop, or through `run_fused` with the chosen shard count —
+    /// fills the members' slots, and, under [`BatchStrategy::Auto`], puts
+    /// the decision on record with its measured cost.
+    fn run_partition<O: ExactSizeIterator<Item = QueryOutput>>(
+        &self,
+        queries: &[Query],
+        positions: &[usize],
+        slots: &mut [Option<QueryReport>],
+        (chosen, estimate): (ChosenStrategy, Option<CostEstimate>),
+        run_fused: impl FnOnce(usize) -> FusedRun<O>,
+    ) -> Result<PartitionOutcome, EngineError> {
+        let executed = Instant::now();
+        let mut outcome = PartitionOutcome::default();
+        match chosen {
+            ChosenStrategy::Sequential => {
+                for &position in positions {
+                    slots[position] = Some(self.execute(&queries[position])?);
+                }
+            }
+            ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
+                let run = run_fused(match chosen {
+                    ChosenStrategy::FusedParallel { shards } => shards,
+                    _ => 1,
+                });
+                debug_assert_eq!(run.outputs.len(), positions.len());
+                debug_assert_eq!(run.per_query.len(), positions.len());
+                for ((&position, output), stats) in
+                    positions.iter().zip(run.outputs).zip(run.per_query)
+                {
+                    slots[position] = Some(QueryReport {
+                        output,
+                        stats,
+                        latency_ns: 0,
+                    });
+                }
+                outcome.shared = run.shared;
+                outcome.fused = positions.len();
+                outcome.shards_used = run.shards_used;
+            }
+        }
+        if self.strategy == BatchStrategy::Auto {
+            outcome.decision = Some(PartitionDecision {
+                queries: positions.len(),
+                chosen,
+                estimate,
+                actual_ns: executed.elapsed().as_nanos() as u64,
+            });
+        }
+        Ok(outcome)
     }
 }
 
-/// Worker threads the host can usefully run
-/// ([`std::thread::available_parallelism`], one when unknown). Feeds both
-/// the oversubscription guard of the threaded sweep and the cost model's
-/// parallel-candidate gate — on a single-core host the model never picks
-/// [`BatchStrategy::FusedParallel`].
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// The positions of the plans `extract` accepts, with what it extracted
+/// from each: one plan-type partition of a batch.
+fn gather<T>(queries: &[Query], extract: impl Fn(&Query) -> Option<T>) -> (Vec<usize>, Vec<T>) {
+    queries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, query)| extract(query).map(|member| (i, member)))
+        .unzip()
 }
 
-/// Sweeps the planned shards on at most `workers` scoped worker threads —
-/// each worker takes a contiguous run of shards and sweeps them in order —
-/// returning the partial responses in plan (= shard) order however the
-/// workers were scheduled. Each worker also records its shards' shared
-/// stats into a [`StatsCollector`] as it finishes them — an arrival-order
-/// aggregation that debug builds check against the ordered merge, pinning
-/// the claim that thread scheduling cannot leak into the counters.
-pub(crate) fn sweep_shards_threaded(
-    sharded: &dyn ShardedRangeBatchKernel,
-    requests: &[RangeBatchRequest],
-    projection: &BatchProjection,
-    plan: &[ShardBounds],
-    workers: usize,
-) -> Vec<RangeBatchResponse> {
-    let chunk_size = plan.len().div_ceil(workers.max(1));
-    let collector = StatsCollector::new();
-    let partials: Vec<RangeBatchResponse> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let collector = collector.clone();
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&bounds| {
-                            let partial = sharded.sweep_shard(requests, projection, bounds);
-                            collector.record(&partial.shared);
-                            partial
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                // Re-raise a shard worker's panic with its original payload,
-                // so a kernel panic on a worker thread reaches the engine's
-                // isolation boundary (catch_execution_panic) with its
-                // message intact instead of being masked by a join error.
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    debug_assert_eq!(
-        collector.summary().totals.pages_scanned,
-        partials.iter().map(|p| p.shared.pages_scanned).sum::<u64>(),
-        "arrival-order aggregation must agree with the ordered merge"
-    );
-    partials
+/// What a fused kernel run hands the partition driver: one answer and one
+/// stats record per partition member, in member order (`outputs` is an
+/// iterator so each kernel's own output type converts on the way into the
+/// slots, without an intermediate vector).
+struct FusedRun<O> {
+    outputs: O,
+    per_query: Vec<ExecStats>,
+    shared: ExecStats,
+    shards_used: usize,
+}
+
+/// How one plan-type partition executed; all zero when it never ran as a
+/// partition (no kernel, fewer than two members).
+#[derive(Default)]
+struct PartitionOutcome {
+    /// Work the fused kernel did once on behalf of the whole partition.
+    shared: ExecStats,
+    /// Members answered by the fused kernel (zero on the sequential route).
+    fused: usize,
+    shards_used: usize,
+    /// The cost model's decision, recorded under Auto only.
+    decision: Option<PartitionDecision>,
 }

@@ -538,7 +538,7 @@ fn fused_parallel_falls_back_without_a_kernel() {
     assert_eq!(report.len(), batch.len());
 }
 
-/// Driving the sharded kernel by hand: any disjoint partition of the
+/// Driving the kernel protocol by hand: any disjoint partition of the
 /// projected span, swept in any order and merged in shard order,
 /// reproduces the single fused sweep's outputs and per-request walks bit
 /// for bit. A request lives wholly in the shard owning its entry leaf, so
@@ -548,9 +548,8 @@ fn fused_parallel_falls_back_without_a_kernel() {
 /// once per shard.
 #[test]
 fn manual_shard_partition_reproduces_the_full_sweep() {
-    use crate::engine::{
-        merge_shard_responses, plan_shard_bounds, RangeBatchKernel, RangeBatchRequest,
-    };
+    use crate::engine::batch::{merge_shard_responses, plan_shard_bounds};
+    use crate::engine::{run_range_batch, RangeBatchKernel, RangeBatchRequest};
     let index = wazi_index();
     let requests: Vec<RangeBatchRequest> = overlapping_rects()
         .into_iter()
@@ -561,16 +560,16 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
         })
         .collect();
     let kernel: &dyn RangeBatchKernel = &index;
-    let single = kernel.run_range_batch(&requests);
-    let sharded = kernel.sharded().expect("ZIndex kernel is sharded");
-    let projection = sharded.project_batch(&requests);
+    let (single, single_shards) = run_range_batch(kernel, &requests, 1);
+    assert_eq!(single_shards, 1);
+    let projection = kernel.project_batch(&requests);
     for shards in [2, 3, 5] {
-        let plan = plan_shard_bounds(&projection.intervals, shards);
+        let plan = plan_shard_bounds(&projection.intervals, shards, None);
         // Sweep in reverse order to prove order-independence of the work…
         let mut partials: Vec<_> = plan
             .iter()
             .rev()
-            .map(|&bounds| sharded.sweep_shard(&requests, &projection, bounds))
+            .map(|&bounds| kernel.sweep_shard(&requests, &projection, bounds))
             .collect();
         // …then merge in shard order, as the engine does.
         partials.reverse();
@@ -601,7 +600,8 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
 /// as inline sweeps, in plan order.
 #[test]
 fn threaded_fan_out_matches_inline_sweeps() {
-    use crate::engine::{plan_shard_bounds, sweep_shards_threaded, RangeBatchRequest};
+    use crate::engine::batch::{plan_shard_bounds, sweep_shards_threaded};
+    use crate::engine::{RangeBatchKernel, RangeBatchRequest};
     let index = wazi_index();
     let requests: Vec<RangeBatchRequest> = overlapping_rects()
         .into_iter()
@@ -611,18 +611,18 @@ fn threaded_fan_out_matches_inline_sweeps() {
             collect: i % 2 == 0,
         })
         .collect();
-    let sharded = crate::engine::RangeBatchKernel::sharded(&index).expect("sharded kernel");
-    let projection = sharded.project_batch(&requests);
-    let plan = plan_shard_bounds(&projection.intervals, 4);
+    let kernel: &dyn RangeBatchKernel = &index;
+    let projection = kernel.project_batch(&requests);
+    let plan = plan_shard_bounds(&projection.intervals, 4, None);
     assert!(plan.len() >= 2, "need a real multi-shard plan");
     let inline: Vec<_> = plan
         .iter()
-        .map(|&bounds| sharded.sweep_shard(&requests, &projection, bounds))
+        .map(|&bounds| kernel.sweep_shard(&requests, &projection, bounds))
         .collect();
     // More workers than shards and fewer workers than shards (chunked runs)
     // must both reproduce the inline partials in plan order.
     for workers in [2, plan.len(), plan.len() + 3] {
-        let threaded = sweep_shards_threaded(sharded, &requests, &projection, &plan, workers);
+        let threaded = sweep_shards_threaded(kernel, &requests, &projection, &plan, workers);
         assert_eq!(threaded.len(), inline.len(), "{workers} workers");
         for (t, i) in threaded.iter().zip(&inline) {
             assert_eq!(t.outputs, i.outputs);
@@ -633,6 +633,120 @@ fn threaded_fan_out_matches_inline_sweeps() {
                 assert_eq!(a.results, b.results);
             }
         }
+    }
+}
+
+/// A one-shard run plans the hull whatever the address counts, so it must
+/// never ask for them (WaZI's are a leaf-count-sized allocation): under a
+/// pinned `Fused` strategy neither the range partition nor any kNN ring may
+/// call `address_counts`. The same kernel under two shards does ask — the
+/// trap is armed.
+#[test]
+fn one_shard_runs_never_ask_for_address_counts() {
+    use crate::engine::{
+        BatchProjection, RangeBatchKernel, RangeBatchRequest, RangeBatchResponse, ShardBounds,
+    };
+    struct CountsTrap(ZIndex);
+    impl RangeBatchKernel for CountsTrap {
+        fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
+            self.0.project_batch(requests)
+        }
+        fn sweep_shard(
+            &self,
+            requests: &[RangeBatchRequest],
+            projection: &BatchProjection,
+            bounds: ShardBounds,
+        ) -> RangeBatchResponse {
+            self.0.sweep_shard(requests, projection, bounds)
+        }
+        fn address_counts(&self) -> Option<Vec<u64>> {
+            panic!("a one-shard run asked for address counts");
+        }
+    }
+    impl SpatialIndex for CountsTrap {
+        fn name(&self) -> &'static str {
+            "CountsTrap"
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn data_bounds(&self) -> Rect {
+            self.0.data_bounds()
+        }
+        fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
+            self.0.range_query(query, stats)
+        }
+        fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
+            self.0.point_query(p, stats)
+        }
+        fn size_bytes(&self) -> usize {
+            self.0.size_bytes()
+        }
+        fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
+            Some(self)
+        }
+    }
+    let index = CountsTrap(wazi_index());
+    let ranges: Vec<Query> = overlapping_rects()
+        .into_iter()
+        .map(Query::range_count)
+        .collect();
+    let knns = vec![
+        Query::knn(Point::new(0.10, 0.10), 5),
+        Query::knn(Point::new(0.11, 0.12), 5),
+        Query::knn(Point::new(0.12, 0.10), 3),
+    ];
+    let fused = QueryEngine::new(&index).with_strategy(BatchStrategy::Fused);
+    for batch in [&ranges, &knns] {
+        let report = fused.execute_batch(batch).unwrap();
+        assert_eq!(report.total_fused(), batch.len());
+        assert_eq!(report.shards_used, 1);
+        let sequential = QueryEngine::new(&index.0)
+            .with_strategy(BatchStrategy::Sequential)
+            .execute_batch(batch)
+            .unwrap();
+        for (f, s) in report.reports.iter().zip(&sequential.reports) {
+            assert_eq!(f.output, s.output);
+        }
+    }
+    let err = QueryEngine::new(&index)
+        .with_strategy(BatchStrategy::FusedParallel { shards: 2 })
+        .execute_batch_caught(&ranges)
+        .unwrap_err();
+    assert!(matches!(err, EngineError::ExecutionPanicked(_)));
+}
+
+/// An index built over no points holds one empty leaf: its kernel projects
+/// every request onto that leaf and sweeps to zeroed outputs under every
+/// shard count — never a panic — charging exactly the sequential walk's
+/// one bounding-box check.
+#[test]
+fn empty_index_sweeps_to_zeroed_outputs() {
+    use crate::engine::{run_range_batch, RangeBatchRequest, RangeBatchResponse};
+    let empty = ZIndex::build_base(Vec::new());
+    let kernel = empty.range_batch_kernel().expect("one empty leaf");
+    let requests = [
+        RangeBatchRequest {
+            rect: Rect::UNIT,
+            collect: true,
+        },
+        RangeBatchRequest {
+            rect: Rect::from_coords(0.2, 0.2, 0.4, 0.4),
+            collect: false,
+        },
+    ];
+    let zeroed = RangeBatchResponse::zeroed(&requests);
+    for shards in [1, 4] {
+        let (response, used) = run_range_batch(kernel, &requests, shards);
+        assert_eq!(used, 1, "a one-leaf span cannot split");
+        assert_eq!(response.outputs, zeroed.outputs, "{shards} shards");
+        for (request, fused) in requests.iter().zip(&response.per_query) {
+            let mut sequential = ExecStats::default();
+            assert_eq!(empty.range_count(&request.rect, &mut sequential), 0);
+            assert_eq!(fused.bbs_checked, sequential.bbs_checked);
+            assert_eq!(fused.points_scanned, 0);
+        }
+        assert_eq!(response.shared.pages_scanned, 0);
     }
 }
 

@@ -114,14 +114,13 @@ pub use build::{BuildReport, BuildStrategy, ZIndexBuilder};
 pub use config::{DensityMode, ZIndexConfig};
 pub use engine::{
     catch_execution_panic, decide_knn_strategy, decide_point_strategy, decide_range_strategy,
-    group_knn_plans, merge_shard_responses, panic_message, plan_shard_bounds,
-    plan_shard_bounds_weighted, run_full_sweep, run_knn_batch, run_point_batch,
-    run_point_batch_sharded, BatchProjection, BatchReport, BatchStrategy, CalibrationTable,
-    ChosenStrategy, CostConstants, CostEstimate, EngineError, KernelClass, KnnBatchResponse,
-    PartitionDecision, PointBatchKernel, PointBatchResponse, Query, QueryEngine, QueryOutput,
-    QueryReport, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse,
-    RangeBatchStats, RangeMode, ShardBounds, ShardedRangeBatchKernel, Snapshot, SnapshotSource,
-    StrategyDecisions, SweepInterval, VersionStats, VersionedIndex, WriteOp, WriteReceipt,
+    group_knn_plans, panic_message, run_knn_batch, run_point_batch, run_point_batch_sharded,
+    run_range_batch, BatchProjection, BatchReport, BatchStrategy, CalibrationTable, ChosenStrategy,
+    CostConstants, CostEstimate, EngineError, KernelClass, KnnBatchResponse, PartitionDecision,
+    PointBatchKernel, PointBatchResponse, Query, QueryEngine, QueryOutput, QueryReport,
+    RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats,
+    RangeMode, ShardBounds, Snapshot, SnapshotSource, StrategyDecisions, SweepInterval,
+    VersionStats, VersionedIndex, WriteOp, WriteReceipt,
 };
 #[cfg(feature = "fault-injection")]
 pub use engine::{WriteFault, WriteFaultPlan, WritePhase};

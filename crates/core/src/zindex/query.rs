@@ -17,9 +17,8 @@
 
 use super::ZIndex;
 use crate::engine::{
-    run_full_sweep, BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds, ShardedRangeBatchKernel,
-    SweepInterval,
+    BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, RangeBatchResponse, ShardBounds, SweepInterval,
 };
 use crate::node::{NodeRef, LOOKAHEAD_END};
 use std::cmp::Reverse;
@@ -28,24 +27,9 @@ use std::time::Instant;
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, Page};
 
+/// The Z-index's fused range kernel: the sweep address space is the leaf
+/// list (never empty — an index built over no points holds one empty leaf).
 impl RangeBatchKernel for ZIndex {
-    fn run_range_batch(&self, requests: &[RangeBatchRequest]) -> RangeBatchResponse {
-        if self.leaves.is_empty() {
-            return RangeBatchResponse::zeroed(requests);
-        }
-        run_full_sweep(self, requests, self.leaves.len() as u32)
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedRangeBatchKernel> {
-        if self.leaves.is_empty() {
-            None
-        } else {
-            Some(self)
-        }
-    }
-}
-
-impl ShardedRangeBatchKernel for ZIndex {
     /// Projects every request's corners once (Algorithm 1 per corner,
     /// charged to the request exactly as the sequential kernel charges its
     /// own projections), yielding the leaf interval `[leaf(BL) : leaf(TR)]`
@@ -70,16 +54,12 @@ impl ShardedRangeBatchKernel for ZIndex {
         }
     }
 
-    /// The fused sweep for the requests owned by one shard.
-    ///
-    /// Ownership is by entry leaf: the shard whose bounds contain a
-    /// request's `interval.lo` sweeps the request over its **whole**
-    /// interval — intervals never split across shards, so each request's
-    /// walk is its solo sequential walk, look-ahead jumps included, and no
-    /// skip-cursor state is ever handed across a shard boundary (the
-    /// zero-overhead handoff). Per-request bounding-box checks and skip
-    /// counts are therefore identical to the sequential walk's — and to the
-    /// single fused sweep's — whatever the shard plan.
+    /// The fused sweep for the requests owned by one shard
+    /// ([`BatchProjection::owned_by`]: ownership is by entry leaf, and the
+    /// owning shard sweeps the request over its **whole** interval).
+    /// Per-request bounding-box checks and skip counts are therefore
+    /// identical to the sequential walk's — and to the single fused
+    /// sweep's — whatever the shard plan.
     ///
     /// The sweep maintains the shard's active set *incrementally*: requests
     /// enter at their interval's first leaf and exit when their cursor runs
@@ -111,27 +91,14 @@ impl ShardedRangeBatchKernel for ZIndex {
         bounds: ShardBounds,
     ) -> RangeBatchResponse {
         let mut response = RangeBatchResponse::zeroed(requests);
-        let leaf_count = self.leaves.len() as u32;
-        if bounds.start >= bounds.end || bounds.start >= leaf_count {
-            return response;
-        }
-        // Admission list: (interval start, request index) for the requests
-        // entering inside this shard, sorted so they join the sweep in
-        // address order. `high[qi]` is the request's exit leaf — its
-        // interval's true end, never clamped to the shard.
-        let mut high = vec![0u32; requests.len()];
-        let mut entries: Vec<(u32, usize)> = Vec::new();
-        for (qi, interval) in projection.intervals.iter().enumerate() {
-            if interval.lo < bounds.start || interval.lo >= bounds.end {
-                continue;
-            }
-            high[qi] = interval.hi.min(leaf_count - 1);
-            entries.push((interval.lo, qi));
-        }
+        // Admission list: the owned requests in the order they join the
+        // sweep. `high(qi)` is the request's exit leaf — its interval's
+        // true end, never clamped to the shard.
+        let entries = projection.owned_by(bounds);
         if entries.is_empty() {
             return response;
         }
-        entries.sort_unstable();
+        let high = |qi: usize| projection.intervals[qi].hi;
 
         let kernel_start = Instant::now();
         let mut scan_ns = 0u64;
@@ -178,7 +145,7 @@ impl ShardedRangeBatchKernel for ZIndex {
                 stats.bbs_checked += 1;
                 if !leaf.bbox.is_empty() && leaf.bbox.overlaps(rect) {
                     needing.push(qi);
-                    if i < high[qi] {
+                    if i < high(qi) {
                         rearmed.push(qi);
                     }
                     continue;
@@ -192,7 +159,7 @@ impl ShardedRangeBatchKernel for ZIndex {
                     if let Some(lookahead) = leaf.lookahead {
                         for criterion in leaf.irrelevancy_criteria(rect) {
                             let t = lookahead.get(criterion);
-                            let t = if t == LOOKAHEAD_END { high[qi] + 1 } else { t };
+                            let t = if t == LOOKAHEAD_END { high(qi) + 1 } else { t };
                             target = target.max(t);
                         }
                     }
@@ -201,9 +168,9 @@ impl ShardedRangeBatchKernel for ZIndex {
                 // jump (`scan_range`): the full jump distance, never
                 // clamped — the request's whole walk lives in this shard.
                 stats.leaves_skipped += u64::from(target - (i + 1));
-                if target == i + 1 && i < high[qi] {
+                if target == i + 1 && i < high(qi) {
                     rearmed.push(qi);
-                } else if target <= high[qi] {
+                } else if target <= high(qi) {
                     parked.push(Reverse((target, qi)));
                 }
             }

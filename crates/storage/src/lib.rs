@@ -8,14 +8,13 @@
 //!   visitor-based scan primitives (`for_each_in`, `count_in`) so query
 //!   execution can filter, count or stream in place without materializing
 //!   intermediate vectors;
-//! * [`ExecStats`], [`StatsSummary`], [`StatsCollector`] — the execution
-//!   counters (bounding boxes checked, pages scanned, excess points,
-//!   projection vs scan time) reported throughout the paper's evaluation.
+//! * [`ExecStats`], [`StatsSummary`] — the execution counters (bounding
+//!   boxes checked, pages scanned, excess points, projection vs scan time)
+//!   reported throughout the paper's evaluation.
 //!
 //! The counters double as the query engine's *fusion ledger*: fused batch
 //! kernels charge per-query work to per-query [`ExecStats`] and shared
-//! page visits to a batch-level record, and [`StatsCollector`] aggregates
-//! per-shard stats from parallel sweep workers thread-safely.
+//! page visits to a batch-level record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,5 +24,5 @@ mod stats;
 mod store;
 
 pub use page::{Page, PageId};
-pub use stats::{ExecStats, StatsCollector, StatsSummary};
+pub use stats::{ExecStats, StatsSummary};
 pub use store::PageStore;

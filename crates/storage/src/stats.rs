@@ -8,7 +8,6 @@
 //! workspace reports its work through [`ExecStats`] so the benchmark harness
 //! can compare them uniformly.
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Per-query (or per-operation) execution counters.
@@ -130,33 +129,6 @@ impl StatsSummary {
     }
 }
 
-/// A thread-safe collector for aggregating statistics produced by parallel
-/// benchmark workers.
-#[derive(Debug, Default, Clone)]
-pub struct StatsCollector {
-    inner: Arc<Mutex<StatsSummary>>,
-}
-
-impl StatsCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one operation's stats.
-    pub fn record(&self, stats: &ExecStats) {
-        self.inner
-            .lock()
-            .expect("stats mutex poisoned")
-            .record(stats);
-    }
-
-    /// Snapshot of the aggregated summary.
-    pub fn summary(&self) -> StatsSummary {
-        *self.inner.lock().expect("stats mutex poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,29 +196,5 @@ mod tests {
         assert_eq!(summary.mean_projection_ns(), 250.0);
         assert_eq!(summary.mean_scan_ns(), 2_250.0);
         assert_eq!(summary.mean_results(), 2.5);
-    }
-
-    #[test]
-    fn collector_is_shareable_across_threads() {
-        let collector = StatsCollector::new();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = collector.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        c.record(&ExecStats {
-                            results: 1,
-                            ..Default::default()
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("worker thread must not panic");
-        }
-        let summary = collector.summary();
-        assert_eq!(summary.operations, 400);
-        assert_eq!(summary.totals.results, 400);
     }
 }

@@ -370,17 +370,47 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
     );
 }
 
-/// The parallel-determinism property of `BatchStrategy::FusedParallel`:
-/// for every index and every shard count — including more shards than
-/// queries and empty batches — parallel execution is output- and
-/// counter-equivalent to the sequential loop, whatever the thread
-/// interleaving: identical answers in input order, identical point
-/// comparisons and result counts, never more page visits.
+/// `stats` with the wall-clock fields zeroed: what is left is deterministic.
+fn counters(stats: &ExecStats) -> ExecStats {
+    ExecStats {
+        projection_ns: 0,
+        scan_ns: 0,
+        ..*stats
+    }
+}
+
+/// [`counters`] without the page visit, which fusion moves from the plan's
+/// own record to the batch's shared one.
+fn counters_but_pages(stats: &ExecStats) -> ExecStats {
+    ExecStats {
+        pages_scanned: 0,
+        ..counters(stats)
+    }
+}
+
+/// The one-route property of the fused range protocol: for every index —
+/// built over real data and over no data at all — and every batch,
+/// including more shards than queries and empty batches, `Sequential` ≡
+/// `Fused` ≡ `FusedParallel { shards: 1 }` ≡ `FusedParallel { shards: n }`,
+/// whatever the thread interleaving:
+///
+/// * outputs are identical in input order under every strategy, the
+///   cost-based `Auto` included;
+/// * every deterministic per-query counter equals the sequential loop's,
+///   except the page visit, which fusion moves to the shared record;
+/// * `Fused` and `FusedParallel { shards: 1 }` are the same one-shard run,
+///   bit for bit on every deterministic counter, shared ones included;
+/// * more shards change nothing per query; shared page visits may only
+///   rise (a crossing request's tail can refetch a page), and the total
+///   never exceeds the sequential loop's.
 #[test]
 fn fused_parallel_is_equivalent_to_sequential_for_every_index_and_shard_count() {
     let region = Region::NewYork;
-    let points = generate_dataset(region, 5_000);
     let train = generate_queries(region, 150, SELECTIVITIES[1]);
+    let datasets = [
+        ("5k", generate_dataset(region, 5_000)),
+        ("empty-index", Vec::new()),
+    ];
     let batches: Vec<(&str, Vec<wazi_core::Query>)> = vec![
         ("empty", Vec::new()),
         (
@@ -396,56 +426,88 @@ fn fused_parallel_is_equivalent_to_sequential_for_every_index_and_shard_count() 
             generate_mixed_batch(region, 120, SELECTIVITIES[2], 0xD1CE),
         ),
     ];
-    for kind in all_kinds() {
-        let built = build_index(kind, &points, &train, 128);
-        for (label, batch) in &batches {
-            let sequential = QueryEngine::new(built.index.as_ref())
-                .with_strategy(BatchStrategy::Sequential)
-                .execute_batch(batch)
-                .expect("sequential batch executes");
-            for shards in [1usize, 2, 4, 8] {
-                let parallel = QueryEngine::new(built.index.as_ref())
-                    .with_strategy(BatchStrategy::FusedParallel { shards })
-                    .execute_batch(batch)
-                    .expect("parallel batch executes");
-                assert_eq!(parallel.len(), sequential.len(), "{kind}/{label}/{shards}");
-                for (i, (p, s)) in parallel.reports.iter().zip(&sequential.reports).enumerate() {
-                    assert_eq!(
-                        p.output, s.output,
-                        "{kind}/{label}/{shards} shards: output {i} differs"
+    let run = |index: &dyn wazi_core::SpatialIndex, strategy, batch: &[wazi_core::Query]| {
+        QueryEngine::new(index)
+            .with_strategy(strategy)
+            .execute_batch(batch)
+            .expect("batch executes")
+    };
+    for (data, points) in &datasets {
+        for kind in all_kinds() {
+            let built = build_index(kind, points, &train, 128);
+            let index = built.index.as_ref();
+            for (label, batch) in &batches {
+                let at = format!("{kind}/{data}/{label}");
+                let sequential = run(index, BatchStrategy::Sequential, batch);
+                let fused = run(index, BatchStrategy::Fused, batch);
+                for (name, strategy) in [
+                    ("fused", BatchStrategy::Fused),
+                    ("parallel/1", BatchStrategy::FusedParallel { shards: 1 }),
+                    ("parallel/2", BatchStrategy::FusedParallel { shards: 2 }),
+                    ("parallel/4", BatchStrategy::FusedParallel { shards: 4 }),
+                    ("parallel/8", BatchStrategy::FusedParallel { shards: 8 }),
+                    ("auto", BatchStrategy::Auto),
+                ] {
+                    let report = run(index, strategy, batch);
+                    assert_eq!(report.len(), sequential.len(), "{at}/{name}");
+                    for (i, (got, want)) in
+                        report.reports.iter().zip(&sequential.reports).enumerate()
+                    {
+                        assert_eq!(got.output, want.output, "{at}/{name}: output {i}");
+                        // Whichever route a plan took, its walk is its solo
+                        // walk; only the page visit may have moved to the
+                        // shared record.
+                        assert_eq!(
+                            counters_but_pages(&got.stats),
+                            counters_but_pages(&want.stats),
+                            "{at}/{name}: counters of plan {i}"
+                        );
+                    }
+                    assert!(
+                        report.merged_stats().pages_scanned
+                            <= sequential.merged_stats().pages_scanned,
+                        "{at}/{name}: fusion added page visits"
                     );
-                }
-                let p = parallel.merged_stats();
-                let s = sequential.merged_stats();
-                assert_eq!(
-                    p.points_scanned, s.points_scanned,
-                    "{kind}/{label}/{shards} shards: points_scanned differs"
-                );
-                assert_eq!(
-                    p.results, s.results,
-                    "{kind}/{label}/{shards} shards: results differ"
-                );
-                assert!(
-                    p.pages_scanned <= s.pages_scanned,
-                    "{kind}/{label}/{shards} shards: parallel scans more pages"
-                );
-                // Determinism across repeated parallel runs: thread
-                // scheduling must never leak into outputs or counters.
-                let again = QueryEngine::new(built.index.as_ref())
-                    .with_strategy(BatchStrategy::FusedParallel { shards })
-                    .execute_batch(batch)
-                    .expect("parallel batch executes twice");
-                for (a, b) in parallel.reports.iter().zip(&again.reports) {
-                    assert_eq!(
-                        a.output, b.output,
-                        "{kind}/{label}/{shards}: nondeterminism"
+                    if strategy == BatchStrategy::Auto {
+                        continue;
+                    }
+                    // The pinned fused strategies all take the one route:
+                    // per-plan counters are shard-count-invariant, page
+                    // visits included.
+                    for (i, (got, want)) in report.reports.iter().zip(&fused.reports).enumerate() {
+                        assert_eq!(
+                            counters(&got.stats),
+                            counters(&want.stats),
+                            "{at}/{name}: plan {i} differs from the one-shard run"
+                        );
+                    }
+                    let shared = counters(&report.shared_stats);
+                    let one_shard = counters(&fused.shared_stats);
+                    if name == "parallel/1" {
+                        assert_eq!(shared, one_shard, "{at}: Fused is FusedParallel/1");
+                        assert_eq!(report.shards_used, fused.shards_used, "{at}");
+                    }
+                    assert!(
+                        shared.pages_scanned >= one_shard.pages_scanned,
+                        "{at}/{name}: sharding lost shared page visits"
                     );
-                    assert_eq!(a.stats, {
-                        let mut stats = b.stats;
-                        stats.projection_ns = a.stats.projection_ns;
-                        stats.scan_ns = a.stats.scan_ns;
-                        stats
-                    });
+                    assert_eq!(
+                        counters_but_pages(&shared),
+                        counters_but_pages(&one_shard),
+                        "{at}/{name}: shared counters"
+                    );
+                    // Determinism across repeated runs: thread scheduling
+                    // must never leak into outputs or counters.
+                    let again = run(index, strategy, batch);
+                    assert_eq!(
+                        counters(&again.shared_stats),
+                        shared,
+                        "{at}/{name}: nondeterministic shared counters"
+                    );
+                    for (a, b) in report.reports.iter().zip(&again.reports) {
+                        assert_eq!(a.output, b.output, "{at}/{name}: nondeterminism");
+                        assert_eq!(counters(&a.stats), counters(&b.stats), "{at}/{name}");
+                    }
                 }
             }
         }

@@ -2,12 +2,13 @@
 //! workload-aware builder of Algorithm 3.
 
 use crate::config::{DensityMode, ZIndexConfig};
-use crate::cost::{best_ordering, QuadrantCounts};
+use crate::cost::{best_ordering, quadrant_sizes, QuadrantCounts};
 use crate::lookahead::build_lookahead;
 use crate::node::{InternalNode, Leaf, NodeRef};
 use crate::zindex::ZIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::time::Instant;
 use wazi_density::Rfde;
 use wazi_geom::{CellOrdering, Point, Quadrant, Rect};
@@ -102,11 +103,18 @@ impl ZIndexBuilder {
             leaves: Vec::new(),
             store: PageStore::new(self.config.leaf_capacity),
             report,
+            // The root's workload is the bottom of the stack.
+            queries: queries.to_vec(),
+            candidates: Vec::with_capacity(self.config.kappa + 1),
+            coords: Vec::new(),
         };
 
+        // The two point buffers of the whole build: every cell scatters its
+        // points from one into the same positions of the other.
         let len = points.len();
         let mut points = points;
-        let root = ctx.build_cell(&mut points, data_space, queries, 0);
+        let mut scattered = vec![Point::ORIGIN; len];
+        let root = ctx.build_cell(&mut points, &mut scattered, data_space, 0..queries.len(), 0);
 
         if self.config.skipping {
             build_lookahead(&mut ctx.leaves);
@@ -141,7 +149,9 @@ impl ZIndexBuilder {
 /// the learned estimator is what makes the *upper* levels affordable.
 const EXACT_COUNT_THRESHOLD: usize = 4_096;
 
-/// Mutable state threaded through the recursive construction.
+/// Mutable state threaded through the recursive construction. Beyond the
+/// arenas it fills, it owns every buffer the recursion reuses, so a cell
+/// allocates nothing but its node or its leaf's page.
 struct BuildContext {
     config: ZIndexConfig,
     strategy: BuildStrategy,
@@ -151,17 +161,33 @@ struct BuildContext {
     leaves: Vec<Leaf>,
     store: PageStore,
     report: BuildReport,
+    /// Clipped workloads of the cells on the path from the root to the cell
+    /// being built, used as a stack: a cell's queries are a range of it, a
+    /// child's are pushed on top and popped when the child returns.
+    queries: Vec<Rect>,
+    /// The candidate splits of the cell being optimised.
+    candidates: Vec<Point>,
+    /// Coordinate scratch of [`median_split`].
+    coords: Vec<f64>,
 }
 
 impl BuildContext {
-    /// Recursively builds the cell covering `region` holding `points`,
-    /// optimised for the (already clipped) `queries`. Children are visited in
-    /// curve order so leaves and their pages are laid out consecutively.
+    /// Recursively builds the cell covering `region` whose points are in
+    /// `points`, optimised for the (already clipped) workload
+    /// `self.queries[queries]`. Children are visited in curve order so
+    /// leaves and their pages are laid out consecutively.
+    ///
+    /// `scatter` is the cell's slice of the other point buffer. A cell that
+    /// splits moves its points there, stably, grouped by quadrant in curve
+    /// order; each child then reads its group and scatters back into the
+    /// matching stretch of `points`. The two buffers swap roles level by
+    /// level and children own disjoint sub-slices of both.
     fn build_cell(
         &mut self,
         points: &mut [Point],
+        scatter: &mut [Point],
         region: Rect,
-        queries: &[Rect],
+        queries: Range<usize>,
         depth: usize,
     ) -> NodeRef {
         if points.len() < self.config.leaf_capacity.max(1)
@@ -177,24 +203,37 @@ impl BuildContext {
         }
 
         let (split, ordering) = match self.strategy {
-            BuildStrategy::Base => (median_split(points), CellOrdering::Abcd),
-            BuildStrategy::Adaptive => self.choose_adaptive(points, &bbox, queries),
+            BuildStrategy::Base => (median_split(points, &mut self.coords), CellOrdering::Abcd),
+            BuildStrategy::Adaptive => self.choose_adaptive(points, &bbox, queries.clone()),
         };
+
         match ordering {
             CellOrdering::Abcd => self.report.abcd_cells += 1,
             CellOrdering::Acbd => self.report.acbd_cells += 1,
         }
 
-        // Partition points by quadrant (spatial label order A, B, C, D).
-        let mut buckets: [Vec<Point>; 4] = Default::default();
-        for p in points.iter() {
-            buckets[Quadrant::of(p, &split).label_index()].push(*p);
-        }
-        if buckets.iter().any(|b| b.len() == points.len()) {
+        // Group sizes by spatial label (A, B, C, D).
+        let sizes = quadrant_sizes(points, &split);
+        if sizes.contains(&points.len()) {
             // Degenerate split: one quadrant swallowed everything (possible
             // when coordinates are heavily duplicated). Recursing would not
             // make progress, so the cell becomes an oversized leaf.
             return self.make_leaf(points, region);
+        }
+
+        // Stable scatter into curve order. Stability matters: a leaf's
+        // point order is the order range results and page blocks come in.
+        let curve = ordering.curve();
+        let mut next = [0usize; 4];
+        let mut start = 0;
+        for quadrant in curve {
+            next[quadrant.label_index()] = start;
+            start += sizes[quadrant.label_index()];
+        }
+        for p in points.iter() {
+            let label = Quadrant::of(p, &split).label_index();
+            scatter[next[label]] = *p;
+            next[label] += 1;
         }
 
         let node_index = self.nodes.len() as u32;
@@ -207,18 +246,33 @@ impl BuildContext {
         });
 
         let mut children = [NodeRef::Leaf(0); 4];
-        for (position, quadrant) in ordering.curve().into_iter().enumerate() {
+        let (mut grouped, mut spare) = (scatter, points);
+        for (position, quadrant) in curve.into_iter().enumerate() {
             let child_region = quadrant.region(&region, &split);
-            let mut child_queries: Vec<Rect> = queries
-                .iter()
-                .filter_map(|q| q.intersection(&child_region))
-                .collect();
-            // Queries that degenerate to zero area after clipping carry no
-            // information for deeper levels.
-            child_queries.retain(|q| q.area() > 0.0);
-            let child_points = &mut buckets[quadrant.label_index()];
-            children[position] =
-                self.build_cell(child_points, child_region, &child_queries, depth + 1);
+            let size = sizes[quadrant.label_index()];
+            let (child_points, rest) = std::mem::take(&mut grouped).split_at_mut(size);
+            grouped = rest;
+            let (child_scatter, rest) = std::mem::take(&mut spare).split_at_mut(size);
+            spare = rest;
+
+            let child_queries = self.queries.len();
+            for i in queries.clone() {
+                // Queries that degenerate to zero area after clipping carry
+                // no information for deeper levels.
+                if let Some(clipped) = self.queries[i].intersection(&child_region) {
+                    if clipped.area() > 0.0 {
+                        self.queries.push(clipped);
+                    }
+                }
+            }
+            children[position] = self.build_cell(
+                child_points,
+                child_scatter,
+                child_region,
+                child_queries..self.queries.len(),
+                depth + 1,
+            );
+            self.queries.truncate(child_queries);
         }
         self.nodes[node_index as usize].children = children;
         NodeRef::Internal(node_index)
@@ -231,33 +285,40 @@ impl BuildContext {
         &mut self,
         points: &[Point],
         bbox: &Rect,
-        queries: &[Rect],
+        queries: Range<usize>,
     ) -> (Point, CellOrdering) {
+        let median = median_split(points, &mut self.coords);
         if queries.is_empty() {
             // No workload signal for this cell: fall back to the data-driven
             // median split of the base index.
-            return (median_split(points), CellOrdering::Abcd);
+            return (median, CellOrdering::Abcd);
         }
-        let mut best: Option<(Point, CellOrdering, f64)> = None;
         // The data median is always included as a candidate so WaZI can never
-        // do worse than the base split on the cost model.
-        let median = median_split(points);
-        for k in 0..=self.config.kappa {
-            let candidate = if k == 0 {
-                median
-            } else {
-                sample_split(&mut self.rng, bbox)
+        // do worse than the base split on the cost model. The generator is
+        // consumed here and nowhere else in the build: two draws per sampled
+        // candidate, candidates in order, cells in curve-order DFS.
+        self.candidates.clear();
+        self.candidates.push(median);
+        for _ in 0..self.config.kappa {
+            self.candidates.push(sample_split(&mut self.rng, bbox));
+        }
+        let model = match (&self.rfde, self.config.density) {
+            (Some(model), DensityMode::Rfde(_)) if points.len() > EXACT_COUNT_THRESHOLD => {
+                Some(model)
+            }
+            _ => None,
+        };
+        let queries = &self.queries[queries];
+        let mut best: Option<(Point, CellOrdering, f64)> = None;
+        for candidate in &self.candidates {
+            let counts = match model {
+                Some(model) => QuadrantCounts::estimated(model, bbox, candidate),
+                None => QuadrantCounts::exact(points, candidate),
             };
-            let counts = match (&self.rfde, self.config.density) {
-                (Some(model), DensityMode::Rfde(_)) if points.len() > EXACT_COUNT_THRESHOLD => {
-                    QuadrantCounts::estimated(model, bbox, &candidate)
-                }
-                _ => QuadrantCounts::exact(points, &candidate),
-            };
-            let (ordering, cost) = best_ordering(queries, &candidate, &counts, self.config.alpha);
+            let (ordering, cost) = best_ordering(queries, candidate, &counts, self.config.alpha);
             self.report.candidates_evaluated += 1;
             if best.is_none_or(|(_, _, c)| cost < c) {
-                best = Some((candidate, ordering, cost));
+                best = Some((*candidate, ordering, cost));
             }
         }
         let (split, ordering, _) = best.expect("at least one candidate evaluated");
@@ -277,14 +338,19 @@ impl BuildContext {
 
 /// The median split point of the base Z-index: the medians of the `x` and
 /// `y` coordinates of the cell's points.
-pub(crate) fn median_split(points: &[Point]) -> Point {
+///
+/// `coords` is scratch for one axis at a time; its contents on entry are
+/// irrelevant, so callers keep one buffer across calls.
+pub(crate) fn median_split(points: &[Point], coords: &mut Vec<f64>) -> Point {
     debug_assert!(!points.is_empty());
-    let mut xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-    let mut ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    let mid = points.len() / 2;
-    let (_, mx, _) = xs.select_nth_unstable_by(mid, f64::total_cmp);
-    let (_, my, _) = ys.select_nth_unstable_by(mid, f64::total_cmp);
-    Point::new(*mx, *my)
+    let mut median_of = |coord: fn(&Point) -> f64| {
+        coords.clear();
+        coords.extend(points.iter().map(coord));
+        *coords
+            .select_nth_unstable_by(points.len() / 2, f64::total_cmp)
+            .1
+    };
+    Point::new(median_of(|p| p.x), median_of(|p| p.y))
 }
 
 /// Samples a candidate split point uniformly from the interior of the cell's
@@ -318,8 +384,35 @@ mod tests {
             Point::new(0.3, 0.7),
             Point::new(0.7, 0.3),
         ];
-        let m = median_split(&points);
+        let m = median_split(&points, &mut Vec::new());
         assert_eq!(m, Point::new(0.5, 0.5));
+
+        // One scratch buffer across consecutive calls of different lengths:
+        // whatever an earlier, longer call left in it must not leak into a
+        // later, shorter one (nor the reverse).
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut coords = Vec::new();
+        for len in [1usize, 400, 3, 64, 65, 2, 1_000, 7] {
+            // Few distinct values, so medians sit inside runs of duplicates.
+            let points: Vec<Point> = (0..len)
+                .map(|_| {
+                    Point::new(
+                        f64::from(rng.gen_range(0u32..16)),
+                        f64::from(rng.gen_range(0u32..1_000)),
+                    )
+                })
+                .collect();
+            let sorted_median = |coord: fn(&Point) -> f64| {
+                let mut sorted: Vec<f64> = points.iter().map(coord).collect();
+                sorted.sort_by(f64::total_cmp);
+                sorted[len / 2]
+            };
+            assert_eq!(
+                median_split(&points, &mut coords),
+                Point::new(sorted_median(|p| p.x), sorted_median(|p| p.y)),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -31,11 +31,10 @@ impl QuadrantCounts {
 
     /// Counts the cell's points exactly against the candidate split.
     pub fn exact(points: &[Point], split: &Point) -> Self {
-        let mut counts = [0.0f64; 4];
-        for p in points {
-            counts[Quadrant::of(p, split).label_index()] += 1.0;
+        // Counts are far below 2⁵³, so the conversions are exact.
+        Self {
+            counts: quadrant_sizes(points, split).map(|size| size as f64),
         }
-        Self { counts }
     }
 
     /// Estimates the counts with an RFDE model fitted on the full dataset.
@@ -63,6 +62,21 @@ impl QuadrantCounts {
     }
 }
 
+/// How many of `points` fall in each quadrant of `split` (label order
+/// `A, B, C, D`): three branch-free sums of the comparison bits of
+/// Algorithm 1 instead of a four-way bucket choice per point.
+pub(crate) fn quadrant_sizes(points: &[Point], split: &Point) -> [usize; 4] {
+    let (mut gx, mut gy, mut gxy) = (0usize, 0usize, 0usize);
+    for p in points {
+        let (bit_x, bit_y) = (p.x > split.x, p.y > split.y);
+        gx += usize::from(bit_x);
+        gy += usize::from(bit_y);
+        gxy += usize::from(bit_x & bit_y);
+    }
+    // `gx + gy` may exceed `points.len()`: add before subtracting.
+    [points.len() + gxy - gx - gy, gx - gxy, gy - gxy, gxy]
+}
+
 /// Retrieval cost of a single query under a candidate `(split, ordering)`
 /// (one `cost_X(R | x, y; o)` term of Eqs. 1 and 2, with the lower levels
 /// approximated by `n_X` as in Eq. 5).
@@ -73,7 +87,12 @@ pub fn query_cost(
     counts: &QuadrantCounts,
     alpha: f64,
 ) -> f64 {
-    let case = QueryCase::classify(query, split);
+    case_cost(QueryCase::classify(query, split), ordering, counts, alpha)
+}
+
+/// The cost of any query classified as `case`: given the counts, Eq. 5's
+/// summand depends on the query only through the quadrants of its corners.
+fn case_cost(case: QueryCase, ordering: CellOrdering, counts: &QuadrantCounts, alpha: f64) -> f64 {
     if case.is_contained() {
         // δ_{R ∈ XX} n_X: the greedy upper bound for the recursion into the
         // child that wholly contains the query.
@@ -117,15 +136,37 @@ pub fn workload_cost(
 /// Evaluates both orderings for a candidate split and returns the cheaper
 /// one together with its cost (the inner minimisation of Line 3 of
 /// Algorithm 3).
+///
+/// Equal, bit for bit, to taking the minimum of [`workload_cost`] over both
+/// orderings, at one classification per query: the nine legal cases are
+/// costed once per ordering through the same `case_cost` [`query_cost`]
+/// uses, and each query adds its case's entry to both totals in workload
+/// order — the same `f64`s added in the same order.
 pub fn best_ordering(
     queries: &[Rect],
     split: &Point,
     counts: &QuadrantCounts,
     alpha: f64,
 ) -> (CellOrdering, f64) {
+    // Indexed by ordering, then `QueryCase::index`; `None` for the seven
+    // cases only a rectangle with unordered corners can produce, which are
+    // costed on the spot like `query_cost` would.
+    let mut table = [[None; 16]; 2];
+    for (row, ordering) in table.iter_mut().zip(CellOrdering::ALL) {
+        for case in QueryCase::LEGAL {
+            row[case.index()] = Some(case_cost(case, ordering, counts, alpha));
+        }
+    }
+    // `Iterator::sum`, which `workload_cost` totals with, starts from -0.0.
+    let mut totals = [-0.0f64; 2];
+    for query in queries {
+        let case = QueryCase::classify(query, split);
+        for ((total, row), ordering) in totals.iter_mut().zip(&table).zip(CellOrdering::ALL) {
+            *total += row[case.index()].unwrap_or_else(|| case_cost(case, ordering, counts, alpha));
+        }
+    }
     let mut best = (CellOrdering::Abcd, f64::INFINITY);
-    for ordering in CellOrdering::ALL {
-        let cost = workload_cost(queries, split, ordering, counts, alpha);
+    for (ordering, cost) in CellOrdering::ALL.into_iter().zip(totals) {
         if cost < best.1 {
             best = (ordering, cost);
         }
@@ -269,6 +310,91 @@ mod tests {
         let queries = vec![Rect::from_coords(0.1, 0.1, 0.9, 0.4)];
         let (ordering, _) = best_ordering(&queries, &SPLIT, &counts(), alpha);
         assert_eq!(ordering, CellOrdering::Abcd);
+    }
+
+    /// The table-driven `best_ordering` against the definition it replaces:
+    /// the first strict minimum of `workload_cost` over both orderings.
+    /// Same ordering and the same cost bits, on coordinates drawn from a
+    /// small lattice so query edges often lie exactly on the split.
+    #[test]
+    fn best_ordering_equals_the_minimum_of_workload_cost_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC057);
+        let mut orderings_seen = [0usize; 2];
+        for round in 0..2_000 {
+            let lattice = |rng: &mut StdRng| f64::from(rng.gen_range(0u32..8)) / 8.0;
+            let split = Point::new(lattice(&mut rng), lattice(&mut rng));
+            let counts = if round % 2 == 0 {
+                QuadrantCounts::from_counts([(); 4].map(|_| f64::from(rng.gen_range(0u32..5_000))))
+            } else {
+                // What an RFDE estimate looks like: non-negative fractions.
+                QuadrantCounts::from_counts([(); 4].map(|_| rng.gen::<f64>() * 1e4))
+            };
+            let alpha = [0.0, 1e-5, 0.1, 1.0, rng.gen::<f64>()][round % 5];
+            let queries: Vec<Rect> = (0..[0usize, 1, 2, 7, 60][(round / 5) % 5])
+                .map(|_| {
+                    let a = Point::new(lattice(&mut rng), lattice(&mut rng));
+                    let b = Point::new(lattice(&mut rng), lattice(&mut rng));
+                    Rect::from_corners(a, b)
+                })
+                .collect();
+
+            let mut want = (CellOrdering::Abcd, f64::INFINITY);
+            for ordering in CellOrdering::ALL {
+                let cost = workload_cost(&queries, &split, ordering, &counts, alpha);
+                if cost < want.1 {
+                    want = (ordering, cost);
+                }
+            }
+            let got = best_ordering(&queries, &split, &counts, alpha);
+            assert_eq!(got.0, want.0, "round {round}: ordering");
+            assert_eq!(
+                got.1.to_bits(),
+                want.1.to_bits(),
+                "round {round}: cost {} vs {}",
+                got.1,
+                want.1
+            );
+            orderings_seen[got.0 as usize] += 1;
+        }
+        assert!(
+            orderings_seen.iter().all(|&n| n > 100),
+            "both orderings must win sometimes: {orderings_seen:?}"
+        );
+    }
+
+    #[test]
+    fn exact_counts_equal_a_per_point_classification() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for n in [0usize, 1, 5, 1_000] {
+            let lattice = |rng: &mut StdRng| f64::from(rng.gen_range(0u32..6)) / 6.0;
+            let points: Vec<Point> = (0..n)
+                .map(|_| Point::new(lattice(&mut rng), lattice(&mut rng)))
+                .collect();
+            // Splits on the lattice, off it, and outside the data on either
+            // side (every point in A, every point in D).
+            for split in [
+                Point::new(0.5, 0.5),
+                Point::new(0.4, 0.6),
+                Point::new(2.0, 2.0),
+                Point::new(-1.0, -1.0),
+                Point::new(-1.0, 2.0),
+            ] {
+                let mut want = [0.0f64; 4];
+                for p in &points {
+                    want[Quadrant::of(p, &split).label_index()] += 1.0;
+                }
+                let got = QuadrantCounts::exact(&points, &split);
+                assert_eq!(
+                    got,
+                    QuadrantCounts::from_counts(want),
+                    "n {n} split {split}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -155,6 +155,40 @@ impl ZIndex {
         stats.points_scanned
     }
 
+    /// FNV-1a-64 digest of everything construction decides: every internal
+    /// node's `(split, ordering, count)` in arena order, every leaf's
+    /// `(region, bbox, count)` in curve order and every leaf page's points
+    /// in stored order (floats by bit pattern). Two indexes with equal
+    /// digests answer every query with the same points in the same order
+    /// at the same counters; `tests/wazi_invariants.rs` pins it so a
+    /// construction change that means to keep the tree can prove it did.
+    pub fn structure_digest(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for byte in w.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for node in &self.nodes {
+            word(node.split.x.to_bits());
+            word(node.split.y.to_bits());
+            word(node.ordering as u64);
+            word(node.count as u64);
+        }
+        for leaf in &self.leaves {
+            for corner in [leaf.region.lo, leaf.region.hi, leaf.bbox.lo, leaf.bbox.hi] {
+                word(corner.x.to_bits());
+                word(corner.y.to_bits());
+            }
+            word(leaf.count as u64);
+            for p in self.store.page(leaf.page).iter() {
+                word(p.x.to_bits());
+                word(p.y.to_bits());
+            }
+        }
+        hash
+    }
+
     /// Approximate in-memory size of the index structure in bytes.
     pub(crate) fn structure_size_bytes(&self) -> usize {
         // Table 5 reports the size of the index structure (tree nodes, leaf

@@ -114,7 +114,7 @@ impl ZIndex {
         let region = self.leaves[leaf_pos].region;
         let page_id = self.leaves[leaf_pos].page;
         let points = self.store.page(page_id).to_vec();
-        let split = crate::build::median_split(&points);
+        let split = crate::build::median_split(&points, &mut Vec::new());
         let ordering = CellOrdering::Abcd;
 
         // A split that cannot separate the points (all duplicates) is skipped:

@@ -15,6 +15,14 @@
 //!   baseline, where each point is weighted by the number of distinct
 //!   queries fetching it (Section 6.1).
 //!
+//! Fitting one tree is `O(n log n)`: a node selects its median
+//! (`select_nth_unstable_by`, linear), reads the lower median as the maximum
+//! of the left part and partitions at most once, so every level of the tree
+//! costs one linear pass. Both flavours share that one fitting path; the
+//! unweighted one works on a single scratch copy of the bare 16-byte points.
+//! What the fit draws from its generator, and in which order, is part of the
+//! construction's determinism contract (`docs/BUILD.md`).
+//!
 //! Estimation is construction-time only: query execution (including the
 //! engine's fused batch kernels) never consults the estimator, so its cost
 //! is charged to build time alone.

@@ -1,6 +1,6 @@
 //! Random Forest Density Estimation (RFDE) over two-dimensional points.
 
-use crate::tree::{CountKdTree, TreeParams};
+use crate::tree::{CountKdTree, Item, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -66,18 +66,32 @@ pub struct Rfde {
 impl Rfde {
     /// Fits the forest on unweighted points (every point has weight one).
     pub fn fit(points: &[Point], config: RfdeConfig) -> Self {
-        let weighted: Vec<(Point, f64)> = points.iter().map(|p| (*p, 1.0)).collect();
-        Self::fit_weighted(&weighted, config)
+        Self::fit_items(points, config)
     }
 
     /// Fits the forest on weighted points.
+    ///
+    /// Node weights are sums taken in whatever order fitting leaves a
+    /// node's points in, so they are independent of that order — and of how
+    /// the fit is implemented — only when every partial sum is exact:
+    /// integer-valued weights with a total below 2⁵³. Every caller in this
+    /// workspace qualifies (CUR's weights are query counts); fractional
+    /// weights may differ in the last bits between implementations.
     pub fn fit_weighted(points: &[(Point, f64)], config: RfdeConfig) -> Self {
+        Self::fit_items(points, config)
+    }
+
+    /// The one fitting path, monomorphised for bare points and for
+    /// `(point, weight)` pairs. Consumes the generator tree after tree: the
+    /// sub-sample's `partial_shuffle` (when `sample_fraction < 1`), then the
+    /// tree's own draws.
+    fn fit_items<T: Item>(items: &[T], config: RfdeConfig) -> Self {
         assert!(config.trees > 0, "RFDE needs at least one tree");
         assert!(
             config.sample_fraction > 0.0 && config.sample_fraction <= 1.0,
             "sample fraction must be in (0, 1]"
         );
-        let total_weight: f64 = points.iter().map(|(_, w)| w).sum();
+        let total_weight: f64 = items.iter().map(Item::weight).sum();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = TreeParams {
             leaf_weight: config.leaf_weight,
@@ -85,23 +99,25 @@ impl Rfde {
         };
 
         let sample_len = if config.sample_fraction >= 1.0 {
-            points.len()
+            items.len()
         } else {
-            ((points.len() as f64) * config.sample_fraction).ceil() as usize
+            ((items.len() as f64) * config.sample_fraction).ceil() as usize
         }
-        .max(1.min(points.len()));
+        .max(1.min(items.len()));
 
+        // The only copy of the data: every tree reorders this scratch in
+        // place (a full-data tree starts from the previous tree's order, a
+        // sub-sampled one from a fresh copy of the input).
         let mut trees = Vec::with_capacity(config.trees);
-        let mut scratch: Vec<(Point, f64)> = points.to_vec();
+        let mut scratch: Vec<T> = items.to_vec();
         for _ in 0..config.trees {
-            if sample_len < points.len() {
-                scratch.copy_from_slice(points);
-                scratch.partial_shuffle(&mut rng, sample_len);
-                let mut sample: Vec<(Point, f64)> = scratch[..sample_len].to_vec();
-                trees.push(CountKdTree::fit(&mut sample, params, &mut rng));
+            let sample = if sample_len < items.len() {
+                scratch.copy_from_slice(items);
+                scratch.partial_shuffle(&mut rng, sample_len).0
             } else {
-                trees.push(CountKdTree::fit(&mut scratch, params, &mut rng));
-            }
+                &mut scratch[..]
+            };
+            trees.push(CountKdTree::fit(sample, params, &mut rng));
         }
 
         // Per-tree estimates cover only the sampled weight; rescale so that a
@@ -255,6 +271,73 @@ mod tests {
             (half - 5_000.0).abs() / 5_000.0 < 0.1,
             "half estimate {half}"
         );
+    }
+
+    /// The forest the sort-based fit grew: a sub-sampled tree takes a fresh
+    /// copy of the input, the shuffle and a copy of the sampled prefix; a
+    /// full-data tree the scratch as the previous tree left it.
+    fn reference_forest(points: &[(Point, f64)], config: RfdeConfig) -> Vec<CountKdTree> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let params = TreeParams {
+            leaf_weight: config.leaf_weight,
+            max_depth: config.max_depth,
+        };
+        let sample_len = ((points.len() as f64) * config.sample_fraction).ceil() as usize;
+        let mut scratch = points.to_vec();
+        (0..config.trees)
+            .map(|_| {
+                if sample_len < points.len() {
+                    scratch.copy_from_slice(points);
+                    scratch.partial_shuffle(&mut rng, sample_len);
+                    let mut sample = scratch[..sample_len].to_vec();
+                    crate::tree::reference::fit(&mut sample, params, &mut rng)
+                } else {
+                    crate::tree::reference::fit(&mut scratch, params, &mut rng)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forests_equal_the_reference_forest_tree_for_tree() {
+        let points = uniform_points(3_001, 6);
+        let mut rng = StdRng::seed_from_u64(7);
+        let counted: Vec<(Point, f64)> = points
+            .iter()
+            .map(|p| (*p, rng.gen_range(0u32..9) as f64))
+            .collect();
+        let unit: Vec<(Point, f64)> = points.iter().map(|p| (*p, 1.0)).collect();
+        for config in [
+            RfdeConfig::fast(),
+            RfdeConfig {
+                sample_fraction: 0.5,
+                leaf_weight: 8.0,
+                ..Default::default()
+            },
+            RfdeConfig {
+                leaf_weight: 8.0,
+                ..Default::default()
+            },
+        ] {
+            for (what, got, want) in [
+                (
+                    "weighted",
+                    Rfde::fit_weighted(&counted, config),
+                    reference_forest(&counted, config),
+                ),
+                (
+                    "unweighted",
+                    Rfde::fit(&points, config),
+                    reference_forest(&unit, config),
+                ),
+            ] {
+                assert_eq!(got.trees.len(), want.len());
+                for (i, (g, w)) in got.trees.iter().zip(&want).enumerate() {
+                    let what = format!("{what} tree {i}, fraction {}", config.sample_fraction);
+                    crate::tree::reference::assert_same_tree(g, w, &what);
+                }
+            }
+        }
     }
 
     #[test]

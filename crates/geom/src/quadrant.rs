@@ -41,14 +41,11 @@ impl Quadrant {
     /// Algorithm 1).
     #[inline]
     pub fn of(point: &Point, split: &Point) -> Quadrant {
-        let bit_x = point.x > split.x;
-        let bit_y = point.y > split.y;
-        match (bit_y, bit_x) {
-            (false, false) => Quadrant::A,
-            (false, true) => Quadrant::B,
-            (true, false) => Quadrant::C,
-            (true, true) => Quadrant::D,
-        }
+        let bit_x = usize::from(point.x > split.x);
+        let bit_y = usize::from(point.y > split.y);
+        // A table lookup, not a branch per bit: this sits on every level of
+        // the Algorithm-1 descent.
+        Quadrant::ALL[(bit_y << 1) | bit_x]
     }
 
     /// Index `0..4` of the quadrant in spatial-label order.
@@ -107,15 +104,8 @@ impl CellOrdering {
     /// computed in Lines 6–9 of Algorithm 1.
     #[inline]
     pub fn position(&self, quadrant: Quadrant) -> usize {
-        match self {
-            CellOrdering::Abcd => quadrant as usize,
-            CellOrdering::Acbd => match quadrant {
-                Quadrant::A => 0,
-                Quadrant::C => 1,
-                Quadrant::B => 2,
-                Quadrant::D => 3,
-            },
-        }
+        const POSITION: [[usize; 4]; 2] = [[0, 1, 2, 3], [0, 2, 1, 3]];
+        POSITION[*self as usize][quadrant as usize]
     }
 
     /// Child id for a point query, exactly Lines 4–9 of Algorithm 1.
@@ -146,6 +136,34 @@ pub struct QueryCase {
 }
 
 impl QueryCase {
+    /// The nine cases a rectangle with ordered corners can fall into, the
+    /// `δ_{R ∈ XY}` terms of Eq. (1): `BL(R)` is dominated by `TR(R)`, so
+    /// neither comparison bit of `tr` can be below the same bit of `bl`.
+    pub const LEGAL: [QueryCase; 9] = {
+        use Quadrant::*;
+        const fn case(bl: Quadrant, tr: Quadrant) -> QueryCase {
+            QueryCase { bl, tr }
+        }
+        [
+            case(A, A),
+            case(B, B),
+            case(C, C),
+            case(D, D),
+            case(A, B),
+            case(C, D),
+            case(A, C),
+            case(B, D),
+            case(A, D),
+        ]
+    };
+
+    /// Dense index `4 * bl + tr` of the case, in `0..16`, for tables keyed
+    /// by case.
+    #[inline]
+    pub fn index(&self) -> usize {
+        4 * self.bl.label_index() + self.tr.label_index()
+    }
+
     /// Classifies a query rectangle against a split point.
     #[inline]
     pub fn classify(query: &Rect, split: &Point) -> QueryCase {
@@ -167,21 +185,32 @@ impl QueryCase {
     /// Because `BL(R)` is dominated by `TR(R)` the possible cases are the
     /// nine listed in Eq. (1): `AA, BB, CC, DD, AB, CD, AC, BD, AD`. The
     /// overlapped quadrants follow directly from which corners the query
-    /// spans.
-    pub fn overlapped(&self) -> Vec<Quadrant> {
+    /// spans. The seven remaining `(bl, tr)` pairs can only arise from
+    /// rectangles whose corners are not ordered; they are treated as
+    /// overlapping the two end quadrants.
+    #[inline]
+    pub fn overlapped(&self) -> &'static [Quadrant] {
         use Quadrant::*;
-        match (self.bl, self.tr) {
-            (a, b) if a == b => vec![a],
-            (A, B) => vec![A, B],
-            (C, D) => vec![C, D],
-            (A, C) => vec![A, C],
-            (B, D) => vec![B, D],
-            (A, D) => vec![A, B, C, D],
-            // Degenerate cases can only arise from zero-area queries lying
-            // exactly on a split boundary; treat them as overlapping the two
-            // end quadrants.
-            (a, b) => vec![a, b],
-        }
+        // Indexed by `QueryCase::index`.
+        const OVERLAPPED: [&[Quadrant]; 16] = [
+            &[A],
+            &[A, B],
+            &[A, C],
+            &[A, B, C, D],
+            &[B, A],
+            &[B],
+            &[B, C],
+            &[B, D],
+            &[C, A],
+            &[C, B],
+            &[C],
+            &[C, D],
+            &[D, A],
+            &[D, B],
+            &[D, C],
+            &[D],
+        ];
+        OVERLAPPED[self.index()]
     }
 }
 
@@ -259,31 +288,54 @@ mod tests {
     }
 
     #[test]
+    fn ordered_rectangles_fall_into_exactly_the_nine_legal_cases() {
+        let coords = [0.2, 0.5, 0.8];
+        let mut seen = std::collections::HashSet::new();
+        for (x0, y0, x1, y1) in coords
+            .iter()
+            .flat_map(|a| coords.iter().map(move |b| (a, b)))
+            .flat_map(|(a, b)| coords.iter().map(move |c| (a, b, c)))
+            .flat_map(|(a, b, c)| coords.iter().map(move |d| (*a, *b, *c, *d)))
+        {
+            if x0 <= x1 && y0 <= y1 {
+                seen.insert(QueryCase::classify(
+                    &Rect::from_coords(x0, y0, x1, y1),
+                    &SPLIT,
+                ));
+            }
+        }
+        assert_eq!(seen, QueryCase::LEGAL.into_iter().collect());
+        let slots: std::collections::HashSet<usize> =
+            QueryCase::LEGAL.iter().map(QueryCase::index).collect();
+        assert_eq!(slots.len(), 9);
+    }
+
+    #[test]
     fn query_case_classification() {
         // Query spanning the whole cell.
         let q = Rect::from_coords(0.1, 0.1, 0.9, 0.9);
         let case = QueryCase::classify(&q, &SPLIT);
         assert_eq!(case.bl, Quadrant::A);
         assert_eq!(case.tr, Quadrant::D);
-        assert_eq!(case.overlapped(), Quadrant::ALL.to_vec());
+        assert_eq!(case.overlapped(), Quadrant::ALL);
         assert!(!case.is_contained());
 
         // Query contained in the top-right quadrant.
         let q = Rect::from_coords(0.6, 0.6, 0.9, 0.9);
         let case = QueryCase::classify(&q, &SPLIT);
         assert!(case.is_contained());
-        assert_eq!(case.overlapped(), vec![Quadrant::D]);
+        assert_eq!(case.overlapped(), [Quadrant::D]);
 
         // Left-half vertical span: A to C.
         let q = Rect::from_coords(0.1, 0.1, 0.4, 0.9);
         let case = QueryCase::classify(&q, &SPLIT);
         assert_eq!((case.bl, case.tr), (Quadrant::A, Quadrant::C));
-        assert_eq!(case.overlapped(), vec![Quadrant::A, Quadrant::C]);
+        assert_eq!(case.overlapped(), [Quadrant::A, Quadrant::C]);
 
         // Bottom-half horizontal span: A to B.
         let q = Rect::from_coords(0.1, 0.1, 0.9, 0.4);
         let case = QueryCase::classify(&q, &SPLIT);
         assert_eq!((case.bl, case.tr), (Quadrant::A, Quadrant::B));
-        assert_eq!(case.overlapped(), vec![Quadrant::A, Quadrant::B]);
+        assert_eq!(case.overlapped(), [Quadrant::A, Quadrant::B]);
     }
 }

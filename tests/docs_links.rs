@@ -10,6 +10,7 @@ const DOCUMENTS: &[&str] = &[
     "README.md",
     "ROADMAP.md",
     "CHANGES.md",
+    "docs/BUILD.md",
     "docs/ENGINE.md",
     "docs/SERVICE.md",
     "crates/vendor/README.md",
@@ -93,6 +94,7 @@ fn documentation_surface_is_complete() {
         "ROADMAP.md",
         "CHANGES.md",
         "PAPER.md",
+        "docs/BUILD.md",
         "docs/ENGINE.md",
         "docs/SERVICE.md",
         "BENCH_batch.json",

@@ -175,3 +175,58 @@ fn skipping_never_changes_results_only_work() {
     assert_eq!(skip_stats.results, plain_stats.results);
     assert!(skip_stats.leaves_skipped > 0);
 }
+
+/// Golden structure digests ([`wazi_core::ZIndex::structure_digest`]): the
+/// built tree, leaf list and stored point order of all four construction
+/// variants on two regions. A construction change that claims "the same
+/// index" must leave these constants alone; one that means to change the
+/// tree (new candidate source, path-derived seeds) updates them on purpose.
+#[test]
+fn construction_is_pinned_by_golden_structure_digests() {
+    use wazi_core::BuildStrategy::{Adaptive, Base};
+    let variants = [
+        ("WaZI (RFDE)", Adaptive, ZIndexConfig::wazi()),
+        (
+            "WaZI (exact)",
+            Adaptive,
+            ZIndexConfig::wazi().with_density(DensityMode::Exact),
+        ),
+        ("WaZI-SK", Adaptive, ZIndexConfig::wazi_without_skipping()),
+        ("Base", Base, ZIndexConfig::base()),
+    ];
+    let golden: [(Region, [u64; 4]); 2] = [
+        (
+            Region::NewYork,
+            [
+                0xe6b1_06b8_7530_bfa1,
+                0x6738_1124_82ed_7f99,
+                0x46f1_2db9_adb5_b609,
+                0x88fc_48f6_c735_77cb,
+            ],
+        ),
+        (
+            Region::Iberia,
+            [
+                0x5765_a321_6bce_8f70,
+                0x0cd4_7a00_d66a_cc04,
+                0x12b7_b599_773d_385b,
+                0xb239_f6eb_3408_caac,
+            ],
+        ),
+    ];
+    for (region, expected) in golden {
+        let points = generate_dataset_with_seed(region, 20_000, 7);
+        let train = generate_queries_with_seed(region, 300, 0.0005, 8);
+        for ((name, strategy, config), want) in variants.iter().zip(expected) {
+            let index = ZIndexBuilder::new(config.with_leaf_capacity(64), *strategy)
+                .build(points.clone(), &train);
+            let got = index.structure_digest();
+            assert_eq!(
+                got,
+                want,
+                "{name} on {region:?}: structure digest {got:#018x}, leaves {}",
+                index.leaf_count()
+            );
+        }
+    }
+}

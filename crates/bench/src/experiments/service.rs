@@ -41,8 +41,8 @@ use wazi_service::{
     Fault, FaultPlan, FullQueuePolicy, Service, ServiceError, ServiceStats, Submit, SubmitOptions,
 };
 use wazi_workload::{
-    bursty_arrivals, fault_schedule, generate_overlapping_batch, mixed_read_write_schedule,
-    poisson_arrivals, reconnect_sessions, Arrival, FaultKind, Region, RwStep, SELECTIVITIES,
+    bursty_arrivals, generate_overlapping_batch, mixed_read_write_schedule, poisson_arrivals,
+    reconnect_sessions, Arrival, Region, RwStep, SELECTIVITIES,
 };
 
 /// The overlapping counting-range workload of the batch experiment: the
@@ -569,7 +569,12 @@ fn replay_recovery(
         })
         .collect();
 
-    let faulty: Vec<u64> = plan.as_ref().map(|p| p.kernel_panics()).unwrap_or_default();
+    let faulty: Vec<u64> = plan
+        .iter()
+        .flat_map(|p| p.schedule())
+        .filter(|&(_, fault)| fault == Fault::KernelPanic)
+        .map(|(seq, _)| seq)
+        .collect();
     let (mut completed, mut panicked, mut worker_died, mut timed_out) = (0u64, 0u64, 0u64, 0u64);
     for (i, ticket) in tickets.into_iter().enumerate() {
         // `wait` is the no-ticket-left-behind assert: stranded would hang.
@@ -627,18 +632,6 @@ fn replay_recovery(
         stats,
         fired: plan.map(|p| p.injected()).unwrap_or(0),
     }
-}
-
-/// Maps a workload-level fault schedule onto the service's registry.
-fn plan_from_schedule(schedule: &[wazi_workload::FaultSpec]) -> FaultPlan {
-    schedule.iter().fold(FaultPlan::new(), |plan, spec| {
-        let fault = match spec.kind {
-            FaultKind::KernelPanic => Fault::KernelPanic,
-            FaultKind::ExecDelay => Fault::ExecDelay(Duration::from_micros(spec.micros)),
-            FaultKind::QueueStall => Fault::QueueStall(Duration::from_micros(spec.micros)),
-        };
-        plan.with(spec.index, fault)
-    })
 }
 
 /// The hard bit-identity assert behind the committed artifact: every
@@ -959,12 +952,12 @@ pub fn service(ctx: &ExperimentContext) -> Vec<Report> {
     assert_eq!(control.panicked + control.worker_died, 0);
     recovery.push_row(recovery_row("none (control)", 0, &control));
 
-    let schedule = fault_schedule(
+    let chaos_plan = Arc::new(Fault::seeded_plan(
+        ctx.seed ^ 0xFA17,
         queries.len() as u64,
         (queries.len() / 40).max(3),
-        ctx.seed ^ 0xFA17,
-    );
-    let chaos_plan = Arc::new(plan_from_schedule(&schedule));
+    ));
+    let planned = chaos_plan.schedule().count();
     let chaos = replay_recovery(
         &index,
         &queries,
@@ -986,7 +979,7 @@ pub fn service(ctx: &ExperimentContext) -> Vec<Report> {
         chaos.stats.worker_panics, 0,
         "kernel panics must never escape the execution boundary"
     );
-    recovery.push_row(recovery_row("seeded chaos", schedule.len(), &chaos));
+    recovery.push_row(recovery_row("seeded chaos", planned, &chaos));
 
     let kill_plan = Arc::new(FaultPlan::new().with(queries.len() as u64 / 2, Fault::WorkerKill));
     let kill = replay_recovery(
@@ -1035,7 +1028,7 @@ pub fn service(ctx: &ExperimentContext) -> Vec<Report> {
          to one-by-one re-execution; only the faulty query fails), worker kills \
          outside it (tickets in the dead worker's batch resolve to WorkerDied; the \
          supervisor respawns the thread), submit stalls and execution delays; \
-         schedules are seeded and deterministic (wazi_workload::fault_schedule)",
+         schedules are seeded and deterministic (wazi_service::Fault::seeded_plan)",
     );
     recovery.push_note(
         "hard-asserted on every row: each submission reaches exactly one terminal \

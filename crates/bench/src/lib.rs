@@ -9,8 +9,10 @@
 //!   [`report::Report`]s;
 //! * the `reproduce` binary — `cargo run --release -p wazi-bench --bin
 //!   reproduce -- all` regenerates every table and figure at laptop scale
-//!   (use `--size` to scale up towards the paper's setting);
-//! * Criterion micro-benchmarks under `benches/`, one per experiment family.
+//!   (use `--size` to scale up towards the paper's setting).
+//!
+//! Closed-loop timings of the whole query path, layer by layer, come from
+//! the standalone `wazi-perf` benchmark at the repository root.
 //!
 //! Beyond the paper, the `batch` experiment compares sequential, fused and
 //! parallel-fused batch execution across all seven overview indexes and

@@ -67,9 +67,10 @@ pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
 pub use plan::{Query, QueryOutput, RangeMode};
 pub use point::{run_point_batch, run_point_batch_sharded, PointBatchKernel, PointBatchResponse};
 pub use report::{BatchReport, QueryReport, StrategyDecisions};
-pub use snapshot::{Snapshot, SnapshotSource, VersionStats, VersionedIndex, WriteOp, WriteReceipt};
-#[cfg(feature = "fault-injection")]
-pub use snapshot::{WriteFault, WriteFaultPlan, WritePhase};
+pub use snapshot::{
+    Snapshot, SnapshotSource, VersionStats, VersionedIndex, WriteFault, WriteFaultPlan, WriteOp,
+    WritePhase, WriteReceipt,
+};
 
 use crate::index::{IndexError, SpatialIndex};
 use std::time::Instant;

@@ -62,9 +62,10 @@
 //! ```
 
 use crate::engine::{PointBatchKernel, RangeBatchKernel};
+use crate::faults::FaultPlan;
 use crate::index::{IndexError, SpatialIndex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
@@ -272,8 +273,8 @@ pub struct VersionedIndex<I> {
     current: Mutex<Published<I>>,
     writer: Mutex<WriterState<I>>,
     counters: Arc<Counters>,
-    #[cfg(feature = "fault-injection")]
-    faults: Mutex<Option<Arc<WriteFaultPlan>>>,
+    /// Set at most once, so `apply` reads it without a lock.
+    faults: OnceLock<Arc<WriteFaultPlan>>,
 }
 
 /// Recovers a poisoned lock: the state protected by both locks of a
@@ -331,17 +332,22 @@ impl<I: SpatialIndex + Clone + 'static> VersionedIndex<I> {
                 applies: 0,
             }),
             counters,
-            #[cfg(feature = "fault-injection")]
-            faults: Mutex::new(None),
+            faults: OnceLock::new(),
         }
     }
 
     /// Installs a deterministic write-fault plan consulted by every
-    /// subsequent [`VersionedIndex::apply`]. Only available with the
-    /// `fault-injection` feature (on by default).
-    #[cfg(feature = "fault-injection")]
+    /// subsequent [`VersionedIndex::apply`].
+    ///
+    /// # Panics
+    ///
+    /// If a plan is already installed: the plan is set once, so `apply`
+    /// reads it without taking a lock.
     pub fn install_write_faults(&self, plan: Arc<WriteFaultPlan>) {
-        *lock_recover(&self.faults) = Some(plan);
+        assert!(
+            self.faults.set(plan).is_ok(),
+            "a write-fault plan is already installed"
+        );
     }
 
     /// An epoch-pinned snapshot of the current version: two `Arc` clones
@@ -369,11 +375,9 @@ impl<I: SpatialIndex + Clone + 'static> VersionedIndex<I> {
     /// are never blocked.
     pub fn apply(&self, ops: &[WriteOp]) -> Result<WriteReceipt, IndexError> {
         let mut writer = lock_recover(&self.writer);
-        #[cfg(feature = "fault-injection")]
         let seq = writer.applies;
         writer.applies += 1;
-        #[cfg(feature = "fault-injection")]
-        let faults = lock_recover(&self.faults).clone();
+        let faults = self.faults.get();
 
         // Fork the current version. With page-level CoW in the store this
         // copies the page table, not the pages.
@@ -387,8 +391,7 @@ impl<I: SpatialIndex + Clone + 'static> VersionedIndex<I> {
         let mut removed = 0u64;
         let mut rebuilt = false;
 
-        #[cfg(feature = "fault-injection")]
-        fire_write_fault(&faults, seq, WritePhase::MidApply);
+        fire_write_fault(faults, seq, WritePhase::MidApply);
 
         for op in ops {
             match *op {
@@ -434,8 +437,7 @@ impl<I: SpatialIndex + Clone + 'static> VersionedIndex<I> {
             }
         }
 
-        #[cfg(feature = "fault-injection")]
-        fire_write_fault(&faults, seq, WritePhase::BeforePublish);
+        fire_write_fault(faults, seq, WritePhase::BeforePublish);
 
         // Publish: supersede the old version and swap in the fork. The
         // current lock is held only for the swap itself.
@@ -516,7 +518,6 @@ impl<I: SpatialIndex + Clone + 'static> std::fmt::Debug for VersionedIndex<I> {
 }
 
 /// Where a write fault fires inside [`VersionedIndex::apply`].
-#[cfg(feature = "fault-injection")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WritePhase {
     /// After the fork, before any op is applied: the writer holds a private
@@ -527,7 +528,6 @@ pub enum WritePhase {
 }
 
 /// The injected behaviour at a write failpoint.
-#[cfg(feature = "fault-injection")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteFault {
     /// Sleep this long at the failpoint (a stalled publish, for testing
@@ -543,49 +543,17 @@ pub enum WriteFault {
 /// (the order of [`VersionedIndex::apply`] calls, starting at 0) and
 /// [`WritePhase`]. The chaos harness installs one via
 /// [`VersionedIndex::install_write_faults`].
-#[cfg(feature = "fault-injection")]
-#[derive(Debug, Default)]
-pub struct WriteFaultPlan {
-    faults: std::collections::BTreeMap<(u64, WritePhase), WriteFault>,
-    injected: AtomicU64,
-}
+pub type WriteFaultPlan = FaultPlan<(u64, WritePhase), WriteFault>;
 
-#[cfg(feature = "fault-injection")]
-impl WriteFaultPlan {
-    /// An empty plan (every failpoint is a no-op).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or replaces) the fault for apply number `seq` at `phase`.
-    pub fn with(mut self, seq: u64, phase: WritePhase, fault: WriteFault) -> Self {
-        self.faults.insert((seq, phase), fault);
-        self
-    }
-
-    /// The fault planned for apply `seq` at `phase`, if any.
-    pub fn fault_for(&self, seq: u64, phase: WritePhase) -> Option<WriteFault> {
-        self.faults.get(&(seq, phase)).copied()
-    }
-
-    /// How many faults have fired so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(feature = "fault-injection")]
-fn fire_write_fault(plan: &Option<Arc<WriteFaultPlan>>, seq: u64, phase: WritePhase) {
-    if let Some(plan) = plan {
-        if let Some(fault) = plan.fault_for(seq, phase) {
-            plan.injected.fetch_add(1, Ordering::Relaxed);
-            match fault {
-                WriteFault::Stall(delay) => std::thread::sleep(delay),
-                WriteFault::Panic => {
-                    panic!("injected write fault: panic at {phase:?} (apply #{seq})")
-                }
-            }
+/// Failpoint: every planned write fault fires, whatever its kind.
+fn fire_write_fault(plan: Option<&Arc<WriteFaultPlan>>, seq: u64, phase: WritePhase) {
+    let Some(plan) = plan else { return };
+    match plan.fire(&(seq, phase), |_| true) {
+        Some(WriteFault::Stall(delay)) => std::thread::sleep(delay),
+        Some(WriteFault::Panic) => {
+            panic!("injected write fault: panic at {phase:?} (apply #{seq})")
         }
+        None => {}
     }
 }
 
@@ -773,11 +741,11 @@ mod tests {
         assert_eq!(stats.snapshots_published, 0);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn injected_writer_panic_discards_the_fork_and_recovers() {
         let v = versioned_base(100);
-        let plan = Arc::new(WriteFaultPlan::new().with(0, WritePhase::MidApply, WriteFault::Panic));
+        let plan =
+            Arc::new(WriteFaultPlan::new().with((0, WritePhase::MidApply), WriteFault::Panic));
         v.install_write_faults(Arc::clone(&plan));
         let before = v.snapshot();
         let p = Point::new(0.513, 0.513);
@@ -795,14 +763,23 @@ mod tests {
         assert!(v.snapshot().point_query(&p, &mut stats));
     }
 
-    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn write_fault_plan_installs_once() {
+        let v = versioned_base(10);
+        v.install_write_faults(Arc::new(WriteFaultPlan::new()));
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            v.install_write_faults(Arc::new(WriteFaultPlan::new()));
+        }));
+        assert!(again.is_err(), "a second plan must be refused");
+        assert_eq!(v.apply(&[WriteOp::Maintain]).unwrap().epoch, 1);
+    }
+
     #[test]
     fn publish_stall_keeps_readers_on_the_old_epoch() {
         use std::time::Duration;
         let v = Arc::new(versioned_base(100));
         let plan = Arc::new(WriteFaultPlan::new().with(
-            0,
-            WritePhase::BeforePublish,
+            (0, WritePhase::BeforePublish),
             WriteFault::Stall(Duration::from_millis(40)),
         ));
         v.install_write_faults(plan);

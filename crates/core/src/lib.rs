@@ -105,6 +105,7 @@ mod build;
 mod config;
 pub mod cost;
 pub mod engine;
+pub mod faults;
 mod index;
 mod lookahead;
 mod node;
@@ -120,10 +121,8 @@ pub use engine::{
     PointBatchKernel, PointBatchResponse, Query, QueryEngine, QueryOutput, QueryReport,
     RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats,
     RangeMode, ShardBounds, Snapshot, SnapshotSource, StrategyDecisions, SweepInterval,
-    VersionStats, VersionedIndex, WriteOp, WriteReceipt,
+    VersionStats, VersionedIndex, WriteFault, WriteFaultPlan, WriteOp, WritePhase, WriteReceipt,
 };
-#[cfg(feature = "fault-injection")]
-pub use engine::{WriteFault, WriteFaultPlan, WritePhase};
 pub use index::{IndexError, SpatialIndex};
 pub use node::{Leaf, Lookahead, SkipCriterion};
 pub use zindex::ZIndex;

@@ -29,10 +29,10 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use wazi_core::engine::Query;
+use wazi_core::faults::splitmix64;
 use wazi_service::{QueryResponse, SubmitOptions};
 
 use crate::error::{NetError, TransportError};
-use crate::util::splitmix64;
 use crate::wire::{
     read_raw_frame, write_frame, Frame, FrameBody, WireError, DEFAULT_MAX_FRAME_LEN,
 };

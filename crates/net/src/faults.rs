@@ -24,20 +24,16 @@
 //!   remaining tickets anyway.
 //!
 //! Plans are explicit ([`WireFaultPlan::new`] + [`WireFaultPlan::with`]) or
-//! seeded ([`WireFaultPlan::seeded`]): a splitmix64-derived schedule over
+//! seeded ([`WireFault::seeded_plan`]): a splitmix64-derived schedule over
 //! the first four kinds, deterministic per seed ([`WireFault::KillWriter`]
 //! is only ever injected explicitly, like the service plan's `WorkerKill`).
-//! The module is compiled behind the `fault-injection` feature (on by
-//! default); without an installed plan every failpoint is one `Option`
-//! check.
+//! Without an installed plan every failpoint is one `Option` check.
 //!
 //! [`FaultPlan`]: wazi_service::FaultPlan
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::util::splitmix64;
+use wazi_core::faults::{splitmix64, FaultPlan};
 
 /// One injectable wire fault, keyed by the arrival ordinal of the request
 /// it poisons. See the module docs for where each kind fires.
@@ -56,80 +52,37 @@ pub enum WireFault {
     KillWriter,
 }
 
-/// A deterministic schedule of wire faults over request arrival ordinals.
+/// A deterministic schedule of [`WireFault`]s over request arrival
+/// ordinals.
 ///
 /// Installed into a server via `ServerBuilder::wire_faults`; shared with
-/// every connection thread. The injection counter is an interior-mutable
-/// atomic so chaos tests can assert how many faults actually fired.
-#[derive(Debug, Default)]
-pub struct WireFaultPlan {
-    faults: BTreeMap<u64, WireFault>,
-    injected: AtomicU64,
-}
+/// every connection thread.
+pub type WireFaultPlan = FaultPlan<u64, WireFault>;
 
-impl WireFaultPlan {
-    /// An empty plan (no faults; every failpoint is a no-op).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or replaces) the fault for request ordinal `ordinal`.
-    pub fn with(mut self, ordinal: u64, fault: WireFault) -> Self {
-        self.faults.insert(ordinal, fault);
-        self
-    }
-
+impl WireFault {
     /// A seeded plan: `count` faults spread deterministically over the
     /// first `n_requests` arrival ordinals, cycling through corruption,
     /// truncation, read stalls and dropped connections
     /// ([`WireFault::KillWriter`] is only ever injected explicitly).
     /// Equal seeds give equal plans.
-    pub fn seeded(seed: u64, n_requests: u64, count: usize) -> Self {
-        let mut plan = WireFaultPlan::new();
-        if n_requests == 0 {
-            return plan;
-        }
-        let mut state = seed ^ 0x01BE_FA17_57A1_1C0D;
-        let mut placed = 0usize;
-        while placed < count && (plan.faults.len() as u64) < n_requests {
-            let ordinal = splitmix64(&mut state) % n_requests;
-            if plan.faults.contains_key(&ordinal) {
-                continue;
-            }
-            let fault = match placed % 4 {
+    pub fn seeded_plan(seed: u64, n_requests: u64, count: usize) -> WireFaultPlan {
+        FaultPlan::seeded(
+            seed ^ 0x01BE_FA17_57A1_1C0D,
+            n_requests,
+            count,
+            |placed, state| match placed % 4 {
                 0 => WireFault::CorruptFrame,
                 1 => WireFault::TruncateFrame,
-                2 => {
-                    WireFault::StallRead(Duration::from_micros(200 + splitmix64(&mut state) % 800))
-                }
+                2 => WireFault::StallRead(Duration::from_micros(200 + splitmix64(state) % 800)),
                 _ => WireFault::DropConnection,
-            };
-            plan.faults.insert(ordinal, fault);
-            placed += 1;
-        }
-        plan
+            },
+        )
     }
 
-    /// The fault planned for request ordinal `ordinal`, if any.
-    pub fn fault_for(&self, ordinal: u64) -> Option<WireFault> {
-        self.faults.get(&ordinal).copied()
-    }
-
-    /// The planned (ordinal, fault) pairs in ordinal order.
-    pub fn schedule(&self) -> impl Iterator<Item = (u64, WireFault)> + '_ {
-        self.faults
-            .iter()
-            .map(|(&ordinal, &fault)| (ordinal, fault))
-    }
-
-    /// How many faults have fired so far (all kinds).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Records one fired fault (called by the server's failpoints).
-    pub(crate) fn record(&self) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
+    /// Whether the connection's reader thread fires this fault (the rest
+    /// fire on its writer thread).
+    pub(crate) fn on_read(self) -> bool {
+        matches!(self, WireFault::StallRead(_) | WireFault::DropConnection)
     }
 }
 
@@ -139,8 +92,8 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_bounded() {
-        let a = WireFaultPlan::seeded(42, 100, 12);
-        let b = WireFaultPlan::seeded(42, 100, 12);
+        let a = WireFault::seeded_plan(42, 100, 12);
+        let b = WireFault::seeded_plan(42, 100, 12);
         assert_eq!(
             a.schedule().collect::<Vec<_>>(),
             b.schedule().collect::<Vec<_>>()
@@ -158,32 +111,14 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_differ() {
-        let a = WireFaultPlan::seeded(1, 1_000, 8);
-        let b = WireFaultPlan::seeded(2, 1_000, 8);
-        assert_ne!(
-            a.schedule().collect::<Vec<_>>(),
-            b.schedule().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn degenerate_plans_are_safe() {
-        assert_eq!(WireFaultPlan::seeded(7, 0, 5).schedule().count(), 0);
-        assert_eq!(WireFaultPlan::seeded(7, 3, 100).schedule().count(), 3);
-        assert_eq!(WireFaultPlan::new().fault_for(0), None);
-    }
-
-    #[test]
-    fn explicit_plans_register_and_count() {
+    fn reader_and_writer_faults_partition_the_kinds() {
         let plan = WireFaultPlan::new()
-            .with(2, WireFault::KillWriter)
-            .with(5, WireFault::DropConnection);
-        assert_eq!(plan.fault_for(2), Some(WireFault::KillWriter));
-        assert_eq!(plan.fault_for(5), Some(WireFault::DropConnection));
-        assert_eq!(plan.fault_for(3), None);
+            .with(1, WireFault::StallRead(Duration::ZERO))
+            .with(2, WireFault::KillWriter);
+        assert!(plan.fire(&2, WireFault::on_read).is_none());
+        assert!(plan.fire(&1, |f| !f.on_read()).is_none());
         assert_eq!(plan.injected(), 0);
-        plan.record();
+        assert_eq!(plan.fire(&2, |f| !f.on_read()), Some(WireFault::KillWriter));
         assert_eq!(plan.injected(), 1);
     }
 }

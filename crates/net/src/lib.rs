@@ -25,10 +25,11 @@
 //!   jittered exponential-backoff retry of transient failures, request
 //!   ids to drop duplicate responses.
 //!
-//! The default-on `fault-injection` feature adds [`WireFaultPlan`] — a
-//! deterministic schedule of wire faults (corruption, truncation, stalls,
-//! dropped connections, writer kills) the chaos tests drive through the
-//! server's failpoints.
+//! A [`WireFaultPlan`] — a deterministic schedule of wire faults
+//! (corruption, truncation, stalls, dropped connections, writer kills),
+//! installed with [`ServerBuilder::wire_faults`] — drives the server's
+//! failpoints for the chaos tests; without one, each failpoint is a single
+//! `Option` check.
 //!
 //! ## Quick start
 //!
@@ -67,15 +68,12 @@
 
 mod client;
 mod error;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 mod server;
-mod util;
 pub mod wire;
 
 pub use client::{Client, ClientConfig};
 pub use error::{NetError, TransportError};
-#[cfg(feature = "fault-injection")]
 pub use faults::{WireFault, WireFaultPlan};
 pub use server::{Server, ServerBuilder, ServerConfig};
 pub use wire::{Frame, FrameBody, RawFrame, WireError, DEFAULT_MAX_FRAME_LEN};

@@ -49,7 +49,6 @@ use std::time::Duration;
 
 use wazi_service::{Service, ServiceError, ServiceStats, Submit, Ticket};
 
-#[cfg(feature = "fault-injection")]
 use crate::faults::{WireFault, WireFaultPlan};
 use crate::wire::{read_raw_frame, Frame, FrameBody, WireError, DEFAULT_MAX_FRAME_LEN};
 
@@ -83,7 +82,6 @@ impl Default for ServerConfig {
 pub struct ServerBuilder {
     service: Service,
     config: ServerConfig,
-    #[cfg(feature = "fault-injection")]
     wire_faults: Option<Arc<WireFaultPlan>>,
 }
 
@@ -117,7 +115,6 @@ impl ServerBuilder {
     /// Installs a deterministic wire fault plan (the transport chaos
     /// harness): faults fire at the planned request arrival ordinals. See
     /// [`crate::faults`].
-    #[cfg(feature = "fault-injection")]
     pub fn wire_faults(mut self, plan: Arc<WireFaultPlan>) -> Self {
         self.wire_faults = Some(plan);
         self
@@ -139,7 +136,6 @@ impl ServerBuilder {
             next_conn_id: AtomicU64::new(0),
             request_ordinal: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
-            #[cfg(feature = "fault-injection")]
             wire_faults: self.wire_faults,
         });
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
@@ -173,7 +169,6 @@ struct Inner {
     /// Live connection sockets (clones), so shutdown can unblock every
     /// reader with `Shutdown::Read`. Entries remove themselves on close.
     conns: Mutex<HashMap<u64, TcpStream>>,
-    #[cfg(feature = "fault-injection")]
     wire_faults: Option<Arc<WireFaultPlan>>,
 }
 
@@ -198,7 +193,6 @@ impl Server {
         ServerBuilder {
             service,
             config: ServerConfig::default(),
-            #[cfg(feature = "fault-injection")]
             wire_faults: None,
         }
     }
@@ -340,7 +334,6 @@ fn acceptor_loop(
 struct Envelope {
     request_id: u64,
     /// Global arrival ordinal — the wire fault plan's key space.
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
     ordinal: u64,
     outcome: Outcome,
 }
@@ -406,8 +399,11 @@ fn reader_loop(
             Ok(None) => return,
             Ok(Some(raw)) => {
                 let ordinal = inner.request_ordinal.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "fault-injection")]
-                let drop_connection = match planned_fault(inner, ordinal) {
+                let fault = inner
+                    .wire_faults
+                    .as_ref()
+                    .and_then(|plan| plan.fire(&ordinal, WireFault::on_read));
+                let drop_connection = match fault {
                     Some(WireFault::StallRead(delay)) => {
                         std::thread::sleep(delay);
                         false
@@ -415,8 +411,6 @@ fn reader_loop(
                     Some(WireFault::DropConnection) => true,
                     _ => false,
                 };
-                #[cfg(not(feature = "fault-injection"))]
-                let drop_connection = false;
                 let outcome = match raw.body() {
                     Ok(FrameBody::Request { query, options }) => {
                         match inner.service.submit_with(query, options) {
@@ -521,9 +515,10 @@ fn pump_responses(
     severed: &AtomicBool,
 ) {
     for envelope in rx.iter() {
-        #[cfg(feature = "fault-injection")]
-        let fault = planned_write_fault(inner, envelope.ordinal);
-        #[cfg(feature = "fault-injection")]
+        let fault = inner
+            .wire_faults
+            .as_ref()
+            .and_then(|plan| plan.fire(&envelope.ordinal, |f| !f.on_read()));
         if fault == Some(WireFault::KillWriter) {
             panic!("injected writer kill (wire fault plan, request #{})", {
                 envelope.ordinal
@@ -531,7 +526,6 @@ fn pump_responses(
         }
         let frame = resolve(envelope);
         let mut bytes = frame.encode();
-        #[cfg(feature = "fault-injection")]
         match fault {
             Some(WireFault::CorruptFrame) => {
                 // Flip a checksum bit: the frame still parses, the checksum
@@ -580,36 +574,5 @@ fn resolve(envelope: Envelope) -> Frame {
     Frame {
         request_id: envelope.request_id,
         body,
-    }
-}
-
-/// Looks up (and records) the fault planned for a request ordinal, from the
-/// reader's failpoints.
-#[cfg(feature = "fault-injection")]
-fn planned_fault(inner: &Inner, ordinal: u64) -> Option<WireFault> {
-    let plan = inner.wire_faults.as_ref()?;
-    let fault = plan.fault_for(ordinal)?;
-    match fault {
-        WireFault::StallRead(_) | WireFault::DropConnection => {
-            plan.record();
-            Some(fault)
-        }
-        // Writer-side faults are recorded at the writer's failpoint.
-        _ => None,
-    }
-}
-
-/// Looks up (and records) the fault planned for a response ordinal, from
-/// the writer's failpoints.
-#[cfg(feature = "fault-injection")]
-fn planned_write_fault(inner: &Inner, ordinal: u64) -> Option<WireFault> {
-    let plan = inner.wire_faults.as_ref()?;
-    let fault = plan.fault_for(ordinal)?;
-    match fault {
-        WireFault::CorruptFrame | WireFault::TruncateFrame | WireFault::KillWriter => {
-            plan.record();
-            Some(fault)
-        }
-        _ => None,
     }
 }

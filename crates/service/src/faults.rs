@@ -24,15 +24,16 @@
 //!   for.
 //!
 //! Plans are either explicit ([`FaultPlan::new`] + [`FaultPlan::with`]) or
-//! seeded ([`FaultPlan::seeded`]): a splitmix64-derived schedule over the
+//! seeded ([`Fault::seeded_plan`]): a splitmix64-derived schedule over the
 //! first three fault kinds, deterministic per seed, for chaos-test
-//! matrices. The module is compiled behind the `fault-injection` feature
-//! (on by default); without an installed plan every failpoint is a single
-//! `Option` check.
+//! matrices. The plan type is `wazi_core`'s generic
+//! [`wazi_core::faults::FaultPlan`]; without an installed plan every
+//! failpoint is a single `Option` check and allocates nothing.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use wazi_core::faults::splitmix64;
 
 /// One injectable fault, keyed by the submission sequence number of the
 /// query it poisons. See the module docs for where each kind fires.
@@ -52,105 +53,37 @@ pub enum Fault {
     WorkerKill,
 }
 
-/// A deterministic schedule of faults over submission sequence numbers.
+/// A deterministic schedule of [`Fault`]s over submission sequence numbers.
 ///
 /// Installed into a service via `ServiceBuilder::fault_plan`; shared with
-/// every worker and submitter. The injection counters are interior-mutable
-/// atomics so tests can assert how many faults actually fired.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    faults: BTreeMap<u64, Fault>,
-    injected: AtomicU64,
-}
+/// every worker and submitter.
+pub type FaultPlan = wazi_core::faults::FaultPlan<u64, Fault>;
 
-impl FaultPlan {
-    /// An empty plan (no faults; every failpoint is a no-op).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or replaces) the fault for submission number `seq`.
-    pub fn with(mut self, seq: u64, fault: Fault) -> Self {
-        self.faults.insert(seq, fault);
-        self
-    }
-
+impl Fault {
     /// A seeded plan: `count` faults spread deterministically over the
     /// first `n_queries` submission numbers, cycling through kernel
     /// panics, execution delays and queue stalls (the three kinds that
     /// leave the worker pool intact; [`Fault::WorkerKill`] is only ever
     /// injected explicitly). Equal seeds give equal plans.
-    pub fn seeded(seed: u64, n_queries: u64, count: usize) -> Self {
-        let mut plan = FaultPlan::new();
-        if n_queries == 0 {
-            return plan;
-        }
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut placed = 0usize;
-        // Rejection-free: walk splitmix outputs, skipping occupied slots.
-        while placed < count && (plan.faults.len() as u64) < n_queries {
-            let seq = splitmix64(&mut state) % n_queries;
-            if plan.faults.contains_key(&seq) {
-                continue;
-            }
-            let fault = match placed % 3 {
+    pub fn seeded_plan(seed: u64, n_queries: u64, count: usize) -> FaultPlan {
+        FaultPlan::seeded(
+            seed ^ 0x9E37_79B9_7F4A_7C15,
+            n_queries,
+            count,
+            |placed, state| match placed % 3 {
                 0 => Fault::KernelPanic,
-                1 => Fault::ExecDelay(Duration::from_micros(200 + splitmix64(&mut state) % 800)),
-                _ => Fault::QueueStall(Duration::from_micros(100 + splitmix64(&mut state) % 400)),
-            };
-            plan.faults.insert(seq, fault);
-            placed += 1;
-        }
-        plan
+                1 => Fault::ExecDelay(Duration::from_micros(200 + splitmix64(state) % 800)),
+                _ => Fault::QueueStall(Duration::from_micros(100 + splitmix64(state) % 400)),
+            },
+        )
     }
-
-    /// The fault planned for submission number `seq`, if any.
-    pub fn fault_for(&self, seq: u64) -> Option<Fault> {
-        self.faults.get(&seq).copied()
-    }
-
-    /// The planned (seq, fault) pairs in sequence order.
-    pub fn schedule(&self) -> impl Iterator<Item = (u64, Fault)> + '_ {
-        self.faults.iter().map(|(&seq, &fault)| (seq, fault))
-    }
-
-    /// Submission numbers carrying a [`Fault::KernelPanic`] — the queries a
-    /// chaos test expects to resolve as `ExecutionPanicked`.
-    pub fn kernel_panics(&self) -> Vec<u64> {
-        self.faults
-            .iter()
-            .filter(|(_, f)| matches!(f, Fault::KernelPanic))
-            .map(|(&seq, _)| seq)
-            .collect()
-    }
-
-    /// How many faults have fired so far (all kinds).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    fn record(&self) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Fixed-increment splitmix64 step: the statelessly seedable generator the
-/// workload crate uses, inlined here so the service stays dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Failpoint: stall the submitting thread (queue mutex held by the caller).
-pub(crate) fn stall_on_submit(plan: &Option<std::sync::Arc<FaultPlan>>, seq: u64) {
-    if let Some(plan) = plan {
-        if let Some(Fault::QueueStall(delay)) = plan.fault_for(seq) {
-            plan.record();
-            std::thread::sleep(delay);
-        }
+pub(crate) fn stall_on_submit(plan: &Option<Arc<FaultPlan>>, seq: u64) {
+    let Some(plan) = plan else { return };
+    if let Some(Fault::QueueStall(delay)) = plan.fire(&seq, |f| matches!(f, Fault::QueueStall(_))) {
+        std::thread::sleep(delay);
     }
 }
 
@@ -158,44 +91,44 @@ pub(crate) fn stall_on_submit(plan: &Option<std::sync::Arc<FaultPlan>>, seq: u64
 /// [`Fault::WorkerKill`] query. The caller holds the queue guard, so the
 /// panic poisons the mutex — deliberately: recovery from the poisoned
 /// guard is part of what the harness verifies.
-pub(crate) fn kill_worker_if_planned(plan: &Option<std::sync::Arc<FaultPlan>>, seqs: &[u64]) {
-    if let Some(plan) = plan {
-        for &seq in seqs {
-            if plan.fault_for(seq) == Some(Fault::WorkerKill) {
-                plan.record();
-                panic!("injected worker kill (fault plan, submission #{seq})");
-            }
+pub(crate) fn kill_worker_if_planned(
+    plan: &Option<Arc<FaultPlan>>,
+    seqs: impl Iterator<Item = u64>,
+) {
+    let Some(plan) = plan else { return };
+    for seq in seqs {
+        if plan.fire(&seq, |f| f == Fault::WorkerKill).is_some() {
+            panic!("injected worker kill (fault plan, submission #{seq})");
         }
     }
 }
 
 /// Failpoint: delay and/or panic before a coalesced batch executes. Runs
 /// inside the worker's panic-isolation boundary.
-pub(crate) fn delay_and_panic_if_planned(plan: &Option<std::sync::Arc<FaultPlan>>, seqs: &[u64]) {
-    if let Some(plan) = plan {
-        for &seq in seqs {
-            if let Some(Fault::ExecDelay(delay)) = plan.fault_for(seq) {
-                plan.record();
-                std::thread::sleep(delay);
-            }
+pub(crate) fn delay_and_panic_if_planned(
+    plan: &Option<Arc<FaultPlan>>,
+    seqs: impl Iterator<Item = u64> + Clone,
+) {
+    let Some(plan) = plan else { return };
+    for seq in seqs.clone() {
+        if let Some(Fault::ExecDelay(delay)) = plan.fire(&seq, |f| matches!(f, Fault::ExecDelay(_)))
+        {
+            std::thread::sleep(delay);
         }
-        for &seq in seqs {
-            if plan.fault_for(seq) == Some(Fault::KernelPanic) {
-                plan.record();
-                panic!("injected kernel panic (fault plan, submission #{seq})");
-            }
+    }
+    for seq in seqs {
+        if plan.fire(&seq, |f| f == Fault::KernelPanic).is_some() {
+            panic!("injected kernel panic (fault plan, submission #{seq})");
         }
     }
 }
 
 /// Failpoint: panic during the degraded one-by-one re-execution of the
 /// query that carries the kernel-panic fault (and only that one).
-pub(crate) fn panic_if_planned_solo(plan: &Option<std::sync::Arc<FaultPlan>>, seq: u64) {
-    if let Some(plan) = plan {
-        if plan.fault_for(seq) == Some(Fault::KernelPanic) {
-            plan.record();
-            panic!("injected kernel panic (fault plan, solo re-execution of #{seq})");
-        }
+pub(crate) fn panic_if_planned_solo(plan: &Option<Arc<FaultPlan>>, seq: u64) {
+    let Some(plan) = plan else { return };
+    if plan.fire(&seq, |f| f == Fault::KernelPanic).is_some() {
+        panic!("injected kernel panic (fault plan, solo re-execution of #{seq})");
     }
 }
 
@@ -205,53 +138,47 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_bounded() {
-        let a = FaultPlan::seeded(42, 100, 10);
-        let b = FaultPlan::seeded(42, 100, 10);
+        let a = Fault::seeded_plan(42, 100, 10);
+        let b = Fault::seeded_plan(42, 100, 10);
         assert_eq!(
             a.schedule().collect::<Vec<_>>(),
             b.schedule().collect::<Vec<_>>()
         );
         assert_eq!(a.schedule().count(), 10);
         assert!(a.schedule().all(|(seq, _)| seq < 100));
-        // All three seedable kinds appear; WorkerKill never does.
-        assert!(!a.kernel_panics().is_empty());
+        // All three seedable kinds appear, in their documented ranges;
+        // WorkerKill never does.
+        assert!(a.schedule().any(|(_, f)| f == Fault::KernelPanic));
         assert!(a.schedule().any(|(_, f)| matches!(f, Fault::ExecDelay(_))));
         assert!(a.schedule().any(|(_, f)| matches!(f, Fault::QueueStall(_))));
-        assert!(a.schedule().all(|(_, f)| f != Fault::WorkerKill));
+        for (_, fault) in a.schedule() {
+            match fault {
+                Fault::ExecDelay(d) => assert!((200..1_000).contains(&d.as_micros())),
+                Fault::QueueStall(d) => assert!((100..500).contains(&d.as_micros())),
+                Fault::KernelPanic => {}
+                Fault::WorkerKill => panic!("seeded plans never kill workers"),
+            }
+        }
     }
 
     #[test]
-    fn different_seeds_differ() {
-        let a = FaultPlan::seeded(1, 1_000, 8);
-        let b = FaultPlan::seeded(2, 1_000, 8);
-        assert_ne!(
-            a.schedule().collect::<Vec<_>>(),
-            b.schedule().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn degenerate_plans_are_safe() {
-        assert_eq!(FaultPlan::seeded(7, 0, 5).schedule().count(), 0);
-        // More faults than slots: fills every slot and stops.
-        assert_eq!(FaultPlan::seeded(7, 3, 100).schedule().count(), 3);
-        assert_eq!(FaultPlan::new().fault_for(0), None);
-    }
-
-    #[test]
-    fn explicit_plans_register_and_count() {
-        let plan = FaultPlan::new()
-            .with(3, Fault::KernelPanic)
-            .with(5, Fault::WorkerKill);
-        assert_eq!(plan.fault_for(3), Some(Fault::KernelPanic));
-        assert_eq!(plan.fault_for(5), Some(Fault::WorkerKill));
-        assert_eq!(plan.kernel_panics(), vec![3]);
-        assert_eq!(plan.injected(), 0);
-        let shared = Some(std::sync::Arc::new(plan));
+    fn failpoints_fire_only_their_own_kind() {
+        let shared = Some(Arc::new(
+            FaultPlan::new()
+                .with(3, Fault::KernelPanic)
+                .with(5, Fault::WorkerKill),
+        ));
+        let plan = shared.as_ref().unwrap();
         stall_on_submit(&shared, 3); // wrong kind: no fire
-        assert_eq!(shared.as_ref().unwrap().injected(), 0);
+        delay_and_panic_if_planned(&shared, [5, 7].into_iter());
+        assert_eq!(plan.injected(), 0);
         let caught = std::panic::catch_unwind(|| panic_if_planned_solo(&shared, 3));
         assert!(caught.is_err());
-        assert_eq!(shared.as_ref().unwrap().injected(), 1);
+        let caught = std::panic::catch_unwind(|| kill_worker_if_planned(&shared, 4..6));
+        assert!(caught.is_err());
+        assert_eq!(plan.injected(), 2);
+        // No plan installed: every failpoint is a no-op.
+        panic_if_planned_solo(&None, 3);
+        kill_worker_if_planned(&None, 0..10);
     }
 }

@@ -34,10 +34,10 @@
 //! respawned by a supervisor thread; every queue-lock acquisition recovers
 //! from poisoning. Per-query deadlines ([`SubmitOptions::deadline`]) are
 //! culled at batch formation as [`ServiceError::DeadlineExceeded`] — never
-//! executed late, never silently dropped. The `fault-injection` feature
-//! (on by default) compiles in a deterministic failpoint harness
-//! ([`FaultPlan`]) that the chaos tests and the `service-recovery` bench
-//! table drive.
+//! executed late, never silently dropped. A deterministic [`FaultPlan`],
+//! installed with [`ServiceBuilder::fault_plan`], drives the failpoints
+//! the chaos tests and the `service-recovery` bench table exercise;
+//! without one, each failpoint is a single `Option` check.
 //!
 //! ## Pipeline
 //!
@@ -95,7 +95,6 @@
 #![warn(missing_docs)]
 
 mod config;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 mod handle;
 mod service;
@@ -103,7 +102,6 @@ mod stats;
 mod window;
 
 pub use config::{FullQueuePolicy, ServiceConfig};
-#[cfg(feature = "fault-injection")]
 pub use faults::{Fault, FaultPlan};
 pub use handle::{BatchSummary, QueryResponse, ServiceError, Submit, SubmitOptions, Ticket};
 pub use service::{Service, ServiceBuilder};
@@ -461,7 +459,6 @@ mod tests {
         assert!(matches!(response.report.output, QueryOutput::Found(_)));
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn a_kernel_panic_degrades_the_batch_and_fails_only_its_query() {
         use crate::{Fault, FaultPlan};

@@ -44,7 +44,6 @@ use wazi_core::{
 };
 
 use crate::config::{FullQueuePolicy, ServiceConfig};
-#[cfg(feature = "fault-injection")]
 use crate::faults::{self, FaultPlan};
 use crate::handle::{BatchSummary, QueryResponse, ServiceError, Submit, SubmitOptions, Ticket};
 use crate::stats::{ServiceStats, StatsInner};
@@ -53,7 +52,6 @@ use crate::window::{FlushCause, WindowController};
 /// One accepted query waiting in the submission queue.
 struct Pending {
     /// Submission sequence number: the order of acceptance, from 0.
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
     seq: u64,
     query: Query,
     tx: mpsc::Sender<Result<QueryResponse, ServiceError>>,
@@ -129,7 +127,6 @@ struct Shared {
     /// [`FullQueuePolicy::Block`] wait here.
     space: Condvar,
     stats: StatsInner,
-    #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -147,7 +144,6 @@ pub struct ServiceBuilder {
     index: IndexSource,
     index_name: &'static str,
     config: ServiceConfig,
-    #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -208,7 +204,6 @@ impl ServiceBuilder {
     /// Installs a deterministic fault plan (the chaos harness): faults
     /// fire at the planned submission sequence numbers. See
     /// [`crate::faults`].
-    #[cfg(feature = "fault-injection")]
     pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -233,7 +228,6 @@ impl ServiceBuilder {
             space: Condvar::new(),
             stats: StatsInner::default(),
             config: self.config,
-            #[cfg(feature = "fault-injection")]
             fault_plan: self.fault_plan,
         });
         shared.stats.window_ns.store(
@@ -284,7 +278,6 @@ impl Service {
             index: IndexSource::Frozen(index),
             index_name,
             config: ServiceConfig::default(),
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -300,7 +293,6 @@ impl Service {
             index: IndexSource::Versioned(source),
             index_name,
             config: ServiceConfig::default(),
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -360,7 +352,6 @@ impl Service {
         // it is exactly the queue arrival order — the key space fault plans
         // and chaos tests speak in.
         let seq = shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "fault-injection")]
         faults::stall_on_submit(&shared.fault_plan, seq);
         let (tx, rx) = mpsc::channel();
         let submitted_at = Instant::now();
@@ -644,11 +635,7 @@ fn next_batch(shared: &Shared) -> Option<(Vec<Pending>, FlushCause)> {
         // Failpoint: die here, with the guard held and the batch drained —
         // the harshest worker death the service must survive (poisoned
         // mutex, dropped tickets, a pool one thread short).
-        #[cfg(feature = "fault-injection")]
-        {
-            let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
-            faults::kill_worker_if_planned(&shared.fault_plan, &seqs);
-        }
+        faults::kill_worker_if_planned(&shared.fault_plan, batch.iter().map(|p| p.seq));
         if !queue.pending.is_empty() {
             // Leftovers (queue deeper than one batch): wake a sibling so it
             // can start cutting the next batch while this one executes.
@@ -699,11 +686,8 @@ fn execute_and_respond(shared: &Shared, batch: Vec<Pending>, cause: FlushCause) 
     let pinned = shared.index.pin();
     let epoch = pinned.epoch();
     let engine = QueryEngine::new(pinned.index()).with_strategy(shared.config.strategy);
-    #[cfg(feature = "fault-injection")]
-    let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
     let result = catch_execution_panic(|| {
-        #[cfg(feature = "fault-injection")]
-        faults::delay_and_panic_if_planned(&shared.fault_plan, &seqs);
+        faults::delay_and_panic_if_planned(&shared.fault_plan, batch.iter().map(|p| p.seq));
         engine.execute_batch(&queries)
     });
     let report = match result {
@@ -803,7 +787,6 @@ fn degrade_batch(
         .iter()
         .map(|pending| {
             catch_execution_panic(|| {
-                #[cfg(feature = "fault-injection")]
                 faults::panic_if_planned_solo(&shared.fault_plan, pending.seq);
                 engine.execute(&pending.query)
             })

@@ -24,9 +24,6 @@
 //! * [`poisson_arrivals`] / [`bursty_arrivals`] — deterministic open-loop
 //!   arrival schedules ([`Arrival`]) turning any query batch into timed
 //!   offered-load traffic for the `wazi-service` bench;
-//! * [`fault_schedule`] — deterministic fault schedules ([`FaultSpec`])
-//!   picking which submissions of a replay are poisoned and how, for the
-//!   service's chaos experiments;
 //! * [`mixed_read_write_schedule`] — alternating read-burst / write-burst
 //!   schedules ([`RwStep`]) for the snapshot-versioned writer path: mixed
 //!   query batches interleaved with insert/delete/maintain ops whose
@@ -44,7 +41,6 @@
 mod arrivals;
 mod batch;
 mod dataset;
-mod faults;
 mod queries;
 mod region;
 mod rw;
@@ -59,7 +55,6 @@ pub use dataset::{
     generate_dataset, generate_dataset_with_seed, sample_point_queries, skew_summary,
     uniform_dataset, SkewSummary,
 };
-pub use faults::{fault_schedule, FaultKind, FaultSpec};
 pub use queries::{
     drift_workload, generate_from_spec, generate_queries, generate_queries_with_seed,
     mean_center_distance_to, uniform_queries, WorkloadSpec, ABLATION_SELECTIVITIES, SELECTIVITIES,

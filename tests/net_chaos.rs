@@ -14,7 +14,6 @@ use wazi_bench::{build_index, IndexKind};
 use wazi_core::{Query, QueryEngine, QueryOutput, SpatialIndex};
 use wazi_net::{
     wire, Client, ClientConfig, Frame, FrameBody, NetError, Server, TransportError, WireFault,
-    WireFaultPlan,
 };
 use wazi_service::{Fault, FaultPlan, FullQueuePolicy, Service, SubmitOptions};
 use wazi_workload::{
@@ -112,7 +111,7 @@ fn wire_chaos_matrix_every_request_resolves() {
     for seed in [1u64, 7, 42] {
         // Seeded faults over the early ordinals plus a writer kill: with
         // retries, arrival ordinals overshoot N, so plan over 2N.
-        let mut plan = WireFaultPlan::seeded(seed, N as u64, 10);
+        let mut plan = WireFault::seeded_plan(seed, N as u64, 10);
         plan = plan.with(N as u64 / 2, WireFault::KillWriter);
         let plan = Arc::new(plan);
         assert!(plan.schedule().count() >= 5, "seed {seed}: thin schedule");

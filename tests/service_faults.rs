@@ -6,7 +6,7 @@
 //! worker pool recovers to serve traffic submitted after the faults.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::{Query, QueryEngine, QueryOutput, SpatialIndex};
@@ -40,8 +40,12 @@ fn chaos_matrix_leaves_no_ticket_behind() {
         .collect();
 
     for seed in [1u64, 7, 42] {
-        let plan = Arc::new(FaultPlan::seeded(seed, N as u64, 9));
-        let faulty: Vec<u64> = plan.kernel_panics();
+        let plan = Arc::new(Fault::seeded_plan(seed, N as u64, 9));
+        let faulty: Vec<u64> = plan
+            .schedule()
+            .filter(|&(_, fault)| fault == Fault::KernelPanic)
+            .map(|(seq, _)| seq)
+            .collect();
         assert!(
             !faulty.is_empty(),
             "seed {seed}: schedule must panic somewhere"
@@ -154,15 +158,8 @@ fn killed_worker_is_respawned_and_its_tickets_resolve() {
         "the killed worker's batch must surface WorkerDied"
     );
 
-    // The supervisor observes the exit asynchronously; give it a bounded
-    // moment before asserting the restart.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while service.stats().worker_restarts == 0 {
-        assert!(Instant::now() < deadline, "supervisor never respawned");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // Second wave: the respawned worker serves it fully.
+    // Second wave: with one worker slot, only a respawned worker can serve
+    // it, so its completion is the respawn, observed without a clock.
     let second_wave: Vec<_> = queries[8..]
         .iter()
         .map(|q| service.submit(q.clone()).unwrap().ticket().unwrap())

@@ -88,11 +88,10 @@ fn chaos_schedule_loses_nothing_and_converges_to_sequential_replay() {
     let plan = Arc::new(
         WriteFaultPlan::new()
             .with(
-                STALL_SEQ,
-                WritePhase::BeforePublish,
+                (STALL_SEQ, WritePhase::BeforePublish),
                 WriteFault::Stall(Duration::from_millis(25)),
             )
-            .with(PANIC_SEQ, WritePhase::MidApply, WriteFault::Panic),
+            .with((PANIC_SEQ, WritePhase::MidApply), WriteFault::Panic),
     );
     source.install_write_faults(Arc::clone(&plan));
 

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! reproduce [EXPERIMENT ...] [--size N] [--queries N] [--points N]
-//!           [--leaf N] [--shards N] [--strategy S] [--transport T]
-//!           [--smoke] [--json PATH] [--list]
+//!           [--leaf N] [--shards N] [--smoke] [--json PATH] [--list]
 //!
 //! EXPERIMENT   one or more of the identifiers printed by --list
 //!              (default: all)
@@ -13,19 +12,11 @@
 //! --leaf N     leaf capacity L (default 256)
 //! --shards N   shard count for the batch experiment's FusedParallel rows
 //!              (default 4)
-//! --strategy S batch strategies the batch experiment compares:
-//!              auto (default) runs the full suite — sequential, fused,
-//!              fused-parallel/N and the cost-based auto scheduler; a
-//!              fixed value (sequential | fused | fused-parallel) narrows
-//!              the comparison to [sequential, S]
-//! --transport T transports the service experiment's transport table
-//!              compares: both (default) measures in-process submission
-//!              and loopback TCP at the same offered load; in-process or
-//!              tcp narrows the table to one transport
-//! --smoke      start from the tiny smoke-scale context with artifact
-//!              emission off (CI's configuration; later flags still
-//!              override individual knobs)
-//! --json PATH  also write all reports as a JSON array to PATH
+//! --smoke      start from the tiny smoke-scale context (CI's
+//!              configuration; later flags still override individual knobs)
+//! --json PATH  also write all reports as a JSON array to PATH — the only
+//!              file a run writes (`BENCH_<exp>.json` is regenerated by
+//!              `reproduce <exp> --json BENCH_<exp>.json`)
 //! --list       print the available experiments and exit
 //! ```
 
@@ -37,7 +28,7 @@ fn main() {
     // --smoke rebases the whole context, so resolve it before the other
     // flags are applied on top.
     let mut ctx = if args.iter().any(|a| a == "--smoke") {
-        ExperimentContext::smoke_run()
+        ExperimentContext::smoke_test()
     } else {
         ExperimentContext::default()
     };
@@ -57,18 +48,6 @@ fn main() {
             "--points" => ctx.point_queries = parse_number(iter.next(), "--points"),
             "--leaf" => ctx.leaf_capacity = parse_number(iter.next(), "--leaf"),
             "--shards" => ctx.batch_shards = parse_number(iter.next(), "--shards"),
-            "--strategy" => {
-                let value = iter
-                    .next()
-                    .unwrap_or_else(|| panic!("--strategy requires a value"));
-                ctx.strategy = value.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--transport" => {
-                let value = iter
-                    .next()
-                    .unwrap_or_else(|| panic!("--transport requires a value"));
-                ctx.transport = value.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
             "--smoke" => {} // already applied above
             "--json" => json_path = iter.next(),
             "--list" => list_only = true,
@@ -139,7 +118,6 @@ fn parse_number(value: Option<String>, flag: &str) -> usize {
 fn print_usage() {
     println!(
         "usage: reproduce [EXPERIMENT ...] [--size N] [--queries N] [--points N] [--leaf N] \
-         [--shards N] [--strategy auto|sequential|fused|fused-parallel] \
-         [--transport both|in-process|tcp] [--smoke] [--json PATH] [--list]"
+         [--shards N] [--smoke] [--json PATH] [--list]"
     );
 }

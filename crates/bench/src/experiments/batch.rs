@@ -17,17 +17,14 @@
 //! kernel (all seven, now that Zpgm's flat entry array splits by code
 //! range), a scattered low-overlap table exercises the case fusion cannot
 //! win, and a decision table prints what `Auto` chose with its predicted
-//! versus measured costs. Besides the usual reports, the experiment emits
-//! its tables as `BENCH_batch.json` in the working directory — the
-//! machine-readable artifact CI and regression tooling consume — unless
-//! the context disables artifact emission (test contexts do, so tiny smoke
-//! runs never clobber the committed file).
+//! versus measured costs. `reproduce batch --json BENCH_batch.json`
+//! regenerates the committed artifact from these tables.
 
 use super::{workload_setup, ExperimentContext};
-use crate::measure::{format_ns, measure_query_batch, BatchMeasurement};
+use crate::measure::{format_ns, measure_warm, BatchMeasurement};
 use crate::report::Report;
 use crate::suite::{build_index, IndexKind};
-use wazi_core::{BatchStrategy, ChosenStrategy, Query, SpatialIndex, StrategyDecisions};
+use wazi_core::{BatchStrategy, ChosenStrategy, Query, StrategyDecisions};
 use wazi_workload::{
     generate_mixed_batch, generate_overlapping_batch, generate_scattered_batch, Region,
     SELECTIVITIES,
@@ -60,10 +57,6 @@ const AUTO_TOLERANCE_PERCENT: u64 = 10;
 /// ...plus this absolute slack, which absorbs scheduler noise on the
 /// sub-millisecond batches of smoke-scale runs.
 const AUTO_SLACK_NS: u64 = 3_000_000;
-
-/// File the experiment's reports are serialised to (JSON array, same format
-/// as the `reproduce` binary's `--json` output).
-pub const BATCH_JSON_PATH: &str = "BENCH_batch.json";
 
 /// The latency Auto must stay under to count as predicting well against the
 /// best fixed strategy's wall-clock.
@@ -126,38 +119,33 @@ fn pages_row(kind: IndexKind, m: &BatchMeasurement, strategy: &str) -> Vec<Strin
     ]
 }
 
-/// Warm-up pass plus best-of-N measurement, so every strategy is compared
-/// on warm caches instead of paying first-touch page faults in whatever
-/// strategy happens to run first. Keeping the minimum run makes the
-/// wall-clock asserts robust on a loaded one-core host, where a single
-/// scheduler hiccup can exceed the whole batch latency.
-fn measure_warm(
-    index: &dyn SpatialIndex,
-    batch: &[Query],
-    strategy: BatchStrategy,
-) -> BatchMeasurement {
-    const RUNS: usize = 3;
-    let _ = measure_query_batch(index, batch, strategy);
-    let mut best = measure_query_batch(index, batch, strategy);
-    for _ in 1..RUNS {
-        let m = measure_query_batch(index, batch, strategy);
-        if m.batch_latency_ns < best.batch_latency_ns {
-            best = m;
-        }
-    }
-    best
+/// The strategies every batch table compares, starting with the
+/// sequential baseline the asserts measure against and ending with the
+/// cost-based scheduler judged against the three fixed strategies.
+fn comparison(shards: usize) -> [(String, BatchStrategy); 4] {
+    [
+        ("sequential".to_string(), BatchStrategy::Sequential),
+        ("fused".to_string(), BatchStrategy::Fused),
+        (
+            format!("fused-parallel/{shards}"),
+            BatchStrategy::FusedParallel { shards },
+        ),
+        ("auto".to_string(), BatchStrategy::Auto),
+    ]
 }
 
-/// Finds the auto measurement and the best fixed wall-clock of one labelled
-/// strategy sweep, when the sweep included Auto.
-fn auto_vs_best_fixed(measured: &[(String, BatchMeasurement)]) -> Option<(BatchMeasurement, u64)> {
-    let auto = measured.iter().find(|(label, _)| label == "auto")?.1;
-    let best_fixed = measured
+/// Splits one [`comparison`] sweep into the auto measurement and the best
+/// fixed strategy's wall-clock.
+fn auto_vs_best_fixed(measured: &[(String, BatchMeasurement)]) -> (BatchMeasurement, u64) {
+    let ((_, auto), fixed) = measured
+        .split_last()
+        .expect("the comparison ends with auto");
+    let best_fixed = fixed
         .iter()
-        .filter(|(label, _)| label != "auto")
         .map(|(_, m)| m.batch_latency_ns)
-        .min()?;
-    Some((auto, best_fixed))
+        .min()
+        .expect("the comparison has fixed strategies");
+    (*auto, best_fixed)
 }
 
 /// The batch experiment: sequential vs fused vs parallel-fused vs
@@ -188,10 +176,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         SCATTERED_SELECTIVITY,
         ctx.seed ^ 0x5CA7,
     );
-    let strategies = ctx.strategy.comparison(ctx.batch_shards);
-    let auto_enabled = strategies
-        .iter()
-        .any(|(_, strategy)| *strategy == BatchStrategy::Auto);
+    let strategies = comparison(ctx.batch_shards);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut overlap = Report::new(
@@ -296,15 +281,14 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             overlap.push_row(pages_row(kind, &m, label));
             measured.push((label.clone(), m));
         }
-        if let Some((auto_m, best_fixed)) = auto_vs_best_fixed(&measured) {
-            assert!(
-                auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
-                "{kind}/range: Auto mispredicted — {} vs best fixed {}",
-                format_ns(auto_m.batch_latency_ns as f64),
-                format_ns(best_fixed as f64)
-            );
-            assert_decisions_sane(kind, "overlap", &auto_m.decisions, workers);
-        }
+        let (auto_m, best_fixed) = auto_vs_best_fixed(&measured);
+        assert!(
+            auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
+            "{kind}/range: Auto mispredicted — {} vs best fixed {}",
+            format_ns(auto_m.batch_latency_ns as f64),
+            format_ns(best_fixed as f64)
+        );
+        assert_decisions_sane(kind, "overlap", &auto_m.decisions, workers);
 
         // The scattered batch: stratified tiny queries with almost no
         // shared pages, so a fused sweep's setup buys nothing. The cost
@@ -322,15 +306,14 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             scattered.push_row(pages_row(kind, &m, label));
             scattered_measured.push((label.clone(), m));
         }
-        if let Some((auto_m, best_fixed)) = auto_vs_best_fixed(&scattered_measured) {
-            assert!(
-                auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
-                "{kind}/scattered: Auto mispredicted — {} vs best fixed {}",
-                format_ns(auto_m.batch_latency_ns as f64),
-                format_ns(best_fixed as f64)
-            );
-            assert_decisions_sane(kind, "scattered", &auto_m.decisions, workers);
-        }
+        let (auto_m, best_fixed) = auto_vs_best_fixed(&scattered_measured);
+        assert!(
+            auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
+            "{kind}/scattered: Auto mispredicted — {} vs best fixed {}",
+            format_ns(auto_m.batch_latency_ns as f64),
+            format_ns(best_fixed as f64)
+        );
+        assert_decisions_sane(kind, "scattered", &auto_m.decisions, workers);
 
         // Shard scaling for every index with a fused range kernel — the
         // whole overview suite. The closing `auto` row shows what the
@@ -354,39 +337,37 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
                     format!("{:.2}x", base as f64 / m.batch_latency_ns.max(1) as f64),
                 ]);
             }
-            if auto_enabled {
-                let m = measure_warm(index, &parallel_batch, BatchStrategy::Auto);
-                assert_decisions_sane(kind, "parallel", &m.decisions, workers);
-                // On this heavily overlapping batch the page-backed
-                // indexes have real fetches to share: a scheduler that
-                // falls back to the per-query loop here has its
-                // calibration upside down.
-                if let Some(range) = m.decisions.range {
-                    if kind != IndexKind::Zpgm {
-                        assert_ne!(
-                            range.chosen,
-                            ChosenStrategy::Sequential,
-                            "{kind}/parallel: Auto refused to fuse a heavily \
-                             overlapping batch on a page-backed index"
-                        );
-                    }
+            let m = measure_warm(index, &parallel_batch, BatchStrategy::Auto);
+            assert_decisions_sane(kind, "parallel", &m.decisions, workers);
+            // On this heavily overlapping batch the page-backed
+            // indexes have real fetches to share: a scheduler that
+            // falls back to the per-query loop here has its
+            // calibration upside down.
+            if let Some(range) = m.decisions.range {
+                if kind != IndexKind::Zpgm {
+                    assert_ne!(
+                        range.chosen,
+                        ChosenStrategy::Sequential,
+                        "{kind}/parallel: Auto refused to fuse a heavily \
+                         overlapping batch on a page-backed index"
+                    );
                 }
-                let base = one_shard_ns.unwrap_or(1);
-                scaling.push_row(vec![
-                    kind.name().to_string(),
-                    format!(
-                        "auto ({})",
-                        m.decisions
-                            .range
-                            .map_or("-".to_string(), |d| d.chosen.to_string())
-                    ),
-                    m.totals.pages_scanned.to_string(),
-                    m.totals.bbs_checked.to_string(),
-                    m.total_results.to_string(),
-                    format_ns(m.batch_latency_ns as f64),
-                    format!("{:.2}x", base as f64 / m.batch_latency_ns.max(1) as f64),
-                ]);
             }
+            let base = one_shard_ns.unwrap_or(1);
+            scaling.push_row(vec![
+                kind.name().to_string(),
+                format!(
+                    "auto ({})",
+                    m.decisions
+                        .range
+                        .map_or("-".to_string(), |d| d.chosen.to_string())
+                ),
+                m.totals.pages_scanned.to_string(),
+                m.totals.bbs_checked.to_string(),
+                m.total_results.to_string(),
+                format_ns(m.batch_latency_ns as f64),
+                format!("{:.2}x", base as f64 / m.batch_latency_ns.max(1) as f64),
+            ]);
         }
 
         // The mixed batch runs on every overview index — Zpgm included,
@@ -447,43 +428,41 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             ]);
             mixed_measured.push((label.clone(), m));
         }
-        if let Some((auto_m, _)) = auto_vs_best_fixed(&mixed_measured) {
-            assert_decisions_sane(kind, "mixed", &auto_m.decisions, workers);
-            for (partition, decision) in auto_m.decisions.iter() {
-                let (pred_seq, pred_fused, pred_par) = match decision.estimate {
-                    Some(e) => (
-                        format_ns(e.sequential_ns as f64),
-                        format_ns(e.fused_ns as f64),
-                        e.fused_parallel_ns.map_or("-".to_string(), |ns| {
-                            format!("{} ({} shards)", format_ns(ns as f64), e.shards)
-                        }),
-                    ),
-                    None => ("-".to_string(), "-".to_string(), "-".to_string()),
-                };
-                decisions_table.push_row(vec![
-                    kind.name().to_string(),
-                    partition.to_string(),
-                    decision.queries.to_string(),
-                    decision.chosen.to_string(),
-                    pred_seq,
-                    pred_fused,
-                    pred_par,
-                    format_ns(decision.actual_ns as f64),
-                ]);
-            }
-            // The satellite fix this table exists to guard: under Auto,
-            // Zpgm's mixed batch must not regress against the sequential
-            // loop (the fused-mixed caveat of earlier revisions).
-            if kind == IndexKind::Zpgm {
-                let sequential_ns = mixed_measured[0].1.batch_latency_ns;
-                assert!(
-                    auto_m.batch_latency_ns
-                        <= sequential_ns + sequential_ns * 15 / 100 + AUTO_SLACK_NS,
-                    "Zpgm/mixed: Auto ({}) regressed against sequential ({})",
-                    format_ns(auto_m.batch_latency_ns as f64),
-                    format_ns(sequential_ns as f64)
-                );
-            }
+        let (auto_m, _) = auto_vs_best_fixed(&mixed_measured);
+        assert_decisions_sane(kind, "mixed", &auto_m.decisions, workers);
+        for (partition, decision) in auto_m.decisions.iter() {
+            let (pred_seq, pred_fused, pred_par) = match decision.estimate {
+                Some(e) => (
+                    format_ns(e.sequential_ns as f64),
+                    format_ns(e.fused_ns as f64),
+                    e.fused_parallel_ns.map_or("-".to_string(), |ns| {
+                        format!("{} ({} shards)", format_ns(ns as f64), e.shards)
+                    }),
+                ),
+                None => ("-".to_string(), "-".to_string(), "-".to_string()),
+            };
+            decisions_table.push_row(vec![
+                kind.name().to_string(),
+                partition.to_string(),
+                decision.queries.to_string(),
+                decision.chosen.to_string(),
+                pred_seq,
+                pred_fused,
+                pred_par,
+                format_ns(decision.actual_ns as f64),
+            ]);
+        }
+        // The satellite fix this table exists to guard: under Auto,
+        // Zpgm's mixed batch must not regress against the sequential
+        // loop (the fused-mixed caveat of earlier revisions).
+        if kind == IndexKind::Zpgm {
+            let sequential_ns = mixed_measured[0].1.batch_latency_ns;
+            assert!(
+                auto_m.batch_latency_ns <= sequential_ns + sequential_ns * 15 / 100 + AUTO_SLACK_NS,
+                "Zpgm/mixed: Auto ({}) regressed against sequential ({})",
+                format_ns(auto_m.batch_latency_ns as f64),
+                format_ns(sequential_ns as f64)
+            );
         }
     }
 
@@ -552,31 +531,14 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
          are routed by kernel-class rules, so their predicted columns are '-'). \
          'Measured' is the partition's wall-clock under the chosen schedule",
     );
-    if !auto_enabled {
-        decisions_table.push_note(
-            "empty: the run's --strategy filter excluded auto, so no decisions were taken",
-        );
-    }
 
-    let reports = vec![overlap, mixed, scattered, scaling, decisions_table];
-    if ctx.emit_artifacts {
-        match emit_batch_json(&reports, BATCH_JSON_PATH) {
-            Ok(()) => eprintln!("   wrote {BATCH_JSON_PATH}"),
-            Err(e) => eprintln!("   could not write {BATCH_JSON_PATH}: {e}"),
-        }
-    }
-    reports
-}
-
-/// Serialises the batch reports to `path` as a JSON array (the
-/// `BENCH_batch.json` artifact).
-pub fn emit_batch_json(reports: &[Report], path: &str) -> std::io::Result<()> {
-    std::fs::write(path, Report::json_array(reports))
+    vec![overlap, mixed, scattered, scaling, decisions_table]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::measure_query_batch;
     use wazi_storage::ExecStats;
 
     /// The acceptance property behind `BENCH_batch.json`: on an overlapping
@@ -715,23 +677,6 @@ mod tests {
                 "missing {kind} range decision row"
             );
         }
-    }
-
-    /// A narrowed `--strategy` filter shrinks the comparison to
-    /// `[sequential, value]` and leaves the decision table empty.
-    #[test]
-    fn fixed_strategy_filter_narrows_the_comparison() {
-        let mut ctx = ExperimentContext::smoke_test();
-        ctx.strategy = super::super::StrategyFilter::Fused;
-        let reports = batch(&ctx);
-        let [overlap, mixed, scattered, _scaling, decisions] = &reports[..] else {
-            panic!("expected five reports");
-        };
-        assert_eq!(overlap.rows.len(), IndexKind::OVERVIEW.len() * 2);
-        assert_eq!(mixed.rows.len(), IndexKind::OVERVIEW.len() * 2);
-        assert_eq!(scattered.rows.len(), IndexKind::OVERVIEW.len() * 2);
-        assert!(decisions.rows.is_empty());
-        assert!(overlap.rows.iter().all(|r| r[1] != "auto"));
     }
 
     /// The tree-baseline acceptance shape behind `BENCH_batch.json`: on the

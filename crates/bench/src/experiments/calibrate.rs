@@ -20,17 +20,15 @@
 //!   loop and measures at least as fast there, while WaZI fuses a heavily
 //!   overlapping batch and measures at least as fast fused.
 //!
-//! When artifact emission is on, the table is written to
-//! `BENCH_calibrate.json`; regenerating the baked table after a hardware
-//! change is a copy-paste of the fitted column into `engine/cost.rs`.
+//! `reproduce calibrate --json BENCH_calibrate.json` regenerates the
+//! committed table; re-baking after a hardware change is a copy-paste of
+//! the fitted column into `engine/cost.rs`.
 
 use super::{workload_setup, ExperimentContext};
-use crate::measure::{format_ns, measure_query_batch, BatchMeasurement};
+use crate::measure::{format_ns, measure_warm, BatchMeasurement};
 use crate::report::Report;
 use crate::suite::{build_index, IndexKind};
-use wazi_core::{
-    BatchStrategy, CalibrationTable, ChosenStrategy, CostConstants, Query, SpatialIndex,
-};
+use wazi_core::{BatchStrategy, CalibrationTable, ChosenStrategy, CostConstants};
 use wazi_workload::{generate_overlapping_batch, generate_scattered_batch, Region, SELECTIVITIES};
 
 /// Region and selectivities mirrored from the batch experiment, so the
@@ -51,9 +49,6 @@ const SANITY_BAND: f64 = 64.0;
 /// Wall-clock slack for the decision-boundary asserts, absorbing scheduler
 /// noise on sub-millisecond smoke batches.
 const BOUNDARY_SLACK_NS: u64 = 2_000_000;
-
-/// File the fitted table is serialised to when artifact emission is on.
-pub const CALIBRATE_JSON_PATH: &str = "BENCH_calibrate.json";
 
 /// One fitted constant: `None` means the host cannot fit it (for example
 /// the parallel constants on a single-core container) and the baked value
@@ -88,24 +83,6 @@ struct Boundary {
     auto_ns: u64,
 }
 
-/// Warm-up pass plus best-of-N measurement. The minimum is the right
-/// statistic for the boundary asserts: a single run on a loaded one-core
-/// host can absorb a multi-millisecond scheduler hiccup — larger than the
-/// whole batch latency — and the comparisons here are about the work the
-/// strategies do, not about the scheduler.
-fn warm(index: &dyn SpatialIndex, batch: &[Query], strategy: BatchStrategy) -> BatchMeasurement {
-    const RUNS: usize = 3;
-    let _ = measure_query_batch(index, batch, strategy);
-    let mut best = measure_query_batch(index, batch, strategy);
-    for _ in 1..RUNS {
-        let m = measure_query_batch(index, batch, strategy);
-        if m.batch_latency_ns < best.batch_latency_ns {
-            best = m;
-        }
-    }
-    best
-}
-
 /// Per-point cost fitted from the sequential run of the overlapping batch:
 /// its latency divided by the points it was charged. A page lying wholly
 /// inside a rectangle is accepted without a comparison yet charged in full
@@ -130,19 +107,11 @@ fn fit_per_query_ns(m: &BatchMeasurement, point_ns: f64, page_ns: f64) -> Option
 }
 
 /// Runs the experiment: the fit, the checks that depend on this host's
-/// clock, and the report (written to `BENCH_calibrate.json` when artifact
-/// emission is on).
+/// clock, and the report.
 pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
     let (fits, boundaries) = fit(ctx);
     check_against_the_clock(&fits, &boundaries);
-    let reports = render(&fits, &boundaries);
-    if ctx.emit_artifacts {
-        match std::fs::write(CALIBRATE_JSON_PATH, Report::json_array(&reports)) {
-            Ok(()) => eprintln!("   wrote {CALIBRATE_JSON_PATH}"),
-            Err(e) => eprintln!("   could not write {CALIBRATE_JSON_PATH}: {e}"),
-        }
-    }
-    reports
+    render(&fits, &boundaries)
 }
 
 /// Fits the page-backed class on WaZI and the flat class on Zpgm, returning
@@ -178,7 +147,7 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
         let built = build_index(kind, &points, &train, ctx.leaf_capacity);
         let index = built.index.as_ref();
 
-        let seq_o = warm(index, &overlapping, BatchStrategy::Sequential);
+        let seq_o = measure_warm(index, &overlapping, BatchStrategy::Sequential);
         let point_ns = fit_point_ns(&seq_o);
         // The page term only exists for the page-backed class; attribute a
         // leaf-capacity's worth of point cost per fetch as its loose fit.
@@ -186,9 +155,9 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
             IndexKind::Wazi => point_ns.map(|p| p * ctx.leaf_capacity as f64 * 0.25),
             _ => None,
         };
-        let seq_m = warm(index, &scattered, BatchStrategy::Sequential);
-        let fused_m = warm(index, &scattered, BatchStrategy::Fused);
-        let auto_m = warm(index, &scattered, BatchStrategy::Auto);
+        let seq_m = measure_warm(index, &scattered, BatchStrategy::Sequential);
+        let fused_m = measure_warm(index, &scattered, BatchStrategy::Fused);
+        let auto_m = measure_warm(index, &scattered, BatchStrategy::Auto);
         let seq_query_ns = fit_per_query_ns(
             &seq_m,
             point_ns.unwrap_or(baked.point_ns),
@@ -238,8 +207,8 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
         });
 
         // Overlapping: the page-backed class must fuse.
-        let fused_o = warm(index, &overlapping, BatchStrategy::Fused);
-        let auto_o = warm(index, &overlapping, BatchStrategy::Auto);
+        let fused_o = measure_warm(index, &overlapping, BatchStrategy::Fused);
+        let auto_o = measure_warm(index, &overlapping, BatchStrategy::Auto);
         let chosen_o = auto_o
             .decisions
             .range

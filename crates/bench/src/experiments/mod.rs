@@ -16,118 +16,6 @@ pub mod service;
 pub mod updates;
 
 use crate::report::Report;
-use wazi_core::BatchStrategy;
-
-/// Which batch strategies the `batch` experiment compares (the `reproduce
-/// --strategy` flag).
-///
-/// The default, [`StrategyFilter::Auto`], runs the *full* comparison suite —
-/// sequential, fused, fused-parallel and the cost-based Auto scheduler — so
-/// the emitted table shows Auto against every fixed strategy and the
-/// misprediction asserts have their baselines. A fixed value narrows the
-/// suite to `[sequential, value]` for focused runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StrategyFilter {
-    /// The full suite: sequential, fused, fused-parallel/N and auto.
-    #[default]
-    Auto,
-    /// Sequential only.
-    Sequential,
-    /// Sequential vs fused.
-    Fused,
-    /// Sequential vs fused-parallel at the context's shard count.
-    FusedParallel,
-}
-
-impl StrategyFilter {
-    /// The labelled strategy list the batch experiment measures, always
-    /// starting with the sequential baseline the asserts compare against.
-    pub fn comparison(self, shards: usize) -> Vec<(String, BatchStrategy)> {
-        let sequential = ("sequential".to_string(), BatchStrategy::Sequential);
-        match self {
-            StrategyFilter::Auto => vec![
-                sequential,
-                ("fused".to_string(), BatchStrategy::Fused),
-                (
-                    format!("fused-parallel/{shards}"),
-                    BatchStrategy::FusedParallel { shards },
-                ),
-                ("auto".to_string(), BatchStrategy::Auto),
-            ],
-            StrategyFilter::Sequential => vec![sequential],
-            StrategyFilter::Fused => {
-                vec![sequential, ("fused".to_string(), BatchStrategy::Fused)]
-            }
-            StrategyFilter::FusedParallel => vec![
-                sequential,
-                (
-                    format!("fused-parallel/{shards}"),
-                    BatchStrategy::FusedParallel { shards },
-                ),
-            ],
-        }
-    }
-}
-
-/// Which transports the `service` experiment's transport table measures
-/// (the `reproduce --transport` flag).
-///
-/// The default, [`TransportFilter::Both`], runs in-process submission and
-/// loopback TCP at the same offered load so the table shows what the wire
-/// costs; a single value narrows the table for focused runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportFilter {
-    /// In-process and loopback-TCP rows at each load point.
-    #[default]
-    Both,
-    /// In-process submission only.
-    InProcess,
-    /// Loopback TCP only.
-    Tcp,
-}
-
-impl TransportFilter {
-    /// Whether the in-process rows run under this filter.
-    pub fn includes_in_process(self) -> bool {
-        matches!(self, TransportFilter::Both | TransportFilter::InProcess)
-    }
-
-    /// Whether the loopback-TCP rows run under this filter.
-    pub fn includes_tcp(self) -> bool {
-        matches!(self, TransportFilter::Both | TransportFilter::Tcp)
-    }
-}
-
-impl std::str::FromStr for TransportFilter {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "both" => Ok(TransportFilter::Both),
-            "in-process" => Ok(TransportFilter::InProcess),
-            "tcp" => Ok(TransportFilter::Tcp),
-            other => Err(format!(
-                "unknown transport '{other}' (expected both | in-process | tcp)"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for StrategyFilter {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(StrategyFilter::Auto),
-            "sequential" => Ok(StrategyFilter::Sequential),
-            "fused" => Ok(StrategyFilter::Fused),
-            "fused-parallel" => Ok(StrategyFilter::FusedParallel),
-            other => Err(format!(
-                "unknown strategy '{other}' (expected auto | sequential | fused | fused-parallel)"
-            )),
-        }
-    }
-}
 
 /// Global knobs of an experiment run. The defaults are laptop-scale
 /// stand-ins for the paper's server-scale parameters (Table 2); the
@@ -150,16 +38,6 @@ pub struct ExperimentContext {
     /// Shard count used by the batch experiment's `FusedParallel` rows
     /// (the `reproduce --shards N` flag).
     pub batch_shards: usize,
-    /// Whether experiments may write machine-readable artifacts
-    /// (`BENCH_batch.json`) into the working directory. Test contexts turn
-    /// this off so tiny smoke runs never clobber the committed artifacts.
-    pub emit_artifacts: bool,
-    /// Which batch strategies the batch experiment compares (the
-    /// `reproduce --strategy` flag).
-    pub strategy: StrategyFilter,
-    /// Which transports the service experiment's transport table compares
-    /// (the `reproduce --transport` flag).
-    pub transport: TransportFilter,
 }
 
 impl Default for ExperimentContext {
@@ -172,15 +50,13 @@ impl Default for ExperimentContext {
             leaf_capacity: 256,
             seed: 7,
             batch_shards: 4,
-            emit_artifacts: true,
-            strategy: StrategyFilter::Auto,
-            transport: TransportFilter::Both,
         }
     }
 }
 
 impl ExperimentContext {
-    /// A very small context used by unit and integration tests.
+    /// A very small context used by unit and integration tests and by
+    /// `reproduce --smoke`.
     pub fn smoke_test() -> Self {
         Self {
             dataset_size: 4_000,
@@ -190,17 +66,7 @@ impl ExperimentContext {
             leaf_capacity: 64,
             seed: 7,
             batch_shards: 4,
-            emit_artifacts: false,
-            strategy: StrategyFilter::Auto,
-            transport: TransportFilter::Both,
         }
-    }
-
-    /// The context of a `reproduce --smoke` run: the tiny test scale with
-    /// artifact emission off, so CI smoke jobs exercise every assert without
-    /// clobbering the committed artifacts.
-    pub fn smoke_run() -> Self {
-        Self::smoke_test()
     }
 
     /// The dataset-size sweep of Figures 8 and 10 and Tables 3 and 5,
@@ -387,26 +253,6 @@ mod tests {
         let all = select(&["all".to_string()]);
         assert_eq!(all.len(), registry.len());
         assert!(select(&["nonsense".to_string()]).is_empty());
-    }
-
-    #[test]
-    fn strategy_filters_parse_and_expand() {
-        assert_eq!("auto".parse::<StrategyFilter>(), Ok(StrategyFilter::Auto));
-        assert_eq!(
-            "fused-parallel".parse::<StrategyFilter>(),
-            Ok(StrategyFilter::FusedParallel)
-        );
-        assert!("nonsense".parse::<StrategyFilter>().is_err());
-
-        let full = StrategyFilter::Auto.comparison(4);
-        assert_eq!(full.len(), 4);
-        assert_eq!(full[0].0, "sequential");
-        assert_eq!(full[2].0, "fused-parallel/4");
-        assert_eq!(full[3].1, BatchStrategy::Auto);
-        let fixed = StrategyFilter::Fused.comparison(4);
-        assert_eq!(fixed.len(), 2);
-        assert_eq!(fixed[1].1, BatchStrategy::Fused);
-        assert_eq!(StrategyFilter::Sequential.comparison(4).len(), 1);
     }
 
     #[test]

@@ -14,17 +14,21 @@
 //! Closed-loop timings of the whole query path, layer by layer, come from
 //! the standalone `wazi-perf` benchmark at the repository root.
 //!
-//! Beyond the paper, the `batch` experiment compares sequential, fused and
-//! parallel-fused batch execution across all seven overview indexes and
-//! emits the machine-readable `BENCH_batch.json` artifact at the
-//! repository root (`reproduce batch [--shards N]`); it hard-asserts the
-//! engine's fusion contract — identical results, never more pages or
-//! bounding-box checks than sequential — so CI fails on any divergence.
-//! The `service` experiment drives the `wazi-service` concurrent query
-//! service with open-loop arrival schedules and emits `BENCH_service.json`
-//! (`reproduce service`); it hard-asserts that every routed response is
-//! bit-identical to solo execution and that adaptive micro-batching beats
-//! per-query dispatch at saturating offered load.
+//! Beyond the paper, the `batch` experiment compares sequential, fused,
+//! parallel-fused and cost-based Auto batch execution across all seven
+//! overview indexes; it hard-asserts the engine's fusion contract —
+//! identical results, never more pages or bounding-box checks than
+//! sequential — so CI fails on any divergence. The `service` experiment
+//! drives the `wazi-service` concurrent query service, in-process and over
+//! loopback TCP, from one open-loop replay driver; it hard-asserts that
+//! every routed response is bit-identical to solo execution and that
+//! adaptive micro-batching beats per-query dispatch at saturating offered
+//! load.
+//!
+//! Experiments only return reports. The committed artifacts at the
+//! repository root are regenerated with `reproduce <exp> --json
+//! BENCH_<exp>.json` (`batch`, `calibrate`, `service`); no run writes a file
+//! unless asked.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +38,6 @@ pub mod measure;
 pub mod report;
 pub mod suite;
 
-pub use experiments::{
-    registry, select, ExperimentContext, ExperimentSpec, StrategyFilter, TransportFilter,
-};
+pub use experiments::{registry, select, ExperimentContext, ExperimentSpec};
 pub use report::Report;
 pub use suite::{build_index, build_versioned_index, BuiltIndex, IndexKind};

@@ -27,8 +27,9 @@
 //!   changes transport, never answers;
 //! * [`mod@bench`] — the experiment harness reproducing every table and
 //!   figure, including the `batch` experiment comparing sequential vs fused
-//!   batch execution (`BENCH_batch.json`) and the `service` experiment
-//!   measuring the service under offered load (`BENCH_service.json`).
+//!   batch execution and the `service` experiment measuring the service
+//!   under offered load; `reproduce <exp> --json BENCH_<exp>.json`
+//!   regenerates the committed artifacts, and no run writes unless asked.
 //!
 //! Entry points for humans: the repository README for the quickstart and
 //! pointer map, `docs/ENGINE.md` for the batch-execution pipeline guide,

@@ -3,7 +3,7 @@
 //! the test that guards the `reproduce` binary's coverage of every table and
 //! figure in the paper.
 
-use wazi_bench::{registry, ExperimentContext, StrategyFilter, TransportFilter};
+use wazi_bench::{registry, ExperimentContext};
 
 #[test]
 fn every_registered_experiment_runs_and_produces_rows() {
@@ -12,14 +12,7 @@ fn every_registered_experiment_runs_and_produces_rows() {
         workload_size: 40,
         training_size: 40,
         point_queries: 100,
-        leaf_capacity: 64,
-        seed: 7,
-        batch_shards: 4,
-        strategy: StrategyFilter::Auto,
-        transport: TransportFilter::Both,
-        // Smoke runs must never overwrite the committed BENCH_batch.json
-        // (it is regenerated at full scale by `reproduce batch`).
-        emit_artifacts: false,
+        ..ExperimentContext::smoke_test()
     };
     for spec in registry() {
         let reports = (spec.run)(&ctx);

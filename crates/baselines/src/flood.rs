@@ -11,8 +11,8 @@
 
 use wazi_core::{
     BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds, SpatialIndex,
-    SweepInterval,
+    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
+    SpatialIndex, SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -390,10 +390,16 @@ impl RangeBatchKernel for FloodIndex {
         response
     }
 
-    /// Points per column, in grid order: the scan-work weights the engine's
-    /// work-weighted shard planner balances.
-    fn address_counts(&self) -> Option<Vec<u64>> {
-        Some(self.columns.iter().map(|c| c.len() as u64).collect())
+    /// Every column of a request's interval checked and fetched, with all
+    /// its points: an upper bound on the y-runs the sweep actually scans.
+    fn footprint(
+        &self,
+        _requests: &[RangeBatchRequest],
+        projection: &BatchProjection,
+    ) -> RangeBatchStats {
+        RangeBatchStats::whole_intervals(&projection.intervals, |column| {
+            self.columns[column as usize].len() as u64
+        })
     }
 }
 

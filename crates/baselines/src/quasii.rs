@@ -14,8 +14,8 @@
 
 use wazi_core::{
     BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds, SpatialIndex,
-    SweepInterval,
+    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
+    SpatialIndex, SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -487,15 +487,21 @@ impl RangeBatchKernel for Quasii {
         response
     }
 
-    /// Points per x-slice, in slice order: the scan-work weights the
-    /// engine's work-weighted shard planner balances.
-    fn address_counts(&self) -> Option<Vec<u64>> {
-        Some(
-            self.slices
+    /// Every slice of a request's interval checked and fetched, with all
+    /// its pieces' points: an upper bound on the pieces the sweep actually
+    /// scans.
+    fn footprint(
+        &self,
+        _requests: &[RangeBatchRequest],
+        projection: &BatchProjection,
+    ) -> RangeBatchStats {
+        RangeBatchStats::whole_intervals(&projection.intervals, |slice| {
+            self.slices[slice as usize]
+                .pieces
                 .iter()
-                .map(|s| s.pieces.iter().map(|p| p.points.len() as u64).sum())
-                .collect(),
-        )
+                .map(|piece| piece.points.len() as u64)
+                .sum()
+        })
     }
 }
 

@@ -10,7 +10,7 @@
 
 use wazi_core::{
     BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, RangeBatchResponse, ShardBounds, SweepInterval,
+    RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds, SweepInterval,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageId, PageStore};
@@ -361,6 +361,35 @@ impl PackedRTree {
         }
         None
     }
+
+    /// One uncharged pruning descent over a whole batch: every node is
+    /// reached once, with the requests whose solo walk reaches it (the
+    /// root with all of them, a child with those overlapping its bounding
+    /// box). `on_node` sees each reached node and its active requests.
+    fn batch_descent(
+        &self,
+        requests: &[RangeBatchRequest],
+        mut on_node: impl FnMut(&RNode, &[usize]),
+    ) {
+        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
+        while let Some((index, active)) = stack.pop() {
+            let node = &self.nodes[index as usize];
+            on_node(node, &active);
+            if let RNode::Internal { children, .. } = node {
+                for &child in children {
+                    let child_mbr = self.nodes[child as usize].mbr();
+                    let child_active: Vec<usize> = active
+                        .iter()
+                        .copied()
+                        .filter(|&qi| child_mbr.overlaps(&requests[qi].rect))
+                        .collect();
+                    if !child_active.is_empty() {
+                        stack.push((child, child_active));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The packed R-tree's fused range kernel: the sweep address space is the
@@ -378,31 +407,15 @@ impl RangeBatchKernel for PackedRTree {
     fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
         let start = std::time::Instant::now();
         let mut hulls: Vec<Option<(u32, u32)>> = vec![None; requests.len()];
-        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
-        while let Some((index, active)) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    for &child in children {
-                        let child_mbr = self.nodes[child as usize].mbr();
-                        let child_active: Vec<usize> = active
-                            .iter()
-                            .copied()
-                            .filter(|&qi| child_mbr.overlaps(&requests[qi].rect))
-                            .collect();
-                        if !child_active.is_empty() {
-                            stack.push((child, child_active));
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => {
-                    for &qi in &active {
-                        let hull = hulls[qi].get_or_insert((page.0, page.0));
-                        hull.0 = hull.0.min(page.0);
-                        hull.1 = hull.1.max(page.0);
-                    }
+        self.batch_descent(requests, |node, active| {
+            if let RNode::Leaf { page, .. } = node {
+                for &qi in active {
+                    let hull = hulls[qi].get_or_insert((page.0, page.0));
+                    hull.0 = hull.0.min(page.0);
+                    hull.1 = hull.1.max(page.0);
                 }
             }
-        }
+        });
         BatchProjection {
             intervals: hulls
                 .into_iter()
@@ -497,10 +510,41 @@ impl RangeBatchKernel for PackedRTree {
         response
     }
 
-    /// Points per clustered page, in allocation order: the scan-work
-    /// weights the engine's work-weighted shard planner balances.
-    fn address_counts(&self) -> Option<Vec<u64>> {
-        Some(self.store.pages().map(|p| p.len() as u64).collect())
+    /// Exact: the same uncharged descent as [`RangeBatchKernel::project_batch`]
+    /// reaches exactly the nodes each solo walk reaches. A reached internal
+    /// node costs each of its active requests one check per child, and a
+    /// reached leaf one visit of its page — once per batch to a fused
+    /// sweep.
+    fn footprint(
+        &self,
+        requests: &[RangeBatchRequest],
+        _projection: &BatchProjection,
+    ) -> RangeBatchStats {
+        let mut stats = RangeBatchStats {
+            per_request: vec![0; requests.len()],
+            ..RangeBatchStats::default()
+        };
+        self.batch_descent(requests, |node, active| {
+            let walkers = active.len() as u64;
+            let work = match node {
+                RNode::Internal { children, .. } => {
+                    let checks = children.len() as u64;
+                    stats.checks += checks * walkers;
+                    checks
+                }
+                RNode::Leaf { page, .. } => {
+                    let points = self.store.page(*page).len() as u64;
+                    stats.page_visits += walkers;
+                    stats.distinct_pages += 1;
+                    stats.points += points * walkers;
+                    points
+                }
+            };
+            for &qi in active {
+                stats.per_request[qi] += work;
+            }
+        });
+        stats
     }
 }
 

@@ -223,9 +223,9 @@ impl SpatialIndex for ZOrderSorted {
 /// bit-identical for every shard count by the same argument as the other
 /// kernels: each walk *is* the solo sequential walk.
 ///
-/// No [`RangeBatchKernel::address_counts`] override is needed: one address
-/// holds exactly one point, so the coverage planner's unit weights already
-/// measure scan work exactly.
+/// The footprint is the trait's default, the estimate from the intervals
+/// alone: one address holds exactly one point, so unit weights already
+/// measure the interval's scan work, and the BIGMIN jumps only shorten it.
 impl RangeBatchKernel for ZOrderSorted {
     fn cost_class(&self) -> KernelClass {
         KernelClass::FlatArray

@@ -499,8 +499,8 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     );
     scattered.push_note(format!(
         "{SCATTERED_BATCH} tiny counting queries stratified over a jittered grid \
-         (generate_scattered_batch) at selectivity {:.4}%: coverage ≈ union of covered \
-         addresses, so a fused sweep has almost no shared fetches to amortize its \
+         (generate_scattered_batch) at selectivity {:.4}%: page visits ≈ distinct \
+         pages, so a fused sweep has almost no shared fetches to amortize its \
          setup against. Asserted: identical results across strategies, the auto row \
          within 10% (+slack) of the best fixed strategy, and Zpgm's range decision \
          never the plain fused sweep (sequential on a single-core host)",

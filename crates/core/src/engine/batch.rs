@@ -27,11 +27,21 @@
 //! grid, for the packed R-trees (STR/CUR) the clustered page list, for
 //! QUASII the cracked x-slice list, and for the sorted Z-order array the
 //! entry array.
+//!
+//! A third, optional phase reports the batch's walk footprint
+//! ([`RangeBatchKernel::footprint`]): the checks, page visits, distinct
+//! pages and points the requests' sequential walks would charge, and one
+//! work weight per request. The cost model prices it and the shard planner
+//! cuts the sorted entry addresses by its weights. The interval alone
+//! overstates a walk that skips (§5), so the Z-index and the packed R-trees
+//! walk the batch exactly, without touching a page.
+
+use std::sync::OnceLock;
 
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
-use super::cost::KernelClass;
+use super::cost::{KernelClass, RangeBatchStats};
 
 /// One range request of a fused batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,11 +167,10 @@ impl BatchProjection {
 /// index).
 ///
 /// [`run_range_batch`] drives the protocol: one [`project_batch`] call, a
-/// shard plan over the projected intervals (work-weighted when the kernel
-/// exposes [`address_counts`], coverage-weighted otherwise), one
-/// [`sweep_shard`] call per shard, and a deterministic merge. A plain fused
-/// sweep is the one-shard plan: the hull of the projected intervals, swept
-/// on the calling thread.
+/// shard plan over the projected entry addresses (weighted by the
+/// [`footprint`]'s per-request work), one [`sweep_shard`] call per shard,
+/// and a deterministic merge. A plain fused sweep is the one-shard plan:
+/// the hull of the projected intervals, swept on the calling thread.
 ///
 /// # Contract
 ///
@@ -177,7 +186,7 @@ impl BatchProjection {
 ///
 /// [`project_batch`]: RangeBatchKernel::project_batch
 /// [`sweep_shard`]: RangeBatchKernel::sweep_shard
-/// [`address_counts`]: RangeBatchKernel::address_counts
+/// [`footprint`]: RangeBatchKernel::footprint
 pub trait RangeBatchKernel: Sync {
     /// Maps every request onto the sweep address space, charging the
     /// projection work per request. Called once per batch, before any
@@ -195,15 +204,23 @@ pub trait RangeBatchKernel: Sync {
         bounds: ShardBounds,
     ) -> RangeBatchResponse;
 
-    /// Per-address point counts over the sweep address space (points per
-    /// leaf for the Z-index, per column for Flood), consumed by the
-    /// work-weighted shard planner and the cost model: shards then balance
-    /// estimated *scan* work, not just interval coverage. The default
-    /// advertises nothing and the planner falls back to coverage weights.
-    /// Never asked for by a one-shard run, whose plan is the hull whatever
-    /// the counts.
-    fn address_counts(&self) -> Option<Vec<u64>> {
-        None
+    /// What the requests' sequential walks would charge, computed without
+    /// charging anything: bounding-box checks, page visits, distinct pages,
+    /// points on the visited pages, and one work weight per request. The
+    /// cost model prices it under [`crate::BatchStrategy::Auto`] and the
+    /// shard planner cuts by its weights. Never asked for by a one-shard
+    /// run, whose plan is the hull whatever the weights.
+    ///
+    /// The default is the estimate from the intervals alone: every address
+    /// of every interval checked, fetched and holding one point
+    /// ([`RangeBatchStats::whole_intervals`]). Kernels that can walk a
+    /// batch without running it override it.
+    fn footprint(
+        &self,
+        _requests: &[RangeBatchRequest],
+        projection: &BatchProjection,
+    ) -> RangeBatchStats {
+        RangeBatchStats::whole_intervals(&projection.intervals, |_| 1)
     }
 
     /// The kernel's physical profile, consumed by the engine's cost model
@@ -218,7 +235,7 @@ pub trait RangeBatchKernel: Sync {
 }
 
 /// The hull `[lo, hi]` of a non-empty interval slice.
-fn interval_hull(intervals: &[SweepInterval]) -> Option<(u32, u32)> {
+pub(crate) fn interval_hull(intervals: &[SweepInterval]) -> Option<(u32, u32)> {
     let first = intervals.first()?;
     let mut lo = first.lo;
     let mut hi = first.hi;
@@ -229,37 +246,71 @@ fn interval_hull(intervals: &[SweepInterval]) -> Option<(u32, u32)> {
     Some((lo, hi))
 }
 
-/// Cuts the hull `[lo, lo + weights.len())` into up to `shards` contiguous
-/// bounds so each carries roughly its fair share of the weight. Every
-/// weight must be at least one, so zero-work gaps still advance the cuts
-/// and no shard degenerates to zero width.
+/// Plans up to `shards` disjoint, contiguous, work-balanced shard bounds
+/// covering the hull of the projected intervals. Returns the hull itself
+/// for one shard (without reading `weights`), an empty plan for an empty
+/// batch, and never more shards than distinct entry addresses.
 ///
-/// The cut decision looks one address ahead: a shard closes *before* an
-/// address whose weight would overshoot the fair share of the remaining
-/// work by more than stopping short undershoots it — so a single heavy
-/// address (a stack of walks entering one leaf) lands in the shard where it
-/// balances best instead of always being dragged into the current one.
-fn cut_balanced(lo: u32, weights: &[i64], shards: usize) -> Vec<ShardBounds> {
-    let span = weights.len();
+/// `weights` holds one work weight per request
+/// ([`RangeBatchStats::per_request`]). Under owner-based sharding a
+/// request's *whole* walk executes in the shard containing its entry
+/// address, so each entry address carries the summed weight of the walks
+/// starting there (at least one per walk). Cuts fall between entry
+/// addresses so that each shard carries roughly its fair share — a shard
+/// owning few but heavy walks ends up as narrow as one owning many light
+/// ones. `O(n log n)` for `n` requests, whatever the span.
+///
+/// The cut decision looks one entry ahead: a shard closes *before* an entry
+/// whose weight would overshoot the fair share of the remaining work by
+/// more than stopping short undershoots it — so a single heavy entry (a
+/// stack of walks entering one leaf) lands in the shard where it balances
+/// best instead of always being dragged into the current one.
+pub(crate) fn plan_shard_bounds(
+    intervals: &[SweepInterval],
+    weights: &[u64],
+    shards: usize,
+) -> Vec<ShardBounds> {
+    let Some((lo, hi)) = interval_hull(intervals) else {
+        return Vec::new();
+    };
+    let hull = ShardBounds {
+        start: lo,
+        end: hi + 1,
+    };
+    if shards <= 1 {
+        return vec![hull];
+    }
+    debug_assert_eq!(weights.len(), intervals.len());
+    let mut entries: Vec<(u32, i64)> = intervals
+        .iter()
+        .zip(weights)
+        .map(|(interval, &weight)| (interval.lo, weight.max(1) as i64))
+        .collect();
+    entries.sort_unstable_by_key(|&(entry, _)| entry);
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    let shards = shards.min(entries.len());
     let mut bounds = Vec::with_capacity(shards);
-    let mut start = 0usize;
+    let mut start = hull.start;
     let mut carried = 0i64;
-    let mut remaining: i64 = weights.iter().sum();
-    for (position, &weight) in weights.iter().enumerate() {
+    let mut remaining: i64 = entries.iter().map(|&(_, weight)| weight).sum();
+    for (position, &(entry, weight)) in entries.iter().enumerate() {
         let shards_left = shards - bounds.len();
-        // Cutting before this address must leave one address for each of
-        // the remaining shards.
-        let room_left = span - position >= shards_left - 1;
+        // Cutting before this entry must leave one entry for each of the
+        // remaining shards.
+        let room_left = entries.len() - position >= shards_left - 1;
         if shards_left > 1 && carried > 0 && room_left {
             let target = (carried + remaining) / shards_left as i64;
             let overshoot = carried + weight - target;
             let undershoot = target - carried;
             if overshoot > 0 && overshoot > undershoot {
-                bounds.push(ShardBounds {
-                    start: lo + start as u32,
-                    end: lo + position as u32,
-                });
-                start = position;
+                bounds.push(ShardBounds { start, end: entry });
+                start = entry;
                 carried = 0;
             }
         }
@@ -267,128 +318,56 @@ fn cut_balanced(lo: u32, weights: &[i64], shards: usize) -> Vec<ShardBounds> {
         remaining -= weight;
     }
     bounds.push(ShardBounds {
-        start: lo + start as u32,
-        end: lo + span as u32,
+        start,
+        end: hull.end,
     });
     debug_assert!(bounds.len() <= shards);
     bounds
 }
 
-/// Plans up to `shards` disjoint, contiguous, work-balanced shard bounds
-/// covering the hull of the projected intervals. Returns fewer bounds than
-/// requested when the hull has fewer addresses than shards, the hull itself
-/// for one shard (whatever the counts), and an empty plan for an empty
-/// batch.
-///
-/// With per-address point `counts` ([`RangeBatchKernel::address_counts`])
-/// the plan is **work-weighted**. Under owner-based sharding a request's
-/// *whole* walk executes in the shard containing its entry address, so each
-/// entry address is charged the estimated cost of the walks starting there:
-/// one bounding-box check per covered address plus one point comparison per
-/// point stored under the interval (from a prefix sum over `counts`, so
-/// planning stays linear in requests plus addresses; addresses beyond
-/// `counts` weigh zero points). Cuts then equalize estimated *scan* work —
-/// a shard owning few but point-heavy intervals ends up as narrow as one
-/// owning many light intervals.
-///
-/// Without counts, work is estimated as interval **coverage**: every
-/// (request, address) pair with the address inside the request's interval
-/// counts one unit, which can only equalize check work but still balances
-/// overlapping batches far better than equal-width cuts (hot spans where
-/// many intervals stack are split, cold spans are merged).
-pub(crate) fn plan_shard_bounds(
-    intervals: &[SweepInterval],
-    shards: usize,
-    counts: Option<&[u64]>,
-) -> Vec<ShardBounds> {
-    let Some((lo, hi)) = interval_hull(intervals) else {
-        return Vec::new();
-    };
-    let span = (hi - lo + 1) as usize;
-    let shards = shards.clamp(1, span);
-    if shards == 1 {
-        return vec![ShardBounds {
-            start: lo,
-            end: hi + 1,
-        }];
-    }
-    let mut weights = vec![0i64; span];
-    match counts {
-        Some(counts) => {
-            // Prefix sums of the point counts over the hull: points(a..=b)
-            // = prefix[b + 1] - prefix[a], with addresses relative to `lo`.
-            let mut prefix = Vec::with_capacity(span + 1);
-            prefix.push(0u64);
-            for offset in 0..span {
-                let count = counts.get(lo as usize + offset).copied().unwrap_or(0);
-                prefix.push(prefix[offset] + count);
-            }
-            for interval in intervals {
-                let enter = (interval.lo - lo) as usize;
-                let exit = (interval.hi - lo) as usize;
-                let checks = (exit - enter + 1) as i64;
-                let scans = (prefix[exit + 1] - prefix[enter]) as i64;
-                weights[enter] += checks + scans;
-            }
-        }
-        None => {
-            // Coverage histogram over the hull via a difference array.
-            let mut diff = vec![0i64; span + 1];
-            for interval in intervals {
-                diff[(interval.lo - lo) as usize] += 1;
-                diff[(interval.hi - lo) as usize + 1] -= 1;
-            }
-            let mut coverage = 0i64;
-            for (weight, d) in weights.iter_mut().zip(&diff) {
-                coverage += d;
-                *weight = coverage;
-            }
-        }
-    }
-    for weight in &mut weights {
-        *weight = (*weight).max(1);
-    }
-    cut_balanced(lo, &weights, shards)
-}
-
 /// Worker threads the host can usefully run
-/// ([`std::thread::available_parallelism`], one when unknown). Feeds both
-/// the oversubscription guard of the threaded sweep and the cost model's
-/// parallel-candidate gate — on a single-core host the model never picks
+/// ([`std::thread::available_parallelism`], one when unknown), read once
+/// per process: the query reads cgroup files, which costs microseconds per
+/// call. Feeds the oversubscription guards of the threaded range sweep and
+/// point partition and the cost model's parallel-candidate gate — on a
+/// single-core host the model never picks
 /// [`crate::BatchStrategy::FusedParallel`].
 pub(crate) fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs a whole range batch through `kernel`: project once, plan up to
 /// `shards` work-balanced shard bounds over the batch's sweep span, sweep
 /// them, and merge the partial responses deterministically in shard order.
 /// Returns the merged response and the number of shards actually swept (the
-/// planner produces fewer than requested on narrow spans).
+/// planner produces fewer than requested when the requests enter at fewer
+/// distinct addresses).
 ///
 /// With `shards <= 1` this is the plain fused sweep: the plan is the hull of
 /// the projected intervals, swept on the calling thread, and the kernel's
-/// [`RangeBatchKernel::address_counts`] are never asked for. Every shard
-/// count yields bit-identical outputs and per-request counters; only shared
-/// page visits may rise with the shard count, bounded by once per shard.
+/// [`RangeBatchKernel::footprint`] is never asked for. Every shard count
+/// yields bit-identical outputs and per-request counters; only shared page
+/// visits may rise with the shard count, bounded by once per shard.
 pub fn run_range_batch(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
     let projection = kernel.project_batch(requests);
-    let counts = if shards > 1 {
-        kernel.address_counts()
+    let weights = if shards > 1 {
+        kernel.footprint(requests, &projection).per_request
     } else {
-        None
+        Vec::new()
     };
-    run_projected_batch(kernel, requests, projection, counts.as_deref(), shards)
+    run_projected_batch(kernel, requests, projection, &weights, shards)
 }
 
 /// [`run_range_batch`] with the projection phase already done — the entry
-/// point the Auto strategy uses so the projection (and address counts) that
-/// fed the cost model are reused by the execution it chose, never
-/// recomputed.
+/// point the Auto strategy uses so the projection and footprint that fed
+/// the cost model are reused by the execution it chose, never recomputed.
+/// `weights` are the footprint's per-request weights, read only when
+/// `shards > 1`.
 ///
 /// Oversubscription guard: spawned workers are capped at the host's
 /// [`available_workers`] — extra threads for CPU-bound sweeps can only add
@@ -402,11 +381,11 @@ pub(crate) fn run_projected_batch(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
     projection: BatchProjection,
-    counts: Option<&[u64]>,
+    weights: &[u64],
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
     debug_assert_eq!(projection.intervals.len(), requests.len());
-    let plan = plan_shard_bounds(&projection.intervals, shards, counts);
+    let plan = plan_shard_bounds(&projection.intervals, weights, shards);
     let workers = available_workers().min(plan.len());
     let merged = if workers <= 1 {
         let sweeps = plan
@@ -505,14 +484,20 @@ mod tests {
         SweepInterval { lo, hi }
     }
 
+    /// The whole-interval weights of `intervals` at `points` points per
+    /// address: what the default footprint hands the planner.
+    fn weights(intervals: &[SweepInterval], points: u64) -> Vec<u64> {
+        RangeBatchStats::whole_intervals(intervals, |_| points).per_request
+    }
+
     #[test]
     fn empty_batch_has_no_shards() {
-        assert!(plan_shard_bounds(&[], 4, None).is_empty());
+        assert!(plan_shard_bounds(&[], &[], 4).is_empty());
     }
 
     #[test]
     fn single_shard_covers_the_hull() {
-        let plan = plan_shard_bounds(&[interval(3, 9), interval(5, 20)], 1, None);
+        let plan = plan_shard_bounds(&[interval(3, 9), interval(5, 20)], &[], 1);
         assert_eq!(plan, vec![ShardBounds { start: 3, end: 21 }]);
     }
 
@@ -525,7 +510,7 @@ mod tests {
             interval(25, 63),
         ];
         for shards in [2, 3, 4, 8] {
-            let plan = plan_shard_bounds(&intervals, shards, None);
+            let plan = plan_shard_bounds(&intervals, &weights(&intervals, 1), shards);
             assert!(!plan.is_empty() && plan.len() <= shards);
             assert_eq!(plan.first().unwrap().start, 0);
             assert_eq!(plan.last().unwrap().end, 64);
@@ -538,8 +523,13 @@ mod tests {
 
     #[test]
     fn shards_clamp_to_the_span() {
-        let plan = plan_shard_bounds(&[interval(7, 9)], 16, None);
-        assert!(plan.len() <= 3, "3-address span cannot feed 16 shards");
+        // One entry address cannot feed more than one shard, however wide
+        // the hull.
+        let plan = plan_shard_bounds(&[interval(7, 9)], &[3], 16);
+        assert_eq!(plan, vec![ShardBounds { start: 7, end: 10 }]);
+        let intervals = [interval(7, 7), interval(8, 8), interval(9, 9)];
+        let plan = plan_shard_bounds(&intervals, &[1, 1, 1], 16);
+        assert_eq!(plan.len(), 3, "three entries feed at most three shards");
         assert_eq!(plan.first().unwrap().start, 7);
         assert_eq!(plan.last().unwrap().end, 10);
     }
@@ -550,7 +540,7 @@ mod tests {
         // a work-balanced 2-shard plan cuts well before the midpoint 50.
         let mut intervals = vec![interval(10, 99)];
         intervals.extend((0..10).map(|_| interval(0, 9)));
-        let plan = plan_shard_bounds(&intervals, 2, None);
+        let plan = plan_shard_bounds(&intervals, &weights(&intervals, 1), 2);
         assert_eq!(plan.len(), 2);
         assert!(
             plan[0].end <= 30,
@@ -561,26 +551,26 @@ mod tests {
 
     #[test]
     fn weighted_cuts_follow_point_counts() {
-        // Sixteen single-address intervals over [0, 15]; the first four
-        // addresses hold almost all the points. A work-weighted 2-shard
-        // plan cuts right after the heavy prefix, where a coverage plan
-        // (uniform: one interval per address) cuts at the midpoint.
+        // Sixteen single-address intervals over [0, 15]; the walks entering
+        // the first four addresses carry almost all the points. A
+        // work-weighted 2-shard plan cuts right after the heavy prefix,
+        // where uniform weights cut at the midpoint.
         let intervals: Vec<SweepInterval> = (0..16).map(|a| interval(a, a)).collect();
-        let mut counts = vec![1u64; 16];
-        for count in counts.iter_mut().take(4) {
-            *count = 1_000;
+        let mut heavy = vec![2u64; 16];
+        for weight in heavy.iter_mut().take(4) {
+            *weight = 1_001;
         }
-        let weighted = plan_shard_bounds(&intervals, 2, Some(&counts));
+        let weighted = plan_shard_bounds(&intervals, &heavy, 2);
         assert_eq!(weighted.len(), 2);
         assert!(
             weighted[0].end <= 5,
             "weighted cut at {} ignores the heavy prefix",
             weighted[0].end
         );
-        let coverage = plan_shard_bounds(&intervals, 2, None);
-        assert_eq!(coverage[0].end, 8, "uniform coverage cuts at the midpoint");
-        // Both planners partition the hull without gaps.
-        for plan in [&weighted, &coverage] {
+        let uniform = plan_shard_bounds(&intervals, &weights(&intervals, 1), 2);
+        assert_eq!(uniform[0].end, 8, "uniform weights cut at the midpoint");
+        // Both plans partition the hull without gaps.
+        for plan in [&weighted, &uniform] {
             assert_eq!(plan.first().unwrap().start, 0);
             assert_eq!(plan.last().unwrap().end, 16);
             for pair in plan.windows(2) {
@@ -598,8 +588,7 @@ mod tests {
         // interval covers everything.
         let mut intervals = vec![interval(0, 15)];
         intervals.extend((0..10).map(|_| interval(12, 15)));
-        let counts = vec![10u64; 16];
-        let plan = plan_shard_bounds(&intervals, 2, Some(&counts));
+        let plan = plan_shard_bounds(&intervals, &weights(&intervals, 10), 2);
         assert_eq!(plan.len(), 2);
         assert!(
             plan[0].end <= 12,
@@ -610,14 +599,20 @@ mod tests {
 
     #[test]
     fn weighted_planner_handles_degenerate_inputs() {
-        assert!(plan_shard_bounds(&[], 4, Some(&[1, 2, 3])).is_empty());
-        // Counts shorter than the hull weigh the tail as zero points.
-        let plan = plan_shard_bounds(&[interval(0, 9)], 4, Some(&[5]));
-        assert_eq!(plan.first().unwrap().start, 0);
-        assert_eq!(plan.last().unwrap().end, 10);
-        // One shard returns the hull whatever the counts.
+        assert!(plan_shard_bounds(&[], &[], 4).is_empty());
+        // Zero weights still count one per walk, so the cuts advance.
+        let intervals = [interval(0, 4), interval(5, 9)];
+        let plan = plan_shard_bounds(&intervals, &[0, 0], 4);
         assert_eq!(
-            plan_shard_bounds(&[interval(3, 9)], 1, Some(&[])),
+            plan,
+            vec![
+                ShardBounds { start: 0, end: 5 },
+                ShardBounds { start: 5, end: 10 }
+            ]
+        );
+        // One shard returns the hull without reading the weights.
+        assert_eq!(
+            plan_shard_bounds(&[interval(3, 9)], &[], 1),
             vec![ShardBounds { start: 3, end: 10 }]
         );
     }

@@ -2,12 +2,19 @@
 //!
 //! The paper's thesis is that a cost-aware index adapts its *layout* to the
 //! workload; this module applies the same discipline one level up and adapts
-//! the *execution strategy* to the batch. The engine computes cheap
-//! statistics the kernel's projection phase already produces — batch size,
-//! interval overlap mass, estimated sweep work from
-//! [`RangeBatchKernel::address_counts`], available parallelism — and
-//! feeds them into a calibrated per-kernel-class cost model that picks
-//! Sequential vs Fused vs FusedParallel (and the shard count) per partition.
+//! the *execution strategy* to the batch. The engine asks the kernel for the
+//! batch's walk footprint ([`RangeBatchKernel::footprint`]): the
+//! bounding-box checks, page visits, distinct pages and points the batch's
+//! sequential walks would charge. With the host's parallelism it feeds a
+//! calibrated per-kernel-class cost model that picks Sequential vs Fused vs
+//! FusedParallel (and the shard count) per partition.
+//!
+//! The footprint is the walk, not the Z-interval. A WaZI range query scans
+//! only the leaves whose boxes it overlaps; look-ahead pointers (§5) jump it
+//! over the rest of `[leaf(BL), leaf(TR)]`. Pricing every address of the
+//! interval as a fetch and every point under it as a comparison overstated
+//! a scattered batch's sequential cost by an order of magnitude, and made
+//! the model spawn threads for batches one thread finishes sooner.
 //!
 //! The model never changes answers — every strategy is output- and
 //! counter-equivalent by the kernel contract — so a misprediction costs
@@ -16,8 +23,7 @@
 //! `reproduce calibrate` experiment, which re-measures every constant and
 //! asserts the baked values have not rotted.
 //!
-//! [`RangeBatchKernel::address_counts`]:
-//! super::RangeBatchKernel::address_counts
+//! [`RangeBatchKernel::footprint`]: super::RangeBatchKernel::footprint
 
 use super::SweepInterval;
 
@@ -127,101 +133,67 @@ impl CalibrationTable {
     }
 }
 
-/// Cheap statistics of one projected range batch — everything the cost model
-/// consumes, computed in one pass over the projection the kernel protocol
-/// produces anyway (plus a prefix sum over the kernel's address counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The walk footprint of one projected range batch
+/// ([`super::RangeBatchKernel::footprint`]): what the batch's sequential
+/// walks would charge, computed without charging anything. Everything the
+/// cost model prices, and the per-request weights the shard planner cuts.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RangeBatchStats {
-    /// Number of range requests in the partition.
-    pub requests: usize,
-    /// Width of the hull of the projected intervals, in sweep addresses.
-    pub span: u64,
-    /// Total interval coverage with multiplicity: every (request, address)
-    /// pair with the address inside the request's interval counts one. This
-    /// is the number of per-address visits the *sequential* loop pays.
-    pub coverage: u64,
-    /// Number of distinct addresses under at least one interval: the
-    /// per-address visits one *fused* sweep pays. `coverage - covered` is
-    /// the overlap mass — the fetches fusion shares.
-    pub covered: u64,
-    /// Estimated point comparisons of the batch: points stored under each
-    /// request's interval, summed over requests (from
-    /// [`super::RangeBatchKernel::address_counts`] prefix sums; one
-    /// point per address when the kernel publishes no counts, which is exact
-    /// for flat entry arrays).
-    pub est_points: u64,
-    /// Points stored under the distinct covered addresses (the fused
-    /// sweep's scan footprint).
-    pub est_points_covered: u64,
+    /// Bounding-box checks of all walks together: every per-request
+    /// relevance test, paid alike by the sequential loop and the fused
+    /// sweep.
+    pub checks: u64,
+    /// Page visits of all walks together, with multiplicity: the fetches
+    /// the *sequential* loop pays.
+    pub page_visits: u64,
+    /// Distinct pages the walks visit: the fetches one *fused* sweep pays.
+    /// `page_visits - distinct_pages` is what fusion shares.
+    pub distinct_pages: u64,
+    /// Points on the visited pages, with multiplicity: the Eq. 5 point
+    /// charge, paid alike by both schedules.
+    pub points: u64,
+    /// One work weight per request, in request order, for the shard
+    /// planner: at least its walk's checks plus points (each kernel says
+    /// what more it counts). Under owner-based sharding a request's whole
+    /// walk runs in the shard owning its entry address, so the planner
+    /// charges the weight there.
+    pub per_request: Vec<u64>,
 }
 
 impl RangeBatchStats {
-    /// Computes the statistics from the projected intervals and the
-    /// kernel's per-address point counts. `O(n log n + span)` for `n`
-    /// requests.
-    pub fn from_projection(intervals: &[SweepInterval], counts: Option<&[u64]>) -> Self {
-        let requests = intervals.len();
-        if requests == 0 {
-            return Self::default();
-        }
-        let mut lo = intervals[0].lo;
-        let mut hi = intervals[0].hi;
-        for interval in intervals {
-            lo = lo.min(interval.lo);
-            hi = hi.max(interval.hi);
-        }
-        let span = u64::from(hi - lo) + 1;
-        // Prefix sums of the point counts over the hull, so points under any
-        // inclusive address range come in O(1).
-        let prefix: Option<Vec<u64>> = counts.map(|counts| {
-            let mut prefix = Vec::with_capacity(span as usize + 1);
-            prefix.push(0u64);
-            for offset in 0..span as usize {
-                let count = counts.get(lo as usize + offset).copied().unwrap_or(0);
-                prefix.push(prefix[offset] + count);
-            }
-            prefix
-        });
-        let points_under = |a: u32, b: u32| -> u64 {
-            match &prefix {
-                Some(prefix) => prefix[(b - lo) as usize + 1] - prefix[(a - lo) as usize],
-                None => u64::from(b - a) + 1,
-            }
+    /// The footprint of walks that check, fetch and scan every address of
+    /// their interval, with `points_at(address)` points on each address —
+    /// the estimate for kernels that cannot walk a batch without running
+    /// it. `distinct_pages` is the size of the intervals' union.
+    /// `O(n log n + total interval width)` for `n` requests.
+    pub fn whole_intervals(intervals: &[SweepInterval], points_at: impl Fn(u32) -> u64) -> Self {
+        let mut stats = Self {
+            per_request: Vec::with_capacity(intervals.len()),
+            ..Self::default()
         };
-        let mut coverage = 0u64;
-        let mut est_points = 0u64;
         for interval in intervals {
-            coverage += u64::from(interval.hi - interval.lo) + 1;
-            est_points += points_under(interval.lo, interval.hi);
+            let width = u64::from(interval.hi - interval.lo) + 1;
+            let points: u64 = (interval.lo..=interval.hi).map(&points_at).sum();
+            stats.checks += width;
+            stats.page_visits += width;
+            stats.points += points;
+            stats.per_request.push(width + points);
         }
-        // Union of the intervals: sort by start, merge overlapping or
-        // adjacent runs (adjacency merging leaves both sums unchanged).
+        // Union of the intervals: sort by start, merge overlapping runs.
         let mut sorted = intervals.to_vec();
-        sorted.sort_unstable_by_key(|interval| (interval.lo, interval.hi));
-        let mut covered = 0u64;
-        let mut est_points_covered = 0u64;
-        let mut run_lo = sorted[0].lo;
-        let mut run_hi = sorted[0].hi;
-        for interval in &sorted[1..] {
-            if interval.lo <= run_hi.saturating_add(1) {
-                run_hi = run_hi.max(interval.hi);
-            } else {
-                covered += u64::from(run_hi - run_lo) + 1;
-                est_points_covered += points_under(run_lo, run_hi);
-                run_lo = interval.lo;
-                run_hi = interval.hi;
-            }
+        sorted.sort_unstable_by_key(|interval| interval.lo);
+        let mut next_uncovered = 0u64;
+        for interval in &sorted {
+            let (lo, hi) = (u64::from(interval.lo), u64::from(interval.hi) + 1);
+            stats.distinct_pages += hi.saturating_sub(lo.max(next_uncovered));
+            next_uncovered = next_uncovered.max(hi);
         }
-        covered += u64::from(run_hi - run_lo) + 1;
-        est_points_covered += points_under(run_lo, run_hi);
-        Self {
-            requests,
-            span,
-            coverage,
-            covered,
-            est_points,
-            est_points_covered,
-        }
+        stats
+    }
+
+    /// Number of requests in the batch.
+    pub fn requests(&self) -> usize {
+        self.per_request.len()
     }
 }
 
@@ -287,17 +259,19 @@ pub struct PartitionDecision {
 
 /// Predicts the cost of every candidate strategy for one range partition.
 ///
-/// The formulas charge identical terms to identical work, so the decision
-/// reduces to the terms that actually differ:
+/// The formulas price the batch's walk footprint and charge identical
+/// terms to identical work, so the decision reduces to the terms that
+/// actually differ:
 ///
-/// * **page-backed** — sequential pays one fetch per covered (request,
-///   address) pair (`coverage`), the fused sweep one fetch per distinct
-///   address (`covered`); both pay the same relevance checks and point
-///   comparisons. Fusion wins once the shared fetches
-///   `(coverage - covered) * page_ns` outweigh the extra per-request setup.
-/// * **flat** — there are no fetches; the fused sweep performs the same
-///   comparisons with a per-step coordination penalty, so the sequential
-///   loop always wins unless parallelism splits the sweep.
+/// * **sequential** — `n · seq_query_ns + page_visits · page_ns +
+///   checks · check_ns + points · point_ns`: one fetch per page visit.
+/// * **fused** — `n · fused_query_ns + distinct_pages · page_ns +
+///   checks · check_ns + points · (point_ns + fused_point_penalty_ns)`:
+///   one fetch per distinct page. Fusion wins once the shared fetches
+///   `(page_visits - distinct_pages) · page_ns` outweigh the extra
+///   per-request setup. A flat kernel has no fetches (`page_ns` is zero)
+///   and pays a per-point coordination penalty, so its sequential loop
+///   always wins unless parallelism splits the sweep.
 /// * **parallel** — the fused sweep body divides across workers with
 ///   imperfect efficiency plus a spawn cost per shard; only a candidate
 ///   when the host has more than one worker.
@@ -308,27 +282,21 @@ pub fn estimate_range_costs(
     table: &CalibrationTable,
 ) -> CostEstimate {
     let c = table.constants(class);
-    let n = stats.requests as f64;
-    let (sequential, sweep) = match class {
-        KernelClass::PageBacked => {
-            let checks = stats.coverage as f64 * c.check_ns;
-            let scan = stats.est_points as f64 * c.point_ns;
-            let sequential = n * c.seq_query_ns + stats.coverage as f64 * c.page_ns + checks + scan;
-            let sweep = stats.covered as f64 * c.page_ns + checks + scan;
-            (sequential, sweep)
-        }
-        KernelClass::FlatArray => {
-            let scan = stats.est_points as f64 * c.point_ns;
-            let sequential = n * c.seq_query_ns + scan;
-            let sweep = stats.est_points as f64 * (c.point_ns + c.fused_point_penalty_ns);
-            (sequential, sweep)
-        }
-    };
+    let n = stats.requests() as f64;
+    let checks = stats.checks as f64 * c.check_ns;
+    let points = stats.points as f64;
+    let sequential =
+        n * c.seq_query_ns + stats.page_visits as f64 * c.page_ns + checks + points * c.point_ns;
+    let sweep = stats.distinct_pages as f64 * c.page_ns
+        + checks
+        + points * (c.point_ns + c.fused_point_penalty_ns);
     let fused = n * c.fused_query_ns + sweep;
     let mut parallel: Option<(f64, usize)> = None;
     if workers >= 2 {
         for shards in [2usize, 4, 8, 16] {
-            if shards > workers.saturating_mul(2) || shards as u64 > stats.span {
+            // Shards are cut between entry addresses, so a batch never
+            // feeds more shards than it has requests.
+            if shards > workers.saturating_mul(2) || shards > stats.requests() {
                 break;
             }
             let effective = 1.0 + (shards.min(workers) as f64 - 1.0) * c.parallel_efficiency;
@@ -437,33 +405,33 @@ mod tests {
     /// `width` addresses holding `points_per_address` points each.
     fn stacked(n: usize, width: u32, points_per_address: u64) -> RangeBatchStats {
         let intervals = vec![interval(10, 10 + width - 1); n];
-        let counts = vec![points_per_address; (10 + width) as usize];
-        RangeBatchStats::from_projection(&intervals, Some(&counts))
+        RangeBatchStats::whole_intervals(&intervals, |_| points_per_address)
     }
 
     #[test]
-    fn stats_from_projection_count_coverage_and_union() {
+    fn whole_interval_footprint_counts_every_address_and_the_union() {
         let intervals = [interval(0, 3), interval(2, 5), interval(8, 8)];
         let counts = [10u64, 0, 5, 5, 5, 5, 0, 0, 100];
-        let stats = RangeBatchStats::from_projection(&intervals, Some(&counts));
-        assert_eq!(stats.requests, 3);
-        assert_eq!(stats.span, 9);
-        assert_eq!(stats.coverage, 4 + 4 + 1);
-        assert_eq!(stats.covered, 6 + 1);
-        assert_eq!(stats.est_points, 20 + 20 + 100);
-        assert_eq!(stats.est_points_covered, 30 + 100);
+        let stats = RangeBatchStats::whole_intervals(&intervals, |a| counts[a as usize]);
+        assert_eq!(stats.requests(), 3);
+        assert_eq!(stats.checks, 4 + 4 + 1);
+        assert_eq!(stats.page_visits, 4 + 4 + 1);
+        assert_eq!(stats.distinct_pages, 6 + 1);
+        assert_eq!(stats.points, 20 + 20 + 100);
+        // Each request weighs its checks plus its points.
+        assert_eq!(stats.per_request, vec![4 + 20, 4 + 20, 1 + 100]);
     }
 
     #[test]
     fn stats_without_counts_weigh_one_point_per_address() {
-        let intervals = [interval(4, 7), interval(4, 7)];
-        let stats = RangeBatchStats::from_projection(&intervals, None);
-        assert_eq!(stats.coverage, 8);
-        assert_eq!(stats.covered, 4);
-        assert_eq!(stats.est_points, 8);
-        assert_eq!(stats.est_points_covered, 4);
+        let intervals = [interval(4, 7), interval(4, 7), interval(6, 9)];
+        let stats = RangeBatchStats::whole_intervals(&intervals, |_| 1);
+        assert_eq!(stats.page_visits, 12);
+        assert_eq!(stats.distinct_pages, 6);
+        assert_eq!(stats.points, 12);
+        assert_eq!(stats.per_request, vec![8, 8, 8]);
         assert_eq!(
-            RangeBatchStats::from_projection(&[], None),
+            RangeBatchStats::whole_intervals(&[], |_| 1),
             RangeBatchStats::default()
         );
     }
@@ -473,8 +441,7 @@ mod tests {
         // Three disjoint single-address intervals: nothing to share, so the
         // fused sweep's extra per-request setup can only lose.
         let intervals = [interval(0, 0), interval(100, 100), interval(200, 200)];
-        let counts = vec![3u64; 201];
-        let stats = RangeBatchStats::from_projection(&intervals, Some(&counts));
+        let stats = RangeBatchStats::whole_intervals(&intervals, |_| 3);
         for workers in [1usize, 8] {
             let (chosen, estimate) = decide_range_strategy(
                 KernelClass::PageBacked,

@@ -53,6 +53,7 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use batch::interval_hull;
 use batch::{available_workers, run_projected_batch};
 pub use batch::{
     run_range_batch, BatchProjection, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
@@ -198,8 +199,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub enum BatchStrategy {
     /// Pick the strategy per batch and per partition with the calibrated
     /// cost model ([`cost`]): range partitions are decided quantitatively
-    /// from the projected batch statistics (overlap mass, estimated sweep
-    /// work, host parallelism), point and kNN partitions by the kernel's
+    /// from the batch's walk footprint (page visits against distinct
+    /// pages, checks, points, host parallelism), point and kNN partitions by the kernel's
     /// class rule. Never changes results, only cost — a misprediction
     /// costs wall-clock, not correctness — and never schedules worker
     /// threads on a single-core host. The decision per partition, with
@@ -230,9 +231,9 @@ pub enum BatchStrategy {
     /// per shard. Each request is owned by the shard containing its entry
     /// address and swept over its whole interval there, so per-request
     /// walks (bounding-box checks, look-ahead skips) are identical to the
-    /// single sweep's; shard bounds are planned work-weighted from the
-    /// batch's projected intervals and the index's per-leaf point counts
-    /// ([`RangeBatchKernel::address_counts`]); partial results merge
+    /// single sweep's; shard bounds are cut between the requests' entry
+    /// addresses, weighted by each request's walk
+    /// ([`RangeBatchKernel::footprint`]); partial results merge
     /// deterministically in sweep order, so outputs are bit-identical to
     /// the other strategies regardless of thread scheduling. The point
     /// partition parallelizes the same way: its sorted probe-group list is
@@ -240,10 +241,10 @@ pub enum BatchStrategy {
     /// threads — groups are disjoint by construction, so probe-heavy
     /// batches scale without any cross-chunk coordination. Degenerates to
     /// [`BatchStrategy::Fused`] — the same sweep with a one-shard plan —
-    /// when `shards <= 1` or the batch's span is too narrow to split.
+    /// when `shards <= 1` or every request enters at the same address.
     FusedParallel {
         /// Upper bound on the number of concurrently swept shards (clamped
-        /// to the batch's address span; `0` is treated as `1`).
+        /// to the batch's distinct entry addresses; `0` is treated as `1`).
         shards: usize,
     },
 }
@@ -430,9 +431,9 @@ impl<'a> QueryEngine<'a> {
     /// answers are reassembled into input order.
     ///
     /// Under [`BatchStrategy::Auto`] each partition first passes through
-    /// the cost model ([`cost`]): the range partition's projection feeds
-    /// the statistics that decide among the candidates and is reused by
-    /// whichever fused execution wins — deciding never projects twice. A
+    /// the cost model ([`cost`]): the range partition's projection and its
+    /// walk footprint, each computed once, decide among the candidates and
+    /// are reused by whichever fused execution wins. A
     /// partition the model routes to `Sequential` executes through the
     /// per-query loop (zero fused counters, exactly as if the engine were
     /// pinned sequential); every decision is recorded in
@@ -465,38 +466,30 @@ impl<'a> QueryEngine<'a> {
                 _ => None,
             });
             if requests.len() >= 2 {
-                // Auto decides from the projected statistics; the
-                // projection (and the counts that weighted it) then serve
+                // Auto prices the batch's walk footprint; the projection
+                // and the footprint's per-request weights then serve
                 // whichever fused execution wins. A pinned single sweep
-                // plans the hull whatever the counts, so it never asks.
+                // plans the hull whatever the weights, so it never asks.
                 let projection = kernel.project_batch(&requests);
-                let counts = if auto || pinned != ChosenStrategy::Fused {
-                    kernel.address_counts()
-                } else {
-                    None
+                let footprint = (auto || pinned != ChosenStrategy::Fused)
+                    .then(|| kernel.footprint(&requests, &projection));
+                let choice = match &footprint {
+                    Some(stats) if auto => {
+                        let (chosen, estimate) = decide_range_strategy(
+                            kernel.cost_class(),
+                            stats,
+                            workers,
+                            &CalibrationTable::BAKED,
+                        );
+                        (chosen, Some(estimate))
+                    }
+                    _ => (pinned, None),
                 };
-                let choice = if auto {
-                    let stats =
-                        RangeBatchStats::from_projection(&projection.intervals, counts.as_deref());
-                    let (chosen, estimate) = decide_range_strategy(
-                        kernel.cost_class(),
-                        &stats,
-                        workers,
-                        &CalibrationTable::BAKED,
-                    );
-                    (chosen, Some(estimate))
-                } else {
-                    (pinned, None)
-                };
+                let weights = footprint.map_or_else(Vec::new, |stats| stats.per_request);
                 range =
                     self.run_partition(queries, &positions, &mut slots, choice, |shards| {
-                        let (response, shards_used) = run_projected_batch(
-                            kernel,
-                            &requests,
-                            projection,
-                            counts.as_deref(),
-                            shards,
-                        );
+                        let (response, shards_used) =
+                            run_projected_batch(kernel, &requests, projection, &weights, shards);
                         let outputs = positions.iter().zip(response.outputs).map(
                             |(&position, output)| match (output, &queries[position]) {
                                 (RangeBatchOutput::Points(points), _) => {

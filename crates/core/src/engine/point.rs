@@ -47,6 +47,8 @@ use std::time::Instant;
 use wazi_geom::Point;
 use wazi_storage::ExecStats;
 
+use super::batch::available_workers;
+
 /// The kernel's answer to a point-probe batch: parallel to the probe slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointBatchResponse {
@@ -227,9 +229,7 @@ pub fn run_point_batch_sharded(
 
     let scan_start = Instant::now();
     let chunks = plan_probe_chunks(&groups, shards.max(1));
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(chunks.len());
+    let workers = available_workers().min(chunks.len());
     if chunks.len() <= 1 || workers <= 1 {
         probe_group_run(kernel, probes, &addresses, &order, &mut response);
     } else {

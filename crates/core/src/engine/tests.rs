@@ -563,8 +563,9 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
     let (single, single_shards) = run_range_batch(kernel, &requests, 1);
     assert_eq!(single_shards, 1);
     let projection = kernel.project_batch(&requests);
+    let weights = kernel.footprint(&requests, &projection).per_request;
     for shards in [2, 3, 5] {
-        let plan = plan_shard_bounds(&projection.intervals, shards, None);
+        let plan = plan_shard_bounds(&projection.intervals, &weights, shards);
         // Sweep in reverse order to prove order-independence of the work…
         let mut partials: Vec<_> = plan
             .iter()
@@ -613,7 +614,8 @@ fn threaded_fan_out_matches_inline_sweeps() {
         .collect();
     let kernel: &dyn RangeBatchKernel = &index;
     let projection = kernel.project_batch(&requests);
-    let plan = plan_shard_bounds(&projection.intervals, 4, None);
+    let weights = kernel.footprint(&requests, &projection).per_request;
+    let plan = plan_shard_bounds(&projection.intervals, &weights, 4);
     assert!(plan.len() >= 2, "need a real multi-shard plan");
     let inline: Vec<_> = plan
         .iter()
@@ -636,18 +638,21 @@ fn threaded_fan_out_matches_inline_sweeps() {
     }
 }
 
-/// A one-shard run plans the hull whatever the address counts, so it must
-/// never ask for them (WaZI's are a leaf-count-sized allocation): under a
+/// A one-shard run plans the hull whatever the weights, so it must never
+/// ask for the footprint (WaZI's walks every request's interval): under a
 /// pinned `Fused` strategy neither the range partition nor any kNN ring may
-/// call `address_counts`. The same kernel under two shards does ask — the
-/// trap is armed.
+/// call `footprint`. Auto asks exactly once per range partition — the model
+/// and the planner share one footprint — and the same kernel under two
+/// pinned shards asks too: the trap is armed.
 #[test]
-fn one_shard_runs_never_ask_for_address_counts() {
+fn one_shard_runs_never_ask_for_the_footprint() {
     use crate::engine::{
-        BatchProjection, RangeBatchKernel, RangeBatchRequest, RangeBatchResponse, ShardBounds,
+        BatchProjection, RangeBatchKernel, RangeBatchRequest, RangeBatchResponse, RangeBatchStats,
+        ShardBounds,
     };
-    struct CountsTrap(ZIndex);
-    impl RangeBatchKernel for CountsTrap {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    struct FootprintTrap(ZIndex, AtomicUsize);
+    impl RangeBatchKernel for FootprintTrap {
         fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
             self.0.project_batch(requests)
         }
@@ -659,13 +664,18 @@ fn one_shard_runs_never_ask_for_address_counts() {
         ) -> RangeBatchResponse {
             self.0.sweep_shard(requests, projection, bounds)
         }
-        fn address_counts(&self) -> Option<Vec<u64>> {
-            panic!("a one-shard run asked for address counts");
+        fn footprint(
+            &self,
+            requests: &[RangeBatchRequest],
+            projection: &BatchProjection,
+        ) -> RangeBatchStats {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.footprint(requests, projection)
         }
     }
-    impl SpatialIndex for CountsTrap {
+    impl SpatialIndex for FootprintTrap {
         fn name(&self) -> &'static str {
-            "CountsTrap"
+            "FootprintTrap"
         }
         fn len(&self) -> usize {
             self.0.len()
@@ -686,7 +696,8 @@ fn one_shard_runs_never_ask_for_address_counts() {
             Some(self)
         }
     }
-    let index = CountsTrap(wazi_index());
+    let index = FootprintTrap(wazi_index(), AtomicUsize::new(0));
+    let asked = || index.1.swap(0, Ordering::Relaxed);
     let ranges: Vec<Query> = overlapping_rects()
         .into_iter()
         .map(Query::range_count)
@@ -701,6 +712,7 @@ fn one_shard_runs_never_ask_for_address_counts() {
         let report = fused.execute_batch(batch).unwrap();
         assert_eq!(report.total_fused(), batch.len());
         assert_eq!(report.shards_used, 1);
+        assert_eq!(asked(), 0, "a one-shard run asked for the footprint");
         let sequential = QueryEngine::new(&index.0)
             .with_strategy(BatchStrategy::Sequential)
             .execute_batch(batch)
@@ -709,11 +721,21 @@ fn one_shard_runs_never_ask_for_address_counts() {
             assert_eq!(f.output, s.output);
         }
     }
-    let err = QueryEngine::new(&index)
+    // Auto on a mixed batch: one range partition, one footprint — the kNN
+    // partition's few plans take one-shard rings.
+    let mixed: Vec<Query> = ranges.iter().chain(&knns).cloned().collect();
+    let report = QueryEngine::new(&index).execute_batch(&mixed).unwrap();
+    assert!(report.strategy_chosen.range.is_some());
+    assert_eq!(asked(), 1, "Auto asks once per range partition");
+    QueryEngine::new(&index)
         .with_strategy(BatchStrategy::FusedParallel { shards: 2 })
-        .execute_batch_caught(&ranges)
-        .unwrap_err();
-    assert!(matches!(err, EngineError::ExecutionPanicked(_)));
+        .execute_batch(&ranges)
+        .unwrap();
+    assert_eq!(
+        asked(),
+        1,
+        "a two-shard run cuts by the footprint's weights"
+    );
 }
 
 /// An index built over no points holds one empty leaf: its kernel projects

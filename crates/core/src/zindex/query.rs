@@ -17,10 +17,11 @@
 
 use super::ZIndex;
 use crate::engine::{
-    BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, RangeBatchResponse, ShardBounds, SweepInterval,
+    interval_hull, BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
+    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
+    SweepInterval,
 };
-use crate::node::{NodeRef, LOOKAHEAD_END};
+use crate::node::{Leaf, NodeRef, LOOKAHEAD_END};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -154,16 +155,7 @@ impl RangeBatchKernel for ZIndex {
                 // pointers as far as they allow, exactly like the
                 // sequential walk (the jump target is per request, never
                 // clamped by other members of the batch).
-                let mut target = i + 1;
-                if skipping {
-                    if let Some(lookahead) = leaf.lookahead {
-                        for criterion in leaf.irrelevancy_criteria(rect) {
-                            let t = lookahead.get(criterion);
-                            let t = if t == LOOKAHEAD_END { high(qi) + 1 } else { t };
-                            target = target.max(t);
-                        }
-                    }
-                }
+                let target = skip_target(leaf, rect, i, high(qi), skipping);
                 // Charged exactly as the sequential walk charges its own
                 // jump (`scan_range`): the full jump distance, never
                 // clamped — the request's whole walk lives in this shard.
@@ -208,11 +200,83 @@ impl RangeBatchKernel for ZIndex {
         response
     }
 
-    /// Points per leaf, in leaf order: the scan-work weights the engine's
-    /// work-weighted shard planner balances.
-    fn address_counts(&self) -> Option<Vec<u64>> {
-        Some(self.leaves.iter().map(|leaf| leaf.count as u64).collect())
+    /// Runs every request's §5 walk over its projected interval exactly as
+    /// the sequential range query does — a check per leaf stepped on, a
+    /// look-ahead jump past each irrelevant one — without touching a page:
+    /// a visited leaf contributes its `count`. Distinct pages are counted
+    /// with a bitset over the batch's leaf hull.
+    ///
+    /// A request's planner weight is the reach of its walk, not only its
+    /// scan: its checks and scanned points, plus the index's mean leaf fill
+    /// for every leaf it skips. Cuts balanced on the scanned points alone
+    /// fall inside hot spans more often, where the walks of both shards
+    /// fetch the same pages.
+    fn footprint(
+        &self,
+        requests: &[RangeBatchRequest],
+        projection: &BatchProjection,
+    ) -> RangeBatchStats {
+        let mut stats = RangeBatchStats {
+            per_request: Vec::with_capacity(requests.len()),
+            ..RangeBatchStats::default()
+        };
+        let Some((first, last)) = interval_hull(&projection.intervals) else {
+            return stats;
+        };
+        let mut visited = vec![0u64; (last - first) as usize / 64 + 1];
+        let skipping = self.skipping_enabled();
+        let mean_fill = (self.len / self.leaves.len()) as u64;
+        for (request, interval) in requests.iter().zip(&projection.intervals) {
+            let (mut checks, mut points) = (0u64, 0u64);
+            let mut i = interval.lo;
+            while i <= interval.hi {
+                let leaf = &self.leaves[i as usize];
+                checks += 1;
+                if !leaf.bbox.is_empty() && leaf.bbox.overlaps(&request.rect) {
+                    stats.page_visits += 1;
+                    points += leaf.count as u64;
+                    let bit = (i - first) as usize;
+                    let (word, mask) = (&mut visited[bit / 64], 1u64 << (bit % 64));
+                    stats.distinct_pages += u64::from(*word & mask == 0);
+                    *word |= mask;
+                    i += 1;
+                } else {
+                    i = skip_target(leaf, &request.rect, i, interval.hi, skipping);
+                }
+            }
+            stats.checks += checks;
+            stats.points += points;
+            let skipped = u64::from(interval.hi - interval.lo) + 1 - checks;
+            stats
+                .per_request
+                .push(checks + points + skipped * mean_fill);
+        }
+        stats
     }
+}
+
+/// Where a walk goes after finding leaf `i` irrelevant to `query`: the next
+/// leaf, or — with skipping on — as far as the leaf's look-ahead pointers
+/// for the query's irrelevancy criteria allow (§5). A pointer past the end
+/// of the leaf list ends the walk at `high + 1`. The one definition of the
+/// jump, shared by the sequential walk, the fused sweep and the footprint.
+#[inline]
+fn skip_target(leaf: &Leaf, query: &Rect, i: u32, high: u32, skipping: bool) -> u32 {
+    let mut next = i + 1;
+    if skipping {
+        if let Some(lookahead) = leaf.lookahead {
+            for criterion in leaf.irrelevancy_criteria(query) {
+                let target = lookahead.get(criterion);
+                let target = if target == LOOKAHEAD_END {
+                    high + 1
+                } else {
+                    target
+                };
+                next = next.max(target);
+            }
+        }
+    }
+    next
 }
 
 /// The Z-index's fused point-probe kernel: the owning-page address is the
@@ -358,20 +422,7 @@ impl ZIndex {
                 if let Some(start) = run_start.take() {
                     scan_ns += start.elapsed().as_nanos() as u64;
                 }
-                let mut next = i + 1;
-                if skipping {
-                    if let Some(lookahead) = leaf.lookahead {
-                        for criterion in leaf.irrelevancy_criteria(query) {
-                            let target = lookahead.get(criterion);
-                            let target = if target == LOOKAHEAD_END {
-                                high + 1
-                            } else {
-                                target
-                            };
-                            next = next.max(target);
-                        }
-                    }
-                }
+                let next = skip_target(leaf, query, i, high, skipping);
                 stats.leaves_skipped += u64::from(next - (i + 1));
                 i = next;
             }

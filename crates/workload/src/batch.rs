@@ -153,7 +153,7 @@ pub fn generate_overlapping_batch(
 /// the whole unit space — ignoring the region's hotspots on purpose — so
 /// almost no two queries share a leaf page. A fused sweep over such a batch
 /// pays its setup for nothing; a cost-based scheduler must recognise the
-/// shape (coverage ≈ union of covered addresses) and fall back to the
+/// shape (page visits ≈ distinct pages) and fall back to the
 /// per-query loop. All plans use the counting mode. Equal seeds produce
 /// equal batches; `region` only seasons the jitter so different regions
 /// yield different batches.

@@ -18,12 +18,13 @@
 //!
 //! ## Fused batch kernels
 //!
-//! Every baseline also implements the query engine's fused batch kernels
-//! ([`wazi_core::RangeBatchKernel`] / [`wazi_core::PointBatchKernel`])
+//! Every page-backed baseline also implements the query engine's fused batch
+//! kernels ([`wazi_core::RangeBatchKernel`] / [`wazi_core::PointBatchKernel`])
 //! over its own layout — an active-set R-tree descent for STR and CUR, an
-//! x-slice event sweep for QUASII, a column sweep for Flood, a shared
-//! BIGMIN sweep for the sorted Z-order array — so
+//! x-slice event sweep for QUASII, a column sweep for Flood — so
 //! [`wazi_core::QueryEngine`] batch fusion is genuinely cross-index. The
+//! sorted Z-order array has no page fetch to share and advertises no
+//! kernel; the engine runs its batches through the per-query loop. The
 //! kernels obey one contract: answers and per-query work counters are
 //! bit-identical to the sequential path, only physical page fetches are
 //! shared:

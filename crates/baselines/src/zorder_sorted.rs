@@ -8,12 +8,13 @@
 //! onto a fixed grid, sorted by Morton code, and range queries scan the code
 //! interval `[code(BL), code(TR)]`, using the BIGMIN successor computation to
 //! jump over runs of codes outside the query rectangle.
+//!
+//! The index advertises no fused batch kernel. A flat code array has no
+//! page fetch for co-batched queries to share, so a fused sweep could only
+//! reorder the same comparisons at extra coordination cost; every batch
+//! strategy runs its plans through the per-query loop.
 
-use wazi_core::{
-    BatchProjection, IndexError, KernelClass, PointBatchKernel, PointBatchResponse,
-    RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, ShardBounds,
-    SpatialIndex, SweepInterval,
-};
+use wazi_core::{IndexError, SpatialIndex};
 use wazi_geom::zorder::{bigmin, ZOrderMapper};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -177,235 +178,6 @@ impl SpatialIndex for ZOrderSorted {
         // The sorted code array is the index structure itself.
         std::mem::size_of::<Self>() + self.entries.len() * std::mem::size_of::<u64>()
     }
-
-    fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
-        // An empty array has no address space to project onto.
-        (!self.entries.is_empty()).then_some(self as &dyn RangeBatchKernel)
-    }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
-        Some(self)
-    }
-}
-
-/// The sorted array's fused range kernel: a **shared BIGMIN sweep**. All
-/// requests' code intervals execute as one ascending walk over the entry
-/// array: every request carries its own cursor (next array position to
-/// examine), its own miss counter and its own BIGMIN jumps, exactly like
-/// the sequential [`ZOrderSorted`] scan — but an entry inside several
-/// genuinely overlapping code intervals is loaded once per sweep step and
-/// served to every request due there, instead of once per request in
-/// arrival order. Per-request counters (points compared, BIGMIN skips,
-/// results) and result order are bit-identical to the sequential scan's;
-/// the kernel also lets the engine's batched kNN path drive this index's
-/// ring sweeps.
-///
-/// Requests due at the current entry live in a dense `hot` vector (the
-/// common case: an in-interval request re-arms for the very next entry);
-/// requests whose BIGMIN jump parked them at a later position wait in a
-/// min-heap keyed on their cursor, so a step costs only its due requests
-/// plus `O(log n)` per actual jump.
-///
-/// Unlike the page-backed indexes, the flat array has no physical fetch to
-/// save — fusion buys ordering and shared entry loads, not fewer pages —
-/// so on heavily stacked batches the sweep's per-step coordination can
-/// cost wall-clock relative to the per-request loop while counters stay
-/// identical. The kernel declares [`KernelClass::FlatArray`] so the
-/// engine's `Auto` strategy routes such batches to the sequential loop
-/// unless parallelism can split the sweep.
-///
-/// The sweep address space is the entry array itself (one address per
-/// sorted `(code, point)` pair), and a shard owns every request whose code
-/// interval's first array position — the position the sequential scan's
-/// initial binary search lands on — falls inside its bounds
-/// ([`BatchProjection::owned_by`]). The owning shard runs the request's
-/// whole shared-BIGMIN walk, jumps included, so per-request counters are
-/// bit-identical for every shard count by the same argument as the other
-/// kernels: each walk *is* the solo sequential walk.
-///
-/// The footprint is the trait's default, the estimate from the intervals
-/// alone: one address holds exactly one point, so unit weights already
-/// measure the interval's scan work, and the BIGMIN jumps only shorten it.
-impl RangeBatchKernel for ZOrderSorted {
-    fn cost_class(&self) -> KernelClass {
-        KernelClass::FlatArray
-    }
-
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let projection_start = std::time::Instant::now();
-        let intervals = requests
-            .iter()
-            .map(|request| {
-                let (lo_code, hi_code) = self.mapper.query_interval(&request.rect);
-                // First array position the sequential scan examines. It may
-                // equal `entries.len()` — the scan starts past the end and
-                // charges nothing; such a request is owned by no in-range
-                // shard and correctly produces a zeroed slot.
-                let lo = self.lower_bound(lo_code) as u32;
-                // Last entry inside the code interval. An empty interval
-                // (no entry with lo_code <= code <= hi_code) clamps to a
-                // degenerate one-address interval at `lo`, where the sweep
-                // examines one code and charges nothing — exactly like the
-                // sequential scan's immediate break.
-                let end = self.entries.partition_point(|(c, _)| *c <= hi_code);
-                let hi = (end.saturating_sub(1) as u32).max(lo);
-                SweepInterval { lo, hi }
-            })
-            .collect();
-        BatchProjection {
-            intervals,
-            // The binary searches are re-run by the owning shard's sweep;
-            // like Flood's column projection, this phase charges no
-            // per-query counters, only its wall-clock.
-            per_query: vec![ExecStats::default(); requests.len()],
-            elapsed_ns: projection_start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut response = RangeBatchResponse::zeroed(requests);
-        // Per-request sweep state, packed into one record so the hot loop
-        // touches a single cache line per due request: the interval codes,
-        // the filter rectangle and the miss counter. Each owned request
-        // enters the sweep parked at its interval's first array position.
-        struct SweepState {
-            lo_code: u64,
-            hi_code: u64,
-            rect: Rect,
-            misses: usize,
-        }
-        let mut states: Vec<SweepState> = requests
-            .iter()
-            .map(|request| SweepState {
-                lo_code: 0,
-                hi_code: 0,
-                rect: request.rect,
-                misses: 0,
-            })
-            .collect();
-        let mut parked: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-        for (lo, qi) in projection.owned_by(bounds) {
-            let (lo_code, hi_code) = self.mapper.query_interval(&states[qi].rect);
-            states[qi].lo_code = lo_code;
-            states[qi].hi_code = hi_code;
-            parked.push(Reverse((lo as usize, qi)));
-        }
-
-        let scan_start = std::time::Instant::now();
-        let mut hot: Vec<usize> = Vec::new();
-        let mut rearmed: Vec<usize> = Vec::new();
-        let mut i = match parked.peek() {
-            Some(&Reverse((at, _))) => at,
-            None => return response,
-        };
-        while i < self.entries.len() {
-            while let Some(&Reverse((at, qi))) = parked.peek() {
-                if at > i {
-                    break;
-                }
-                parked.pop();
-                hot.push(qi);
-            }
-            if hot.is_empty() {
-                match parked.peek() {
-                    Some(&Reverse((at, _))) => {
-                        i = at;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            // One load of the entry on behalf of every due request.
-            let (code, point) = self.entries[i];
-            rearmed.clear();
-            for &qi in &hot {
-                let state = &mut states[qi];
-                if code > state.hi_code {
-                    continue; // this request's interval is exhausted
-                }
-                let stats = &mut response.per_query[qi];
-                stats.points_scanned += 1;
-                if state.rect.contains(&point) {
-                    match &mut response.outputs[qi] {
-                        RangeBatchOutput::Points(out) => out.push(point),
-                        RangeBatchOutput::Count(count) => *count += 1,
-                    }
-                    stats.results += 1;
-                    state.misses = 0;
-                    rearmed.push(qi);
-                } else {
-                    state.misses += 1;
-                    if state.misses >= BIGMIN_PATIENCE {
-                        // This request's own BIGMIN jump, charged exactly as
-                        // the sequential scan charges it; other requests
-                        // keep sweeping the run it skips.
-                        state.misses = 0;
-                        // `None` means nothing ahead can match: the
-                        // request simply leaves the sweep.
-                        if let Some(next_code) = bigmin(code, state.lo_code, state.hi_code) {
-                            let next = self.lower_bound(next_code);
-                            stats.leaves_skipped += next.saturating_sub(i + 1) as u64;
-                            if next < self.entries.len() {
-                                parked.push(Reverse((next, qi)));
-                            }
-                        }
-                    } else {
-                        rearmed.push(qi);
-                    }
-                }
-            }
-            std::mem::swap(&mut hot, &mut rearmed);
-            i += 1;
-        }
-        response.shared.scan_ns += scan_start.elapsed().as_nanos() as u64;
-        response
-    }
-}
-
-/// The sorted array's fused point-probe kernel: the owning-page address is
-/// the probe's Morton code itself, so duplicate probes (and distinct probes
-/// mapping onto one grid cell) group onto a single binary search of the
-/// code array; every probe still pays its own equal-code-run comparisons,
-/// exactly as the sequential probe charges them.
-impl PointBatchKernel for ZOrderSorted {
-    fn locate_probes(&self, probes: &[Point], _per_query: &mut [ExecStats]) -> Vec<u64> {
-        probes.iter().map(|p| self.mapper.code(p)).collect()
-    }
-
-    fn probe_page(
-        &self,
-        address: u64,
-        group: &[(usize, Point)],
-        response: &mut PointBatchResponse,
-    ) {
-        // One shared binary search per distinct code.
-        let start = self.lower_bound(address);
-        for &(slot, p) in group {
-            let stats = &mut response.per_query[slot];
-            let mut at = start;
-            let mut found = false;
-            while at < self.entries.len() && self.entries[at].0 == address {
-                stats.points_scanned += 1;
-                if self.entries[at].1 == p {
-                    found = true;
-                    break;
-                }
-                at += 1;
-            }
-            if found {
-                stats.results += 1;
-                response.found[slot] = true;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -484,137 +256,16 @@ mod tests {
         assert_eq!(index.name(), "Zpgm");
     }
 
-    /// The shared BIGMIN sweep must replicate every request's sequential
-    /// scan exactly — comparisons, per-request BIGMIN skips, results in
-    /// ascending code order — on genuinely overlapping code intervals
-    /// (stacked elongated queries whose Z-curve walks interleave) as well
-    /// as on disjoint ones.
+    /// The flat array advertises no batch kernel, empty or not: every
+    /// batch strategy runs its plans through the per-query loop.
     #[test]
-    fn shared_bigmin_sweep_matches_sequential_per_request() {
-        use wazi_core::{RangeBatchOutput, RangeBatchRequest};
-        let points = dataset(20_000, 4);
-        let index = ZOrderSorted::with_default_bits(points);
-        // Overlapping tall-thin queries (BIGMIN jumps fire), one broad
-        // query covering them, and a disjoint far-corner query.
-        let mut rects: Vec<Rect> = (0..8)
-            .map(|i| {
-                let x = 0.46 + 0.01 * i as f64;
-                Rect::from_coords(x, 0.05, x + 0.04, 0.95)
-            })
-            .collect();
-        rects.push(Rect::from_coords(0.4, 0.0, 0.6, 1.0));
-        rects.push(Rect::from_coords(0.9, 0.9, 0.99, 0.99));
-        let requests: Vec<RangeBatchRequest> = rects
-            .iter()
-            .enumerate()
-            .map(|(i, rect)| RangeBatchRequest {
-                rect: *rect,
-                collect: i % 2 == 0,
-            })
-            .collect();
-        let kernel = index.range_batch_kernel().expect("Zpgm fuses ranges");
-        let (response, _) = wazi_core::run_range_batch(kernel, &requests, 1);
-        for (qi, request) in requests.iter().enumerate() {
-            let mut stats = ExecStats::default();
-            if request.collect {
-                let expected = index.range_query(&request.rect, &mut stats);
-                assert_eq!(
-                    response.outputs[qi],
-                    RangeBatchOutput::Points(expected),
-                    "request {qi}: points or order differ"
-                );
-            } else {
-                let expected = index.range_count(&request.rect, &mut stats);
-                assert_eq!(response.outputs[qi], RangeBatchOutput::Count(expected));
-            }
-            assert_eq!(
-                response.per_query[qi].points_scanned, stats.points_scanned,
-                "request {qi}: comparisons differ"
-            );
-            assert_eq!(
-                response.per_query[qi].leaves_skipped, stats.leaves_skipped,
-                "request {qi}: BIGMIN skips differ"
-            );
-            assert_eq!(response.per_query[qi].results, stats.results);
+    fn zpgm_advertises_no_batch_kernels() {
+        for index in [
+            ZOrderSorted::with_default_bits(Vec::new()),
+            ZOrderSorted::with_default_bits(dataset(100, 6)),
+        ] {
+            assert!(index.range_batch_kernel().is_none());
+            assert!(index.point_batch_kernel().is_none());
         }
-        assert!(
-            response.per_query.iter().any(|s| s.leaves_skipped > 0),
-            "elongated queries must exercise the BIGMIN jumps"
-        );
-    }
-
-    /// Owner-based sharding of the entry array must reproduce the single
-    /// fused sweep bit-for-bit — outputs, comparisons and BIGMIN skips —
-    /// for every shard count, including plans that cut through the middle
-    /// of crossing intervals.
-    #[test]
-    fn sharded_sweep_is_bit_identical_for_every_shard_count() {
-        use wazi_core::run_range_batch;
-        let points = dataset(20_000, 5);
-        let index = ZOrderSorted::with_default_bits(points);
-        let mut rects: Vec<Rect> = (0..6)
-            .map(|i| {
-                let x = 0.1 + 0.12 * i as f64;
-                Rect::from_coords(x, 0.05, x + 0.2, 0.95)
-            })
-            .collect();
-        rects.push(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
-        rects.push(Rect::from_coords(0.93, 0.93, 0.97, 0.97));
-        // A rectangle outside the data bounds: its scan starts past the end
-        // of the array and must stay zeroed in every plan.
-        rects.push(Rect::from_coords(1.5, 1.5, 1.6, 1.6));
-        let requests: Vec<RangeBatchRequest> = rects
-            .iter()
-            .enumerate()
-            .map(|(i, rect)| RangeBatchRequest {
-                rect: *rect,
-                collect: i % 2 == 0,
-            })
-            .collect();
-        let kernel = index.range_batch_kernel().expect("Zpgm fuses ranges");
-        let (full, one) = run_range_batch(kernel, &requests, 1);
-        assert_eq!(one, 1);
-        for shards in [2usize, 3, 4, 8, 64] {
-            let (merged, used) = run_range_batch(kernel, &requests, shards);
-            assert!(used >= 2 && used <= shards, "{shards} shards: swept {used}");
-            assert_eq!(
-                merged.outputs, full.outputs,
-                "{shards} shards: outputs differ"
-            );
-            for (qi, (got, want)) in merged.per_query.iter().zip(&full.per_query).enumerate() {
-                assert_eq!(
-                    got.points_scanned, want.points_scanned,
-                    "{shards} shards, request {qi}: comparisons differ"
-                );
-                assert_eq!(
-                    got.leaves_skipped, want.leaves_skipped,
-                    "{shards} shards, request {qi}: BIGMIN skips differ"
-                );
-                assert_eq!(got.results, want.results);
-            }
-        }
-    }
-
-    /// An empty index advertises no range kernel (there is no address space
-    /// to cut) — and driven directly it still answers zeroed slots — while
-    /// the flat array declares the flat cost class.
-    #[test]
-    fn sharded_capability_and_cost_class() {
-        let empty = ZOrderSorted::with_default_bits(Vec::new());
-        assert!(
-            empty.range_batch_kernel().is_none(),
-            "no address space when empty"
-        );
-        let requests = [RangeBatchRequest {
-            rect: Rect::UNIT,
-            collect: true,
-        }];
-        let (response, _) = wazi_core::run_range_batch(&empty, &requests, 4);
-        let zeroed = RangeBatchResponse::zeroed(&requests);
-        assert_eq!(response.outputs, zeroed.outputs);
-        assert_eq!(response.per_query, zeroed.per_query);
-        let index = ZOrderSorted::with_default_bits(dataset(100, 6));
-        let kernel = index.range_batch_kernel().expect("kernel exists");
-        assert_eq!(kernel.cost_class(), KernelClass::FlatArray);
     }
 }

@@ -1,5 +1,7 @@
 //! Figure 13: ablation study of adaptive partitioning and look-ahead
-//! skipping, plus extra ablations of design knobs called out in DESIGN.md §5.
+//! skipping, plus extra ablations of WaZI's design knobs: the number of
+//! candidate splits `κ`, the skip-cost constant `α`, RFDE vs exact
+//! density, and workload drift.
 
 use super::{workload_setup, ExperimentContext};
 use crate::measure::{format_ns, measure_range_queries};

@@ -10,15 +10,15 @@
 //! worker threads) and the cost-based `Auto` scheduler, which picks among
 //! the fixed strategies per batch partition from cheap projection
 //! statistics. Every overview index participates — the Z-indexes and
-//! Flood, the tree baselines STR / CUR / QUASII over their own node
-//! layouts, and Zpgm's shared BIGMIN sweep — so the comparison is
-//! genuinely cross-index. A dedicated shard-scaling table sweeps the shard
-//! count on a large overlapping batch for every index with a sharded
-//! kernel (all seven, now that Zpgm's flat entry array splits by code
-//! range), a scattered low-overlap table exercises the case fusion cannot
-//! win, and a decision table prints what `Auto` chose with its predicted
-//! versus measured costs. `reproduce batch --json BENCH_batch.json`
-//! regenerates the committed artifact from these tables.
+//! Flood, and the tree baselines STR / CUR / QUASII over their own node
+//! layouts, fuse; Zpgm, which advertises no kernel, runs the per-query loop
+//! under every strategy — so the comparison is genuinely cross-index. A
+//! dedicated shard-scaling table sweeps the shard count on a large
+//! overlapping batch for every index with a fused kernel, a scattered
+//! low-overlap table exercises the case fusion cannot win, and a decision
+//! table prints what `Auto` chose with its predicted versus measured costs.
+//! `reproduce batch --json BENCH_batch.json` regenerates the committed
+//! artifact from these tables.
 
 use super::{workload_setup, ExperimentContext};
 use crate::measure::{format_ns, measure_warm, BatchMeasurement};
@@ -80,29 +80,6 @@ fn assert_decisions_sane(
                 "{kind}/{batch_name}/{partition}: Auto chose a parallel schedule \
                  on a single-core host"
             );
-        }
-    }
-    // Zpgm's flat code array has no page fetches to share: the plain fused
-    // sweep can only add coordination overhead, so Auto must never pick it
-    // for the range partition (and on a single-core host — where parallel
-    // sweeps are off the table too — that leaves exactly the sequential
-    // loop).
-    if kind == IndexKind::Zpgm {
-        if let Some(range) = decisions.range {
-            assert_ne!(
-                range.chosen,
-                ChosenStrategy::Fused,
-                "Zpgm/{batch_name}: Auto picked the plain fused sweep for a \
-                 flat code array"
-            );
-            if workers == 1 {
-                assert_eq!(
-                    range.chosen,
-                    ChosenStrategy::Sequential,
-                    "Zpgm/{batch_name}: the only schedule that can win on a \
-                     flat array without worker threads is the per-query loop"
-                );
-            }
         }
     }
 }
@@ -246,15 +223,13 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "Measured",
     ]);
 
-    // One pass over the overview suite, each index built exactly once.
-    // Since every index of the suite now implements the fused range kernel
-    // — the Z-indexes and Flood since PRs 2–4, STR / CUR / QUASII over
-    // their own node layouts, Zpgm through the shared BIGMIN sweep — the
-    // overlap table covers all seven overview kinds and *asserts* the
-    // fusion contract on every row: identical results, and never more
-    // pages or bounding-box checks than the sequential loop. Auto rows
-    // additionally assert the misprediction budget: the scheduled batch
-    // must land within tolerance of the best fixed strategy.
+    // One pass over the overview suite, each index built exactly once. The
+    // overlap table covers all seven overview kinds — six fuse through
+    // their own range kernels, Zpgm runs the per-query loop — and
+    // *asserts* the fusion contract on every row: identical results, and
+    // never more pages or bounding-box checks than the sequential loop.
+    // Auto rows additionally assert the misprediction budget: the scheduled
+    // batch must land within tolerance of the best fixed strategy.
     for &kind in &IndexKind::OVERVIEW {
         let built = build_index(kind, &points, &train, ctx.leaf_capacity);
         let index = built.index.as_ref();
@@ -292,9 +267,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
 
         // The scattered batch: stratified tiny queries with almost no
         // shared pages, so a fused sweep's setup buys nothing. The cost
-        // model must keep Auto within budget of the winning strategy —
-        // on Zpgm's flat array that winner is the per-query loop, and
-        // choosing the plain fused sweep there fails the run.
+        // model must keep Auto within budget of the winning strategy.
         let scattered_baseline = measure_warm(index, &scattered_batch, BatchStrategy::Sequential);
         let mut scattered_measured: Vec<(String, BatchMeasurement)> = Vec::new();
         for (label, strategy) in &strategies {
@@ -315,9 +288,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         );
         assert_decisions_sane(kind, "scattered", &auto_m.decisions, workers);
 
-        // Shard scaling for every index with a fused range kernel — the
-        // whole overview suite. The closing `auto` row shows what the
-        // scheduler does with the same big overlapping batch.
+        // Shard scaling for every index with a fused range kernel. The
+        // closing `auto` row shows what the scheduler does with the same
+        // big overlapping batch.
         if index.range_batch_kernel().is_some() {
             let mut one_shard_ns = None;
             for shards in SHARD_SWEEP {
@@ -339,19 +312,16 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             }
             let m = measure_warm(index, &parallel_batch, BatchStrategy::Auto);
             assert_decisions_sane(kind, "parallel", &m.decisions, workers);
-            // On this heavily overlapping batch the page-backed
-            // indexes have real fetches to share: a scheduler that
-            // falls back to the per-query loop here has its
-            // calibration upside down.
+            // On this heavily overlapping batch every kernel has real
+            // fetches to share: a scheduler that falls back to the
+            // per-query loop here has its calibration upside down.
             if let Some(range) = m.decisions.range {
-                if kind != IndexKind::Zpgm {
-                    assert_ne!(
-                        range.chosen,
-                        ChosenStrategy::Sequential,
-                        "{kind}/parallel: Auto refused to fuse a heavily \
-                         overlapping batch on a page-backed index"
-                    );
-                }
+                assert_ne!(
+                    range.chosen,
+                    ChosenStrategy::Sequential,
+                    "{kind}/parallel: Auto refused to fuse a heavily \
+                     overlapping batch"
+                );
             }
             let base = one_shard_ns.unwrap_or(1);
             scaling.push_row(vec![
@@ -371,14 +341,14 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         }
 
         // The mixed batch runs on every overview index — Zpgm included,
-        // since its point and range kernels joined the fused path — and the
-        // experiment *asserts* the engine's equivalence contract on every
-        // row: fused and fused-parallel mixed execution must produce
-        // exactly the sequential loop's result counts (overall and per plan
-        // type), and the fused strategies must never scan more pages than
-        // sequential on any partition of a kernel-backed index. CI runs
-        // this experiment at 1 and 4 shards on every push, so a divergence
-        // fails the build.
+        // through the per-query loop — and the experiment *asserts* the
+        // engine's equivalence contract on every row: fused and
+        // fused-parallel mixed execution must produce exactly the
+        // sequential loop's result counts (overall and per plan type), and
+        // the fused strategies must never scan more pages than sequential
+        // on any partition of a kernel-backed index. CI runs this
+        // experiment at 1 and 4 shards on every push, so a divergence fails
+        // the build.
         let mut mixed_measured: Vec<(String, BatchMeasurement)> = Vec::new();
         for (label, strategy) in &strategies {
             let m = measure_warm(index, &mixed_batch, *strategy);
@@ -452,18 +422,6 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
                 format_ns(decision.actual_ns as f64),
             ]);
         }
-        // The satellite fix this table exists to guard: under Auto,
-        // Zpgm's mixed batch must not regress against the sequential
-        // loop (the fused-mixed caveat of earlier revisions).
-        if kind == IndexKind::Zpgm {
-            let sequential_ns = mixed_measured[0].1.batch_latency_ns;
-            assert!(
-                auto_m.batch_latency_ns <= sequential_ns + sequential_ns * 15 / 100 + AUTO_SLACK_NS,
-                "Zpgm/mixed: Auto ({}) regressed against sequential ({})",
-                format_ns(auto_m.batch_latency_ns as f64),
-                format_ns(sequential_ns as f64)
-            );
-        }
     }
 
     overlap.push_note(format!(
@@ -473,13 +431,12 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         ctx.dataset_size
     ));
     overlap.push_note(
-        "asserted per row (all seven overview indexes fuse range batches through their \
-         own kernels): fused results equal sequential, fused pages and BB checks never \
-         exceed sequential, and the auto row lands within 10% (+3 ms slack) of the best \
-         fixed strategy. Expected shape: the page-backed indexes (WaZI, Base, STR, \
-         CUR, Flood, QUASII) scan strictly fewer pages fused on this overlapping batch; \
-         Zpgm's flat code array charges no pages, so Auto routes its range partitions \
-         away from the plain fused sweep",
+        "asserted per row: fused results equal sequential, fused pages and BB checks \
+         never exceed sequential, and the auto row lands within 10% (+3 ms slack) of \
+         the best fixed strategy. Expected shape: the six indexes with fused kernels \
+         (WaZI, Base, STR, CUR, Flood, QUASII) scan strictly fewer pages fused on this \
+         overlapping batch; Zpgm advertises no kernel, so every strategy runs its \
+         per-query loop",
     );
     mixed.push_note(
         "r/p/k columns split each quantity by plan type (range / point probe / kNN); \
@@ -491,19 +448,15 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "asserted per row: fused results (overall and per plan type) equal sequential, \
          and no kernel-backed partition scans more pages fused than sequential — the \
          point partition's fused pages drop below sequential wherever probes share \
-         owning pages. Zpgm's flat code array has no fetches to save, so the plain \
-         fused sweep used to trade coordination time for nothing on mixed batches; \
-         Auto recognises the flat kernel class and routes that partition through the \
-         per-query loop instead (asserted: Zpgm's auto mixed latency does not regress \
-         against sequential)",
+         owning pages. Zpgm's flat code array has no fetches to share and no kernel, \
+         so its rows read the per-query loop under every strategy",
     );
     scattered.push_note(format!(
         "{SCATTERED_BATCH} tiny counting queries stratified over a jittered grid \
          (generate_scattered_batch) at selectivity {:.4}%: page visits ≈ distinct \
          pages, so a fused sweep has almost no shared fetches to amortize its \
-         setup against. Asserted: identical results across strategies, the auto row \
-         within 10% (+slack) of the best fixed strategy, and Zpgm's range decision \
-         never the plain fused sweep (sequential on a single-core host)",
+         setup against. Asserted: identical results across strategies, and the auto \
+         row within 10% (+slack) of the best fixed strategy",
         SCATTERED_SELECTIVITY * 100.0
     ));
     scaling.push_note(format!(
@@ -511,13 +464,13 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
          bounds planned work-weighted from per-address point counts over the batch's \
          sweep span; shards = 1 is the single-threaded fused sweep. Address spaces: \
          leaf list (WaZI/Base), column grid (Flood), clustered page list (STR/CUR), \
-         x-slice list (QUASII), flat code-entry array (Zpgm). BB checks are \
+         x-slice list (QUASII); Zpgm has no kernel and no rows. BB checks are \
          shard-invariant (owner-based sharding executes every query's whole walk in \
          one shard); pages may rise slightly with the shard count because a crossing \
          query's tail refetches pages another shard also scans — still far below the \
          sequential loop's count. The closing auto row shows the cost model's pick \
          for the same batch (never a parallel schedule without worker threads; never \
-         the per-query loop for a page-backed index on this much overlap)",
+         the per-query loop on this much overlap)",
         parallel_batch.len()
     ));
     scaling.push_note(format!(
@@ -528,8 +481,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     decisions_table.push_note(
         "one row per partition of the mixed batch the Auto scheduler decided \
          (range partitions carry the full cost estimate; point and kNN partitions \
-         are routed by kernel-class rules, so their predicted columns are '-'). \
-         'Measured' is the partition's wall-clock under the chosen schedule",
+         are routed by a size rule, so their predicted columns are '-'; Zpgm has no \
+         kernel, so nothing to decide and no rows). 'Measured' is the partition's \
+         wall-clock under the chosen schedule",
     );
 
     vec![overlap, mixed, scattered, scaling, decisions_table]
@@ -622,17 +576,17 @@ mod tests {
             panic!("expected five reports");
         };
         // The overlap, scattered and mixed tables cover the whole overview
-        // suite (all seven indexes fuse range batches now) under all four
-        // strategies of the full comparison.
+        // suite under all four strategies of the full comparison.
         assert_eq!(overlap.rows.len(), IndexKind::OVERVIEW.len() * 4);
         assert_eq!(mixed.rows.len(), IndexKind::OVERVIEW.len() * 4);
         assert_eq!(scattered.rows.len(), IndexKind::OVERVIEW.len() * 4);
-        // Every overview index has a sharded kernel now (Zpgm's entry array
-        // splits by code range since this revision); the scaling table has
-        // one row per swept shard count for each, plus the auto row.
+        // Every overview index but Zpgm has a fused kernel; the scaling
+        // table has one row per swept shard count for each, plus the auto
+        // row.
+        let fusing = IndexKind::OVERVIEW.map(|kind| kind != IndexKind::Zpgm);
         assert_eq!(
             scaling.rows.len(),
-            IndexKind::OVERVIEW.len() * (SHARD_SWEEP.len() + 1)
+            fusing.iter().filter(|&&fuses| fuses).count() * (SHARD_SWEEP.len() + 1)
         );
         // Every index appears with every strategy.
         for kind in IndexKind::OVERVIEW {
@@ -647,9 +601,9 @@ mod tests {
             }
         }
         // The fused mixed rows show nonzero fused range/point/kNN counts
-        // for every overview index: the tree baselines joined the Z-indexes,
-        // Flood and Zpgm in the fused path.
-        for kind in IndexKind::OVERVIEW {
+        // for every index with kernels, and zero counts for Zpgm, which
+        // answers through the per-query loop.
+        for (kind, fuses) in IndexKind::OVERVIEW.into_iter().zip(fusing) {
             let row = mixed
                 .rows
                 .iter()
@@ -661,20 +615,19 @@ mod tests {
                 .collect();
             assert_eq!(fused_counts.len(), 3, "{kind}: r/p/k triple");
             assert!(
-                fused_counts.iter().all(|&n| n > 0),
-                "{kind}: expected nonzero fused range/point/kNN counts, got {:?}",
+                fused_counts.iter().all(|&n| (n > 0) == fuses),
+                "{kind}: unexpected fused range/point/kNN counts {:?}",
                 fused_counts
             );
-        }
-        // The decision table records at least the range decision of every
-        // overview index's mixed batch.
-        for kind in IndexKind::OVERVIEW {
-            assert!(
+            // The decision table records at least the range decision of
+            // every mixed batch with a kernel, and nothing for Zpgm.
+            assert_eq!(
                 decisions
                     .rows
                     .iter()
                     .any(|r| r[0] == kind.name() && r[1] == "range"),
-                "missing {kind} range decision row"
+                fuses,
+                "{kind}: range decision row"
             );
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Every experiment is a function taking an [`ExperimentContext`] and
 //! returning one or more [`Report`]s. The `reproduce` binary dispatches on
-//! experiment identifiers; DESIGN.md §2 maps each identifier to the paper's
+//! experiment identifiers; [`registry`] maps each identifier to the paper's
 //! table or figure.
 
 pub mod ablation;
@@ -206,8 +206,8 @@ pub fn registry() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             id: "calibrate",
-            description: "Cost-model calibration: micro-fit the per-kernel constants and check \
-                 the decision boundaries (BENCH_calibrate.json)",
+            description: "Cost-model calibration: micro-fit the constants on WaZI and check \
+                 the decision boundary (BENCH_calibrate.json)",
             run: calibrate::calibrate,
         },
         ExperimentSpec {

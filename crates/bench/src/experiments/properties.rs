@@ -61,7 +61,8 @@ pub fn table2(ctx: &ExperimentContext) -> Vec<Report> {
         ctx.point_queries.to_string(),
     ]);
     report.push_note(
-        "datasets and workloads are synthetic stand-ins for OSM/Gowalla; see DESIGN.md §3",
+        "datasets and workloads are synthetic stand-ins for OSM/Gowalla; see the \
+         wazi_workload dataset and queries module docs",
     );
     vec![report]
 }

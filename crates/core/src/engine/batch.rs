@@ -24,11 +24,10 @@
 //! deterministically: point outputs concatenate in shard order (each
 //! request's output comes wholly from its owning shard), counts and counters
 //! sum. For WaZI the address space is the leaf list, for Flood the column
-//! grid, for the packed R-trees (STR/CUR) the clustered page list, for
-//! QUASII the cracked x-slice list, and for the sorted Z-order array the
-//! entry array.
+//! grid, for the packed R-trees (STR/CUR) the clustered page list, and for
+//! QUASII the cracked x-slice list.
 //!
-//! A third, optional phase reports the batch's walk footprint
+//! A third phase reports the batch's walk footprint
 //! ([`RangeBatchKernel::footprint`]): the checks, page visits, distinct
 //! pages and points the requests' sequential walks would charge, and one
 //! work weight per request. The cost model prices it and the shard planner
@@ -41,7 +40,7 @@ use std::sync::OnceLock;
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
-use super::cost::{KernelClass, RangeBatchStats};
+use super::cost::RangeBatchStats;
 
 /// One range request of a fused batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,27 +210,14 @@ pub trait RangeBatchKernel: Sync {
     /// shard planner cuts by its weights. Never asked for by a one-shard
     /// run, whose plan is the hull whatever the weights.
     ///
-    /// The default is the estimate from the intervals alone: every address
-    /// of every interval checked, fetched and holding one point
-    /// ([`RangeBatchStats::whole_intervals`]). Kernels that can walk a
-    /// batch without running it override it.
+    /// Kernels that can walk a batch without running it report the walk
+    /// exactly; the others estimate it from the intervals
+    /// ([`RangeBatchStats::whole_intervals`]).
     fn footprint(
         &self,
-        _requests: &[RangeBatchRequest],
+        requests: &[RangeBatchRequest],
         projection: &BatchProjection,
-    ) -> RangeBatchStats {
-        RangeBatchStats::whole_intervals(&projection.intervals, |_| 1)
-    }
-
-    /// The kernel's physical profile, consumed by the engine's cost model
-    /// under [`crate::BatchStrategy::Auto`]. The default declares a
-    /// page-backed sweep (the common case: leaves, columns, clustered
-    /// pages, cracked slices); kernels sweeping a flat in-memory array with
-    /// no fetch to share override this with
-    /// [`KernelClass::FlatArray`].
-    fn cost_class(&self) -> KernelClass {
-        KernelClass::PageBacked
-    }
+    ) -> RangeBatchStats;
 }
 
 /// The hull `[lo, hi]` of a non-empty interval slice.
@@ -485,7 +471,7 @@ mod tests {
     }
 
     /// The whole-interval weights of `intervals` at `points` points per
-    /// address: what the default footprint hands the planner.
+    /// address.
     fn weights(intervals: &[SweepInterval], points: u64) -> Vec<u64> {
         RangeBatchStats::whole_intervals(intervals, |_| points).per_request
     }

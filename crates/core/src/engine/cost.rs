@@ -6,8 +6,12 @@
 //! batch's walk footprint ([`RangeBatchKernel::footprint`]): the
 //! bounding-box checks, page visits, distinct pages and points the batch's
 //! sequential walks would charge. With the host's parallelism it feeds a
-//! calibrated per-kernel-class cost model that picks Sequential vs Fused vs
-//! FusedParallel (and the shard count) per partition.
+//! calibrated cost model that picks Sequential vs Fused vs FusedParallel
+//! (and the shard count) per partition. Every fused kernel is page-backed —
+//! it visits pages (or leaves, grid columns, tree nodes, cracked slices)
+//! whose fetches fusion shares — so one set of constants prices them all;
+//! an index with no fetch to share advertises no kernel and runs the
+//! per-query loop.
 //!
 //! The footprint is the walk, not the Z-interval. A WaZI range query scans
 //! only the leaves whose boxes it overlaps; look-ahead pointers (§5) jump it
@@ -18,8 +22,8 @@
 //!
 //! The model never changes answers — every strategy is output- and
 //! counter-equivalent by the kernel contract — so a misprediction costs
-//! wall-clock only. Its constants live in a small fitted table
-//! ([`CalibrationTable::BAKED`]) regenerated by the bench harness's
+//! wall-clock only. Its constants live in one small fitted table
+//! ([`CostConstants::BAKED`]) regenerated by the bench harness's
 //! `reproduce calibrate` experiment, which re-measures every constant and
 //! asserts the baked values have not rotted.
 //!
@@ -27,29 +31,7 @@
 
 use super::SweepInterval;
 
-/// Physical profile of a fused range kernel, declared via
-/// [`super::RangeBatchKernel::cost_class`] and consumed by the cost model.
-///
-/// The decisive question for fusion is whether the index has *physical
-/// fetches to share*: page-backed kernels amortize one page visit over every
-/// co-batched query that needs it, while a flat sorted array has no fetch to
-/// save — its fused sweep buys ordering and locality at a per-step
-/// coordination cost the sequential loop never pays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelClass {
-    /// The sweep visits pages (or page-like units: leaves, grid columns,
-    /// tree nodes, cracked slices) whose fetches fusion shares between
-    /// overlapping requests. Fusion wins once the shared fetches outweigh
-    /// the per-request sweep setup.
-    PageBacked,
-    /// The sweep walks a flat in-memory entry array with no physical fetch
-    /// to share (Zpgm's sorted code array). Fusion only reorders the same
-    /// comparisons while adding per-step coordination, so the sequential
-    /// loop wins unless parallelism can split the sweep.
-    FlatArray,
-}
-
-/// Calibrated unit costs of one kernel class, in nanoseconds.
+/// Calibrated unit costs of a fused range kernel, in nanoseconds.
 ///
 /// The constants are deliberately coarse — the decisions they drive compare
 /// quantities that differ by integer factors (shared fetches vs per-request
@@ -67,17 +49,11 @@ pub struct CostConstants {
     /// batch with nothing to share always prefers the sequential loop.
     pub fused_query_ns: f64,
     /// Cost of fetching and scanning one sweep address (page, leaf, column).
-    /// Zero for flat kernels — there is no fetch.
     pub page_ns: f64,
     /// Cost of one per-request relevance check at a sweep address.
     pub check_ns: f64,
-    /// Cost of one point comparison in the sequential scan.
+    /// Cost of one point comparison in the scan.
     pub point_ns: f64,
-    /// Extra per-comparison coordination a fused flat sweep pays over the
-    /// sequential tight loop (hot-vector and cursor-heap traffic). Zero for
-    /// page-backed kernels, whose fused scan loop matches the sequential
-    /// one.
-    pub fused_point_penalty_ns: f64,
     /// Cost of spawning one scoped worker thread.
     pub spawn_ns: f64,
     /// Fraction of ideal speedup each additional worker contributes
@@ -85,52 +61,20 @@ pub struct CostConstants {
     pub parallel_efficiency: f64,
 }
 
-/// The fitted constants for both kernel classes.
-///
-/// Regenerate with `cargo run --release -p wazi-bench --bin reproduce --
-/// calibrate`, which prints a fitted table in this literal form and asserts
-/// the baked values are still within tolerance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationTable {
-    /// Constants for [`KernelClass::PageBacked`] kernels.
-    pub page_backed: CostConstants,
-    /// Constants for [`KernelClass::FlatArray`] kernels.
-    pub flat: CostConstants,
-}
-
-impl CalibrationTable {
-    /// The committed fitted table (last regenerated by `reproduce
-    /// calibrate` at the default 100k-point scale).
-    pub const BAKED: CalibrationTable = CalibrationTable {
-        page_backed: CostConstants {
-            seq_query_ns: 320.0,
-            fused_query_ns: 520.0,
-            page_ns: 150.0,
-            check_ns: 4.0,
-            point_ns: 1.4,
-            fused_point_penalty_ns: 0.0,
-            spawn_ns: 45_000.0,
-            parallel_efficiency: 0.7,
-        },
-        flat: CostConstants {
-            seq_query_ns: 280.0,
-            fused_query_ns: 460.0,
-            page_ns: 0.0,
-            check_ns: 0.0,
-            point_ns: 1.5,
-            fused_point_penalty_ns: 1.5,
-            spawn_ns: 45_000.0,
-            parallel_efficiency: 0.7,
-        },
+impl CostConstants {
+    /// The committed fitted constants (last regenerated by `reproduce
+    /// calibrate` at the default 100k-point scale, which prints the fitted
+    /// value beside each baked one and asserts the baked values are still
+    /// within tolerance).
+    pub const BAKED: CostConstants = CostConstants {
+        seq_query_ns: 320.0,
+        fused_query_ns: 520.0,
+        page_ns: 150.0,
+        check_ns: 4.0,
+        point_ns: 1.4,
+        spawn_ns: 45_000.0,
+        parallel_efficiency: 0.7,
     };
-
-    /// The constants of one kernel class.
-    pub fn constants(&self, class: KernelClass) -> &CostConstants {
-        match class {
-            KernelClass::PageBacked => &self.page_backed,
-            KernelClass::FlatArray => &self.flat,
-        }
-    }
 }
 
 /// The walk footprint of one projected range batch
@@ -241,8 +185,8 @@ pub struct CostEstimate {
 }
 
 /// One recorded strategy decision: what the engine chose for a partition,
-/// the model's predicted costs (when the quantitative model ran — partition
-/// kinds decided by class rules carry `None`), and the measured wall-clock
+/// the model's predicted costs (when the quantitative model ran — point and
+/// kNN partitions, decided by rule, carry `None`), and the measured wall-clock
 /// of executing the partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionDecision {
@@ -266,30 +210,24 @@ pub struct PartitionDecision {
 /// * **sequential** — `n · seq_query_ns + page_visits · page_ns +
 ///   checks · check_ns + points · point_ns`: one fetch per page visit.
 /// * **fused** — `n · fused_query_ns + distinct_pages · page_ns +
-///   checks · check_ns + points · (point_ns + fused_point_penalty_ns)`:
-///   one fetch per distinct page. Fusion wins once the shared fetches
+///   checks · check_ns + points · point_ns`: one fetch per distinct page.
+///   Fusion wins once the shared fetches
 ///   `(page_visits - distinct_pages) · page_ns` outweigh the extra
-///   per-request setup. A flat kernel has no fetches (`page_ns` is zero)
-///   and pays a per-point coordination penalty, so its sequential loop
-///   always wins unless parallelism splits the sweep.
+///   per-request setup.
 /// * **parallel** — the fused sweep body divides across workers with
 ///   imperfect efficiency plus a spawn cost per shard; only a candidate
 ///   when the host has more than one worker.
 pub fn estimate_range_costs(
-    class: KernelClass,
     stats: &RangeBatchStats,
     workers: usize,
-    table: &CalibrationTable,
+    c: &CostConstants,
 ) -> CostEstimate {
-    let c = table.constants(class);
     let n = stats.requests() as f64;
     let checks = stats.checks as f64 * c.check_ns;
     let points = stats.points as f64;
     let sequential =
         n * c.seq_query_ns + stats.page_visits as f64 * c.page_ns + checks + points * c.point_ns;
-    let sweep = stats.distinct_pages as f64 * c.page_ns
-        + checks
-        + points * (c.point_ns + c.fused_point_penalty_ns);
+    let sweep = stats.distinct_pages as f64 * c.page_ns + checks + points * c.point_ns;
     let fused = n * c.fused_query_ns + sweep;
     let mut parallel: Option<(f64, usize)> = None;
     if workers >= 2 {
@@ -340,12 +278,11 @@ pub fn choose_range_strategy(estimate: &CostEstimate) -> ChosenStrategy {
 /// cheapest. `workers` is the host parallelism (injected so decision tests
 /// are host-independent).
 pub fn decide_range_strategy(
-    class: KernelClass,
     stats: &RangeBatchStats,
     workers: usize,
-    table: &CalibrationTable,
+    constants: &CostConstants,
 ) -> (ChosenStrategy, CostEstimate) {
-    let estimate = estimate_range_costs(class, stats, workers, table);
+    let estimate = estimate_range_costs(stats, workers, constants);
     (choose_range_strategy(&estimate), estimate)
 }
 
@@ -355,41 +292,29 @@ pub const POINT_PARALLEL_MIN: usize = 2_048;
 /// Minimum fused kNN partition that justifies sharded ring sweeps.
 pub const KNN_PARALLEL_MIN: usize = 256;
 
-/// The class rule for a point-probe partition: page-backed indexes group
-/// probes by owning page and share the fetches (fused wins, sharded once the
-/// partition is large and the host has workers); a flat array's probe is a
-/// binary search with no fetch to share, so the per-probe loop wins.
-pub fn decide_point_strategy(class: KernelClass, probes: usize, workers: usize) -> ChosenStrategy {
-    match class {
-        KernelClass::FlatArray => ChosenStrategy::Sequential,
-        KernelClass::PageBacked => {
-            if workers >= 2 && probes >= POINT_PARALLEL_MIN {
-                ChosenStrategy::FusedParallel {
-                    shards: workers.min(8),
-                }
-            } else {
-                ChosenStrategy::Fused
-            }
+/// The rule for a point-probe partition: the index groups probes by owning
+/// page and shares the fetches, so fusion wins, sharded once the partition
+/// is large and the host has workers.
+pub fn decide_point_strategy(probes: usize, workers: usize) -> ChosenStrategy {
+    if workers >= 2 && probes >= POINT_PARALLEL_MIN {
+        ChosenStrategy::FusedParallel {
+            shards: workers.min(8),
         }
+    } else {
+        ChosenStrategy::Fused
     }
 }
 
-/// The class rule for a kNN partition: grouped expanding-ring sweeps share
-/// candidate pages on page-backed indexes (fused, sharded rings on large
-/// partitions with workers available); on a flat array the rings only add
-/// sweep coordination, so the per-plan loop wins.
-pub fn decide_knn_strategy(class: KernelClass, plans: usize, workers: usize) -> ChosenStrategy {
-    match class {
-        KernelClass::FlatArray => ChosenStrategy::Sequential,
-        KernelClass::PageBacked => {
-            if workers >= 2 && plans >= KNN_PARALLEL_MIN {
-                ChosenStrategy::FusedParallel {
-                    shards: workers.min(8),
-                }
-            } else {
-                ChosenStrategy::Fused
-            }
+/// The rule for a kNN partition: grouped expanding-ring sweeps share
+/// candidate pages, so fusion wins, with sharded rings on large partitions
+/// when the host has workers.
+pub fn decide_knn_strategy(plans: usize, workers: usize) -> ChosenStrategy {
+    if workers >= 2 && plans >= KNN_PARALLEL_MIN {
+        ChosenStrategy::FusedParallel {
+            shards: workers.min(8),
         }
+    } else {
+        ChosenStrategy::Fused
     }
 }
 
@@ -443,12 +368,7 @@ mod tests {
         let intervals = [interval(0, 0), interval(100, 100), interval(200, 200)];
         let stats = RangeBatchStats::whole_intervals(&intervals, |_| 3);
         for workers in [1usize, 8] {
-            let (chosen, estimate) = decide_range_strategy(
-                KernelClass::PageBacked,
-                &stats,
-                workers,
-                &CalibrationTable::BAKED,
-            );
+            let (chosen, estimate) = decide_range_strategy(&stats, workers, &CostConstants::BAKED);
             assert_eq!(chosen, ChosenStrategy::Sequential, "workers = {workers}");
             assert!(estimate.sequential_ns < estimate.fused_ns);
         }
@@ -459,8 +379,7 @@ mod tests {
         // 2000 stacked queries over 40 addresses: sequential refetches every
         // address 2000 times, the fused sweep once.
         let stats = stacked(2_000, 40, 200);
-        let (chosen, estimate) =
-            decide_range_strategy(KernelClass::PageBacked, &stats, 1, &CalibrationTable::BAKED);
+        let (chosen, estimate) = decide_range_strategy(&stats, 1, &CostConstants::BAKED);
         assert_eq!(chosen, ChosenStrategy::Fused);
         assert!(estimate.fused_ns < estimate.sequential_ns);
         assert_eq!(
@@ -474,8 +393,7 @@ mod tests {
         // The same stacked batch with real sweep work and 8 workers: the
         // sweep divides across shards and wins despite the spawn cost.
         let stats = stacked(4_000, 64, 2_000);
-        let (chosen, estimate) =
-            decide_range_strategy(KernelClass::PageBacked, &stats, 8, &CalibrationTable::BAKED);
+        let (chosen, estimate) = decide_range_strategy(&stats, 8, &CostConstants::BAKED);
         match chosen {
             ChosenStrategy::FusedParallel { shards } => {
                 assert!(shards >= 2);
@@ -492,69 +410,29 @@ mod tests {
             stacked(2_000, 40, 200),
             stacked(5_000, 500, 5_000),
         ] {
-            for class in [KernelClass::PageBacked, KernelClass::FlatArray] {
-                let (chosen, estimate) =
-                    decide_range_strategy(class, &stats, 1, &CalibrationTable::BAKED);
-                assert!(
-                    !matches!(chosen, ChosenStrategy::FusedParallel { .. }),
-                    "{class:?}: chose {chosen} on a single-core host"
-                );
-                assert_eq!(estimate.fused_parallel_ns, None);
-            }
+            let (chosen, estimate) = decide_range_strategy(&stats, 1, &CostConstants::BAKED);
+            assert!(
+                !matches!(chosen, ChosenStrategy::FusedParallel { .. }),
+                "chose {chosen} on a single-core host"
+            );
+            assert_eq!(estimate.fused_parallel_ns, None);
         }
-        assert_eq!(
-            decide_point_strategy(KernelClass::PageBacked, 1_000_000, 1),
-            ChosenStrategy::Fused
-        );
-        assert_eq!(
-            decide_knn_strategy(KernelClass::PageBacked, 1_000_000, 1),
-            ChosenStrategy::Fused
-        );
-    }
-
-    #[test]
-    fn flat_kernels_always_prefer_the_sequential_scan_over_fusion() {
-        // Whatever the overlap, the flat fused sweep performs the same
-        // comparisons plus coordination: fused must never be predicted to
-        // win (the Zpgm regression the model exists to absorb).
-        for stats in [
-            stacked(2, 4, 1),
-            stacked(2_000, 10_000, 1),
-            stacked(50, 100, 1),
-        ] {
-            let (chosen, estimate) =
-                decide_range_strategy(KernelClass::FlatArray, &stats, 1, &CalibrationTable::BAKED);
-            assert_eq!(chosen, ChosenStrategy::Sequential);
-            assert!(estimate.sequential_ns < estimate.fused_ns);
-        }
+        assert_eq!(decide_point_strategy(1_000_000, 1), ChosenStrategy::Fused);
+        assert_eq!(decide_knn_strategy(1_000_000, 1), ChosenStrategy::Fused);
     }
 
     #[test]
     fn class_rules_route_point_and_knn_partitions() {
+        assert_eq!(decide_point_strategy(100, 8), ChosenStrategy::Fused);
         assert_eq!(
-            decide_point_strategy(KernelClass::FlatArray, 100_000, 8),
-            ChosenStrategy::Sequential
-        );
-        assert_eq!(
-            decide_point_strategy(KernelClass::PageBacked, 100, 8),
-            ChosenStrategy::Fused
-        );
-        assert_eq!(
-            decide_point_strategy(KernelClass::PageBacked, POINT_PARALLEL_MIN, 4),
+            decide_point_strategy(POINT_PARALLEL_MIN, 4),
             ChosenStrategy::FusedParallel { shards: 4 }
         );
         assert_eq!(
-            decide_knn_strategy(KernelClass::FlatArray, 10_000, 8),
-            ChosenStrategy::Sequential
-        );
-        assert_eq!(
-            decide_knn_strategy(KernelClass::PageBacked, KNN_PARALLEL_MIN, 16),
+            decide_knn_strategy(KNN_PARALLEL_MIN, 16),
             ChosenStrategy::FusedParallel { shards: 8 }
         );
-        assert_eq!(
-            decide_knn_strategy(KernelClass::PageBacked, 10, 16),
-            ChosenStrategy::Fused
-        );
+        assert_eq!(decide_knn_strategy(10, 16), ChosenStrategy::Fused);
     }
 
     #[test]
@@ -571,6 +449,19 @@ mod tests {
             ..estimate
         };
         assert_eq!(choose_range_strategy(&estimate), ChosenStrategy::Fused);
+    }
+
+    /// The structure a re-bake must keep: fusion pays more per request
+    /// than the sequential loop (so a batch with nothing to share never
+    /// fuses), and each extra worker adds a fraction of a worker.
+    #[test]
+    fn baked_constants_keep_the_model_structure() {
+        let c = CostConstants::BAKED;
+        assert!(c.fused_query_ns > c.seq_query_ns);
+        assert!(c.parallel_efficiency > 0.0 && c.parallel_efficiency <= 1.0);
+        for value in [c.page_ns, c.check_ns, c.point_ns, c.spawn_ns] {
+            assert!(value > 0.0, "{c:?}");
+        }
     }
 
     #[test]

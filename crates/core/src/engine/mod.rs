@@ -60,8 +60,8 @@ pub use batch::{
     RangeBatchResponse, ShardBounds, SweepInterval,
 };
 pub use cost::{
-    decide_knn_strategy, decide_point_strategy, decide_range_strategy, CalibrationTable,
-    ChosenStrategy, CostConstants, CostEstimate, KernelClass, PartitionDecision, RangeBatchStats,
+    decide_knn_strategy, decide_point_strategy, decide_range_strategy, ChosenStrategy,
+    CostConstants, CostEstimate, PartitionDecision, RangeBatchStats,
 };
 pub(crate) use knn::KnnSweepState;
 pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
@@ -176,8 +176,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// * [`BatchStrategy::Auto`] (the default) lets the engine pick per batch
 ///   and per partition, using the cost model in [`cost`]: cheap statistics
-///   the projection phase already produces feed calibrated
-///   per-kernel-class formulas, and the cheapest predicted candidate runs.
+///   the projection phase already produces feed calibrated formulas, and
+///   the cheapest predicted candidate runs.
 ///   The decision is recorded in [`BatchReport::strategy_chosen`].
 /// * [`BatchStrategy::Sequential`] wins on batches whose queries barely
 ///   overlap — there is no shared work to exploit, and the per-query loop
@@ -200,8 +200,8 @@ pub enum BatchStrategy {
     /// Pick the strategy per batch and per partition with the calibrated
     /// cost model ([`cost`]): range partitions are decided quantitatively
     /// from the batch's walk footprint (page visits against distinct
-    /// pages, checks, points, host parallelism), point and kNN partitions by the kernel's
-    /// class rule. Never changes results, only cost — a misprediction
+    /// pages, checks, points, host parallelism), point and kNN partitions by
+    /// a size rule. Never changes results, only cost — a misprediction
     /// costs wall-clock, not correctness — and never schedules worker
     /// threads on a single-core host. The decision per partition, with
     /// predicted and measured cost, lands in
@@ -475,12 +475,8 @@ impl<'a> QueryEngine<'a> {
                     .then(|| kernel.footprint(&requests, &projection));
                 let choice = match &footprint {
                     Some(stats) if auto => {
-                        let (chosen, estimate) = decide_range_strategy(
-                            kernel.cost_class(),
-                            stats,
-                            workers,
-                            &CalibrationTable::BAKED,
-                        );
+                        let (chosen, estimate) =
+                            decide_range_strategy(stats, workers, &CostConstants::BAKED);
                         (chosen, Some(estimate))
                     }
                     _ => (pinned, None),
@@ -524,13 +520,10 @@ impl<'a> QueryEngine<'a> {
                 _ => None,
             });
             if probes.len() >= 2 {
-                // Auto routes the partition by the range kernel's class
-                // rule: grouped probes share page fetches on page-backed
-                // indexes; a flat array's probe is a binary search with
-                // nothing to share, so the per-probe loop wins there.
+                // Grouped probes share page fetches, so Auto fuses; only
+                // the shard count depends on the partition's size.
                 let chosen = if auto {
-                    let class = kernel.map_or(KernelClass::PageBacked, |k| k.cost_class());
-                    decide_point_strategy(class, probes.len(), workers)
+                    decide_point_strategy(probes.len(), workers)
                 } else {
                     pinned
                 };
@@ -568,12 +561,10 @@ impl<'a> QueryEngine<'a> {
                 _ => None,
             });
             if plans.len() >= 2 {
-                // Auto routes the partition by the range kernel's class
-                // rule: ring sweeps share candidate pages on page-backed
-                // indexes; on a flat array the rings only add sweep
-                // coordination, so the per-plan loop wins.
+                // Ring sweeps share candidate pages, so Auto fuses; only
+                // the shard count depends on the partition's size.
                 let chosen = if auto {
-                    decide_knn_strategy(kernel.cost_class(), plans.len(), workers)
+                    decide_knn_strategy(plans.len(), workers)
                 } else {
                     pinned
                 };

@@ -9,9 +9,8 @@
 //! * [`Quadrant`], [`CellOrdering`], [`QueryCase`] — the split-point
 //!   geometry behind Algorithm 1 and the cost formulas of the paper;
 //! * [`zorder`] — classic rank-space Morton arithmetic (including BIGMIN,
-//!   which both the sequential scan and the query engine's shared BIGMIN
-//!   batch sweep use to jump over irrelevant code runs) used by the
-//!   rank-space baselines of Figure 4.
+//!   which the sorted-array scan uses to jump over irrelevant code runs)
+//!   used by the rank-space baselines of Figure 4.
 //!
 //! The crate is dependency-free and contains no index logic of its own.
 

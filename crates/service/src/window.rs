@@ -16,7 +16,7 @@
 //!   [`wazi_core::CostEstimate`] predicts what fusion saved over the
 //!   sequential loop. The controller tracks an EWMA of that per-query
 //!   saving; while the model predicts fusion buys nothing (scattered
-//!   workloads, flat-array indexes at low overlap), the window collapses to
+//!   workloads), the window collapses to
 //!   its minimum — there is no point taxing latency for sharing that does
 //!   not materialize.
 //!

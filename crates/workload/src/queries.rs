@@ -1,4 +1,10 @@
 //! Range-query workload generation (the Gowalla check-in stand-in).
+//!
+//! The paper derives its range queries from Gowalla check-ins in each
+//! region. What a workload-aware index reacts to is that queries are
+//! skewed *differently* from the data, so query centres are drawn from a
+//! separate, more concentrated mixture per region ([`Region`]) and each
+//! rectangle is grown to a Table 2 selectivity around its centre.
 
 use crate::dataset::sample_mixture;
 use crate::region::Region;

@@ -7,7 +7,8 @@
 //! seeded synthetic profile that reproduces the properties the indexes
 //! actually react to: multi-modal spatial skew for the data and a
 //! *differently*-skewed, more concentrated distribution for the query
-//! centres. See DESIGN.md §3 for the substitution rationale.
+//! centres. The `dataset` (OSM-POI stand-in) and `queries` (Gowalla
+//! check-in stand-in) module docs say what each generator draws.
 
 /// A Gaussian-ish cluster of the synthetic mixture.
 #[derive(Debug, Clone, Copy)]

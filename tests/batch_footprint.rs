@@ -11,9 +11,11 @@
 //! sweep's shared page visits.
 
 use wazi_bench::{build_index, IndexKind};
+use wazi_core::engine::cost::{KNN_PARALLEL_MIN, POINT_PARALLEL_MIN};
 use wazi_core::{
-    decide_range_strategy, BatchStrategy, CalibrationTable, ChosenStrategy, KernelClass, Query,
-    QueryEngine, RangeBatchRequest, RangeMode, SpatialIndex, VersionedIndex, WriteOp, ZIndex,
+    decide_knn_strategy, decide_point_strategy, decide_range_strategy, BatchStrategy,
+    ChosenStrategy, CostConstants, Query, QueryEngine, RangeBatchRequest, RangeMode, SpatialIndex,
+    VersionedIndex, WriteOp, ZIndex,
 };
 use wazi_geom::{Point, Rect};
 use wazi_workload::{
@@ -83,20 +85,25 @@ fn batches(points: &[Point]) -> Vec<(&'static str, Vec<Query>)> {
     ]
 }
 
-/// Asserts the footprint of `batch` on `index` against the Sequential
-/// run's per-query counters and the Fused run's shared page visits.
-fn assert_footprint_is_the_walk(label: &str, index: &dyn SpatialIndex, batch: &[Query]) {
-    let kernel = index.range_batch_kernel().expect("a fused range kernel");
-    let requests: Vec<RangeBatchRequest> = batch
+/// The kernel requests of `batch`, which holds range plans only.
+fn range_requests(batch: &[Query]) -> Vec<RangeBatchRequest> {
+    batch
         .iter()
         .map(|query| match query {
             Query::Range { rect, mode } => RangeBatchRequest {
                 rect: *rect,
                 collect: *mode == RangeMode::Collect,
             },
-            other => panic!("{label}: not a range plan: {other:?}"),
+            other => panic!("not a range plan: {other:?}"),
         })
-        .collect();
+        .collect()
+}
+
+/// Asserts the footprint of `batch` on `index` against the Sequential
+/// run's per-query counters and the Fused run's shared page visits.
+fn assert_footprint_is_the_walk(label: &str, index: &dyn SpatialIndex, batch: &[Query]) {
+    let kernel = index.range_batch_kernel().expect("a fused range kernel");
+    let requests = range_requests(batch);
     assert!(requests.len() >= 2, "{label}: a batch fuses from two plans");
     let footprint = kernel.footprint(&requests, &kernel.project_batch(&requests));
 
@@ -194,8 +201,7 @@ fn footprint_stats_keep_scattered_batches_off_threads() {
             })
             .collect();
         let stats = kernel.footprint(&requests, &kernel.project_batch(&requests));
-        let table = &CalibrationTable::BAKED;
-        decide_range_strategy(KernelClass::PageBacked, &stats, workers, table).0
+        decide_range_strategy(&stats, workers, &CostConstants::BAKED).0
     };
     for seed in 0..8 {
         let scattered = generate_scattered_batch(REGION, 64, SELECTIVITIES[0], seed);
@@ -216,4 +222,126 @@ fn footprint_stats_keep_scattered_batches_off_threads() {
             );
         }
     }
+}
+
+/// Every index kind that advertises a fused range kernel.
+const KERNEL_KINDS: [IndexKind; 8] = [
+    IndexKind::Wazi,
+    IndexKind::WaziNoSkip,
+    IndexKind::BaseSkip,
+    IndexKind::Base,
+    IndexKind::Str,
+    IndexKind::Cur,
+    IndexKind::Flood,
+    IndexKind::Quasii,
+];
+
+/// One decision as a table cell: `S`equential, `F`used, `P<shards>`.
+fn cell(chosen: ChosenStrategy) -> String {
+    match chosen {
+        ChosenStrategy::Sequential => "S".to_string(),
+        ChosenStrategy::Fused => "F".to_string(),
+        ChosenStrategy::FusedParallel { shards } => format!("P{shards}"),
+    }
+}
+
+/// The golden decision table: for each kernel-bearing kind and batch
+/// shape, Auto's range choice at seeds 0–3, each at 1, 2 and 8 workers;
+/// then the point and kNN rules on both sides of their parallel
+/// thresholds at 1, 2 and 8 workers.
+const GOLDEN_DECISIONS: &[&str] = &[
+    "WaZI/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "WaZI/scattered: S S S S S S S S S S S S",
+    "WaZI/mixed: F F F F F F F F F F F F",
+    "WaZI-SK/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "WaZI-SK/scattered: S S S S S S S S S S S S",
+    "WaZI-SK/mixed: F F F F F F F F F F F F",
+    "Base+SK/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "Base+SK/scattered: S S S S S S S S S S S S",
+    "Base+SK/mixed: F F F F F F F F F F F F",
+    "Base/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "Base/scattered: S S S S S S S S S S S S",
+    "Base/mixed: F F F F F F F F F F F F",
+    "STR/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "STR/scattered: S S S S S S S S S S S S",
+    "STR/mixed: F F F F F F F F F F F F",
+    "CUR/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "CUR/scattered: S S S S S S S S S S S S",
+    "CUR/mixed: F F F F F F F F F F F F",
+    "Flood/overlapping: F P2 P8 F P2 P8 F P2 P8 F P2 P8",
+    "Flood/scattered: S S S S S S S S S S S S",
+    "Flood/mixed: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "QUASII/overlapping: F P2 P8 F P2 P8 F P2 P8 F P2 P8",
+    "QUASII/scattered: S P2 P2 S P2 P2 S P2 P2 S P2 P2",
+    "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "point/2047: F F F",
+    "point/2048: F P2 P8",
+    "knn/255: F F F",
+    "knn/256: F P2 P8",
+];
+
+/// Auto's choices, pinned without a clock. Given a footprint, the baked
+/// constants and a worker count, the cost model is a pure function, so a
+/// change that claims "Auto's choices did not move" must leave this table
+/// alone; one that retunes the model updates it on purpose.
+#[test]
+fn auto_decisions_are_pinned_by_a_golden_table() {
+    let points = generate_dataset(REGION, 20_000);
+    let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
+    let seeds = 0..4;
+    let shapes: [(&str, Vec<Vec<Query>>); 3] = [
+        (
+            "overlapping",
+            seeds
+                .clone()
+                .map(|seed| generate_overlapping_batch(REGION, 256, SELECTIVITIES[3], seed))
+                .collect(),
+        ),
+        (
+            "scattered",
+            seeds
+                .clone()
+                .map(|seed| generate_scattered_batch(REGION, 64, SELECTIVITIES[0], seed))
+                .collect(),
+        ),
+        (
+            "mixed",
+            seeds
+                .map(|seed| ranges(generate_mixed_batch(REGION, 256, SELECTIVITIES[1], seed)))
+                .collect(),
+        ),
+    ];
+    let mut got = Vec::new();
+    for kind in KERNEL_KINDS {
+        let built = build_index(kind, &points, &train, 64);
+        let kernel = built
+            .index
+            .range_batch_kernel()
+            .expect("a fused range kernel");
+        for (shape, batches) in &shapes {
+            let cells: Vec<String> = batches
+                .iter()
+                .flat_map(|batch| {
+                    let requests = range_requests(batch);
+                    let stats = kernel.footprint(&requests, &kernel.project_batch(&requests));
+                    [1, 2, 8].map(|workers| {
+                        cell(decide_range_strategy(&stats, workers, &CostConstants::BAKED).0)
+                    })
+                })
+                .collect();
+            got.push(format!("{kind}/{shape}: {}", cells.join(" ")));
+        }
+    }
+    for n in [POINT_PARALLEL_MIN - 1, POINT_PARALLEL_MIN] {
+        let cells = [1, 2, 8].map(|workers| cell(decide_point_strategy(n, workers)));
+        got.push(format!("point/{n}: {}", cells.join(" ")));
+    }
+    for n in [KNN_PARALLEL_MIN - 1, KNN_PARALLEL_MIN] {
+        let cells = [1, 2, 8].map(|workers| cell(decide_knn_strategy(n, workers)));
+        got.push(format!("knn/{n}: {}", cells.join(" ")));
+    }
+    assert!(
+        got == GOLDEN_DECISIONS,
+        "Auto's decisions moved; the table now reads:\n{got:#?}"
+    );
 }

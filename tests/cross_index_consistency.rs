@@ -312,7 +312,7 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
         .into_iter()
         .map(wazi_core::Query::range_count)
         .collect();
-    let mut kernels_seen = 0;
+    let mut kernels = Vec::new();
     for kind in all_kinds() {
         let built = build_index(kind, &points, &train, 128);
         let sequential = QueryEngine::new(built.index.as_ref())
@@ -323,7 +323,11 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
             .with_strategy(BatchStrategy::Fused)
             .execute_batch(&batch)
             .expect("fused batch executes");
-        kernels_seen += usize::from(built.index.range_batch_kernel().is_some());
+        kernels.push((
+            kind,
+            built.index.range_batch_kernel().is_some(),
+            built.index.point_batch_kernel().is_some(),
+        ));
         assert!(
             fused.bbs_checked() <= sequential.bbs_checked(),
             "{kind}: fused checks {} bounding boxes, sequential {}",
@@ -363,10 +367,14 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
             );
         }
     }
+    // Range and point kernels on every kind but Zpgm, which has neither:
+    // its flat code array has no page fetch to share.
+    let expected: Vec<_> = all_kinds()
+        .map(|kind| (kind, kind != IndexKind::Zpgm, kind != IndexKind::Zpgm))
+        .collect();
     assert_eq!(
-        kernels_seen, 9,
-        "every index kind fuses range batches now — the Z-index variants, Flood, \
-         Zpgm's BIGMIN sweep and the tree baselines STR/CUR/QUASII"
+        kernels, expected,
+        "(kind, range kernel, point kernel) per index kind"
     );
 }
 
@@ -634,6 +642,23 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
                 fused_totals.pages_scanned <= sequential_totals.pages_scanned,
                 "{kind}/{label}: fusion added page visits"
             );
+            if kind == IndexKind::Zpgm {
+                // No kernel, so nothing to decide or fuse: every strategy is
+                // the per-query loop, counter for counter.
+                assert_eq!(
+                    report.strategy_chosen.iter().count(),
+                    0,
+                    "{kind}/{label}: decisions recorded"
+                );
+                assert_eq!(report.total_fused(), 0, "{kind}/{label}");
+                for (i, (got, want)) in report.reports.iter().zip(&sequential.reports).enumerate() {
+                    assert_eq!(
+                        counters(&got.stats),
+                        counters(&want.stats),
+                        "{kind}/{label}: counters of plan {i}"
+                    );
+                }
+            }
             if strategy == BatchStrategy::Auto {
                 // Auto decides per partition, so fused counts depend on
                 // what it chose — but the choice itself must be on record

@@ -10,9 +10,8 @@
 //! of the training workload and keeping the cheapest one.
 
 use wazi_core::{
-    BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
-    SpatialIndex, SweepInterval,
+    IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -121,18 +120,25 @@ impl FloodIndex {
         let (first, last) = self.column_range(query.lo.x, query.hi.x);
         for column in first..=last {
             stats.bbs_checked += 1;
-            let points = &self.columns[column];
-            let start = points.partition_point(|p| p.y < query.lo.y);
-            let end = points.partition_point(|p| p.y <= query.hi.y);
-            if start < end {
+            let run = self.y_run(column, query);
+            if !run.is_empty() {
                 let scan_start = std::time::Instant::now();
                 stats.pages_scanned += 1;
-                stats.points_scanned += (end - start) as u64;
-                on_run(&points[start..end]);
+                stats.points_scanned += run.len() as u64;
+                on_run(run);
                 scan_ns += scan_start.elapsed().as_nanos() as u64;
             }
         }
         stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
+    }
+
+    /// The points of `column` inside the query's y extent: two binary
+    /// searches over the column's y-sorted points.
+    fn y_run(&self, column: usize, query: &Rect) -> &[Point] {
+        let points = &self.columns[column];
+        let start = points.partition_point(|p| p.y < query.lo.y);
+        let end = points.partition_point(|p| p.y <= query.hi.y);
+        &points[start..end.max(start)]
     }
 }
 
@@ -260,146 +266,41 @@ impl SpatialIndex for FloodIndex {
     }
 }
 
-/// Flood's fused batch kernel: the sweep address space is the column grid.
-///
-/// Overlapping queries share their *column visits* — at every column the
-/// sweep serves all requests whose x extent covers it, so a column touched
-/// by `m` overlapping queries is fetched once per batch instead of once per
-/// query (the grid-cell sharing of the ROADMAP's cross-index fusion item).
-/// Per-request work is unchanged vs. the sequential path: every request
-/// still pays one bounding-box (column) check per column of its range and
-/// one y-run binary search, so fused counters never exceed sequential ones.
+/// Flood's fused range kernel: a unit is a grid column, and a request's run
+/// lists the columns of its x extent whose y-run is non-empty, ascending —
+/// the order its solo scan reads them. A column read by `m` overlapping
+/// requests is fetched once per batch instead of once per request.
 impl RangeBatchKernel for FloodIndex {
-    /// Maps every request onto its column interval. Column location is the
-    /// same clamped binary search the sequential path uses and charges
-    /// nothing, matching the sequential scan's accounting.
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let start = std::time::Instant::now();
-        let intervals = requests
-            .iter()
-            .map(|request| {
-                let (first, last) = self.column_range(request.rect.lo.x, request.rect.hi.x);
-                SweepInterval {
-                    lo: first as u32,
-                    hi: last as u32,
+    /// Walks every request over its column interval exactly as the solo
+    /// scan does: one bounding-box check per column, and the column joins
+    /// the run when its y-run is non-empty. Column location charges
+    /// nothing, as in the solo scan.
+    fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
+        let mut record = WalkRecord::new(requests.len());
+        for (qi, request) in requests.iter().enumerate() {
+            let (rect, stats) = (&request.rect, &mut record.per_query[qi]);
+            let (first, last) = self.column_range(rect.lo.x, rect.hi.x);
+            for column in first..=last {
+                stats.bbs_checked += 1;
+                let run = self.y_run(column, rect).len();
+                if run > 0 {
+                    record.units.push(column as u32);
+                    record.points += run as u64;
                 }
-            })
-            .collect();
-        BatchProjection {
-            intervals,
-            per_query: vec![ExecStats::default(); requests.len()],
-            elapsed_ns: start.elapsed().as_nanos() as u64,
+            }
+            record.end_run();
         }
+        record
     }
 
-    /// Sweeps the requests owned by one shard of the column grid
-    /// ([`BatchProjection::owned_by`]: each over its whole column interval,
-    /// so its per-column work is identical to its solo scan whatever the
-    /// shard plan). Requests enter the active set at their first column and
-    /// leave after their last; there is no skipping machinery (Flood's
-    /// relevance test *is* the column interval), so the active set is a
-    /// dense vector.
-    /// Per column, every active request binary-searches its y-run
-    /// (projection phase, charged as a bounding-box check like the
-    /// sequential scan) and filters the run by x (scan phase, charged per
-    /// request); the column itself counts as one shared page visit however
-    /// many of the shard's requests read it.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        let entries = projection.owned_by(bounds);
-        if entries.is_empty() {
-            return response;
-        }
-
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        let mut active: Vec<(u32, usize)> = Vec::new();
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        let mut next_entry = 0usize;
-        let mut column = entries[0].0;
-        loop {
-            while next_entry < entries.len() && entries[next_entry].0 <= column {
-                let (_, qi) = entries[next_entry];
-                active.push((projection.intervals[qi].hi, qi));
-                next_entry += 1;
-            }
-            active.retain(|&(hi, _)| hi >= column);
-            if active.is_empty() {
-                match entries.get(next_entry) {
-                    Some(&(lo, _)) => {
-                        column = lo;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let points = &self.columns[column as usize];
-            runs.clear();
-            for &(_, qi) in &active {
-                let rect = &requests[qi].rect;
-                response.per_query[qi].bbs_checked += 1;
-                let start = points.partition_point(|p| p.y < rect.lo.y);
-                let end = points.partition_point(|p| p.y <= rect.hi.y);
-                if start < end {
-                    runs.push((qi, start, end));
-                }
-            }
-            if !runs.is_empty() {
-                let scan_start = std::time::Instant::now();
-                response.shared.pages_scanned += 1;
-                for &(qi, start, end) in &runs {
-                    // Copy the filter bounds into locals: the hot loop must
-                    // not reload them through the request slice, which the
-                    // optimiser cannot prove disjoint from the output it
-                    // writes.
-                    let (lo_x, hi_x) = (requests[qi].rect.lo.x, requests[qi].rect.hi.x);
-                    let stats = &mut response.per_query[qi];
-                    stats.points_scanned += (end - start) as u64;
-                    let run = &points[start..end];
-                    match &mut response.outputs[qi] {
-                        RangeBatchOutput::Points(out) => {
-                            let before = out.len();
-                            out.extend(run.iter().filter(|p| p.x >= lo_x && p.x <= hi_x));
-                            stats.results += (out.len() - before) as u64;
-                        }
-                        RangeBatchOutput::Count(count) => {
-                            let mut matches = 0u64;
-                            for p in run {
-                                matches += u64::from(p.x >= lo_x && p.x <= hi_x);
-                            }
-                            *count += matches;
-                            stats.results += matches;
-                        }
-                    }
-                }
-                scan_ns += scan_start.elapsed().as_nanos() as u64;
-            }
-            // Advance; the sweep ends naturally when every owned request's
-            // interval is exhausted (the active set drains and no
-            // admissions remain), which may be past the shard's own end.
-            column += 1;
-        }
-        response
-            .shared
-            .charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-        response
-    }
-
-    /// Every column of a request's interval checked and fetched, with all
-    /// its points: an upper bound on the y-runs the sweep actually scans.
-    fn footprint(
-        &self,
-        _requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-    ) -> RangeBatchStats {
-        RangeBatchStats::whole_intervals(&projection.intervals, |column| {
-            self.columns[column as usize].len() as u64
-        })
+    /// Re-finds the request's y-run in the column and filters it by x.
+    fn scan(&self, column: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats) {
+        // Copy the filter bounds into locals: the filter must not reload
+        // them through `rect`, which the optimiser cannot prove disjoint
+        // from the output it writes.
+        let (lo_x, hi_x) = (rect.lo.x, rect.hi.x);
+        let run = self.y_run(column as usize, rect);
+        output.scan_run(run, |p| p.x >= lo_x && p.x <= hi_x, stats);
     }
 }
 

@@ -20,8 +20,10 @@
 //!
 //! Every page-backed baseline also implements the query engine's fused batch
 //! kernels ([`wazi_core::RangeBatchKernel`] / [`wazi_core::PointBatchKernel`])
-//! over its own layout — an active-set R-tree descent for STR and CUR, an
-//! x-slice event sweep for QUASII, a column sweep for Flood — so
+//! over its own layout: a range kernel walks a batch once and records the
+//! units each request scans — leaf pages reached by one pruning descent for
+//! STR and CUR, cracked pieces for QUASII, grid columns for Flood — and the
+//! engine scans each distinct unit once for all of its requests, so
 //! [`wazi_core::QueryEngine`] batch fusion is genuinely cross-index. The
 //! sorted Z-order array has no page fetch to share and advertises no
 //! kernel; the engine runs its batches through the per-query loop. The
@@ -41,8 +43,8 @@
 //! let index = StrRTree::build(points, 64);
 //! let kernel = index.range_batch_kernel().expect("STR fuses range batches");
 //!
-//! // Two heavily overlapping requests: the batched descent fetches every
-//! // shared R-tree page once, while each request keeps its solo walk.
+//! // Two heavily overlapping requests: the batch walk records every shared
+//! // leaf page once, while each request keeps its solo walk.
 //! let requests = vec![
 //!     RangeBatchRequest { rect: Rect::from_coords(0.2, 0.2, 0.6, 0.6), collect: false },
 //!     RangeBatchRequest { rect: Rect::from_coords(0.25, 0.25, 0.65, 0.65), collect: false },

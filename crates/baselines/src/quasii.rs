@@ -13,9 +13,8 @@
 //! x-piece.
 
 use wazi_core::{
-    BatchProjection, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
-    SpatialIndex, SweepInterval,
+    IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -49,6 +48,10 @@ pub struct Quasii {
     /// Pieces smaller than this are not cracked further (the piece-size
     /// threshold of the original algorithm).
     min_piece: usize,
+    /// Slice `s`'s pieces are numbered from `piece_starts[s]` in the
+    /// flattened piece order the range kernel scans in; one entry more than
+    /// there are slices. Set once cracking has converged.
+    piece_starts: Vec<u32>,
 }
 
 impl Quasii {
@@ -71,10 +74,18 @@ impl Quasii {
             len,
             space,
             min_piece,
+            piece_starts: Vec::new(),
         };
         for query in training {
             index.crack(query);
         }
+        let mut next = 0u32;
+        index.piece_starts = std::iter::once(0)
+            .chain(index.slices.iter().map(|slice| {
+                next += slice.pieces.len() as u32;
+                next
+            }))
+            .collect();
         index
     }
 
@@ -318,6 +329,7 @@ impl SpatialIndex for Quasii {
         std::mem::size_of::<Self>()
             + self.slices.len() * std::mem::size_of::<XSlice>()
             + self.piece_count() * std::mem::size_of::<YPiece>()
+            + self.piece_starts.len() * std::mem::size_of::<u32>()
     }
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
@@ -330,178 +342,54 @@ impl SpatialIndex for Quasii {
 }
 
 impl Quasii {
-    /// Index range of x-slices overlapping `[x0, x1]`, `None` when the
-    /// query lies entirely outside the cracked x-range. The slices partition
-    /// the x axis contiguously in ascending order, so the overlapping set is
-    /// always one contiguous run locatable by two binary searches.
-    fn slice_interval(&self, x0: f64, x1: f64) -> Option<(u32, u32)> {
+    /// The x-slices overlapping `[x0, x1]`. The slices partition the x axis
+    /// contiguously in ascending order, so they are one contiguous run,
+    /// located by two binary searches; empty when the query lies entirely
+    /// outside the cracked x-range.
+    fn slice_interval(&self, x0: f64, x1: f64) -> std::ops::Range<usize> {
         let lo = self.slices.partition_point(|s| s.x_hi < x0);
         let hi = self.slices.partition_point(|s| s.x_lo <= x1);
-        if lo < hi {
-            Some((lo as u32, hi as u32 - 1))
-        } else {
-            None
-        }
+        lo..hi.max(lo)
     }
 }
 
-/// QUASII's fused batch kernel: the sweep address space is the x-slice
-/// list. A y-piece relevant to `k` of a slice's active queries is scanned
-/// once per batch instead of once per query; per-query charges (the
-/// per-slice traversal tick, per-piece bounding-box checks, point
-/// comparisons) replicate the sequential [`Quasii`] scan exactly, so fused
-/// counters never exceed sequential ones.
+/// QUASII's fused range kernel: a unit is a y-piece, numbered in flattened
+/// (slice, piece) order, and a request's run lists the pieces its solo scan
+/// reads in that order. A piece relevant to `k` requests is scanned once
+/// per batch instead of once per request.
 impl RangeBatchKernel for Quasii {
-    /// Maps every request onto its contiguous run of overlapping x-slices
-    /// (two binary searches, charged to nothing — the sequential scan
-    /// charges its slice walk per slice, which the sweep replicates).
-    /// Requests overlapping no slice project onto `[0, 0]` so they still
-    /// have exactly one owner; the sweep re-checks x-overlap per slice, so
-    /// a conservative interval never changes any counter.
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let start = std::time::Instant::now();
-        let intervals = requests
-            .iter()
-            .map(|request| {
-                let (lo, hi) = self
-                    .slice_interval(request.rect.lo.x, request.rect.hi.x)
-                    .unwrap_or((0, 0));
-                SweepInterval { lo, hi }
-            })
-            .collect();
-        BatchProjection {
-            intervals,
-            per_query: vec![ExecStats::default(); requests.len()],
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// Sweeps the requests owned by one shard of the slice list
-    /// ([`BatchProjection::owned_by`]: the owning shard walks a request's
-    /// whole run of overlapping slices). The sequential scan ticks `nodes_visited`
-    /// once per slice for *every* query — overlap or not — so each owned
-    /// request is charged the full slice count up front; piece work then
-    /// happens only inside the request's overlapping run, exactly as the
-    /// solo walk charges it.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        let entries = projection.owned_by(bounds);
-        if entries.is_empty() {
-            return response;
-        }
-        let slices = self.slices.len() as u32;
-        for &(_, qi) in &entries {
-            // The full-slice-walk tick of the sequential scan.
-            response.per_query[qi].nodes_visited += u64::from(slices);
-        }
-
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        let mut active: Vec<(u32, usize)> = Vec::new();
-        let mut overlapping: Vec<usize> = Vec::new();
-        let mut needing: Vec<usize> = Vec::new();
-        let mut next_entry = 0usize;
-        let mut at = entries[0].0;
-        loop {
-            while next_entry < entries.len() && entries[next_entry].0 <= at {
-                let (_, qi) = entries[next_entry];
-                active.push((projection.intervals[qi].hi, qi));
-                next_entry += 1;
-            }
-            active.retain(|&(hi, _)| hi >= at);
-            if active.is_empty() {
-                match entries.get(next_entry) {
-                    Some(&(lo, _)) => {
-                        at = lo;
+    /// Walks every request as the solo scan does: the tick for every
+    /// slice, one bounding-box check per piece of each x-overlapping slice
+    /// (exactly the slices the solo scan enters, located by two binary
+    /// searches), and the y-overlapping pieces join the run.
+    fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
+        let mut record = WalkRecord::new(requests.len());
+        for (qi, request) in requests.iter().enumerate() {
+            let (rect, stats) = (&request.rect, &mut record.per_query[qi]);
+            stats.nodes_visited += self.slices.len() as u64;
+            for s in self.slice_interval(rect.lo.x, rect.hi.x) {
+                for (at, piece) in self.slices[s].pieces.iter().enumerate() {
+                    stats.bbs_checked += 1;
+                    if piece.y_hi < rect.lo.y || piece.y_lo > rect.hi.y {
                         continue;
                     }
-                    None => break,
+                    record.units.push(self.piece_starts[s] + at as u32);
+                    record.points += piece.points.len() as u64;
                 }
             }
-            let slice = &self.slices[at as usize];
-            overlapping.clear();
-            for &(_, qi) in &active {
-                let rect = &requests[qi].rect;
-                // Re-derive the sequential scan's x test (charged nothing
-                // there either); conservative intervals cost nothing here.
-                if slice.x_hi >= rect.lo.x && slice.x_lo <= rect.hi.x {
-                    overlapping.push(qi);
-                }
-            }
-            for piece in &slice.pieces {
-                needing.clear();
-                for &qi in &overlapping {
-                    let rect = &requests[qi].rect;
-                    response.per_query[qi].bbs_checked += 1;
-                    if piece.y_hi >= rect.lo.y && piece.y_lo <= rect.hi.y {
-                        needing.push(qi);
-                    }
-                }
-                if needing.is_empty() {
-                    continue;
-                }
-                // One pass over the piece on behalf of every relevant
-                // request; comparisons stay attributed per request.
-                let scan_start = std::time::Instant::now();
-                response.shared.pages_scanned += 1;
-                let points = &piece.points;
-                for &qi in &needing {
-                    let rect = requests[qi].rect;
-                    let stats = &mut response.per_query[qi];
-                    stats.points_scanned += points.len() as u64;
-                    match &mut response.outputs[qi] {
-                        RangeBatchOutput::Points(out) => {
-                            let before = out.len();
-                            for p in points {
-                                if rect.contains(p) {
-                                    out.push(*p);
-                                }
-                            }
-                            stats.results += (out.len() - before) as u64;
-                        }
-                        RangeBatchOutput::Count(count) => {
-                            let mut matches = 0u64;
-                            for p in points {
-                                matches += u64::from(rect.contains(p));
-                            }
-                            *count += matches;
-                            stats.results += matches;
-                        }
-                    }
-                }
-                scan_ns += scan_start.elapsed().as_nanos() as u64;
-            }
-            at += 1;
-            if at >= slices {
-                break;
-            }
+            record.end_run();
         }
-        response
-            .shared
-            .charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-        response
+        record
     }
 
-    /// Every slice of a request's interval checked and fetched, with all
-    /// its pieces' points: an upper bound on the pieces the sweep actually
-    /// scans.
-    fn footprint(
-        &self,
-        _requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-    ) -> RangeBatchStats {
-        RangeBatchStats::whole_intervals(&projection.intervals, |slice| {
-            self.slices[slice as usize]
-                .pieces
-                .iter()
-                .map(|piece| piece.points.len() as u64)
-                .sum()
-        })
+    fn scan(&self, piece: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats) {
+        let s = self.piece_starts.partition_point(|&start| start <= piece) - 1;
+        let points = &self.slices[s].pieces[(piece - self.piece_starts[s]) as usize].points;
+        // A local copy keeps the filter from reloading the rectangle
+        // through a reference the optimiser cannot prove disjoint from the
+        // output.
+        let rect = *rect;
+        output.scan_run(points, |p| rect.contains(p), stats);
     }
 }
 
@@ -668,7 +556,7 @@ mod tests {
         assert!(index.size_bytes() > 0);
     }
 
-    /// The fused slice sweep must replicate every query's solo scan — the
+    /// The fused piece scan must replicate every query's solo scan — the
     /// full-slice-walk tick, per-piece bounding-box checks, comparisons and
     /// result order — while pieces relevant to several queries are scanned
     /// once per batch.

@@ -9,8 +9,8 @@
 //! packed.
 
 use wazi_core::{
-    BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds, SweepInterval,
+    PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageId, PageStore};
@@ -361,114 +361,34 @@ impl PackedRTree {
         }
         None
     }
-
-    /// One uncharged pruning descent over a whole batch: every node is
-    /// reached once, with the requests whose solo walk reaches it (the
-    /// root with all of them, a child with those overlapping its bounding
-    /// box). `on_node` sees each reached node and its active requests.
-    fn batch_descent(
-        &self,
-        requests: &[RangeBatchRequest],
-        mut on_node: impl FnMut(&RNode, &[usize]),
-    ) {
-        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
-        while let Some((index, active)) = stack.pop() {
-            let node = &self.nodes[index as usize];
-            on_node(node, &active);
-            if let RNode::Internal { children, .. } = node {
-                for &child in children {
-                    let child_mbr = self.nodes[child as usize].mbr();
-                    let child_active: Vec<usize> = active
-                        .iter()
-                        .copied()
-                        .filter(|&qi| child_mbr.overlaps(&requests[qi].rect))
-                        .collect();
-                    if !child_active.is_empty() {
-                        stack.push((child, child_active));
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// The packed R-tree's fused range kernel: the sweep address space is the
-/// clustered page list (pages are allocated in packing order, so nearby
-/// addresses hold spatially nearby leaves). A request's interval is the
-/// hull `[first, last]` of the leaf pages its solo walk reaches — purely an
-/// ownership and load-balancing hint: [`RangeBatchKernel::sweep_shard`]
-/// re-runs the pruning descent for the requests it owns, so per-request
-/// counters never depend on the interval's tightness.
+/// The packed R-tree's fused range kernel: a unit is a leaf page, and its
+/// id is the order in which the batch descent first reaches it. The batch
+/// descent is a depth-first walk popped LIFO like every solo walk, and a
+/// solo walk reaches a subset of its nodes closed under parents, so each
+/// request's leaves come in its own [`PackedRTree::scan_range`] order and
+/// its run is ascending. The record maps each id to its page.
 impl RangeBatchKernel for PackedRTree {
-    /// One uncharged pruning descent over the whole batch, recording the
-    /// page-address hull every request reaches. Requests overlapping no
-    /// leaf project onto `[0, 0]` so they still have exactly one owner
-    /// (their walk dies near the root, wherever it executes).
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let start = std::time::Instant::now();
-        let mut hulls: Vec<Option<(u32, u32)>> = vec![None; requests.len()];
-        self.batch_descent(requests, |node, active| {
-            if let RNode::Leaf { page, .. } = node {
-                for &qi in active {
-                    let hull = hulls[qi].get_or_insert((page.0, page.0));
-                    hull.0 = hull.0.min(page.0);
-                    hull.1 = hull.1.max(page.0);
-                }
-            }
-        });
-        BatchProjection {
-            intervals: hulls
-                .into_iter()
-                .map(|hull| {
-                    let (lo, hi) = hull.unwrap_or((0, 0));
-                    SweepInterval { lo, hi }
-                })
-                .collect(),
-            per_query: vec![ExecStats::default(); requests.len()],
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// The fused batch descent for the requests one shard owns
-    /// ([`BatchProjection::owned_by`]): one traversal of the tree carrying
-    /// an *active-query set* per node. A node overlapped by `k` of the
-    /// owned queries is fetched once, not `k` times; per-query pruning
-    /// replicates the sequential [`PackedRTree::scan_range`] stack
-    /// discipline exactly (children pushed in order, popped LIFO), so every
-    /// query's node visits, bounding-box checks, point comparisons and
-    /// result order are identical to its solo walk for every shard plan —
-    /// only the physical page visit moves to the shared stats, charged once
-    /// per reached leaf. A page inside several owners' hulls is fetched at
-    /// most once per shard, never more than the sequential once-per-query.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        let owned: Vec<usize> = projection
-            .owned_by(bounds)
-            .into_iter()
-            .map(|(_, qi)| qi)
-            .collect();
-        if owned.is_empty() {
-            return response;
-        }
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, owned)];
+    /// One pruning descent over the whole batch, carrying the requests
+    /// whose solo walk reaches each node: a reached internal node charges
+    /// each of them its visit and one check per child, and a reached leaf
+    /// joins each of their runs.
+    fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
+        let mut record = WalkRecord::new(requests.len());
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
+        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
         while let Some((index, active)) = stack.pop() {
             match &self.nodes[index as usize] {
                 RNode::Internal { children, .. } => {
                     for &qi in &active {
-                        response.per_query[qi].nodes_visited += 1;
+                        record.per_query[qi].nodes_visited += 1;
                     }
                     for &child in children {
                         let child_mbr = self.nodes[child as usize].mbr();
                         let mut child_active = Vec::new();
                         for &qi in &active {
-                            response.per_query[qi].bbs_checked += 1;
+                            record.per_query[qi].bbs_checked += 1;
                             if child_mbr.overlaps(&requests[qi].rect) {
                                 child_active.push(qi);
                             }
@@ -479,72 +399,24 @@ impl RangeBatchKernel for PackedRTree {
                     }
                 }
                 RNode::Leaf { page, .. } => {
-                    // One page fetch on behalf of every query that reached
-                    // the leaf; point comparisons stay attributed per query.
-                    let scan_start = std::time::Instant::now();
-                    response.shared.pages_scanned += 1;
-                    let page = self.store.page(*page);
+                    let unit = record.handles.len() as u32;
+                    record.handles.push(page.0);
+                    record.points += (self.store.page(*page).len() * active.len()) as u64;
                     for &qi in &active {
-                        let rect = &requests[qi].rect;
-                        let stats = &mut response.per_query[qi];
-                        match &mut response.outputs[qi] {
-                            RangeBatchOutput::Points(out) => {
-                                let before = out.len();
-                                page.filter_into_shared(rect, out, stats);
-                                stats.results += (out.len() - before) as u64;
-                            }
-                            RangeBatchOutput::Count(count) => {
-                                let matches = page.count_in_shared(rect, stats);
-                                *count += matches;
-                                stats.results += matches;
-                            }
-                        }
+                        runs[qi].push(unit);
                     }
-                    scan_ns += scan_start.elapsed().as_nanos() as u64;
                 }
             }
         }
-        response
-            .shared
-            .charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-        response
+        for run in runs {
+            record.units.extend(run);
+            record.end_run();
+        }
+        record
     }
 
-    /// Exact: the same uncharged descent as [`RangeBatchKernel::project_batch`]
-    /// reaches exactly the nodes each solo walk reaches. A reached internal
-    /// node costs each of its active requests one check per child, and a
-    /// reached leaf one visit of its page — once per batch to a fused
-    /// sweep.
-    fn footprint(
-        &self,
-        requests: &[RangeBatchRequest],
-        _projection: &BatchProjection,
-    ) -> RangeBatchStats {
-        let mut stats = RangeBatchStats {
-            per_request: vec![0; requests.len()],
-            ..RangeBatchStats::default()
-        };
-        self.batch_descent(requests, |node, active| {
-            let walkers = active.len() as u64;
-            let work = match node {
-                RNode::Internal { children, .. } => {
-                    let checks = children.len() as u64;
-                    stats.checks += checks * walkers;
-                    checks
-                }
-                RNode::Leaf { page, .. } => {
-                    let points = self.store.page(*page).len() as u64;
-                    stats.page_visits += walkers;
-                    stats.distinct_pages += 1;
-                    stats.points += points * walkers;
-                    points
-                }
-            };
-            for &qi in active {
-                stats.per_request[qi] += work;
-            }
-        });
-        stats
+    fn scan(&self, page: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats) {
+        output.scan_page(self.store.page(PageId(page)), rect, stats);
     }
 }
 

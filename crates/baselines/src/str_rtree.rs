@@ -203,7 +203,7 @@ mod tests {
         assert!(index.height() >= 2);
     }
 
-    /// The fused batch descent must replicate every query's solo walk —
+    /// The fused batch walk must replicate every query's solo walk —
     /// same points in the same order, same bounding-box checks and point
     /// comparisons — while overlapping queries share page fetches.
     #[test]

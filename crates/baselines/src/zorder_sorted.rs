@@ -10,7 +10,7 @@
 //! jump over runs of codes outside the query rectangle.
 //!
 //! The index advertises no fused batch kernel. A flat code array has no
-//! page fetch for co-batched queries to share, so a fused sweep could only
+//! page fetch for co-batched queries to share, so a fused scan could only
 //! reorder the same comparisons at extra coordination cost; every batch
 //! strategy runs its plans through the per-query loop.
 

@@ -3,13 +3,12 @@
 //! The paper evaluates queries one at a time; production workloads arrive
 //! in batches. This experiment drives every index through the typed query
 //! engine's batch executor and compares four schedules: the sequential
-//! loop, the fused strategy (a batch's range plans share one sweep through
-//! the index's batched kernel, so pages relevant to several overlapping
+//! loop, the fused strategy (a batch's range plans are walked once through
+//! the index's batched kernel, and pages relevant to several overlapping
 //! queries are scanned once per batch), the parallel fused strategy (the
-//! sweep's address span is partitioned into work-balanced shards swept on
+//! batch's distinct pages are cut into work-balanced chunks scanned on
 //! worker threads) and the cost-based `Auto` scheduler, which picks among
-//! the fixed strategies per batch partition from cheap projection
-//! statistics. Every overview index participates — the Z-indexes and
+//! the fixed strategies per batch partition from the walk's footprint. Every overview index participates — the Z-indexes and
 //! Flood, and the tree baselines STR / CUR / QUASII over their own node
 //! layouts, fuse; Zpgm, which advertises no kernel, runs the per-query loop
 //! under every strategy — so the comparison is genuinely cross-index. A
@@ -43,11 +42,11 @@ const SCATTERED_BATCH: usize = 256;
 const SCATTERED_SELECTIVITY: f64 = SELECTIVITIES[0];
 
 /// Shard counts swept by the shard-scaling table (1 = the single-threaded
-/// fused sweep the parallel rows are judged against).
+/// fused scan the parallel rows are judged against).
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Minimum size of the overlapping batch used by the shard-scaling table:
-/// parallel sweeps need enough stacked work to amortize thread spawning,
+/// parallel scans need enough stacked work to amortize thread spawning,
 /// whatever the context's workload size is.
 const MIN_PARALLEL_BATCH: usize = 2_000;
 
@@ -197,7 +196,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     ]);
     let mut scaling = Report::new(
         "batch-shards",
-        "Parallel fused sweep over a large overlapping batch: shard-count scaling",
+        "Parallel fused scan over a large overlapping batch: shard-count scaling",
     )
     .with_headers(&[
         "Index",
@@ -266,7 +265,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         assert_decisions_sane(kind, "overlap", &auto_m.decisions, workers);
 
         // The scattered batch: stratified tiny queries with almost no
-        // shared pages, so a fused sweep's setup buys nothing. The cost
+        // shared pages, so a fused scan's setup buys nothing. The cost
         // model must keep Auto within budget of the winning strategy.
         let scattered_baseline = measure_warm(index, &scattered_batch, BatchStrategy::Sequential);
         let mut scattered_measured: Vec<(String, BatchMeasurement)> = Vec::new();
@@ -454,28 +453,26 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     scattered.push_note(format!(
         "{SCATTERED_BATCH} tiny counting queries stratified over a jittered grid \
          (generate_scattered_batch) at selectivity {:.4}%: page visits ≈ distinct \
-         pages, so a fused sweep has almost no shared fetches to amortize its \
+         pages, so a fused scan has almost no shared fetches to amortize its \
          setup against. Asserted: identical results across strategies, and the auto \
          row within 10% (+slack) of the best fixed strategy",
         SCATTERED_SELECTIVITY * 100.0
     ));
     scaling.push_note(format!(
-        "{} heavily overlapping counting queries (generate_overlapping_batch), shard \
-         bounds planned work-weighted from per-address point counts over the batch's \
-         sweep span; shards = 1 is the single-threaded fused sweep. Address spaces: \
-         leaf list (WaZI/Base), column grid (Flood), clustered page list (STR/CUR), \
-         x-slice list (QUASII); Zpgm has no kernel and no rows. BB checks are \
-         shard-invariant (owner-based sharding executes every query's whole walk in \
-         one shard); pages may rise slightly with the shard count because a crossing \
-         query's tail refetches pages another shard also scans — still far below the \
-         sequential loop's count. The closing auto row shows the cost model's pick \
+        "{} heavily overlapping counting queries (generate_overlapping_batch), walked \
+         once; the batch's distinct units are cut into contiguous chunks weighted by \
+         the scans each unit serves; shards = 1 is the single-threaded fused scan. \
+         Units: leaves (WaZI/Base), grid columns (Flood), leaf pages (STR/CUR), \
+         cracked pieces (QUASII); Zpgm has no kernel and no rows. Pages and BB checks \
+         are shard-invariant: chunks split the scans, never a walk, and every unit is \
+         fetched once per batch. The closing auto row shows the cost model's pick \
          for the same batch (never a parallel schedule without worker threads; never \
          the per-query loop on this much overlap)",
         parallel_batch.len()
     ));
     scaling.push_note(format!(
         "host available_parallelism = {workers}: parallel speedup requires hardware \
-         threads; on a single-core host the engine sweeps the planned shards inline, \
+         threads; on a single-core host the engine scans the planned chunks inline, \
          so >1-shard rows measure sharding overhead only"
     ));
     decisions_table.push_note(
@@ -527,9 +524,9 @@ mod tests {
 
     /// The parallel acceptance shape (counters only — wall-clock belongs to
     /// the real benchmark run): every shard count returns identical answers
-    /// and point comparisons over the big overlapping batch, and — thanks
-    /// to owner-based sharding — exactly the single sweep's bounding-box
-    /// checks and skips, while page visits never exceed the sequential
+    /// and point comparisons over the big overlapping batch, and — since
+    /// chunks split the scans, never a walk — exactly the single scan's
+    /// bounding-box checks, skips and page visits, below the sequential
     /// loop's.
     #[test]
     fn shard_sweep_preserves_answers_on_the_overlapping_batch() {
@@ -557,10 +554,11 @@ mod tests {
                 Some((results, totals)) => {
                     assert_eq!(m.total_results, *results, "{shards} shards");
                     assert_eq!(m.totals.points_scanned, totals.points_scanned);
-                    // Owner-based sharding: every request's walk is its solo
-                    // walk, so check and skip counts are shard-invariant.
+                    // Every request is walked once, before the chunks: check,
+                    // skip and page counts are shard-invariant.
                     assert_eq!(m.totals.bbs_checked, totals.bbs_checked);
                     assert_eq!(m.totals.leaves_skipped, totals.leaves_skipped);
+                    assert_eq!(m.totals.pages_scanned, totals.pages_scanned);
                 }
                 None => reference = Some((m.total_results, m.totals)),
             }
@@ -635,9 +633,9 @@ mod tests {
     /// The tree-baseline acceptance shape behind `BENCH_batch.json`: on the
     /// overlapping range batch, STR, CUR and QUASII answer through their
     /// fused `RangeBatchKernel` with results and BB-check counts *equal* to
-    /// the sequential walk (an active-set descent prunes exactly like the
-    /// solo walks) while scanning strictly fewer pages (an R-tree node
-    /// overlapped by k queries is fetched once, not k times).
+    /// the sequential walk (the batch walk prunes exactly like the solo
+    /// walks) while scanning strictly fewer pages (a leaf page read by k
+    /// queries is fetched once, not k times).
     #[test]
     fn fused_tree_baselines_share_pages_at_identical_walks() {
         let ctx = ExperimentContext::smoke_test();
@@ -653,7 +651,7 @@ mod tests {
             assert_eq!(fused.total_results, sequential.total_results, "{kind}");
             assert_eq!(
                 fused.totals.bbs_checked, sequential.totals.bbs_checked,
-                "{kind}: the active-set descent must replicate the solo walks"
+                "{kind}: the batch walk must replicate the solo walks"
             );
             assert_eq!(
                 fused.totals.points_scanned, sequential.totals.points_scanned,

@@ -145,7 +145,7 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
         point_ns.unwrap_or(baked.point_ns),
         page_ns.unwrap_or(baked.page_ns),
     )
-    // The fused sweep must price above the sequential loop per request, or
+    // The fused scan must price above the sequential loop per request, or
     // tiny disjoint batches would fuse: clamp the fit to preserve the
     // model's structural invariant.
     .map(|ns| ns.max(seq_query_ns.unwrap_or(0.0) * 1.1));
@@ -332,7 +332,7 @@ mod tests {
     /// clock: a debug build beside parallel tests times nothing meaningful,
     /// so the sanity band and the latency comparisons stay with the CLI run.
     #[test]
-    fn calibrate_fits_both_classes_and_checks_the_boundaries() {
+    fn calibrate_covers_every_constant_and_records_both_boundaries() {
         let ctx = ExperimentContext::smoke_test();
         let (fits, measured) = fit(&ctx);
         let reports = render(&fits, &measured);

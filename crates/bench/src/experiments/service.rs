@@ -50,7 +50,7 @@ use wazi_workload::{
 };
 
 /// The overlapping counting-range workload of the batch experiment: the
-/// shape coalescing exists for (shared hot pages, fused sweeps win big).
+/// shape coalescing exists for (shared hot pages, fused scans win big).
 const SERVICE_REGION: Region = Region::NewYork;
 const SERVICE_SELECTIVITY: f64 = SELECTIVITIES[3];
 

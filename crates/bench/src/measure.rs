@@ -179,8 +179,8 @@ pub struct BatchMeasurement {
     /// Number of kNN plans executed through the shared expanding-ring
     /// sweep.
     pub fused_knn: usize,
-    /// Number of sweep shards the fused kernel ran on (zero when the batch
-    /// executed sequentially, one for the single-threaded fused sweep).
+    /// Number of chunks the fused range scan was cut into (zero when the batch
+    /// executed sequentially, one for the single-threaded fused scan).
     pub shards_used: usize,
     /// Wall-clock latency of the whole batch in nanoseconds.
     pub batch_latency_ns: u64,

@@ -10,35 +10,34 @@
 //! for indexes without one, so fusion is purely an optimization: answers
 //! are identical either way.
 //!
-//! The kernel protocol has two phases — projecting every request onto a
-//! one-dimensional sweep address space ([`RangeBatchKernel::project_batch`])
-//! and sweeping the requests owned by any contiguous slice of that space
-//! independently ([`RangeBatchKernel::sweep_shard`]) — and one driver,
-//! [`run_range_batch`]: project, plan shard bounds, sweep, merge. A plain
-//! fused sweep is the one-shard plan swept on the calling thread. Ownership
-//! is by entry address ([`BatchProjection::owned_by`]): the shard containing
-//! a request's first address sweeps the request's whole interval, so every
-//! request's walk is its solo sequential walk and shards never exchange skip
-//! state. Because ownership partitions the requests, the driver can sweep
-//! shards on worker threads and merge the partial responses
-//! deterministically: point outputs concatenate in shard order (each
-//! request's output comes wholly from its owning shard), counts and counters
-//! sum. For WaZI the address space is the leaf list, for Flood the column
-//! grid, for the packed R-trees (STR/CUR) the clustered page list, and for
-//! QUASII the cracked x-slice list.
+//! The index says *where* the points are; this module decides *how* they
+//! are read. A kernel has two calls. [`RangeBatchKernel::walk`] runs every
+//! request's solo walk once, charging it its checks, skips and node visits,
+//! and returns a [`WalkRecord`]: the units (leaves, pages, columns, pieces)
+//! each request must scan, in one ascending order the kernel defines for
+//! the whole batch. [`RangeBatchKernel::scan`] filters one unit for one
+//! request. Everything else is here, and the record is the plan of every
+//! schedule, so a range request is walked exactly once per batch:
 //!
-//! A third phase reports the batch's walk footprint
-//! ([`RangeBatchKernel::footprint`]): the checks, page visits, distinct
-//! pages and points the requests' sequential walks would charge, and one
-//! work weight per request. The cost model prices it and the shard planner
-//! cuts the sorted entry addresses by its weights. The interval alone
-//! overstates a walk that skips (§5), so the Z-index and the packed R-trees
-//! walk the batch exactly, without touching a page.
+//! * the cost model prices the footprint summed from the record
+//!   ([`WalkRecord::footprint`]);
+//! * the sequential route replays each request's run, one page visit per
+//!   unit per request;
+//! * the fused route ([`run_range_batch`]) counting-sorts the record into
+//!   unit → requests and scans each distinct unit once for all of its
+//!   requests, in ascending unit order — which is every request's own scan
+//!   order, so each output comes out in its solo order;
+//! * the sharded route cuts the *distinct-unit list* into contiguous,
+//!   work-balanced chunks scanned on worker threads, so a unit is fetched
+//!   exactly once per batch whatever the shard count, and outputs
+//!   concatenate in chunk order.
 
+use std::ops::Range;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use wazi_geom::{Point, Rect};
-use wazi_storage::ExecStats;
+use wazi_storage::{ExecStats, Page};
 
 use super::cost::RangeBatchStats;
 
@@ -62,7 +61,53 @@ pub enum RangeBatchOutput {
     Count(u64),
 }
 
-/// The kernel's answer to a batch: parallel to the request slice.
+impl RangeBatchOutput {
+    /// Filters one page into this output: the request is charged the
+    /// page's points and its matches, but not the page visit, which the
+    /// caller charges (once per request on the sequential route, once per
+    /// batch on the fused one).
+    pub fn scan_page(&mut self, page: &Page, rect: &Rect, stats: &mut ExecStats) {
+        match self {
+            RangeBatchOutput::Points(out) => {
+                let before = out.len();
+                page.filter_into_shared(rect, out, stats);
+                stats.results += (out.len() - before) as u64;
+            }
+            RangeBatchOutput::Count(count) => {
+                let matches = page.count_in_shared(rect, stats);
+                *count += matches;
+                stats.results += matches;
+            }
+        }
+    }
+
+    /// Filters a run of points into this output, keeping those `keep`
+    /// accepts: the request is charged every point of the run and its
+    /// matches, but not the visit.
+    pub fn scan_run(
+        &mut self,
+        run: &[Point],
+        keep: impl Fn(&Point) -> bool,
+        stats: &mut ExecStats,
+    ) {
+        stats.points_scanned += run.len() as u64;
+        let matches = match self {
+            RangeBatchOutput::Points(out) => {
+                let before = out.len();
+                out.extend(run.iter().filter(|p| keep(p)));
+                (out.len() - before) as u64
+            }
+            RangeBatchOutput::Count(count) => {
+                let matches: u64 = run.iter().map(|p| u64::from(keep(p))).sum();
+                *count += matches;
+                matches
+            }
+        };
+        stats.results += matches;
+    }
+}
+
+/// The engine's answer to a batch: parallel to the request slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeBatchResponse {
     /// One output per request, in request order.
@@ -70,16 +115,15 @@ pub struct RangeBatchResponse {
     /// Work attributable to a single request (its corner projections, its
     /// bounding-box checks, its point comparisons and results).
     pub per_query: Vec<ExecStats>,
-    /// Work the kernel performed once on behalf of the whole batch: visits
-    /// of pages shared by several requests, batch-level skipping, and the
-    /// kernel's phase timings.
+    /// Work performed once on behalf of the whole batch: one visit per
+    /// distinct unit scanned, the walk's time (projection phase) and the
+    /// scan's (scan phase).
     pub shared: ExecStats,
 }
 
 impl RangeBatchResponse {
     /// A zero-work response shaped for `requests`: empty point vectors for
-    /// collecting requests, zero counts otherwise, default stats. Kernels
-    /// and the shard merger start from this shape and fill it in.
+    /// collecting requests, zero counts otherwise, default stats.
     pub fn zeroed(requests: &[RangeBatchRequest]) -> Self {
         Self {
             outputs: requests
@@ -98,223 +142,135 @@ impl RangeBatchResponse {
     }
 }
 
-/// Inclusive interval of sweep addresses a request's fused scan covers
-/// (leaf indices for the Z-index, grid columns for Flood).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepInterval {
-    /// First address the request's sweep may touch.
-    pub lo: u32,
-    /// Last address the request's sweep may touch (inclusive).
-    pub hi: u32,
-}
-
-/// A contiguous half-open slice `[start, end)` of a kernel's sweep address
-/// space, assigned to one worker by the engine's shard planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardBounds {
-    /// First address of the shard.
-    pub start: u32,
-    /// One past the last address of the shard.
-    pub end: u32,
-}
-
-/// The projection phase of a fused batch: every request mapped onto the
-/// kernel's sweep address space, with the work that mapping cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchProjection {
-    /// One sweep interval per request, in request order.
-    pub intervals: Vec<SweepInterval>,
-    /// Per-request projection work (e.g. WaZI's Algorithm-1 descents),
-    /// charged exactly as the sequential path would charge it.
+/// What a batch's walks found: for every request, its *run* — the units it
+/// must scan, ascending in the order the kernel defines for the batch — and
+/// what reaching them cost it. Four bytes per unit visit the sequential
+/// loop would make.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct WalkRecord {
+    /// Every request's run, request after request.
+    pub units: Vec<u32>,
+    /// Request `i`'s run is `units[offsets[i]..offsets[i + 1]]`; one entry
+    /// more than there are requests.
+    pub offsets: Vec<u32>,
+    /// The handle [`RangeBatchKernel::scan`] takes for each unit id, for
+    /// kernels whose ids are batch-local (the R-trees number leaves in the
+    /// order the batch descent first reaches them and map each to its
+    /// page); empty when a unit id is its own handle.
+    pub handles: Vec<u32>,
+    /// Points on the recorded units, with multiplicity: the Eq. 5 point
+    /// charge the scans will make.
+    pub points: u64,
+    /// Per-request walk work: corner projections, bounding-box checks,
+    /// node visits and look-ahead skips, charged as the sequential walk
+    /// charges them.
     pub per_query: Vec<ExecStats>,
-    /// Wall-clock time the projection took, in nanoseconds; merged into the
-    /// response's shared projection-phase time.
-    pub elapsed_ns: u64,
+    /// Wall-clock of the walk in nanoseconds, stamped by the engine.
+    pub walk_ns: u64,
 }
 
-impl BatchProjection {
-    /// The requests a shard owns, as `(first address, request index)` pairs
-    /// in ascending order — the order their walks join a sweep.
-    ///
-    /// Sharding is **owner-based**: a request belongs to the one shard whose
-    /// bounds contain its interval's *first* address, and that shard sweeps
-    /// the request over its whole interval — intervals are never split
-    /// across shards. Each request's walk is therefore exactly its solo
-    /// sequential walk, look-ahead jumps included, so per-request
-    /// bounding-box checks and skip counts are identical whatever the shard
-    /// count, and no skip-cursor state ever needs to be handed across a
-    /// shard boundary (the zero-overhead cross-shard handoff). The price is
-    /// that a page inside a crossing request's tail may be fetched by more
-    /// than one shard; page visits remain bounded by the sequential loop's.
-    pub fn owned_by(&self, bounds: ShardBounds) -> Vec<(u32, usize)> {
-        // Sized for the one-shard run, which owns every request.
-        let mut owned = Vec::with_capacity(self.intervals.len());
-        owned.extend(
-            self.intervals
-                .iter()
-                .enumerate()
-                .filter(|(_, interval)| interval.lo >= bounds.start && interval.lo < bounds.end)
-                .map(|(qi, interval)| (interval.lo, qi)),
-        );
-        owned.sort_unstable();
-        owned
+impl WalkRecord {
+    /// An empty record for `requests` requests, ready for their runs to be
+    /// appended in request order, each closed by [`WalkRecord::end_run`].
+    pub fn new(requests: usize) -> Self {
+        let mut offsets = Vec::with_capacity(requests + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            per_query: vec![ExecStats::default(); requests],
+            ..Self::default()
+        }
+    }
+
+    /// Closes the run of the next request: the units appended since the
+    /// previous call are its run.
+    pub fn end_run(&mut self) {
+        self.offsets.push(self.units.len() as u32);
+    }
+
+    /// Number of requests the record covers.
+    pub fn requests(&self) -> usize {
+        self.per_query.len()
+    }
+
+    /// Request `request`'s run.
+    pub fn run(&self, request: usize) -> &[u32] {
+        &self.units[self.offsets[request] as usize..self.offsets[request + 1] as usize]
+    }
+
+    /// The handle [`RangeBatchKernel::scan`] takes for `unit`.
+    pub fn handle(&self, unit: u32) -> u32 {
+        self.handles.get(unit as usize).copied().unwrap_or(unit)
+    }
+
+    /// The smallest and largest recorded unit, `None` for no units.
+    fn unit_span(&self) -> Option<(u32, u32)> {
+        let first = *self.units.first()?;
+        Some(self.units.iter().fold((first, first), |(lo, hi), &unit| {
+            (lo.min(unit), hi.max(unit))
+        }))
+    }
+
+    /// What the record's schedules will charge, without charging anything:
+    /// the walks' checks, the page visits (one per recorded unit), the
+    /// distinct units (one fetch each for a fused scan, counted with a
+    /// bitset over the recorded span) and the points.
+    pub fn footprint(&self) -> RangeBatchStats {
+        let mut stats = RangeBatchStats {
+            checks: self.per_query.iter().map(|stats| stats.bbs_checked).sum(),
+            page_visits: self.units.len() as u64,
+            points: self.points,
+            requests: self.requests(),
+            ..RangeBatchStats::default()
+        };
+        if let Some((lo, hi)) = self.unit_span() {
+            let mut seen = vec![0u64; (hi - lo) as usize / 64 + 1];
+            for &unit in &self.units {
+                let bit = (unit - lo) as usize;
+                let (word, mask) = (&mut seen[bit / 64], 1u64 << (bit % 64));
+                stats.distinct_pages += u64::from(*word & mask == 0);
+                *word |= mask;
+            }
+        }
+        stats
     }
 }
 
-/// Fused execution of many range requests in one pass over the index
-/// (`Sync` because shard sweeps may execute concurrently against the same
-/// index).
-///
-/// [`run_range_batch`] drives the protocol: one [`project_batch`] call, a
-/// shard plan over the projected entry addresses (weighted by the
-/// [`footprint`]'s per-request work), one [`sweep_shard`] call per shard,
-/// and a deterministic merge. A plain fused sweep is the one-shard plan:
-/// the hull of the projected intervals, swept on the calling thread.
+/// Fused execution of many range requests: the index walks, the engine
+/// schedules the scans (`Sync` because chunks of a batch may be scanned
+/// concurrently against the same index).
 ///
 /// # Contract
 ///
-/// The merged answer must hold, for every request, exactly what the
-/// sequential [`crate::SpatialIndex::range_query`] /
-/// [`crate::SpatialIndex::range_count`] path returns — same points, same
-/// order — for **every** disjoint partition of the projected span, while
-/// being free to share physical work (page visits) between requests and to
-/// account that shared work in [`RangeBatchResponse::shared`] rather than
-/// per query. Per-request bounding-box checks and point comparisons must
-/// not exceed what the sequential path would charge: fusion shares work, it
-/// never adds any.
+/// * [`RangeBatchKernel::walk`] charges each request exactly the checks,
+///   skips, node visits and projections its sequential walk charges, and
+///   records its run: the units the sequential walk scans, in the order it
+///   scans them, which must be ascending in one order the kernel defines
+///   for the whole batch.
+/// * [`RangeBatchKernel::scan`] of one unit for one request produces, and
+///   charges, exactly what the sequential walk's visit of that unit
+///   produces and charges — matches in scan order, points, results — except
+///   the page visit itself, which the engine charges.
 ///
-/// [`project_batch`]: RangeBatchKernel::project_batch
-/// [`sweep_shard`]: RangeBatchKernel::sweep_shard
-/// [`footprint`]: RangeBatchKernel::footprint
+/// Replaying each run then reproduces the sequential path bit for bit, and
+/// scanning the distinct units in ascending order for all of their
+/// requests at once does too, per request: fusion shares page fetches, it
+/// never adds work.
 pub trait RangeBatchKernel: Sync {
-    /// Maps every request onto the sweep address space, charging the
-    /// projection work per request. Called once per batch, before any
-    /// shard sweeps.
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection;
+    /// Runs every request's walk once and records it. Called once per
+    /// batch (once per ring of a kNN batch), before anything is scanned.
+    fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord;
 
-    /// Runs the fused sweep for the requests `bounds` owns
-    /// ([`BatchProjection::owned_by`]), each over its whole interval.
-    /// Requests entering elsewhere contribute nothing; the returned response
-    /// holds outputs and counters for exactly the requests this shard owns.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse;
-
-    /// What the requests' sequential walks would charge, computed without
-    /// charging anything: bounding-box checks, page visits, distinct pages,
-    /// points on the visited pages, and one work weight per request. The
-    /// cost model prices it under [`crate::BatchStrategy::Auto`] and the
-    /// shard planner cuts by its weights. Never asked for by a one-shard
-    /// run, whose plan is the hull whatever the weights.
-    ///
-    /// Kernels that can walk a batch without running it report the walk
-    /// exactly; the others estimate it from the intervals
-    /// ([`RangeBatchStats::whole_intervals`]).
-    fn footprint(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-    ) -> RangeBatchStats;
-}
-
-/// The hull `[lo, hi]` of a non-empty interval slice.
-pub(crate) fn interval_hull(intervals: &[SweepInterval]) -> Option<(u32, u32)> {
-    let first = intervals.first()?;
-    let mut lo = first.lo;
-    let mut hi = first.hi;
-    for interval in &intervals[1..] {
-        lo = lo.min(interval.lo);
-        hi = hi.max(interval.hi);
-    }
-    Some((lo, hi))
-}
-
-/// Plans up to `shards` disjoint, contiguous, work-balanced shard bounds
-/// covering the hull of the projected intervals. Returns the hull itself
-/// for one shard (without reading `weights`), an empty plan for an empty
-/// batch, and never more shards than distinct entry addresses.
-///
-/// `weights` holds one work weight per request
-/// ([`RangeBatchStats::per_request`]). Under owner-based sharding a
-/// request's *whole* walk executes in the shard containing its entry
-/// address, so each entry address carries the summed weight of the walks
-/// starting there (at least one per walk). Cuts fall between entry
-/// addresses so that each shard carries roughly its fair share — a shard
-/// owning few but heavy walks ends up as narrow as one owning many light
-/// ones. `O(n log n)` for `n` requests, whatever the span.
-///
-/// The cut decision looks one entry ahead: a shard closes *before* an entry
-/// whose weight would overshoot the fair share of the remaining work by
-/// more than stopping short undershoots it — so a single heavy entry (a
-/// stack of walks entering one leaf) lands in the shard where it balances
-/// best instead of always being dragged into the current one.
-pub(crate) fn plan_shard_bounds(
-    intervals: &[SweepInterval],
-    weights: &[u64],
-    shards: usize,
-) -> Vec<ShardBounds> {
-    let Some((lo, hi)) = interval_hull(intervals) else {
-        return Vec::new();
-    };
-    let hull = ShardBounds {
-        start: lo,
-        end: hi + 1,
-    };
-    if shards <= 1 {
-        return vec![hull];
-    }
-    debug_assert_eq!(weights.len(), intervals.len());
-    let mut entries: Vec<(u32, i64)> = intervals
-        .iter()
-        .zip(weights)
-        .map(|(interval, &weight)| (interval.lo, weight.max(1) as i64))
-        .collect();
-    entries.sort_unstable_by_key(|&(entry, _)| entry);
-    entries.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += next.1;
-        }
-        same
-    });
-    let shards = shards.min(entries.len());
-    let mut bounds = Vec::with_capacity(shards);
-    let mut start = hull.start;
-    let mut carried = 0i64;
-    let mut remaining: i64 = entries.iter().map(|&(_, weight)| weight).sum();
-    for (position, &(entry, weight)) in entries.iter().enumerate() {
-        let shards_left = shards - bounds.len();
-        // Cutting before this entry must leave one entry for each of the
-        // remaining shards.
-        let room_left = entries.len() - position >= shards_left - 1;
-        if shards_left > 1 && carried > 0 && room_left {
-            let target = (carried + remaining) / shards_left as i64;
-            let overshoot = carried + weight - target;
-            let undershoot = target - carried;
-            if overshoot > 0 && overshoot > undershoot {
-                bounds.push(ShardBounds { start, end: entry });
-                start = entry;
-                carried = 0;
-            }
-        }
-        carried += weight;
-        remaining -= weight;
-    }
-    bounds.push(ShardBounds {
-        start,
-        end: hull.end,
-    });
-    debug_assert!(bounds.len() <= shards);
-    bounds
+    /// Filters the unit with handle `unit` ([`WalkRecord::handle`]) for one
+    /// request with rectangle `rect`, charging `stats` its points and
+    /// matches but not the visit.
+    fn scan(&self, unit: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats);
 }
 
 /// Worker threads the host can usefully run
 /// ([`std::thread::available_parallelism`], one when unknown), read once
 /// per process: the query reads cgroup files, which costs microseconds per
-/// call. Feeds the oversubscription guards of the threaded range sweep and
+/// call. Feeds the oversubscription guards of the threaded range scan and
 /// point partition and the cost model's parallel-candidate gate — on a
 /// single-core host the model never picks
 /// [`crate::BatchStrategy::FusedParallel`].
@@ -323,127 +279,262 @@ pub(crate) fn available_workers() -> usize {
     *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs a whole range batch through `kernel`: project once, plan up to
-/// `shards` work-balanced shard bounds over the batch's sweep span, sweep
-/// them, and merge the partial responses deterministically in shard order.
-/// Returns the merged response and the number of shards actually swept (the
-/// planner produces fewer than requested when the requests enter at fewer
-/// distinct addresses).
+/// Walks `requests` through `kernel` and stamps the walk's wall-clock.
+pub(crate) fn walk(kernel: &dyn RangeBatchKernel, requests: &[RangeBatchRequest]) -> WalkRecord {
+    let start = Instant::now();
+    let mut record = kernel.walk(requests);
+    debug_assert_eq!(
+        record.offsets.len(),
+        requests.len() + 1,
+        "one run a request"
+    );
+    debug_assert_eq!(record.per_query.len(), requests.len());
+    record.walk_ns = start.elapsed().as_nanos() as u64;
+    record
+}
+
+/// Runs a whole range batch through `kernel`: walk once, then scan the
+/// distinct units in up to `shards` work-balanced chunks and merge the
+/// chunks' partial responses in chunk order. Returns the merged response
+/// and the number of chunks planned (one when `shards <= 1` or the batch
+/// has a single distinct unit or none).
 ///
-/// With `shards <= 1` this is the plain fused sweep: the plan is the hull of
-/// the projected intervals, swept on the calling thread, and the kernel's
-/// [`RangeBatchKernel::footprint`] is never asked for. Every shard count
-/// yields bit-identical outputs and per-request counters; only shared page
-/// visits may rise with the shard count, bounded by once per shard.
+/// Every shard count yields bit-identical outputs and counters, shared
+/// page visits included: each distinct unit is fetched once per batch.
 pub fn run_range_batch(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
-    let projection = kernel.project_batch(requests);
-    let weights = if shards > 1 {
-        kernel.footprint(requests, &projection).per_request
-    } else {
-        Vec::new()
-    };
-    run_projected_batch(kernel, requests, projection, &weights, shards)
+    let record = walk(kernel, requests);
+    run_walked_batch(kernel, requests, &record, shards)
 }
 
-/// [`run_range_batch`] with the projection phase already done — the entry
-/// point the Auto strategy uses so the projection and footprint that fed
-/// the cost model are reused by the execution it chose, never recomputed.
-/// `weights` are the footprint's per-request weights, read only when
-/// `shards > 1`.
+/// [`run_range_batch`] with the walk already done — the entry point Auto
+/// uses, so the record it priced is the plan it executes.
 ///
-/// Oversubscription guard: spawned workers are capped at the host's
-/// [`available_workers`] — extra threads for CPU-bound sweeps can only add
-/// scheduling overhead. The shard *plan* itself is never host-dependent
-/// (shard bounds, and therefore all deterministic counters, are identical
-/// whatever machine executes the batch); when there are more shards than
-/// workers, each worker sweeps a contiguous run of shards, and on a
-/// single-core host every shard is swept inline on the calling thread —
-/// same shards, same merge, no threads.
-pub(crate) fn run_projected_batch(
+/// Oversubscription guard: worker threads are capped at the host's
+/// [`available_workers`], each scanning a contiguous run of chunks. The
+/// chunk plan itself never depends on the host, and neither does any
+/// counter: on a single-core host every chunk is scanned inline.
+pub(crate) fn run_walked_batch(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
-    projection: BatchProjection,
-    weights: &[u64],
+    record: &WalkRecord,
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
-    debug_assert_eq!(projection.intervals.len(), requests.len());
-    let plan = plan_shard_bounds(&projection.intervals, weights, shards);
-    let workers = available_workers().min(plan.len());
-    let merged = if workers <= 1 {
-        let sweeps = plan
-            .iter()
-            .map(|&bounds| kernel.sweep_shard(requests, &projection, bounds));
-        merge_shard_responses(requests, &projection, sweeps)
+    let groups = UnitGroups::of(record);
+    let chunks = plan_unit_chunks(&groups, shards);
+    let workers = available_workers().min(chunks.len());
+    let partials = if workers <= 1 {
+        vec![scan_units(
+            kernel,
+            requests,
+            record,
+            &groups,
+            0..groups.len(),
+        )]
     } else {
-        let sweeps = sweep_shards_threaded(kernel, requests, &projection, &plan, workers);
-        merge_shard_responses(requests, &projection, sweeps)
+        let spans: Vec<Range<usize>> = chunks
+            .chunks(chunks.len().div_ceil(workers))
+            .map(|run| run[0].start..run[run.len() - 1].end)
+            .collect();
+        scan_spans_threaded(kernel, requests, record, &groups, &spans)
     };
-    (merged, plan.len().max(1))
+    (
+        merge_partials(requests, record, partials),
+        chunks.len().max(1),
+    )
 }
 
-/// Sweeps the planned shards on at most `workers` scoped worker threads —
-/// each worker takes a contiguous run of shards and sweeps them in order —
-/// returning the partial responses in plan (= shard) order however the
-/// workers were scheduled.
-pub(crate) fn sweep_shards_threaded(
+/// Auto's sequential route: each request replays its own run, paying one
+/// page visit per unit as the per-query loop would — the loop's answers and
+/// counters without walking again. The walk's time is spread evenly over
+/// the requests' projection phases; each replay's time is its scan phase.
+pub(crate) fn replay_sequential(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
-    projection: &BatchProjection,
-    plan: &[ShardBounds],
-    workers: usize,
+    record: &WalkRecord,
+) -> RangeBatchResponse {
+    let mut response = RangeBatchResponse::zeroed(requests);
+    response.per_query.clone_from_slice(&record.per_query);
+    let n = requests.len().max(1) as u64;
+    for (qi, request) in requests.iter().enumerate() {
+        let start = Instant::now();
+        let stats = &mut response.per_query[qi];
+        for &unit in record.run(qi) {
+            stats.pages_scanned += 1;
+            kernel.scan(
+                record.handle(unit),
+                &request.rect,
+                &mut response.outputs[qi],
+                stats,
+            );
+        }
+        stats.projection_ns += record.walk_ns / n + u64::from((qi as u64) < record.walk_ns % n);
+        stats.scan_ns += start.elapsed().as_nanos() as u64;
+    }
+    response
+}
+
+/// The transpose of a walk record: the distinct units in ascending order,
+/// each with the requests whose runs hold it (ascending), built by one
+/// counting sort over the recorded span.
+#[derive(Debug, Default)]
+pub(crate) struct UnitGroups {
+    units: Vec<u32>,
+    /// Unit `g`'s requests are `requests[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<u32>,
+    requests: Vec<u32>,
+}
+
+impl UnitGroups {
+    pub(crate) fn of(record: &WalkRecord) -> Self {
+        let Some((lo, hi)) = record.unit_span() else {
+            return Self::default();
+        };
+        // Requests per unit, then each occupied slot's first position.
+        let mut slots = vec![0u32; (hi - lo) as usize + 1];
+        for &unit in &record.units {
+            slots[(unit - lo) as usize] += 1;
+        }
+        let mut groups = Self {
+            offsets: vec![0],
+            requests: vec![0; record.units.len()],
+            ..Self::default()
+        };
+        let mut next = 0u32;
+        for (at, slot) in slots.iter_mut().enumerate() {
+            if *slot > 0 {
+                groups.units.push(lo + at as u32);
+                let count = std::mem::replace(slot, next);
+                next += count;
+                groups.offsets.push(next);
+            }
+        }
+        for qi in 0..record.requests() {
+            for &unit in record.run(qi) {
+                let slot = &mut slots[(unit - lo) as usize];
+                groups.requests[*slot as usize] = qi as u32;
+                *slot += 1;
+            }
+        }
+        groups
+    }
+
+    /// Number of distinct units.
+    pub(crate) fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    /// The requests reading distinct unit `g`.
+    fn requests_of(&self, g: usize) -> &[u32] {
+        &self.requests[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+    }
+}
+
+/// Cuts the distinct-unit list into `min(shards, units)` contiguous chunks
+/// of roughly equal work, a unit weighing one fetch plus one scan per
+/// request reading it. Empty when there are no units.
+pub(crate) fn plan_unit_chunks(groups: &UnitGroups, shards: usize) -> Vec<Range<usize>> {
+    let units = groups.len();
+    if units == 0 {
+        return Vec::new();
+    }
+    let shards = shards.clamp(1, units);
+    let total = units + groups.requests.len();
+    let mut cuts = vec![0usize];
+    for g in 1..units {
+        let chunk = cuts.len();
+        if chunk == shards {
+            break;
+        }
+        // Work before unit `g`; cut once the chunk has its share, or when
+        // every remaining chunk needs one of the remaining units.
+        let before = g + groups.offsets[g] as usize;
+        if before * shards >= total * chunk || units - g <= shards - chunk {
+            cuts.push(g);
+        }
+    }
+    cuts.push(units);
+    cuts.windows(2).map(|pair| pair[0]..pair[1]).collect()
+}
+
+/// Scans the distinct units `span` for all of their requests: one shared
+/// visit per unit, matches and comparisons charged per request. Returns a
+/// partial response holding just that span's work.
+pub(crate) fn scan_units(
+    kernel: &dyn RangeBatchKernel,
+    requests: &[RangeBatchRequest],
+    record: &WalkRecord,
+    groups: &UnitGroups,
+    span: Range<usize>,
+) -> RangeBatchResponse {
+    let start = Instant::now();
+    let mut response = RangeBatchResponse::zeroed(requests);
+    for g in span {
+        let unit = record.handle(groups.units[g]);
+        response.shared.pages_scanned += 1;
+        for &qi in groups.requests_of(g) {
+            let qi = qi as usize;
+            let (output, stats) = (&mut response.outputs[qi], &mut response.per_query[qi]);
+            kernel.scan(unit, &requests[qi].rect, output, stats);
+        }
+    }
+    response.shared.scan_ns += start.elapsed().as_nanos() as u64;
+    response
+}
+
+/// Scans each of `spans` on its own scoped worker thread (the first on the
+/// calling thread), returning the partial responses in span order however
+/// the workers were scheduled.
+pub(crate) fn scan_spans_threaded(
+    kernel: &dyn RangeBatchKernel,
+    requests: &[RangeBatchRequest],
+    record: &WalkRecord,
+    groups: &UnitGroups,
+    spans: &[Range<usize>],
 ) -> Vec<RangeBatchResponse> {
-    let chunk_size = plan.len().div_ceil(workers.max(1));
+    let Some((first, rest)) = spans.split_first() else {
+        return Vec::new();
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&bounds| kernel.sweep_shard(requests, projection, bounds))
-                        .collect::<Vec<_>>()
-                })
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|span| {
+                scope.spawn(move || scan_units(kernel, requests, record, groups, span.clone()))
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                // Re-raise a shard worker's panic with its original payload,
-                // so a kernel panic on a worker thread reaches the engine's
-                // isolation boundary (catch_execution_panic) with its
-                // message intact instead of being masked by a join error.
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+        let mut partials = vec![scan_units(kernel, requests, record, groups, first.clone())];
+        partials.extend(handles.into_iter().map(|handle| {
+            // Re-raise a worker's panic with its original payload, so a
+            // kernel panic on a worker thread reaches the engine's
+            // isolation boundary (catch_execution_panic) with its message
+            // intact instead of being masked by a join error.
+            handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        partials
     })
 }
 
-/// Deterministically merges per-shard partial responses (in ascending shard
-/// order) with the batch's projection into one [`RangeBatchResponse`].
-///
-/// Point outputs concatenate in shard order — under owner-based sharding a
-/// request's output is produced wholly by the one shard owning its entry
-/// address, so concatenation reproduces the single sweep's scan order
-/// exactly. Counts, per-query counters and shared counters sum; the
-/// projection's per-request work and wall-clock are folded in so the merged
-/// response accounts for the whole fused execution.
-pub(crate) fn merge_shard_responses(
+/// Merges partial responses of ascending unit spans into one
+/// [`RangeBatchResponse`], folding in the walk's per-request work and
+/// wall-clock. Point outputs concatenate in span order, which keeps each
+/// request's units ascending and so its matches in solo order; counts and
+/// counters sum.
+pub(crate) fn merge_partials(
     requests: &[RangeBatchRequest],
-    projection: &BatchProjection,
-    responses: impl IntoIterator<Item = RangeBatchResponse>,
+    record: &WalkRecord,
+    partials: impl IntoIterator<Item = RangeBatchResponse>,
 ) -> RangeBatchResponse {
-    let mut merged = RangeBatchResponse::zeroed(requests);
-    merged.per_query.clone_from_slice(&projection.per_query);
-    merged.shared.projection_ns += projection.elapsed_ns;
-    for response in responses {
-        debug_assert_eq!(response.outputs.len(), requests.len());
-        for (into, from) in merged.outputs.iter_mut().zip(response.outputs) {
+    let mut partials = partials.into_iter();
+    let mut merged = partials
+        .next()
+        .unwrap_or_else(|| RangeBatchResponse::zeroed(requests));
+    for partial in partials {
+        for (into, from) in merged.outputs.iter_mut().zip(partial.outputs) {
             match (into, from) {
                 (RangeBatchOutput::Points(all), RangeBatchOutput::Points(part)) => {
                     all.extend(part);
@@ -451,14 +542,18 @@ pub(crate) fn merge_shard_responses(
                 (RangeBatchOutput::Count(all), RangeBatchOutput::Count(part)) => {
                     *all += part;
                 }
-                _ => unreachable!("shard outputs are shaped by the same requests"),
+                _ => unreachable!("partial outputs are shaped by the same requests"),
             }
         }
-        for (into, from) in merged.per_query.iter_mut().zip(&response.per_query) {
+        for (into, from) in merged.per_query.iter_mut().zip(&partial.per_query) {
             into.merge(from);
         }
-        merged.shared.merge(&response.shared);
+        merged.shared.merge(&partial.shared);
     }
+    for (into, walked) in merged.per_query.iter_mut().zip(&record.per_query) {
+        into.merge(walked);
+    }
+    merged.shared.projection_ns += record.walk_ns;
     merged
 }
 
@@ -466,141 +561,116 @@ pub(crate) fn merge_shard_responses(
 mod tests {
     use super::*;
 
-    fn interval(lo: u32, hi: u32) -> SweepInterval {
-        SweepInterval { lo, hi }
+    /// A record of `runs`, one run per request.
+    fn record(runs: &[&[u32]]) -> WalkRecord {
+        let mut record = WalkRecord::new(runs.len());
+        for run in runs {
+            record.units.extend_from_slice(run);
+            record.end_run();
+        }
+        record
     }
 
-    /// The whole-interval weights of `intervals` at `points` points per
-    /// address.
-    fn weights(intervals: &[SweepInterval], points: u64) -> Vec<u64> {
-        RangeBatchStats::whole_intervals(intervals, |_| points).per_request
+    #[test]
+    fn footprint_counts_visits_and_distinct_units() {
+        let mut walked = record(&[&[0, 1, 2, 3], &[2, 3, 4, 5], &[130]]);
+        walked.points = 140;
+        walked.per_query[0].bbs_checked = 5;
+        walked.per_query[2].bbs_checked = 1;
+        let stats = walked.footprint();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.checks, 6);
+        assert_eq!(stats.page_visits, 9);
+        assert_eq!(stats.distinct_pages, 7);
+        assert_eq!(stats.points, 140);
+        assert_eq!(WalkRecord::new(0).footprint(), RangeBatchStats::default());
+    }
+
+    #[test]
+    fn groups_transpose_the_runs() {
+        let walked = record(&[&[3, 5], &[], &[1, 3], &[5]]);
+        let groups = UnitGroups::of(&walked);
+        assert_eq!(groups.units, [1, 3, 5]);
+        assert_eq!(groups.requests_of(0), [2]);
+        assert_eq!(groups.requests_of(1), [0, 2]);
+        assert_eq!(groups.requests_of(2), [0, 3]);
+        assert_eq!(UnitGroups::of(&record(&[&[], &[]])).len(), 0);
+    }
+
+    /// `units` distinct units, unit `g` read by `readers[g]` requests.
+    fn groups(readers: &[u32]) -> UnitGroups {
+        let mut offsets = vec![0];
+        for &n in readers {
+            offsets.push(offsets.last().unwrap() + n);
+        }
+        UnitGroups {
+            units: (0..readers.len() as u32).collect(),
+            requests: vec![0; *offsets.last().unwrap() as usize],
+            offsets,
+        }
+    }
+
+    /// Asserts `chunks` partition `0..units` into non-empty ranges.
+    fn assert_partition(chunks: &[Range<usize>], units: usize) {
+        assert_eq!(chunks.first().unwrap().start, 0);
+        assert_eq!(chunks.last().unwrap().end, units);
+        for pair in chunks.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "gap or overlap in {chunks:?}");
+        }
+        assert!(chunks.iter().all(|chunk| !chunk.is_empty()), "{chunks:?}");
     }
 
     #[test]
     fn empty_batch_has_no_shards() {
-        assert!(plan_shard_bounds(&[], &[], 4).is_empty());
+        assert!(plan_unit_chunks(&groups(&[]), 4).is_empty());
     }
 
     #[test]
     fn single_shard_covers_the_hull() {
-        let plan = plan_shard_bounds(&[interval(3, 9), interval(5, 20)], &[], 1);
-        assert_eq!(plan, vec![ShardBounds { start: 3, end: 21 }]);
+        assert_eq!(plan_unit_chunks(&groups(&[3, 1, 4]), 1), vec![0..3]);
     }
 
     #[test]
     fn shards_partition_the_hull_without_gaps() {
-        let intervals = [
-            interval(0, 10),
-            interval(4, 30),
-            interval(8, 12),
-            interval(25, 63),
-        ];
+        let readers = [1, 5, 2, 2, 9, 1, 1, 3, 4, 1];
         for shards in [2, 3, 4, 8] {
-            let plan = plan_shard_bounds(&intervals, &weights(&intervals, 1), shards);
-            assert!(!plan.is_empty() && plan.len() <= shards);
-            assert_eq!(plan.first().unwrap().start, 0);
-            assert_eq!(plan.last().unwrap().end, 64);
-            for pair in plan.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "gap or overlap in {plan:?}");
-                assert!(pair[0].start < pair[0].end);
-            }
+            let chunks = plan_unit_chunks(&groups(&readers), shards);
+            assert_eq!(chunks.len(), shards, "{chunks:?}");
+            assert_partition(&chunks, readers.len());
         }
     }
 
     #[test]
     fn shards_clamp_to_the_span() {
-        // One entry address cannot feed more than one shard, however wide
-        // the hull.
-        let plan = plan_shard_bounds(&[interval(7, 9)], &[3], 16);
-        assert_eq!(plan, vec![ShardBounds { start: 7, end: 10 }]);
-        let intervals = [interval(7, 7), interval(8, 8), interval(9, 9)];
-        let plan = plan_shard_bounds(&intervals, &[1, 1, 1], 16);
-        assert_eq!(plan.len(), 3, "three entries feed at most three shards");
-        assert_eq!(plan.first().unwrap().start, 7);
-        assert_eq!(plan.last().unwrap().end, 10);
+        // One unit cannot feed more than one chunk, however many requests
+        // read it.
+        assert_eq!(plan_unit_chunks(&groups(&[50]), 16), vec![0..1]);
+        let chunks = plan_unit_chunks(&groups(&[1, 1, 1]), 16);
+        assert_eq!(chunks, vec![0..1, 1..2, 2..3]);
     }
 
     #[test]
     fn balanced_cuts_split_the_hot_span() {
-        // Ten stacked intervals over [0, 9], one lone interval over [10, 99]:
-        // a work-balanced 2-shard plan cuts well before the midpoint 50.
-        let mut intervals = vec![interval(10, 99)];
-        intervals.extend((0..10).map(|_| interval(0, 9)));
-        let plan = plan_shard_bounds(&intervals, &weights(&intervals, 1), 2);
-        assert_eq!(plan.len(), 2);
+        // Ten units read by ten requests each, then ninety read by one: a
+        // balanced two-way cut falls well before the midpoint unit 50.
+        let mut readers = vec![10; 10];
+        readers.extend([1; 90]);
+        let chunks = plan_unit_chunks(&groups(&readers), 2);
+        assert_partition(&chunks, 100);
         assert!(
-            plan[0].end <= 30,
-            "first cut at {} ignores the hot span",
-            plan[0].end
-        );
-    }
-
-    #[test]
-    fn weighted_cuts_follow_point_counts() {
-        // Sixteen single-address intervals over [0, 15]; the walks entering
-        // the first four addresses carry almost all the points. A
-        // work-weighted 2-shard plan cuts right after the heavy prefix,
-        // where uniform weights cut at the midpoint.
-        let intervals: Vec<SweepInterval> = (0..16).map(|a| interval(a, a)).collect();
-        let mut heavy = vec![2u64; 16];
-        for weight in heavy.iter_mut().take(4) {
-            *weight = 1_001;
-        }
-        let weighted = plan_shard_bounds(&intervals, &heavy, 2);
-        assert_eq!(weighted.len(), 2);
-        assert!(
-            weighted[0].end <= 5,
-            "weighted cut at {} ignores the heavy prefix",
-            weighted[0].end
-        );
-        let uniform = plan_shard_bounds(&intervals, &weights(&intervals, 1), 2);
-        assert_eq!(uniform[0].end, 8, "uniform weights cut at the midpoint");
-        // Both plans partition the hull without gaps.
-        for plan in [&weighted, &uniform] {
-            assert_eq!(plan.first().unwrap().start, 0);
-            assert_eq!(plan.last().unwrap().end, 16);
-            for pair in plan.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_planner_charges_whole_walks_to_the_entry_address() {
-        // One long interval entering at 0 spans the whole hull; many short
-        // intervals enter at 12. Owner-based sharding executes the long
-        // walk entirely in the shard owning address 0, so a balanced plan
-        // gives the first shard a narrow slice even though the long
-        // interval covers everything.
-        let mut intervals = vec![interval(0, 15)];
-        intervals.extend((0..10).map(|_| interval(12, 15)));
-        let plan = plan_shard_bounds(&intervals, &weights(&intervals, 10), 2);
-        assert_eq!(plan.len(), 2);
-        assert!(
-            plan[0].end <= 12,
-            "cut at {} puts both entry hotspots in one shard",
-            plan[0].end
+            chunks[0].end <= 30,
+            "cut at {} ignores the hot span",
+            chunks[0].end
         );
     }
 
     #[test]
     fn weighted_planner_handles_degenerate_inputs() {
-        assert!(plan_shard_bounds(&[], &[], 4).is_empty());
-        // Zero weights still count one per walk, so the cuts advance.
-        let intervals = [interval(0, 4), interval(5, 9)];
-        let plan = plan_shard_bounds(&intervals, &[0, 0], 4);
-        assert_eq!(
-            plan,
-            vec![
-                ShardBounds { start: 0, end: 5 },
-                ShardBounds { start: 5, end: 10 }
-            ]
-        );
-        // One shard returns the hull without reading the weights.
-        assert_eq!(
-            plan_shard_bounds(&[interval(3, 9)], &[], 1),
-            vec![ShardBounds { start: 3, end: 10 }]
-        );
+        // Units nobody reads still weigh their fetch, so the cuts advance.
+        let chunks = plan_unit_chunks(&groups(&[0, 0, 0, 0]), 2);
+        assert_eq!(chunks, vec![0..2, 2..4]);
+        // A zero shard count plans one chunk.
+        assert_eq!(plan_unit_chunks(&groups(&[2, 2]), 0), vec![0..2]);
     }
 
     #[test]
@@ -615,18 +685,12 @@ mod tests {
                 collect: false,
             },
         ];
-        let projection = BatchProjection {
-            intervals: vec![interval(0, 3), interval(0, 3)],
-            per_query: vec![
-                ExecStats {
-                    nodes_visited: 2,
-                    ..Default::default()
-                };
-                2
-            ],
-            elapsed_ns: 5,
-        };
-        let shard = |points: Vec<Point>, count: u64, pages: u64| RangeBatchResponse {
+        let mut walked = record(&[&[0, 1], &[0, 1]]);
+        walked.walk_ns = 5;
+        for stats in &mut walked.per_query {
+            stats.nodes_visited = 2;
+        }
+        let partial = |points: Vec<Point>, count: u64, pages: u64| RangeBatchResponse {
             outputs: vec![
                 RangeBatchOutput::Points(points),
                 RangeBatchOutput::Count(count),
@@ -645,16 +709,16 @@ mod tests {
         };
         let a = Point::new(0.1, 0.1);
         let b = Point::new(0.9, 0.9);
-        let merged = merge_shard_responses(
+        let merged = merge_partials(
             &requests,
-            &projection,
-            vec![shard(vec![a], 2, 1), shard(vec![b], 3, 2)],
+            &walked,
+            vec![partial(vec![a], 2, 1), partial(vec![b], 3, 1)],
         );
         assert_eq!(merged.outputs[0], RangeBatchOutput::Points(vec![a, b]));
         assert_eq!(merged.outputs[1], RangeBatchOutput::Count(5));
         assert_eq!(merged.per_query[0].nodes_visited, 2);
         assert_eq!(merged.per_query[0].points_scanned, 8);
-        assert_eq!(merged.shared.pages_scanned, 3);
+        assert_eq!(merged.shared.pages_scanned, 2);
         assert_eq!(merged.shared.projection_ns, 5);
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! The paper's thesis is that a cost-aware index adapts its *layout* to the
 //! workload; this module applies the same discipline one level up and adapts
-//! the *execution strategy* to the batch. The engine asks the kernel for the
-//! batch's walk footprint ([`RangeBatchKernel::footprint`]): the
-//! bounding-box checks, page visits, distinct pages and points the batch's
-//! sequential walks would charge. With the host's parallelism it feeds a
-//! calibrated cost model that picks Sequential vs Fused vs FusedParallel
-//! (and the shard count) per partition. Every fused kernel is page-backed —
-//! it visits pages (or leaves, grid columns, tree nodes, cracked slices)
-//! whose fetches fusion shares — so one set of constants prices them all;
-//! an index with no fetch to share advertises no kernel and runs the
-//! per-query loop.
+//! the *execution strategy* to the batch. The engine walks a range batch
+//! once ([`RangeBatchKernel::walk`]) and sums the record into the batch's
+//! footprint ([`WalkRecord::footprint`]): the bounding-box checks, page
+//! visits, distinct pages and points the batch's schedules will charge.
+//! With the host's parallelism it feeds a calibrated cost model that picks
+//! Sequential vs Fused vs FusedParallel (and the shard count) per
+//! partition, and the same record is then the plan the chosen schedule
+//! executes. Every fused kernel is page-backed — it visits pages (or
+//! leaves, grid columns, cracked pieces) whose fetches fusion shares — so
+//! one set of constants prices them all; an index with no fetch to share
+//! advertises no kernel and runs the per-query loop.
 //!
 //! The footprint is the walk, not the Z-interval. A WaZI range query scans
 //! only the leaves whose boxes it overlaps; look-ahead pointers (§5) jump it
@@ -27,9 +28,8 @@
 //! `reproduce calibrate` experiment, which re-measures every constant and
 //! asserts the baked values have not rotted.
 //!
-//! [`RangeBatchKernel::footprint`]: super::RangeBatchKernel::footprint
-
-use super::SweepInterval;
+//! [`RangeBatchKernel::walk`]: super::RangeBatchKernel::walk
+//! [`WalkRecord::footprint`]: super::WalkRecord::footprint
 
 /// Calibrated unit costs of a fused range kernel, in nanoseconds.
 ///
@@ -43,14 +43,14 @@ pub struct CostConstants {
     /// Per-query overhead of the sequential loop (plan dispatch, stats
     /// bookkeeping, one `Instant` pair).
     pub seq_query_ns: f64,
-    /// Per-request overhead of a fused sweep (projection, sweep-state setup,
-    /// cursor heap traffic). Strictly above [`CostConstants::seq_query_ns`]:
+    /// Per-request overhead of a fused scan (grouping the walk record by
+    /// unit, dispatching each unit's scans, merging). Strictly above [`CostConstants::seq_query_ns`]:
     /// fusion pays *more* per request and wins back via shared fetches, so a
     /// batch with nothing to share always prefers the sequential loop.
     pub fused_query_ns: f64,
-    /// Cost of fetching and scanning one sweep address (page, leaf, column).
+    /// Cost of fetching and scanning one unit (page, leaf, column, piece).
     pub page_ns: f64,
-    /// Cost of one per-request relevance check at a sweep address.
+    /// Cost of one per-request bounding-box check.
     pub check_ns: f64,
     /// Cost of one point comparison in the scan.
     pub point_ns: f64,
@@ -77,68 +77,27 @@ impl CostConstants {
     };
 }
 
-/// The walk footprint of one projected range batch
-/// ([`super::RangeBatchKernel::footprint`]): what the batch's sequential
-/// walks would charge, computed without charging anything. Everything the
-/// cost model prices, and the per-request weights the shard planner cuts.
+/// The footprint of one range batch, summed from its walk record
+/// ([`super::WalkRecord::footprint`]): what the batch's schedules will
+/// charge, computed without charging anything. Everything the cost model
+/// prices.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RangeBatchStats {
     /// Bounding-box checks of all walks together: every per-request
     /// relevance test, paid alike by the sequential loop and the fused
-    /// sweep.
+    /// scan.
     pub checks: u64,
     /// Page visits of all walks together, with multiplicity: the fetches
     /// the *sequential* loop pays.
     pub page_visits: u64,
-    /// Distinct pages the walks visit: the fetches one *fused* sweep pays.
+    /// Distinct pages the walks visit: the fetches one *fused* scan pays.
     /// `page_visits - distinct_pages` is what fusion shares.
     pub distinct_pages: u64,
     /// Points on the visited pages, with multiplicity: the Eq. 5 point
     /// charge, paid alike by both schedules.
     pub points: u64,
-    /// One work weight per request, in request order, for the shard
-    /// planner: at least its walk's checks plus points (each kernel says
-    /// what more it counts). Under owner-based sharding a request's whole
-    /// walk runs in the shard owning its entry address, so the planner
-    /// charges the weight there.
-    pub per_request: Vec<u64>,
-}
-
-impl RangeBatchStats {
-    /// The footprint of walks that check, fetch and scan every address of
-    /// their interval, with `points_at(address)` points on each address —
-    /// the estimate for kernels that cannot walk a batch without running
-    /// it. `distinct_pages` is the size of the intervals' union.
-    /// `O(n log n + total interval width)` for `n` requests.
-    pub fn whole_intervals(intervals: &[SweepInterval], points_at: impl Fn(u32) -> u64) -> Self {
-        let mut stats = Self {
-            per_request: Vec::with_capacity(intervals.len()),
-            ..Self::default()
-        };
-        for interval in intervals {
-            let width = u64::from(interval.hi - interval.lo) + 1;
-            let points: u64 = (interval.lo..=interval.hi).map(&points_at).sum();
-            stats.checks += width;
-            stats.page_visits += width;
-            stats.points += points;
-            stats.per_request.push(width + points);
-        }
-        // Union of the intervals: sort by start, merge overlapping runs.
-        let mut sorted = intervals.to_vec();
-        sorted.sort_unstable_by_key(|interval| interval.lo);
-        let mut next_uncovered = 0u64;
-        for interval in &sorted {
-            let (lo, hi) = (u64::from(interval.lo), u64::from(interval.hi) + 1);
-            stats.distinct_pages += hi.saturating_sub(lo.max(next_uncovered));
-            next_uncovered = next_uncovered.max(hi);
-        }
-        stats
-    }
-
     /// Number of requests in the batch.
-    pub fn requests(&self) -> usize {
-        self.per_request.len()
-    }
+    pub requests: usize,
 }
 
 /// The strategy the cost model picked for one partition of a batch.
@@ -146,15 +105,26 @@ impl RangeBatchStats {
 pub enum ChosenStrategy {
     /// Run the partition through the per-query sequential loop.
     Sequential,
-    /// Run the partition through the fused kernel as one shard, swept on
+    /// Run the partition through the fused kernel as one shard, scanned on
     /// the calling thread.
     Fused,
-    /// Run the partition through the same fused kernel with its sweep cut
-    /// into shards on worker threads.
+    /// Run the partition through the same fused kernel with its distinct
+    /// units cut into chunks scanned on worker threads.
     FusedParallel {
         /// Planned shard count.
         shards: usize,
     },
+}
+
+impl ChosenStrategy {
+    /// The shard count a fused run of this choice uses: `shards` for
+    /// [`ChosenStrategy::FusedParallel`], one otherwise.
+    pub(crate) fn shards(&self) -> usize {
+        match self {
+            ChosenStrategy::FusedParallel { shards } => *shards,
+            _ => 1,
+        }
+    }
 }
 
 impl std::fmt::Display for ChosenStrategy {
@@ -173,9 +143,9 @@ impl std::fmt::Display for ChosenStrategy {
 pub struct CostEstimate {
     /// Predicted cost of the sequential per-query loop.
     pub sequential_ns: u64,
-    /// Predicted cost of the single-threaded fused sweep.
+    /// Predicted cost of the single-threaded fused scan.
     pub fused_ns: u64,
-    /// Predicted cost of the sharded parallel sweep at
+    /// Predicted cost of the sharded parallel scan at
     /// [`CostEstimate::shards`] shards; `None` when the host has a single
     /// worker (parallelism is never a candidate there).
     pub fused_parallel_ns: Option<u64>,
@@ -214,7 +184,7 @@ pub struct PartitionDecision {
 ///   Fusion wins once the shared fetches
 ///   `(page_visits - distinct_pages) · page_ns` outweigh the extra
 ///   per-request setup.
-/// * **parallel** — the fused sweep body divides across workers with
+/// * **parallel** — the fused scan body divides across workers with
 ///   imperfect efficiency plus a spawn cost per shard; only a candidate
 ///   when the host has more than one worker.
 pub fn estimate_range_costs(
@@ -222,23 +192,23 @@ pub fn estimate_range_costs(
     workers: usize,
     c: &CostConstants,
 ) -> CostEstimate {
-    let n = stats.requests() as f64;
+    let n = stats.requests as f64;
     let checks = stats.checks as f64 * c.check_ns;
     let points = stats.points as f64;
     let sequential =
         n * c.seq_query_ns + stats.page_visits as f64 * c.page_ns + checks + points * c.point_ns;
-    let sweep = stats.distinct_pages as f64 * c.page_ns + checks + points * c.point_ns;
-    let fused = n * c.fused_query_ns + sweep;
+    let scan = stats.distinct_pages as f64 * c.page_ns + checks + points * c.point_ns;
+    let fused = n * c.fused_query_ns + scan;
     let mut parallel: Option<(f64, usize)> = None;
     if workers >= 2 {
         for shards in [2usize, 4, 8, 16] {
-            // Shards are cut between entry addresses, so a batch never
-            // feeds more shards than it has requests.
-            if shards > workers.saturating_mul(2) || shards > stats.requests() {
+            // A batch with fewer requests than shards has too little work
+            // to split.
+            if shards > workers.saturating_mul(2) || shards > stats.requests {
                 break;
             }
             let effective = 1.0 + (shards.min(workers) as f64 - 1.0) * c.parallel_efficiency;
-            let cost = n * c.fused_query_ns + sweep / effective + c.spawn_ns * shards as f64;
+            let cost = n * c.fused_query_ns + scan / effective + c.spawn_ns * shards as f64;
             if parallel.is_none_or(|(best, _)| cost < best) {
                 parallel = Some((cost, shards));
             }
@@ -322,51 +292,30 @@ pub fn decide_knn_strategy(plans: usize, workers: usize) -> ChosenStrategy {
 mod tests {
     use super::*;
 
-    fn interval(lo: u32, hi: u32) -> SweepInterval {
-        SweepInterval { lo, hi }
-    }
-
-    /// Stats of a heavily overlapping batch: `n` identical intervals over
-    /// `width` addresses holding `points_per_address` points each.
-    fn stacked(n: usize, width: u32, points_per_address: u64) -> RangeBatchStats {
-        let intervals = vec![interval(10, 10 + width - 1); n];
-        RangeBatchStats::whole_intervals(&intervals, |_| points_per_address)
-    }
-
-    #[test]
-    fn whole_interval_footprint_counts_every_address_and_the_union() {
-        let intervals = [interval(0, 3), interval(2, 5), interval(8, 8)];
-        let counts = [10u64, 0, 5, 5, 5, 5, 0, 0, 100];
-        let stats = RangeBatchStats::whole_intervals(&intervals, |a| counts[a as usize]);
-        assert_eq!(stats.requests(), 3);
-        assert_eq!(stats.checks, 4 + 4 + 1);
-        assert_eq!(stats.page_visits, 4 + 4 + 1);
-        assert_eq!(stats.distinct_pages, 6 + 1);
-        assert_eq!(stats.points, 20 + 20 + 100);
-        // Each request weighs its checks plus its points.
-        assert_eq!(stats.per_request, vec![4 + 20, 4 + 20, 1 + 100]);
-    }
-
-    #[test]
-    fn stats_without_counts_weigh_one_point_per_address() {
-        let intervals = [interval(4, 7), interval(4, 7), interval(6, 9)];
-        let stats = RangeBatchStats::whole_intervals(&intervals, |_| 1);
-        assert_eq!(stats.page_visits, 12);
-        assert_eq!(stats.distinct_pages, 6);
-        assert_eq!(stats.points, 12);
-        assert_eq!(stats.per_request, vec![8, 8, 8]);
-        assert_eq!(
-            RangeBatchStats::whole_intervals(&[], |_| 1),
-            RangeBatchStats::default()
-        );
+    /// Stats of a heavily overlapping batch: `n` requests each visiting
+    /// the same `width` pages of `points_per_page` points.
+    fn stacked(n: usize, width: u64, points_per_page: u64) -> RangeBatchStats {
+        let visits = n as u64 * width;
+        RangeBatchStats {
+            checks: visits,
+            page_visits: visits,
+            distinct_pages: width,
+            points: visits * points_per_page,
+            requests: n,
+        }
     }
 
     #[test]
     fn tiny_disjoint_batch_prefers_sequential() {
-        // Three disjoint single-address intervals: nothing to share, so the
-        // fused sweep's extra per-request setup can only lose.
-        let intervals = [interval(0, 0), interval(100, 100), interval(200, 200)];
-        let stats = RangeBatchStats::whole_intervals(&intervals, |_| 3);
+        // Three requests visiting one page each, all different: nothing to
+        // share, so the fused scan's extra per-request setup can only lose.
+        let stats = RangeBatchStats {
+            checks: 3,
+            page_visits: 3,
+            distinct_pages: 3,
+            points: 9,
+            requests: 3,
+        };
         for workers in [1usize, 8] {
             let (chosen, estimate) = decide_range_strategy(&stats, workers, &CostConstants::BAKED);
             assert_eq!(chosen, ChosenStrategy::Sequential, "workers = {workers}");
@@ -377,7 +326,7 @@ mod tests {
     #[test]
     fn overlapping_batch_prefers_fusion_on_a_single_core_host() {
         // 2000 stacked queries over 40 addresses: sequential refetches every
-        // address 2000 times, the fused sweep once.
+        // page 2000 times, the fused scan once.
         let stats = stacked(2_000, 40, 200);
         let (chosen, estimate) = decide_range_strategy(&stats, 1, &CostConstants::BAKED);
         assert_eq!(chosen, ChosenStrategy::Fused);
@@ -390,8 +339,8 @@ mod tests {
 
     #[test]
     fn big_overlapping_batch_prefers_parallel_fusion_with_workers() {
-        // The same stacked batch with real sweep work and 8 workers: the
-        // sweep divides across shards and wins despite the spawn cost.
+        // The same stacked batch with real scan work and 8 workers: the
+        // scan divides across shards and wins despite the spawn cost.
         let stats = stacked(4_000, 64, 2_000);
         let (chosen, estimate) = decide_range_strategy(&stats, 8, &CostConstants::BAKED);
         match chosen {

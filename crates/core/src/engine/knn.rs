@@ -42,7 +42,7 @@
 //!     (Point::new(0.22, 0.22), 2),
 //!     (Point::new(0.90, 0.90), 0),
 //! ];
-//! // One shard: every ring is a single fused sweep on this thread.
+//! // One shard: every ring is a single fused scan on this thread.
 //! let (response, ring_shards) = run_knn_batch(&index, kernel, &plans, 1);
 //! assert_eq!(ring_shards, 1);
 //! // Outputs are bit-identical to the sequential fallback, plan by plan.

@@ -53,11 +53,10 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use batch::interval_hull;
-use batch::{available_workers, run_projected_batch};
+use batch::{available_workers, replay_sequential, run_walked_batch, walk};
 pub use batch::{
-    run_range_batch, BatchProjection, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
-    RangeBatchResponse, ShardBounds, SweepInterval,
+    run_range_batch, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse,
+    WalkRecord,
 };
 pub use cost::{
     decide_knn_strategy, decide_point_strategy, decide_range_strategy, ChosenStrategy,
@@ -137,11 +136,11 @@ impl std::error::Error for EngineError {
 ///   query execution, and no index implementation uses interior mutability
 ///   (the workspace forbids `unsafe`), so an unwound kernel cannot leave
 ///   the index half-written;
-/// * all per-call state (`ExecStats`, batch projections, sweep cursors) is
+/// * all per-call state (`ExecStats`, walk records, partial responses) is
 ///   owned by the call frame and dropped during the unwind;
 /// * panics on the engine's scoped worker threads propagate to the caller
-///   with their original payload (the shard joins re-raise via
-///   [`std::panic::resume_unwind`]), so a parallel sweep is caught here
+///   with their original payload (the chunk joins re-raise via
+///   [`std::panic::resume_unwind`]), so a parallel scan is caught here
 ///   exactly like a sequential one.
 pub fn catch_execution_panic<T>(
     f: impl FnOnce() -> Result<T, EngineError>,
@@ -175,24 +174,24 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// decision:
 ///
 /// * [`BatchStrategy::Auto`] (the default) lets the engine pick per batch
-///   and per partition, using the cost model in [`cost`]: cheap statistics
-///   the projection phase already produces feed calibrated formulas, and
-///   the cheapest predicted candidate runs.
+///   and per partition, using the cost model in [`cost`]: the footprint of
+///   the walk every schedule executes feeds calibrated formulas, and the
+///   cheapest predicted candidate runs.
 ///   The decision is recorded in [`BatchReport::strategy_chosen`].
 /// * [`BatchStrategy::Sequential`] wins on batches whose queries barely
 ///   overlap — there is no shared work to exploit, and the per-query loop
 ///   has the least bookkeeping.
-/// * [`BatchStrategy::Fused`] wins on overlapping batches: one sweep over
-///   the index serves every range plan, pages relevant to several queries
-///   are scanned once per batch, and pages are visited in layout order
+/// * [`BatchStrategy::Fused`] wins on overlapping batches: one walk records
+///   every range plan's pages, pages relevant to several queries are
+///   scanned once per batch, and pages are visited in layout order
 ///   (cache-friendly) instead of once per query in arrival order. The win
 ///   is largest for counting/streaming plans; materializing
 ///   ([`RangeMode::Collect`]) plans gain less because result
 ///   materialization, which fusion cannot share, dominates their cost.
 /// * [`BatchStrategy::FusedParallel`] wins when a fused batch has enough
 ///   total work to amortize thread spawning (thousands of overlapping
-///   queries, large datasets): the sweep's address span is partitioned
-///   into disjoint work-balanced shards swept concurrently. On small
+///   queries, large datasets): the batch's distinct pages are cut into
+///   work-balanced chunks scanned concurrently. On small
 ///   batches the spawn overhead makes it slower than [`BatchStrategy::Fused`]
 ///   — prefer plain fusion below a few hundred microseconds of batch work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -224,27 +223,25 @@ pub enum BatchStrategy {
     /// instead of once per query, and per-query bounding-box checks never
     /// exceed the sequential walk's.
     Fused,
-    /// Like [`BatchStrategy::Fused`], but fused range sweeps — the range
-    /// partition's single sweep and every kNN ring — are split into up to
-    /// `shards` disjoint slices of the index's sweep address space (leaf
-    /// intervals for the Z-index) and swept on scoped worker threads, one
-    /// per shard. Each request is owned by the shard containing its entry
-    /// address and swept over its whole interval there, so per-request
-    /// walks (bounding-box checks, look-ahead skips) are identical to the
-    /// single sweep's; shard bounds are cut between the requests' entry
-    /// addresses, weighted by each request's walk
-    /// ([`RangeBatchKernel::footprint`]); partial results merge
-    /// deterministically in sweep order, so outputs are bit-identical to
-    /// the other strategies regardless of thread scheduling. The point
+    /// Like [`BatchStrategy::Fused`], but fused range scans — the range
+    /// partition's and every kNN ring's — cut the batch's distinct units
+    /// (leaves for the Z-index) into up to `shards` contiguous,
+    /// work-balanced chunks scanned on scoped worker threads. Every request
+    /// is still walked once, before any chunk is scanned, so per-request
+    /// walks (bounding-box checks, look-ahead skips) are those of the
+    /// single scan, and every unit is fetched once per batch whatever the
+    /// shard count; partial results merge deterministically in unit order,
+    /// so outputs and counters are bit-identical to the other strategies
+    /// regardless of thread scheduling. The point
     /// partition parallelizes the same way: its sorted probe-group list is
     /// split at group boundaries ([`run_point_batch_sharded`]) onto worker
     /// threads — groups are disjoint by construction, so probe-heavy
     /// batches scale without any cross-chunk coordination. Degenerates to
-    /// [`BatchStrategy::Fused`] — the same sweep with a one-shard plan —
-    /// when `shards <= 1` or every request enters at the same address.
+    /// [`BatchStrategy::Fused`] — the same scan with a one-chunk plan — when
+    /// `shards <= 1` or the batch reads a single unit.
     FusedParallel {
-        /// Upper bound on the number of concurrently swept shards (clamped
-        /// to the batch's distinct entry addresses; `0` is treated as `1`).
+        /// Upper bound on the number of concurrently scanned chunks
+        /// (clamped to the batch's distinct units; `0` is treated as `1`).
         shards: usize,
     },
 }
@@ -423,20 +420,20 @@ impl<'a> QueryEngine<'a> {
 
     /// The fused path: the batch is partitioned by plan type and every
     /// partition with at least two members and a kernel executes fused —
-    /// range plans in one sweep (sharded onto worker threads under
-    /// [`BatchStrategy::FusedParallel`]), point probes leaf-grouped with
-    /// one page visit per group, kNN plans through grouped expanding-ring
-    /// sweeps whose rings reuse the range kernel (sharded rings under the
-    /// parallel strategy). Everything else runs sequentially, and the
-    /// answers are reassembled into input order.
+    /// range plans walked once and each distinct page scanned once (in
+    /// chunks on worker threads under [`BatchStrategy::FusedParallel`]),
+    /// point probes leaf-grouped with one page visit per group, kNN plans
+    /// through grouped expanding-ring sweeps whose rings reuse the range
+    /// kernel. Everything else runs sequentially, and the answers are
+    /// reassembled into input order.
     ///
     /// Under [`BatchStrategy::Auto`] each partition first passes through
-    /// the cost model ([`cost`]): the range partition's projection and its
-    /// walk footprint, each computed once, decide among the candidates and
-    /// are reused by whichever fused execution wins. A
-    /// partition the model routes to `Sequential` executes through the
-    /// per-query loop (zero fused counters, exactly as if the engine were
-    /// pinned sequential); every decision is recorded in
+    /// the cost model ([`cost`]): the range partition is walked once, the
+    /// record's footprint decides among the candidates, and the record is
+    /// the plan whichever candidate wins executes. A range partition the
+    /// model routes to `Sequential` replays each request's run with one page
+    /// visit per unit (zero fused counters, the per-query loop's answers
+    /// and counters); every decision is recorded in
     /// [`BatchReport::strategy_chosen`].
     fn execute_batch_fused(
         &self,
@@ -455,7 +452,8 @@ impl<'a> QueryEngine<'a> {
         let workers = available_workers();
         let mut slots: Vec<Option<QueryReport>> = (0..queries.len()).map(|_| None).collect();
 
-        // Range partition: one fused sweep for every range plan.
+        // Range partition: one walk for every range plan, then the scans
+        // its schedule asks for.
         let mut range = PartitionOutcome::default();
         if let Some(kernel) = kernel {
             let (positions, requests) = gather(queries, |query| match query {
@@ -466,26 +464,24 @@ impl<'a> QueryEngine<'a> {
                 _ => None,
             });
             if requests.len() >= 2 {
-                // Auto prices the batch's walk footprint; the projection
-                // and the footprint's per-request weights then serve
-                // whichever fused execution wins. A pinned single sweep
-                // plans the hull whatever the weights, so it never asks.
-                let projection = kernel.project_batch(&requests);
-                let footprint = (auto || pinned != ChosenStrategy::Fused)
-                    .then(|| kernel.footprint(&requests, &projection));
-                let choice = match &footprint {
-                    Some(stats) if auto => {
-                        let (chosen, estimate) =
-                            decide_range_strategy(stats, workers, &CostConstants::BAKED);
-                        (chosen, Some(estimate))
-                    }
-                    _ => (pinned, None),
+                // Auto prices the record's footprint; the record is then
+                // the plan of whichever schedule wins.
+                let record = walk(kernel, &requests);
+                let choice = if auto {
+                    let (chosen, estimate) =
+                        decide_range_strategy(&record.footprint(), workers, &CostConstants::BAKED);
+                    (chosen, Some(estimate))
+                } else {
+                    (pinned, None)
                 };
-                let weights = footprint.map_or_else(Vec::new, |stats| stats.per_request);
                 range =
-                    self.run_partition(queries, &positions, &mut slots, choice, |shards| {
-                        let (response, shards_used) =
-                            run_projected_batch(kernel, &requests, projection, &weights, shards);
+                    self.run_partition(&positions, &mut slots, choice, |chosen| {
+                        let (response, shards_used) = match chosen {
+                            ChosenStrategy::Sequential => {
+                                (replay_sequential(kernel, &requests, &record), 0)
+                            }
+                            _ => run_walked_batch(kernel, &requests, &record, chosen.shards()),
+                        };
                         let outputs = positions.iter().zip(response.outputs).map(
                             |(&position, output)| match (output, &queries[position]) {
                                 (RangeBatchOutput::Points(points), _) => {
@@ -501,13 +497,13 @@ impl<'a> QueryEngine<'a> {
                                 (RangeBatchOutput::Count(n), _) => QueryOutput::Count(n),
                             },
                         );
-                        FusedRun {
+                        PartitionRun {
                             outputs,
                             per_query: response.per_query,
                             shared: response.shared,
                             shards_used,
                         }
-                    })?;
+                    });
             }
         }
 
@@ -527,26 +523,20 @@ impl<'a> QueryEngine<'a> {
                 } else {
                     pinned
                 };
-                point = self.run_partition(
-                    queries,
-                    &positions,
-                    &mut slots,
-                    (chosen, None),
-                    |shards| {
-                        // Probe-heavy batches parallelize too: the sorted
-                        // group list splits at group boundaries (groups are
-                        // disjoint by construction), so chunked execution
-                        // is bit-identical to the single pass.
-                        let (response, shards_used) =
-                            run_point_batch_sharded(point_kernel, &probes, shards);
-                        FusedRun {
-                            outputs: response.found.into_iter().map(QueryOutput::Found),
-                            per_query: response.per_query,
-                            shared: response.shared,
-                            shards_used,
-                        }
-                    },
-                )?;
+                point = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
+                    // Probe-heavy batches parallelize too: the sorted
+                    // group list splits at group boundaries (groups are
+                    // disjoint by construction), so chunked execution
+                    // is bit-identical to the single pass.
+                    let (response, shards_used) =
+                        run_point_batch_sharded(point_kernel, &probes, chosen.shards());
+                    PartitionRun {
+                        outputs: response.found.into_iter().map(QueryOutput::Found),
+                        per_query: response.per_query,
+                        shared: response.shared,
+                        shards_used,
+                    }
+                });
             }
         }
 
@@ -568,22 +558,16 @@ impl<'a> QueryEngine<'a> {
                 } else {
                     pinned
                 };
-                knn = self.run_partition(
-                    queries,
-                    &positions,
-                    &mut slots,
-                    (chosen, None),
-                    |shards| {
-                        let (response, shards_used) =
-                            run_knn_batch(self.index, kernel, &plans, shards);
-                        FusedRun {
-                            outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
-                            per_query: response.per_query,
-                            shared: response.shared,
-                            shards_used,
-                        }
-                    },
-                )?;
+                knn = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
+                    let (response, shards_used) =
+                        run_knn_batch(self.index, kernel, &plans, chosen.shards());
+                    PartitionRun {
+                        outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
+                        per_query: response.per_query,
+                        shared: response.shared,
+                        shards_used,
+                    }
+                });
             }
         }
 
@@ -622,57 +606,43 @@ impl<'a> QueryEngine<'a> {
         })
     }
 
-    /// The partition driver: executes one plan-type partition (the members
-    /// of `queries` at `positions`) the way `choice` says — through the
-    /// per-query loop, or through `run_fused` with the chosen shard count —
+    /// The partition driver: executes one plan-type partition (the batch's
+    /// members at `positions`) through `run` with the chosen strategy,
     /// fills the members' slots, and, under [`BatchStrategy::Auto`], puts
-    /// the decision on record with its measured cost.
+    /// the decision on record with its measured cost. Point and kNN rules
+    /// always fuse, so only a range partition reaches `run` as
+    /// `Sequential`: its members answer one by one, each with its own
+    /// latency, and count as unfused.
     fn run_partition<O: ExactSizeIterator<Item = QueryOutput>>(
         &self,
-        queries: &[Query],
         positions: &[usize],
         slots: &mut [Option<QueryReport>],
         (chosen, estimate): (ChosenStrategy, Option<CostEstimate>),
-        run_fused: impl FnOnce(usize) -> FusedRun<O>,
-    ) -> Result<PartitionOutcome, EngineError> {
+        run: impl FnOnce(ChosenStrategy) -> PartitionRun<O>,
+    ) -> PartitionOutcome {
         let executed = Instant::now();
-        let mut outcome = PartitionOutcome::default();
-        match chosen {
-            ChosenStrategy::Sequential => {
-                for &position in positions {
-                    slots[position] = Some(self.execute(&queries[position])?);
-                }
-            }
-            ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
-                let run = run_fused(match chosen {
-                    ChosenStrategy::FusedParallel { shards } => shards,
-                    _ => 1,
-                });
-                debug_assert_eq!(run.outputs.len(), positions.len());
-                debug_assert_eq!(run.per_query.len(), positions.len());
-                for ((&position, output), stats) in
-                    positions.iter().zip(run.outputs).zip(run.per_query)
-                {
-                    slots[position] = Some(QueryReport {
-                        output,
-                        stats,
-                        latency_ns: 0,
-                    });
-                }
-                outcome.shared = run.shared;
-                outcome.fused = positions.len();
-                outcome.shards_used = run.shards_used;
-            }
+        let run = run(chosen);
+        debug_assert_eq!(run.outputs.len(), positions.len());
+        debug_assert_eq!(run.per_query.len(), positions.len());
+        let fused = chosen != ChosenStrategy::Sequential;
+        for ((&position, output), stats) in positions.iter().zip(run.outputs).zip(run.per_query) {
+            slots[position] = Some(QueryReport {
+                output,
+                stats,
+                latency_ns: if fused { 0 } else { stats.total_ns() },
+            });
         }
-        if self.strategy == BatchStrategy::Auto {
-            outcome.decision = Some(PartitionDecision {
+        PartitionOutcome {
+            shared: run.shared,
+            fused: if fused { positions.len() } else { 0 },
+            shards_used: run.shards_used,
+            decision: (self.strategy == BatchStrategy::Auto).then(|| PartitionDecision {
                 queries: positions.len(),
                 chosen,
                 estimate,
                 actual_ns: executed.elapsed().as_nanos() as u64,
-            });
+            }),
         }
-        Ok(outcome)
     }
 }
 
@@ -686,11 +656,11 @@ fn gather<T>(queries: &[Query], extract: impl Fn(&Query) -> Option<T>) -> (Vec<u
         .unzip()
 }
 
-/// What a fused kernel run hands the partition driver: one answer and one
+/// What a partition run hands the partition driver: one answer and one
 /// stats record per partition member, in member order (`outputs` is an
 /// iterator so each kernel's own output type converts on the way into the
 /// slots, without an intermediate vector).
-struct FusedRun<O> {
+struct PartitionRun<O> {
     outputs: O,
     per_query: Vec<ExecStats>,
     shared: ExecStats,

@@ -43,8 +43,8 @@ pub struct BatchReport {
     /// (only the fused kernels produce nonzero shared stats); the merge of
     /// the three per-partition shared fields below.
     pub shared_stats: ExecStats,
-    /// Shared work of the fused range partition (one sweep serving every
-    /// fused range plan).
+    /// Shared work of the fused range partition (one scan of each distinct
+    /// page serving every fused range plan).
     pub range_shared_stats: ExecStats,
     /// Shared work of the fused point-probe partition (each owning page
     /// fetched once per batch, however many probes share it).
@@ -63,8 +63,8 @@ pub struct BatchReport {
     /// Number of kNN plans that were executed through the shared
     /// expanding-ring sweep (zero on the sequential path).
     pub fused_knn: usize,
-    /// Number of disjoint sweep shards the fused range kernel ran on (zero
-    /// on the sequential path, one for the single-threaded fused sweep,
+    /// Number of chunks the fused range scan was cut into (zero
+    /// on the sequential path, one for the single-threaded fused scan,
     /// the planned shard count under
     /// [`crate::BatchStrategy::FusedParallel`]).
     pub shards_used: usize,

@@ -336,8 +336,8 @@ fn stream_counts_agree_across_modes_and_strategies() {
     }
 }
 
-/// The active-set sweep gives every request its own skip cursor, so the
-/// fused kernel replicates each query's sequential walk bounding-box for
+/// The walk follows every request's own look-ahead pointers, so the fused
+/// path replicates each query's sequential walk bounding-box for
 /// bounding-box: merged fused BB checks equal the sequential loop's (and
 /// so do point comparisons and per-query skips).
 #[test]
@@ -376,7 +376,7 @@ fn fused_bb_checks_equal_the_sequential_walks() {
 
 /// `FusedParallel` is output- and counter-deterministic for every shard
 /// count: answers are byte-identical to the sequential loop and the
-/// physical-work counters match, however the span is partitioned.
+/// physical-work counters match, however the pages are chunked.
 #[test]
 fn fused_parallel_matches_sequential_for_every_shard_count() {
     let index = wazi_index();
@@ -420,11 +420,10 @@ fn fused_parallel_matches_sequential_for_every_shard_count() {
     }
 }
 
-/// Owner-based sharding is a zero-overhead handoff: a request's whole walk
-/// executes in the shard owning its entry leaf, so parallel BB checks and
-/// skips equal the single fused sweep's — which equals the sequential
-/// loop's — exactly, for every shard count. No re-check is ever paid at a
-/// shard boundary.
+/// Shards split the scans, never a walk: every request is walked once
+/// before the distinct pages are chunked, so parallel BB checks and skips
+/// equal the single fused scan's — which equals the sequential loop's —
+/// exactly, for every shard count.
 #[test]
 fn fused_parallel_bb_checks_equal_the_single_sweep() {
     let index = wazi_index();
@@ -538,166 +537,156 @@ fn fused_parallel_falls_back_without_a_kernel() {
     assert_eq!(report.len(), batch.len());
 }
 
-/// Driving the kernel protocol by hand: any disjoint partition of the
-/// projected span, swept in any order and merged in shard order,
-/// reproduces the single fused sweep's outputs and per-request walks bit
-/// for bit. A request lives wholly in the shard owning its entry leaf, so
-/// per-request counters — bounding-box checks and skips included — are
-/// partition-invariant; only the shared page count may rise (a crossing
-/// request's tail can refetch a page another shard also scans), bounded by
-/// once per shard.
-#[test]
-fn manual_shard_partition_reproduces_the_full_sweep() {
-    use crate::engine::batch::{merge_shard_responses, plan_shard_bounds};
-    use crate::engine::{run_range_batch, RangeBatchKernel, RangeBatchRequest};
-    let index = wazi_index();
-    let requests: Vec<RangeBatchRequest> = overlapping_rects()
+/// The overlapping requests the hand-driven chunk tests run, half of them
+/// collecting.
+fn overlapping_requests() -> Vec<crate::engine::RangeBatchRequest> {
+    overlapping_rects()
         .into_iter()
         .enumerate()
-        .map(|(i, rect)| RangeBatchRequest {
+        .map(|(i, rect)| crate::engine::RangeBatchRequest {
             rect,
             collect: i % 2 == 0,
         })
-        .collect();
+        .collect()
+}
+
+/// Driving the chunked scan by hand: any cut of the distinct-unit list
+/// into contiguous chunks, scanned in any order and merged in chunk order,
+/// reproduces the single scan bit for bit — outputs, per-request counters
+/// and shared page visits, since every unit belongs to exactly one chunk.
+#[test]
+fn manual_shard_partition_reproduces_the_full_sweep() {
+    use crate::engine::batch::{merge_partials, plan_unit_chunks, scan_units, walk, UnitGroups};
+    use crate::engine::{run_range_batch, RangeBatchKernel};
+    let index = wazi_index();
+    let requests = overlapping_requests();
     let kernel: &dyn RangeBatchKernel = &index;
     let (single, single_shards) = run_range_batch(kernel, &requests, 1);
     assert_eq!(single_shards, 1);
-    let projection = kernel.project_batch(&requests);
-    let weights = kernel.footprint(&requests, &projection).per_request;
+    let record = walk(kernel, &requests);
+    let groups = UnitGroups::of(&record);
     for shards in [2, 3, 5] {
-        let plan = plan_shard_bounds(&projection.intervals, &weights, shards);
-        // Sweep in reverse order to prove order-independence of the work…
-        let mut partials: Vec<_> = plan
+        let chunks = plan_unit_chunks(&groups, shards);
+        assert_eq!(chunks.len(), shards, "enough units for {shards} chunks");
+        // Scan in reverse order to prove order-independence of the work…
+        let mut partials: Vec<_> = chunks
             .iter()
             .rev()
-            .map(|&bounds| kernel.sweep_shard(&requests, &projection, bounds))
+            .map(|chunk| scan_units(kernel, &requests, &record, &groups, chunk.clone()))
             .collect();
-        // …then merge in shard order, as the engine does.
+        // …then merge in chunk order, as the engine does.
         partials.reverse();
-        let merged = merge_shard_responses(&requests, &projection, partials);
+        let merged = merge_partials(&requests, &record, partials);
         assert_eq!(merged.outputs, single.outputs, "{shards} shards");
-        assert!(
-            merged.shared.pages_scanned >= single.shared.pages_scanned
-                && merged.shared.pages_scanned <= single.shared.pages_scanned * plan.len() as u64,
-            "{shards} shards: {} shared pages vs single {}",
-            merged.shared.pages_scanned,
-            single.shared.pages_scanned
+        assert_eq!(
+            merged.shared.pages_scanned, single.shared.pages_scanned,
+            "{shards} shards: every unit is fetched once"
         );
         for (m, s) in merged.per_query.iter().zip(&single.per_query) {
-            assert_eq!(m.points_scanned, s.points_scanned);
-            assert_eq!(m.results, s.results);
-            assert_eq!(m.nodes_visited, s.nodes_visited);
-            // The walk itself is partition-invariant under owner-based
-            // sharding.
-            assert_eq!(m.bbs_checked, s.bbs_checked);
-            assert_eq!(m.leaves_skipped, s.leaves_skipped);
+            let mut m = *m;
+            m.projection_ns = s.projection_ns;
+            m.scan_ns = s.scan_ns;
+            assert_eq!(m, *s, "{shards} shards");
         }
     }
 }
 
 /// The scoped-thread fan-out itself (exercised directly, so single-core
-/// hosts — where the engine's oversubscription guard sweeps inline — still
-/// test the spawning path): threaded shard sweeps return the same partials
-/// as inline sweeps, in plan order.
+/// hosts — where the engine's oversubscription guard scans inline — still
+/// test the spawning path): threaded chunk scans return the same partials
+/// as inline scans, in chunk order.
 #[test]
 fn threaded_fan_out_matches_inline_sweeps() {
-    use crate::engine::batch::{plan_shard_bounds, sweep_shards_threaded};
-    use crate::engine::{RangeBatchKernel, RangeBatchRequest};
+    use crate::engine::batch::{
+        plan_unit_chunks, scan_spans_threaded, scan_units, walk, UnitGroups,
+    };
+    use crate::engine::RangeBatchKernel;
     let index = wazi_index();
-    let requests: Vec<RangeBatchRequest> = overlapping_rects()
-        .into_iter()
-        .enumerate()
-        .map(|(i, rect)| RangeBatchRequest {
-            rect,
-            collect: i % 2 == 0,
-        })
-        .collect();
+    let requests = overlapping_requests();
     let kernel: &dyn RangeBatchKernel = &index;
-    let projection = kernel.project_batch(&requests);
-    let weights = kernel.footprint(&requests, &projection).per_request;
-    let plan = plan_shard_bounds(&projection.intervals, &weights, 4);
-    assert!(plan.len() >= 2, "need a real multi-shard plan");
-    let inline: Vec<_> = plan
+    let record = walk(kernel, &requests);
+    let groups = UnitGroups::of(&record);
+    let chunks = plan_unit_chunks(&groups, 4);
+    assert_eq!(chunks.len(), 4, "need a real multi-chunk plan");
+    let inline: Vec<_> = chunks
         .iter()
-        .map(|&bounds| kernel.sweep_shard(&requests, &projection, bounds))
+        .map(|chunk| scan_units(kernel, &requests, &record, &groups, chunk.clone()))
         .collect();
-    // More workers than shards and fewer workers than shards (chunked runs)
-    // must both reproduce the inline partials in plan order.
-    for workers in [2, plan.len(), plan.len() + 3] {
-        let threaded = sweep_shards_threaded(kernel, &requests, &projection, &plan, workers);
-        assert_eq!(threaded.len(), inline.len(), "{workers} workers");
-        for (t, i) in threaded.iter().zip(&inline) {
-            assert_eq!(t.outputs, i.outputs);
-            assert_eq!(t.shared.pages_scanned, i.shared.pages_scanned);
-            for (a, b) in t.per_query.iter().zip(&i.per_query) {
-                assert_eq!(a.points_scanned, b.points_scanned);
-                assert_eq!(a.bbs_checked, b.bbs_checked);
-                assert_eq!(a.results, b.results);
-            }
+    let threaded = scan_spans_threaded(kernel, &requests, &record, &groups, &chunks);
+    assert_eq!(threaded.len(), inline.len());
+    for (t, i) in threaded.iter().zip(&inline) {
+        assert_eq!(t.outputs, i.outputs);
+        assert_eq!(t.shared.pages_scanned, i.shared.pages_scanned);
+        for (a, b) in t.per_query.iter().zip(&i.per_query) {
+            assert_eq!(a.points_scanned, b.points_scanned);
+            assert_eq!(a.results, b.results);
         }
     }
 }
 
-/// A one-shard run plans the hull whatever the weights, so it must never
-/// ask for the footprint (WaZI's walks every request's interval): under a
-/// pinned `Fused` strategy neither the range partition nor any kNN ring may
-/// call `footprint`. Auto asks exactly once per range partition — the model
-/// and the planner share one footprint — and the same kernel under two
-/// pinned shards asks too: the trap is armed.
+/// The walk-count trap: every range request is walked exactly once per
+/// batch, whatever the strategy and shard count. A range partition costs
+/// one `walk` call (Auto prices the record it then executes), every kNN
+/// ring one call, and the requests walked are exactly the range queries
+/// the per-query loop runs — one per range plan, one per ring of each kNN
+/// plan. The per-query loop itself never walks.
 #[test]
-fn one_shard_runs_never_ask_for_the_footprint() {
-    use crate::engine::{
-        BatchProjection, RangeBatchKernel, RangeBatchRequest, RangeBatchResponse, RangeBatchStats,
-        ShardBounds,
-    };
+fn every_range_request_is_walked_once_per_batch() {
+    use crate::engine::{RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, WalkRecord};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    struct FootprintTrap(ZIndex, AtomicUsize);
-    impl RangeBatchKernel for FootprintTrap {
-        fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-            self.0.project_batch(requests)
+    struct WalkTrap {
+        index: ZIndex,
+        walks: AtomicUsize,
+        walked: AtomicUsize,
+        solo: AtomicUsize,
+    }
+    impl RangeBatchKernel for WalkTrap {
+        fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
+            self.walks.fetch_add(1, Ordering::Relaxed);
+            self.walked.fetch_add(requests.len(), Ordering::Relaxed);
+            self.index.walk(requests)
         }
-        fn sweep_shard(
+        fn scan(
             &self,
-            requests: &[RangeBatchRequest],
-            projection: &BatchProjection,
-            bounds: ShardBounds,
-        ) -> RangeBatchResponse {
-            self.0.sweep_shard(requests, projection, bounds)
-        }
-        fn footprint(
-            &self,
-            requests: &[RangeBatchRequest],
-            projection: &BatchProjection,
-        ) -> RangeBatchStats {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            self.0.footprint(requests, projection)
+            unit: u32,
+            rect: &Rect,
+            output: &mut RangeBatchOutput,
+            stats: &mut ExecStats,
+        ) {
+            self.index.scan(unit, rect, output, stats)
         }
     }
-    impl SpatialIndex for FootprintTrap {
+    impl SpatialIndex for WalkTrap {
         fn name(&self) -> &'static str {
-            "FootprintTrap"
+            "WalkTrap"
         }
         fn len(&self) -> usize {
-            self.0.len()
+            self.index.len()
         }
         fn data_bounds(&self) -> Rect {
-            self.0.data_bounds()
+            self.index.data_bounds()
         }
         fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-            self.0.range_query(query, stats)
+            self.solo.fetch_add(1, Ordering::Relaxed);
+            self.index.range_query(query, stats)
         }
         fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-            self.0.point_query(p, stats)
+            self.index.point_query(p, stats)
         }
         fn size_bytes(&self) -> usize {
-            self.0.size_bytes()
+            self.index.size_bytes()
         }
         fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
             Some(self)
         }
     }
-    let index = FootprintTrap(wazi_index(), AtomicUsize::new(0));
-    let asked = || index.1.swap(0, Ordering::Relaxed);
+    let trap = WalkTrap {
+        index: wazi_index(),
+        walks: AtomicUsize::new(0),
+        walked: AtomicUsize::new(0),
+        solo: AtomicUsize::new(0),
+    };
+    let drain = |counter: &AtomicUsize| counter.swap(0, Ordering::Relaxed);
     let ranges: Vec<Query> = overlapping_rects()
         .into_iter()
         .map(Query::range_count)
@@ -707,41 +696,51 @@ fn one_shard_runs_never_ask_for_the_footprint() {
         Query::knn(Point::new(0.11, 0.12), 5),
         Query::knn(Point::new(0.12, 0.10), 3),
     ];
-    let fused = QueryEngine::new(&index).with_strategy(BatchStrategy::Fused);
-    for batch in [&ranges, &knns] {
-        let report = fused.execute_batch(batch).unwrap();
-        assert_eq!(report.total_fused(), batch.len());
-        assert_eq!(report.shards_used, 1);
-        assert_eq!(asked(), 0, "a one-shard run asked for the footprint");
-        let sequential = QueryEngine::new(&index.0)
+    let mixed: Vec<Query> = ranges.iter().chain(&knns).cloned().collect();
+    // The per-query loop's range queries, and the rings of the kNN group:
+    // the largest ring count of its plans, each counted alone.
+    let loop_ranges = |batch: &[Query]| {
+        QueryEngine::new(&trap)
             .with_strategy(BatchStrategy::Sequential)
             .execute_batch(batch)
             .unwrap();
-        for (f, s) in report.reports.iter().zip(&sequential.reports) {
-            assert_eq!(f.output, s.output);
+        assert_eq!(drain(&trap.walks), 0, "the per-query loop walked");
+        drain(&trap.solo)
+    };
+    let rings = knns
+        .iter()
+        .map(|knn| loop_ranges(std::slice::from_ref(knn)))
+        .max()
+        .unwrap();
+    assert!(rings >= 1);
+    for strategy in [
+        BatchStrategy::Fused,
+        BatchStrategy::FusedParallel { shards: 2 },
+        BatchStrategy::FusedParallel { shards: 4 },
+        BatchStrategy::Auto,
+    ] {
+        for (batch, walks) in [(&ranges, 1), (&knns, rings), (&mixed, 1 + rings)] {
+            let expected = loop_ranges(batch);
+            let report = QueryEngine::new(&trap)
+                .with_strategy(strategy)
+                .execute_batch(batch)
+                .unwrap();
+            assert_eq!(report.len(), batch.len());
+            assert_eq!(drain(&trap.walks), walks, "{strategy:?}: walk calls");
+            assert_eq!(
+                drain(&trap.walked),
+                expected,
+                "{strategy:?}: walked requests"
+            );
+            assert_eq!(drain(&trap.solo), 0, "{strategy:?}: a plan ran solo");
         }
     }
-    // Auto on a mixed batch: one range partition, one footprint — the kNN
-    // partition's few plans take one-shard rings.
-    let mixed: Vec<Query> = ranges.iter().chain(&knns).cloned().collect();
-    let report = QueryEngine::new(&index).execute_batch(&mixed).unwrap();
-    assert!(report.strategy_chosen.range.is_some());
-    assert_eq!(asked(), 1, "Auto asks once per range partition");
-    QueryEngine::new(&index)
-        .with_strategy(BatchStrategy::FusedParallel { shards: 2 })
-        .execute_batch(&ranges)
-        .unwrap();
-    assert_eq!(
-        asked(),
-        1,
-        "a two-shard run cuts by the footprint's weights"
-    );
 }
 
-/// An index built over no points holds one empty leaf: its kernel projects
-/// every request onto that leaf and sweeps to zeroed outputs under every
-/// shard count — never a panic — charging exactly the sequential walk's
-/// one bounding-box check.
+/// An index built over no points holds one empty leaf: every request's walk
+/// checks it, finds its box empty and records nothing, so every shard count
+/// answers zeroed outputs — never a panic — charging exactly the sequential
+/// walk's one bounding-box check.
 #[test]
 fn empty_index_sweeps_to_zeroed_outputs() {
     use crate::engine::{run_range_batch, RangeBatchRequest, RangeBatchResponse};
@@ -760,7 +759,7 @@ fn empty_index_sweeps_to_zeroed_outputs() {
     let zeroed = RangeBatchResponse::zeroed(&requests);
     for shards in [1, 4] {
         let (response, used) = run_range_batch(kernel, &requests, shards);
-        assert_eq!(used, 1, "a one-leaf span cannot split");
+        assert_eq!(used, 1, "nothing to scan is one chunk");
         assert_eq!(response.outputs, zeroed.outputs, "{shards} shards");
         for (request, fused) in requests.iter().zip(&response.per_query) {
             let mut sequential = ExecStats::default();

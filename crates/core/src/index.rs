@@ -72,7 +72,7 @@ impl std::error::Error for IndexError {}
 /// [`SpatialIndex::knn`], and both batch kernels — executes over `&self` and
 /// must not mutate index state (updates go through the exclusive `&mut self`
 /// methods). Under that contract a panic unwinding out of a kernel leaves
-/// the index exactly as it was: all sweep cursors, active sets and counters
+/// the index exactly as it was: walk records, partial responses and counters
 /// are call-owned and dropped with the frame. This is what lets
 /// [`crate::catch_execution_panic`] (and `wazi-service`'s degraded batch
 /// path on top of it) catch a kernel panic, fail the one poisoning query,

@@ -87,7 +87,7 @@
 //! for (a, b) in fused.reports.iter().zip(&sequential.reports) {
 //!     assert_eq!(a.output, b.output);
 //! }
-//! assert_eq!(fused.fused_queries, 2); // both range plans shared one sweep
+//! assert_eq!(fused.fused_queries, 2); // both range plans shared one scan
 //! assert!(matches!(fused.reports[3].output, QueryOutput::Neighbors(ref n) if n.len() == 5));
 //!
 //! // The engine's default is `BatchStrategy::Auto`: the cost model picks
@@ -116,12 +116,12 @@ pub use config::{DensityMode, ZIndexConfig};
 pub use engine::{
     catch_execution_panic, decide_knn_strategy, decide_point_strategy, decide_range_strategy,
     group_knn_plans, panic_message, run_knn_batch, run_point_batch, run_point_batch_sharded,
-    run_range_batch, BatchProjection, BatchReport, BatchStrategy, ChosenStrategy, CostConstants,
-    CostEstimate, EngineError, KnnBatchResponse, PartitionDecision, PointBatchKernel,
-    PointBatchResponse, Query, QueryEngine, QueryOutput, QueryReport, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, RangeMode,
-    ShardBounds, Snapshot, SnapshotSource, StrategyDecisions, SweepInterval, VersionStats,
-    VersionedIndex, WriteFault, WriteFaultPlan, WriteOp, WritePhase, WriteReceipt,
+    run_range_batch, BatchReport, BatchStrategy, ChosenStrategy, CostConstants, CostEstimate,
+    EngineError, KnnBatchResponse, PartitionDecision, PointBatchKernel, PointBatchResponse, Query,
+    QueryEngine, QueryOutput, QueryReport, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    RangeBatchResponse, RangeBatchStats, RangeMode, Snapshot, SnapshotSource, StrategyDecisions,
+    VersionStats, VersionedIndex, WalkRecord, WriteFault, WriteFaultPlan, WriteOp, WritePhase,
+    WriteReceipt,
 };
 pub use index::{IndexError, SpatialIndex};
 pub use node::{Leaf, Lookahead, SkipCriterion};

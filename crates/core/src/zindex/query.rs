@@ -17,241 +17,52 @@
 
 use super::ZIndex;
 use crate::engine::{
-    interval_hull, BatchProjection, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, ShardBounds,
-    SweepInterval,
+    PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    WalkRecord,
 };
 use crate::node::{Leaf, NodeRef, LOOKAHEAD_END};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, Page};
 
-/// The Z-index's fused range kernel: the sweep address space is the leaf
-/// list (never empty — an index built over no points holds one empty leaf).
+/// The Z-index's fused range kernel: a unit is a leaf, and a request's run
+/// lists the leaves its walk scans in ascending leaf index — the order
+/// the solo scan (`ZIndex::scan_range`) visits them.
 impl RangeBatchKernel for ZIndex {
-    /// Projects every request's corners once (Algorithm 1 per corner,
-    /// charged to the request exactly as the sequential kernel charges its
-    /// own projections), yielding the leaf interval `[leaf(BL) : leaf(TR)]`
-    /// each request's sweep covers.
-    fn project_batch(&self, requests: &[RangeBatchRequest]) -> BatchProjection {
-        let start = Instant::now();
-        let mut per_query = vec![ExecStats::default(); requests.len()];
-        let intervals = requests
-            .iter()
-            .zip(&mut per_query)
-            .map(|(request, stats)| {
-                let lo = self.locate_leaf(&request.rect.bl(), stats);
-                let hi = self.locate_leaf(&request.rect.tr(), stats);
-                debug_assert!(lo <= hi, "monotone orderings visit BL before TR");
-                SweepInterval { lo, hi }
-            })
-            .collect();
-        BatchProjection {
-            intervals,
-            per_query,
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// The fused sweep for the requests owned by one shard
-    /// ([`BatchProjection::owned_by`]: ownership is by entry leaf, and the
-    /// owning shard sweeps the request over its **whole** interval).
-    /// Per-request bounding-box checks and skip counts are therefore
-    /// identical to the sequential walk's — and to the single fused
-    /// sweep's — whatever the shard plan.
-    ///
-    /// The sweep maintains the shard's active set *incrementally*: requests
-    /// enter at their interval's first leaf and exit when their cursor runs
-    /// past its last — there is no per-leaf re-filtering of the whole set.
-    /// Each active request carries its own **skip cursor**: the next leaf at
-    /// which the request must perform a bounding-box check. A request whose
-    /// cursor jumped ahead (its look-ahead pointers proved a run of leaves
-    /// irrelevant, Section 5) pays nothing while the sweep serves requests
-    /// still inside that run.
-    ///
-    /// Requests due at the current leaf live in a dense `hot` vector (in the
-    /// common case an overlapping request re-arms for the very next leaf);
-    /// requests parked at a future leaf wait in a min-heap keyed on their
-    /// cursor, so a leaf costs only its due requests plus `O(log n)` per
-    /// actual skip — never a scan over the whole active set.
-    ///
-    /// When at least one due request overlaps the leaf, its page is scanned
-    /// **once** for all of them (charged to the shared stats); every
-    /// overlapping request then filters the page's points with its own
-    /// rectangle, charged per request, so comparison counts match the
-    /// sequential path's. A leaf inside a crossing request's tail may also
-    /// be visited by the shard owning that leaf's entries, so under a
-    /// multi-shard plan a page is fetched at most once per shard that needs
-    /// it — still never more than the sequential once-per-query.
-    fn sweep_shard(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-        bounds: ShardBounds,
-    ) -> RangeBatchResponse {
-        let mut response = RangeBatchResponse::zeroed(requests);
-        // Admission list: the owned requests in the order they join the
-        // sweep. `high(qi)` is the request's exit leaf — its interval's
-        // true end, never clamped to the shard.
-        let entries = projection.owned_by(bounds);
-        if entries.is_empty() {
-            return response;
-        }
-        let high = |qi: usize| projection.intervals[qi].hi;
-
-        let kernel_start = Instant::now();
-        let mut scan_ns = 0u64;
+    /// Walks every request exactly as the solo scan does —
+    /// Algorithm 1 for both corners, a check per leaf stepped on, a
+    /// look-ahead jump past each irrelevant one (§5) — recording the
+    /// overlapping leaves instead of scanning their pages.
+    fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
         let skipping = self.skipping_enabled();
-        // `hot`: requests whose cursor equals the current sweep position.
-        // `parked`: requests whose cursor points at a later leaf.
-        let mut hot: Vec<usize> = Vec::new();
-        let mut rearmed: Vec<usize> = Vec::new();
-        let mut needing: Vec<usize> = Vec::new();
-        let mut parked: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-        let mut next_entry = 0usize;
-        let mut i = entries[0].0;
-        loop {
-            while next_entry < entries.len() && entries[next_entry].0 <= i {
-                hot.push(entries[next_entry].1);
-                next_entry += 1;
-            }
-            while let Some(&Reverse((cursor, qi))) = parked.peek() {
-                if cursor > i {
-                    break;
-                }
-                parked.pop();
-                hot.push(qi);
-            }
-            if hot.is_empty() {
-                // Nobody is due here: jump straight to the next admission
-                // or the earliest parked cursor.
-                let next_lo = entries.get(next_entry).map(|&(lo, _)| lo);
-                let next_cursor = parked.peek().map(|&Reverse((cursor, _))| cursor);
-                match (next_lo, next_cursor) {
-                    (Some(a), Some(b)) => i = a.min(b),
-                    (Some(a), None) => i = a,
-                    (None, Some(b)) => i = b,
-                    (None, None) => break,
-                }
-                continue;
-            }
-            let leaf = &self.leaves[i as usize];
-            needing.clear();
-            rearmed.clear();
-            for &qi in &hot {
-                let rect = &requests[qi].rect;
-                let stats = &mut response.per_query[qi];
+        let mut record = WalkRecord::new(requests.len());
+        for (qi, request) in requests.iter().enumerate() {
+            let (rect, stats) = (&request.rect, &mut record.per_query[qi]);
+            let low = self.locate_leaf(&rect.bl(), stats);
+            let high = self.locate_leaf(&rect.tr(), stats);
+            debug_assert!(low <= high, "monotone orderings visit BL before TR");
+            let mut i = low;
+            while i <= high {
+                let leaf = &self.leaves[i as usize];
                 stats.bbs_checked += 1;
                 if !leaf.bbox.is_empty() && leaf.bbox.overlaps(rect) {
-                    needing.push(qi);
-                    if i < high(qi) {
-                        rearmed.push(qi);
-                    }
-                    continue;
-                }
-                // Irrelevant to this request: follow its own look-ahead
-                // pointers as far as they allow, exactly like the
-                // sequential walk (the jump target is per request, never
-                // clamped by other members of the batch).
-                let target = skip_target(leaf, rect, i, high(qi), skipping);
-                // Charged exactly as the sequential walk charges its own
-                // jump (`scan_range`): the full jump distance, never
-                // clamped — the request's whole walk lives in this shard.
-                stats.leaves_skipped += u64::from(target - (i + 1));
-                if target == i + 1 && i < high(qi) {
-                    rearmed.push(qi);
-                } else if target <= high(qi) {
-                    parked.push(Reverse((target, qi)));
-                }
-            }
-            if !needing.is_empty() {
-                // One pass over the page on behalf of every overlapping
-                // request: the page visit is shared work, the point
-                // comparisons stay attributed per request.
-                let scan_start = Instant::now();
-                response.shared.pages_scanned += 1;
-                let page = self.store.page(leaf.page);
-                for &qi in &needing {
-                    let rect = &requests[qi].rect;
-                    let stats = &mut response.per_query[qi];
-                    match &mut response.outputs[qi] {
-                        RangeBatchOutput::Points(out) => {
-                            let before = out.len();
-                            page.filter_into_shared(rect, out, stats);
-                            stats.results += (out.len() - before) as u64;
-                        }
-                        RangeBatchOutput::Count(count) => {
-                            let matches = page.count_in_shared(rect, stats);
-                            *count += matches;
-                            stats.results += matches;
-                        }
-                    }
-                }
-                scan_ns += scan_start.elapsed().as_nanos() as u64;
-            }
-            std::mem::swap(&mut hot, &mut rearmed);
-            i += 1;
-        }
-        response
-            .shared
-            .charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-        response
-    }
-
-    /// Runs every request's §5 walk over its projected interval exactly as
-    /// the sequential range query does — a check per leaf stepped on, a
-    /// look-ahead jump past each irrelevant one — without touching a page:
-    /// a visited leaf contributes its `count`. Distinct pages are counted
-    /// with a bitset over the batch's leaf hull.
-    ///
-    /// A request's planner weight is the reach of its walk, not only its
-    /// scan: its checks and scanned points, plus the index's mean leaf fill
-    /// for every leaf it skips. Cuts balanced on the scanned points alone
-    /// fall inside hot spans more often, where the walks of both shards
-    /// fetch the same pages.
-    fn footprint(
-        &self,
-        requests: &[RangeBatchRequest],
-        projection: &BatchProjection,
-    ) -> RangeBatchStats {
-        let mut stats = RangeBatchStats {
-            per_request: Vec::with_capacity(requests.len()),
-            ..RangeBatchStats::default()
-        };
-        let Some((first, last)) = interval_hull(&projection.intervals) else {
-            return stats;
-        };
-        let mut visited = vec![0u64; (last - first) as usize / 64 + 1];
-        let skipping = self.skipping_enabled();
-        let mean_fill = (self.len / self.leaves.len()) as u64;
-        for (request, interval) in requests.iter().zip(&projection.intervals) {
-            let (mut checks, mut points) = (0u64, 0u64);
-            let mut i = interval.lo;
-            while i <= interval.hi {
-                let leaf = &self.leaves[i as usize];
-                checks += 1;
-                if !leaf.bbox.is_empty() && leaf.bbox.overlaps(&request.rect) {
-                    stats.page_visits += 1;
-                    points += leaf.count as u64;
-                    let bit = (i - first) as usize;
-                    let (word, mask) = (&mut visited[bit / 64], 1u64 << (bit % 64));
-                    stats.distinct_pages += u64::from(*word & mask == 0);
-                    *word |= mask;
+                    record.units.push(i);
+                    record.points += leaf.count as u64;
                     i += 1;
                 } else {
-                    i = skip_target(leaf, &request.rect, i, interval.hi, skipping);
+                    let next = skip_target(leaf, rect, i, high, skipping);
+                    stats.leaves_skipped += u64::from(next - (i + 1));
+                    i = next;
                 }
             }
-            stats.checks += checks;
-            stats.points += points;
-            let skipped = u64::from(interval.hi - interval.lo) + 1 - checks;
-            stats
-                .per_request
-                .push(checks + points + skipped * mean_fill);
+            record.end_run();
         }
-        stats
+        record
+    }
+
+    fn scan(&self, leaf: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats) {
+        let page = self.store.page(self.leaves[leaf as usize].page);
+        output.scan_page(page, rect, stats);
     }
 }
 
@@ -259,7 +70,7 @@ impl RangeBatchKernel for ZIndex {
 /// leaf, or — with skipping on — as far as the leaf's look-ahead pointers
 /// for the query's irrelevancy criteria allow (§5). A pointer past the end
 /// of the leaf list ends the walk at `high + 1`. The one definition of the
-/// jump, shared by the sequential walk, the fused sweep and the footprint.
+/// jump, shared by the solo scan and the batch walk.
 #[inline]
 fn skip_target(leaf: &Leaf, query: &Rect, i: u32, high: u32, skipping: bool) -> u32 {
     let mut next = i + 1;

@@ -114,7 +114,7 @@ pub struct BatchSummary {
     pub size: usize,
     /// Wall-clock of the whole batch inside the engine, in nanoseconds.
     pub latency_ns: u64,
-    /// Range queries executed through the fused sweep kernel.
+    /// Range queries executed through the fused range kernel.
     pub fused_queries: usize,
     /// Point probes executed through the fused leaf-grouped kernel.
     pub fused_points: usize,

@@ -118,8 +118,8 @@ const OVERLAP_CONCENTRATION: f64 = 0.25;
 /// Centres follow the region's check-in profile like
 /// [`crate::generate_queries`], but with every cluster's spread shrunk
 /// four-fold, so a large batch revisits the same hot pages
-/// thousands of times — giving a fused sweep pages to share and a sharded
-/// sweep enough stacked work per leaf interval to keep every worker busy.
+/// thousands of times — giving a fused scan pages to share and a sharded
+/// scan enough stacked work per leaf to keep every worker busy.
 /// All plans use the counting mode (the non-materializing measurement
 /// path). Equal seeds produce equal batches.
 pub fn generate_overlapping_batch(
@@ -151,7 +151,7 @@ pub fn generate_overlapping_batch(
 ///
 /// Centres are stratified over a jittered `⌈√count⌉ × ⌈√count⌉` grid across
 /// the whole unit space — ignoring the region's hotspots on purpose — so
-/// almost no two queries share a leaf page. A fused sweep over such a batch
+/// almost no two queries share a leaf page. A fused scan over such a batch
 /// pays its setup for nothing; a cost-based scheduler must recognise the
 /// shape (page visits ≈ distinct pages) and fall back to the
 /// per-query loop. All plans use the counting mode. Equal seeds produce

@@ -19,7 +19,7 @@
 //!   [`generate_knn_batch`] — deterministic
 //!   batches of typed [`wazi_core::Query`] plans for the query engine's
 //!   batch executor: heterogeneous mixes, hotspot-concentrated range
-//!   batches for the fused sweeps, hot-key probe batches, and clustered
+//!   batches for the fused scans, hot-key probe batches, and clustered
 //!   kNN plans;
 //! * [`poisson_arrivals`] / [`bursty_arrivals`] — deterministic open-loop
 //!   arrival schedules ([`Arrival`]) turning any query batch into timed

@@ -77,10 +77,10 @@ fn main() {
     );
 
     // 5. When an overlapping batch is large enough to amortize thread
-    //    spawning, FusedParallel partitions the fused sweep's leaf span
-    //    into work-balanced shards and sweeps them concurrently. Answers
-    //    stay bit-identical — shards are disjoint slices of the leaf list,
-    //    merged deterministically in sweep order.
+    //    spawning, FusedParallel cuts the batch's distinct leaves into
+    //    work-balanced chunks and scans them concurrently. Answers stay
+    //    bit-identical — chunks are disjoint runs of the leaf list, merged
+    //    deterministically in leaf order.
     let big_batch = generate_overlapping_batch(region, 4_000, SELECTIVITIES[3], 7);
     let fused_one = QueryEngine::new(&index)
         .with_strategy(BatchStrategy::Fused)
@@ -93,7 +93,7 @@ fn main() {
             .expect("valid batch");
         assert_eq!(parallel.total_results(), fused_one.total_results());
         println!(
-            "fused sweep of {} overlapping queries on {} shard(s): {:.2} ms \
+            "fused scan of {} overlapping queries on {} shard(s): {:.2} ms \
              ({:.2}x vs one shard)",
             big_batch.len(),
             parallel.shards_used,

@@ -1,14 +1,14 @@
-//! Cross-crate integration test: a range kernel's walk footprint
-//! (`RangeBatchKernel::footprint`) is what the walks actually charge, and
-//! the cost model that prices it sends batches to the right side of its
-//! decision boundaries.
+//! Cross-crate integration test: the footprint summed from a range batch's
+//! walk record (`WalkRecord::footprint`) is what the per-query loop
+//! actually charges, and the cost model that prices it sends batches to the
+//! right side of its decision boundaries.
 //!
 //! The footprint is computed without charging anything, so nothing but
-//! these tests ties it to the kernels' counters. For the kernels that walk
-//! exactly — the Z-indexes (with and without skipping) and the packed
-//! R-trees — its page visits, points and checks must equal the sequential
-//! run's summed per-query counters, and its distinct pages the single fused
-//! sweep's shared page visits.
+//! these tests ties it to the solo walks' counters. For every kernel —
+//! the Z-indexes (with and without skipping), the packed R-trees, Flood and
+//! QUASII — its page visits, points and checks must equal the sequential
+//! run's summed per-query counters, each request's run its own page
+//! visits, and its distinct pages the fused scan's shared page visits.
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::engine::cost::{KNN_PARALLEL_MIN, POINT_PARALLEL_MIN};
@@ -25,13 +25,16 @@ use wazi_workload::{
 
 const REGION: Region = Region::NewYork;
 
-/// The kernels whose footprint is exact.
-const EXACT_KINDS: [IndexKind; 5] = [
+/// Every index kind that advertises a fused range kernel.
+const KERNEL_KINDS: [IndexKind; 8] = [
     IndexKind::Wazi,
     IndexKind::WaziNoSkip,
+    IndexKind::BaseSkip,
     IndexKind::Base,
     IndexKind::Str,
     IndexKind::Cur,
+    IndexKind::Flood,
+    IndexKind::Quasii,
 ];
 
 /// The range plans of `batch`.
@@ -105,7 +108,8 @@ fn assert_footprint_is_the_walk(label: &str, index: &dyn SpatialIndex, batch: &[
     let kernel = index.range_batch_kernel().expect("a fused range kernel");
     let requests = range_requests(batch);
     assert!(requests.len() >= 2, "{label}: a batch fuses from two plans");
-    let footprint = kernel.footprint(&requests, &kernel.project_batch(&requests));
+    let record = kernel.walk(&requests);
+    let footprint = record.footprint();
 
     let sequential = QueryEngine::new(index)
         .with_strategy(BatchStrategy::Sequential)
@@ -118,13 +122,18 @@ fn assert_footprint_is_the_walk(label: &str, index: &dyn SpatialIndex, batch: &[
     );
     assert_eq!(footprint.points, total.points_scanned, "{label}: points");
     assert_eq!(footprint.checks, total.bbs_checked, "{label}: checks");
-    // Every planner weight covers at least its request's walk.
-    assert_eq!(footprint.requests(), batch.len(), "{label}");
-    for (weight, report) in footprint.per_request.iter().zip(&sequential.reports) {
-        let walk = report.stats.bbs_checked + report.stats.points_scanned;
-        assert!(
-            *weight >= walk,
-            "{label}: weight {weight} under the walk's {walk}"
+    // Every run is its request's page visits, and the walk charged each
+    // request exactly its solo walk's checks.
+    assert_eq!(footprint.requests, batch.len(), "{label}");
+    for (i, report) in sequential.reports.iter().enumerate() {
+        assert_eq!(
+            record.run(i).len() as u64,
+            report.stats.pages_scanned,
+            "{label}: run {i}"
+        );
+        assert_eq!(
+            record.per_query[i].bbs_checked, report.stats.bbs_checked,
+            "{label}: checks of request {i}"
         );
     }
 
@@ -144,7 +153,7 @@ fn footprint_equals_what_the_walks_charge() {
     let points = generate_dataset(REGION, 20_000);
     let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
     let batches = batches(&points);
-    for kind in EXACT_KINDS {
+    for kind in KERNEL_KINDS {
         let built = build_index(kind, &points, &train, 64);
         for (name, batch) in &batches {
             assert_footprint_is_the_walk(&format!("{kind}/{name}"), built.index.as_ref(), batch);
@@ -178,7 +187,7 @@ fn footprint_equals_what_the_walks_charge() {
 
 /// The decision boundaries on footprint stats, with no clock read: a
 /// scattered batch of 64 ranges has nothing for threads to split, so the
-/// model never picks the parallel sweep for it, while a heavily
+/// model never picks the parallel scan for it, while a heavily
 /// overlapping batch still fuses. At 200 k points the Z-intervals are long
 /// enough that pricing every address under them as a fetch (the
 /// statistics the footprint replaced) sends some of these batches to
@@ -200,7 +209,7 @@ fn footprint_stats_keep_scattered_batches_off_threads() {
                 other => panic!("not a range plan: {other:?}"),
             })
             .collect();
-        let stats = kernel.footprint(&requests, &kernel.project_batch(&requests));
+        let stats = kernel.walk(&requests).footprint();
         decide_range_strategy(&stats, workers, &CostConstants::BAKED).0
     };
     for seed in 0..8 {
@@ -223,18 +232,6 @@ fn footprint_stats_keep_scattered_batches_off_threads() {
         }
     }
 }
-
-/// Every index kind that advertises a fused range kernel.
-const KERNEL_KINDS: [IndexKind; 8] = [
-    IndexKind::Wazi,
-    IndexKind::WaziNoSkip,
-    IndexKind::BaseSkip,
-    IndexKind::Base,
-    IndexKind::Str,
-    IndexKind::Cur,
-    IndexKind::Flood,
-    IndexKind::Quasii,
-];
 
 /// One decision as a table cell: `S`equential, `F`used, `P<shards>`.
 fn cell(chosen: ChosenStrategy) -> String {
@@ -268,12 +265,12 @@ const GOLDEN_DECISIONS: &[&str] = &[
     "CUR/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
     "CUR/scattered: S S S S S S S S S S S S",
     "CUR/mixed: F F F F F F F F F F F F",
-    "Flood/overlapping: F P2 P8 F P2 P8 F P2 P8 F P2 P8",
+    "Flood/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
     "Flood/scattered: S S S S S S S S S S S S",
-    "Flood/mixed: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "QUASII/overlapping: F P2 P8 F P2 P8 F P2 P8 F P2 P8",
-    "QUASII/scattered: S P2 P2 S P2 P2 S P2 P2 S P2 P2",
-    "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "Flood/mixed: F F F F F F F F F F F F",
+    "QUASII/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
+    "QUASII/scattered: S S S S S S S S S S S S",
+    "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P4",
     "point/2047: F F F",
     "point/2048: F P2 P8",
     "knn/255: F F F",
@@ -323,7 +320,7 @@ fn auto_decisions_are_pinned_by_a_golden_table() {
                 .iter()
                 .flat_map(|batch| {
                     let requests = range_requests(batch);
-                    let stats = kernel.footprint(&requests, &kernel.project_batch(&requests));
+                    let stats = kernel.walk(&requests).footprint();
                     [1, 2, 8].map(|workers| {
                         cell(decide_range_strategy(&stats, workers, &CostConstants::BAKED).0)
                     })

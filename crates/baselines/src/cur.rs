@@ -9,7 +9,7 @@
 //! the anticipated workload.
 
 use crate::rtree::PackedRTree;
-use wazi_core::{IndexError, PointBatchKernel, RangeBatchKernel, SpatialIndex};
+use wazi_core::{solo_range_query, IndexError, PointBatchKernel, RangeBatchKernel, SpatialIndex};
 use wazi_density::{Rfde, RfdeConfig};
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageStore};
@@ -180,19 +180,7 @@ impl SpatialIndex for CurTree {
     }
 
     fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        let result = self.tree.range_query(query, stats);
-        stats.results += result.len() as u64;
-        result
-    }
-
-    fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        let count = self.tree.range_count(query, stats);
-        stats.results += count;
-        count
-    }
-
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        stats.results += self.tree.range_for_each(query, stats, visit);
+        solo_range_query(&self.tree, query, stats)
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {

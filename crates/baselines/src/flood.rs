@@ -10,8 +10,8 @@
 //! of the training workload and keeping the cheapest one.
 
 use wazi_core::{
-    IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, SpatialIndex, WalkRecord,
+    solo_range_query, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
+    RangeBatchOutput, RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -110,28 +110,6 @@ impl FloodIndex {
         (first, last)
     }
 
-    /// The range-scan kernel shared by every execution mode: for each column
-    /// overlapping the query's x extent, binary-search the y run (the
-    /// projection phase — "Flood performs the fastest projection") and hand
-    /// the run to `on_run` for x filtering. No run list is materialized.
-    fn scan_range(&self, query: &Rect, stats: &mut ExecStats, mut on_run: impl FnMut(&[Point])) {
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        let (first, last) = self.column_range(query.lo.x, query.hi.x);
-        for column in first..=last {
-            stats.bbs_checked += 1;
-            let run = self.y_run(column, query);
-            if !run.is_empty() {
-                let scan_start = std::time::Instant::now();
-                stats.pages_scanned += 1;
-                stats.points_scanned += run.len() as u64;
-                on_run(run);
-                scan_ns += scan_start.elapsed().as_nanos() as u64;
-            }
-        }
-        stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-    }
-
     /// The points of `column` inside the query's y extent: two binary
     /// searches over the column's y-sorted points.
     fn y_run(&self, column: usize, query: &Rect) -> &[Point] {
@@ -165,40 +143,7 @@ impl SpatialIndex for FloodIndex {
     }
 
     fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        let mut result = Vec::new();
-        self.scan_range(query, stats, |run| {
-            for p in run {
-                if p.x >= query.lo.x && p.x <= query.hi.x {
-                    result.push(*p);
-                }
-            }
-        });
-        stats.results += result.len() as u64;
-        result
-    }
-
-    fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        let mut count = 0u64;
-        self.scan_range(query, stats, |run| {
-            for p in run {
-                count += u64::from(p.x >= query.lo.x && p.x <= query.hi.x);
-            }
-        });
-        stats.results += count;
-        count
-    }
-
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        let mut matched = 0u64;
-        self.scan_range(query, stats, |run| {
-            for p in run {
-                if p.x >= query.lo.x && p.x <= query.hi.x {
-                    matched += 1;
-                    visit(p);
-                }
-            }
-        });
-        stats.results += matched;
+        solo_range_query(self, query, stats)
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
@@ -266,15 +211,15 @@ impl SpatialIndex for FloodIndex {
     }
 }
 
-/// Flood's fused range kernel: a unit is a grid column, and a request's run
-/// lists the columns of its x extent whose y-run is non-empty, ascending —
-/// the order its solo scan reads them. A column read by `m` overlapping
-/// requests is fetched once per batch instead of once per request.
+/// Flood's range kernel: a unit is a grid column, and a request's run lists
+/// the columns of its x extent whose y-run is non-empty, ascending. A
+/// column read by `m` overlapping requests of a batch is fetched once
+/// instead of once per request.
 impl RangeBatchKernel for FloodIndex {
-    /// Walks every request over its column interval exactly as the solo
-    /// scan does: one bounding-box check per column, and the column joins
-    /// the run when its y-run is non-empty. Column location charges
-    /// nothing, as in the solo scan.
+    /// Walks every request over its column interval — the projection phase,
+    /// Flood's fastest: one bounding-box check per column, two binary
+    /// searches for its y-run, and the column joins the run when the y-run
+    /// is non-empty. Column location charges nothing.
     fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
         let mut record = WalkRecord::new(requests.len());
         for (qi, request) in requests.iter().enumerate() {

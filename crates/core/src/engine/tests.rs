@@ -624,21 +624,25 @@ fn threaded_fan_out_matches_inline_sweeps() {
     }
 }
 
-/// The walk-count trap: every range request is walked exactly once per
-/// batch, whatever the strategy and shard count. A range partition costs
-/// one `walk` call (Auto prices the record it then executes), every kNN
-/// ring one call, and the requests walked are exactly the range queries
-/// the per-query loop runs — one per range plan, one per ring of each kNN
-/// plan. The per-query loop itself never walks.
+/// The walk-count trap: every range request is walked exactly once,
+/// whatever the strategy and shard count. On the per-query loop
+/// (`Sequential`) each range query — a range plan, or one ring of a kNN
+/// plan — is one `walk` call of one request. Under the fused strategies a
+/// range partition costs one call (Auto prices the record it then
+/// executes) and every kNN ring one call, and the requests walked are
+/// exactly the range queries the loop runs. The trap answers `range_query`
+/// with the one call every kernel index uses, so no plan reaches a range
+/// scan that bypasses the walk.
 #[test]
-fn every_range_request_is_walked_once_per_batch() {
-    use crate::engine::{RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, WalkRecord};
+fn every_range_request_is_walked_once() {
+    use crate::engine::{
+        solo_range_query, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, WalkRecord,
+    };
     use std::sync::atomic::{AtomicUsize, Ordering};
     struct WalkTrap {
         index: ZIndex,
         walks: AtomicUsize,
         walked: AtomicUsize,
-        solo: AtomicUsize,
     }
     impl RangeBatchKernel for WalkTrap {
         fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
@@ -667,8 +671,7 @@ fn every_range_request_is_walked_once_per_batch() {
             self.index.data_bounds()
         }
         fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-            self.solo.fetch_add(1, Ordering::Relaxed);
-            self.index.range_query(query, stats)
+            solo_range_query(self, query, stats)
         }
         fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
             self.index.point_query(p, stats)
@@ -684,12 +687,17 @@ fn every_range_request_is_walked_once_per_batch() {
         index: wazi_index(),
         walks: AtomicUsize::new(0),
         walked: AtomicUsize::new(0),
-        solo: AtomicUsize::new(0),
     };
     let drain = |counter: &AtomicUsize| counter.swap(0, Ordering::Relaxed);
+    // Every range mode: counting, collecting and streaming plans.
     let ranges: Vec<Query> = overlapping_rects()
         .into_iter()
-        .map(Query::range_count)
+        .enumerate()
+        .map(|(i, rect)| match i % 3 {
+            0 => Query::range_count(rect),
+            1 => Query::range(rect),
+            _ => Query::range_stream(rect),
+        })
         .collect();
     let knns = vec![
         Query::knn(Point::new(0.10, 0.10), 5),
@@ -697,16 +705,22 @@ fn every_range_request_is_walked_once_per_batch() {
         Query::knn(Point::new(0.12, 0.10), 3),
     ];
     let mixed: Vec<Query> = ranges.iter().chain(&knns).cloned().collect();
-    // The per-query loop's range queries, and the rings of the kNN group:
-    // the largest ring count of its plans, each counted alone.
+    // The per-query loop's range queries: one walk of one request each.
     let loop_ranges = |batch: &[Query]| {
         QueryEngine::new(&trap)
             .with_strategy(BatchStrategy::Sequential)
             .execute_batch(batch)
             .unwrap();
-        assert_eq!(drain(&trap.walks), 0, "the per-query loop walked");
-        drain(&trap.solo)
+        let walks = drain(&trap.walks);
+        assert_eq!(
+            drain(&trap.walked),
+            walks,
+            "a solo walk of several requests"
+        );
+        walks
     };
+    assert_eq!(loop_ranges(&ranges), ranges.len());
+    // The rings of the kNN group: the largest ring count of its plans.
     let rings = knns
         .iter()
         .map(|knn| loop_ranges(std::slice::from_ref(knn)))
@@ -732,7 +746,6 @@ fn every_range_request_is_walked_once_per_batch() {
                 expected,
                 "{strategy:?}: walked requests"
             );
-            assert_eq!(drain(&trap.solo), 0, "{strategy:?}: a plan ran solo");
         }
     }
 }

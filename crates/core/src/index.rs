@@ -1,6 +1,6 @@
 //! The `SpatialIndex` trait implemented by every index in the evaluation.
 
-use crate::engine::{PointBatchKernel, RangeBatchKernel};
+use crate::engine::{solo_range, PointBatchKernel, RangeBatchKernel, RangeBatchOutput};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
@@ -55,10 +55,14 @@ impl std::error::Error for IndexError {}
 /// * [`SpatialIndex::range_count`] returns only its size;
 /// * [`SpatialIndex::range_for_each`] streams every result to a closure.
 ///
-/// The latter two have materializing default implementations; every index in
-/// this workspace overrides them with non-materializing fast paths so the
-/// work measured by the benchmark harness matches the paper's cost model
-/// (points compared, not vectors allocated).
+/// An index with a fused range kernel ([`SpatialIndex::range_batch_kernel`])
+/// answers a solo range query as a batch of one: the kernel's walk, its run
+/// replayed with one page visit per unit. It implements `range_query` with
+/// [`crate::solo_range_query`], and the defaults of the other two modes
+/// take the same route without materializing — counting allocates no
+/// result, streaming hands the matches over unit by unit through one
+/// buffer — so all three charge the paper's Eq. 5 counters identically.
+/// Without a kernel both defaults materialize through `range_query`.
 ///
 /// The trait requires `Send + Sync`: all query methods take `&self`, and the
 /// concurrent query service (`wazi-service`) shares one index across its
@@ -101,21 +105,38 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Returns the number of indexed points inside `query`.
     ///
-    /// The default materializes through [`SpatialIndex::range_query`];
-    /// indexes override it with a counting scan that allocates nothing.
+    /// The default counts through the range kernel's walk when the index
+    /// has one, and materializes through [`SpatialIndex::range_query`]
+    /// otherwise.
     fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        self.range_query(query, stats).len() as u64
+        let Some(kernel) = self.range_batch_kernel() else {
+            return self.range_query(query, stats).len() as u64;
+        };
+        let mut output = RangeBatchOutput::Count(0);
+        solo_range(kernel, query, &mut output, stats, |_| {});
+        match output {
+            RangeBatchOutput::Count(count) => count,
+            RangeBatchOutput::Points(_) => unreachable!("a counting request"),
+        }
     }
 
     /// Invokes `visit` for every indexed point inside `query`.
     ///
-    /// The default materializes through [`SpatialIndex::range_query`];
-    /// indexes override it with a streaming scan that allocates nothing.
-    /// Visit order is unspecified (it follows the index's layout).
+    /// The default streams through the range kernel's walk, unit by unit,
+    /// when the index has one, and materializes through
+    /// [`SpatialIndex::range_query`] otherwise. Visit order is unspecified
+    /// (it follows the index's layout).
     fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        for p in self.range_query(query, stats) {
-            visit(&p);
-        }
+        let Some(kernel) = self.range_batch_kernel() else {
+            self.range_query(query, stats).iter().for_each(visit);
+            return;
+        };
+        let mut buffer = RangeBatchOutput::Points(Vec::new());
+        solo_range(kernel, query, &mut buffer, stats, |output| {
+            if let RangeBatchOutput::Points(points) = output {
+                points.drain(..).for_each(|p| visit(&p));
+            }
+        });
     }
 
     /// Returns `true` when a point equal to `p` is indexed.

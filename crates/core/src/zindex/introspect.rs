@@ -4,6 +4,7 @@
 use super::ZIndex;
 use crate::build::BuildReport;
 use crate::config::ZIndexConfig;
+use crate::index::SpatialIndex;
 use crate::lookahead;
 use crate::node::{InternalNode, Leaf, NodeRef};
 use wazi_geom::{CellOrdering, Rect};
@@ -150,7 +151,7 @@ impl ZIndex {
     pub fn measured_workload_cost(&self, queries: &[Rect]) -> u64 {
         let mut stats = ExecStats::default();
         for q in queries {
-            self.execute_range_count(q, &mut stats);
+            self.range_count(q, &mut stats);
         }
         stats.points_scanned
     }

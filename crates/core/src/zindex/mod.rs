@@ -5,8 +5,9 @@
 //!
 //! * `mod.rs` — the [`ZIndex`] struct, its constructors and the
 //!   [`SpatialIndex`] impl, which only delegates;
-//! * `query.rs` — the shared leaf-interval scan kernel behind every read
-//!   path (range, count, streaming, point, kNN candidates);
+//! * `query.rs` — the leaf-interval walk behind every range read (solo
+//!   queries in all three modes, kNN candidates, batches) and the point
+//!   probe;
 //! * `update.rs` — inserts, deletes, leaf splits and look-ahead pointer
 //!   maintenance;
 //! * `introspect.rs` — accessors, invariant checkers and cost measurement
@@ -20,7 +21,7 @@ mod update;
 
 use crate::build::BuildReport;
 use crate::config::ZIndexConfig;
-use crate::engine::{PointBatchKernel, RangeBatchKernel};
+use crate::engine::{solo_range_query, PointBatchKernel, RangeBatchKernel};
 use crate::index::{IndexError, SpatialIndex};
 use crate::node::{InternalNode, Leaf, NodeRef};
 use wazi_geom::{Point, Rect};
@@ -106,15 +107,7 @@ impl SpatialIndex for ZIndex {
     }
 
     fn range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        self.execute_range_query(query, stats)
-    }
-
-    fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        self.execute_range_count(query, stats)
-    }
-
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        self.execute_range_for_each(query, stats, visit)
+        solo_range_query(self, query, stats)
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {

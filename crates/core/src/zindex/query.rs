@@ -1,19 +1,18 @@
-//! Query execution: the shared leaf-interval scan kernel.
+//! Query execution: the Z-index's walk and its point probe.
 //!
-//! Every read path of the Z-index — materializing range queries, counting,
-//! streaming, and the candidate collection behind kNN — funnels through one
-//! kernel, [`ZIndex::scan_range`]. The kernel walks the leaf interval
-//! `[leaf(BL(q)) : leaf(TR(q))]` of Algorithm 2, applies the look-ahead
-//! skipping of Section 5 exactly once (no per-query-type duplication), and
-//! hands each relevant page to a [`RangeVisitor`]. Visitors decide what
-//! happens to matching points: collect them, count them, or stream them to a
-//! caller-supplied closure. Filtering happens in place via the storage
-//! layer's visitor primitives, so non-materializing paths allocate nothing.
+//! Every range read of the Z-index — a solo range query in any of its three
+//! modes, the candidate collection behind kNN, and every batch schedule —
+//! is one walk, [`RangeBatchKernel::walk`]: Algorithm 1 locates the leaves of
+//! the query's corners, Algorithm 2 steps over the leaf interval
+//! `[leaf(BL(q)) : leaf(TR(q))]`, and the look-ahead pointers of Section 5
+//! jump past irrelevant runs. The walk only records the overlapping leaves;
+//! the engine reads them ([`RangeBatchKernel::scan`] filters one leaf's page
+//! for one request), so a solo query is the one-request batch replayed.
 //!
 //! The paper's cost model (Eq. 5) charges queries by bounding boxes checked
-//! and points compared; because all paths share this kernel, those counters
-//! are identical whichever execution mode the caller picks — only the
-//! per-match work differs.
+//! and points compared; because every path is the same walk and the same
+//! page filter, those counters are identical whichever execution mode or
+//! schedule the caller picks — only the per-match work differs.
 
 use super::ZIndex;
 use crate::engine::{
@@ -25,14 +24,12 @@ use std::time::Instant;
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, Page};
 
-/// The Z-index's fused range kernel: a unit is a leaf, and a request's run
-/// lists the leaves its walk scans in ascending leaf index — the order
-/// the solo scan (`ZIndex::scan_range`) visits them.
+/// The Z-index's range kernel: a unit is a leaf, and a request's run lists
+/// the leaves its walk reaches, in ascending leaf index.
 impl RangeBatchKernel for ZIndex {
-    /// Walks every request exactly as the solo scan does —
-    /// Algorithm 1 for both corners, a check per leaf stepped on, a
-    /// look-ahead jump past each irrelevant one (§5) — recording the
-    /// overlapping leaves instead of scanning their pages.
+    /// Walks every request — Algorithm 1 for both corners, a check per leaf
+    /// stepped on, a look-ahead jump past each irrelevant one (§5) —
+    /// recording the overlapping leaves instead of scanning their pages.
     fn walk(&self, requests: &[RangeBatchRequest]) -> WalkRecord {
         let skipping = self.skipping_enabled();
         let mut record = WalkRecord::new(requests.len());
@@ -69,8 +66,7 @@ impl RangeBatchKernel for ZIndex {
 /// Where a walk goes after finding leaf `i` irrelevant to `query`: the next
 /// leaf, or — with skipping on — as far as the leaf's look-ahead pointers
 /// for the query's irrelevancy criteria allow (§5). A pointer past the end
-/// of the leaf list ends the walk at `high + 1`. The one definition of the
-/// jump, shared by the solo scan and the batch walk.
+/// of the leaf list ends the walk at `high + 1`.
 #[inline]
 fn skip_target(leaf: &Leaf, query: &Rect, i: u32, high: u32, skipping: bool) -> u32 {
     let mut next = i + 1;
@@ -135,53 +131,6 @@ impl PointBatchKernel for ZIndex {
     }
 }
 
-/// A consumer of the scan kernel: receives every page whose leaf bounding
-/// box overlaps the query, in leaf order.
-pub(crate) trait RangeVisitor {
-    /// Processes one relevant page. Implementations are expected to charge
-    /// `stats` through the storage layer's scan primitives.
-    fn visit_page(&mut self, page: &Page, query: &Rect, stats: &mut ExecStats);
-}
-
-/// Collects matching points into a result vector (the classic range query).
-struct CollectVisitor {
-    out: Vec<Point>,
-}
-
-impl RangeVisitor for CollectVisitor {
-    fn visit_page(&mut self, page: &Page, query: &Rect, stats: &mut ExecStats) {
-        page.filter_into(query, &mut self.out, stats);
-    }
-}
-
-/// Counts matching points without materializing them.
-struct CountVisitor {
-    count: u64,
-}
-
-impl RangeVisitor for CountVisitor {
-    fn visit_page(&mut self, page: &Page, query: &Rect, stats: &mut ExecStats) {
-        self.count += page.count_in(query, stats);
-    }
-}
-
-/// Streams matching points to a caller-supplied closure.
-struct StreamVisitor<'a> {
-    visit: &'a mut dyn FnMut(&Point),
-    matched: u64,
-}
-
-impl RangeVisitor for StreamVisitor<'_> {
-    fn visit_page(&mut self, page: &Page, query: &Rect, stats: &mut ExecStats) {
-        let visit = &mut *self.visit;
-        let matched = &mut self.matched;
-        page.for_each_in(query, stats, |p| {
-            *matched += 1;
-            visit(p);
-        });
-    }
-}
-
 impl ZIndex {
     /// Algorithm 1: descends from the root to the leaf whose cell contains
     /// `p`, returning its index in the leaf list.
@@ -196,83 +145,6 @@ impl ZIndex {
                 }
             }
         }
-    }
-
-    /// The scan kernel (Algorithm 2 + Section 5 skipping): walks the leaf
-    /// interval spanned by the query corners, follows look-ahead pointers
-    /// over irrelevant runs when skipping is enabled, and hands every
-    /// overlapping leaf's page to `visitor` — no intermediate list of
-    /// relevant leaves is materialized.
-    ///
-    /// Timing: page visits are accumulated as scan-phase time, everything
-    /// else (corner location, bounding-box checks, pointer hops) as
-    /// projection-phase time, matching the split of Figure 9. The clock is
-    /// read once per *run* of consecutive page visits — a run opens at the
-    /// first overlapping leaf and closes at the first non-overlapping one
-    /// or at loop exit — so a run's few nanoseconds of loop overhead count
-    /// as scan time and the clock itself stays off the per-page path.
-    fn scan_range<V: RangeVisitor>(&self, query: &Rect, stats: &mut ExecStats, visitor: &mut V) {
-        let kernel_start = Instant::now();
-        let mut scan_ns = 0u64;
-        if !self.leaves.is_empty() {
-            let low = self.locate_leaf(&query.bl(), stats);
-            let high = self.locate_leaf(&query.tr(), stats);
-            debug_assert!(low <= high, "monotone orderings visit BL before TR");
-            let skipping = self.skipping_enabled();
-            let mut run_start: Option<Instant> = None;
-            let mut i = low;
-            while i <= high {
-                let leaf = &self.leaves[i as usize];
-                stats.bbs_checked += 1;
-                if !leaf.bbox.is_empty() && leaf.bbox.overlaps(query) {
-                    run_start.get_or_insert_with(Instant::now);
-                    visitor.visit_page(self.store.page(leaf.page), query, stats);
-                    i += 1;
-                    continue;
-                }
-                if let Some(start) = run_start.take() {
-                    scan_ns += start.elapsed().as_nanos() as u64;
-                }
-                let next = skip_target(leaf, query, i, high, skipping);
-                stats.leaves_skipped += u64::from(next - (i + 1));
-                i = next;
-            }
-            if let Some(start) = run_start {
-                scan_ns += start.elapsed().as_nanos() as u64;
-            }
-        }
-        stats.charge_kernel(kernel_start.elapsed().as_nanos() as u64, scan_ns);
-    }
-
-    /// Materializing range query: returns every indexed point inside
-    /// `query`.
-    pub(crate) fn execute_range_query(&self, query: &Rect, stats: &mut ExecStats) -> Vec<Point> {
-        let mut visitor = CollectVisitor { out: Vec::new() };
-        self.scan_range(query, stats, &mut visitor);
-        stats.results += visitor.out.len() as u64;
-        visitor.out
-    }
-
-    /// Counting range query: the size of the result set, computed without
-    /// materializing it.
-    pub(crate) fn execute_range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
-        let mut visitor = CountVisitor { count: 0 };
-        self.scan_range(query, stats, &mut visitor);
-        stats.results += visitor.count;
-        visitor.count
-    }
-
-    /// Streaming range query: invokes `visit` for every indexed point inside
-    /// `query` without building an intermediate vector.
-    pub(crate) fn execute_range_for_each(
-        &self,
-        query: &Rect,
-        stats: &mut ExecStats,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        let mut visitor = StreamVisitor { visit, matched: 0 };
-        self.scan_range(query, stats, &mut visitor);
-        stats.results += visitor.matched;
     }
 
     /// Point query: locate the owning leaf (Algorithm 1), then probe its

@@ -4,10 +4,10 @@
 //! reproduction:
 //!
 //! * [`Page`] / [`PageStore`] — clustered data pages of capacity `L`
-//!   (the leaf pages the Z-index scanning phase iterates over), with
-//!   visitor-based scan primitives (`for_each_in`, `count_in`) so query
-//!   execution can filter, count or stream in place without materializing
-//!   intermediate vectors;
+//!   (the leaf pages the Z-index scanning phase iterates over), with two
+//!   scan primitives — `count_in_shared` counts, `filter_into_shared`
+//!   appends the matches — that charge a request its points but leave the
+//!   page visit to the caller, plus the point probe;
 //! * [`ExecStats`], [`StatsSummary`] — the execution counters (bounding
 //!   boxes checked, pages scanned, excess points, projection vs scan time)
 //!   reported throughout the paper's evaluation.

@@ -268,37 +268,9 @@ impl Page {
         query.contains_rect(&self.bbox) && !self.has_nan
     }
 
-    /// Invokes `visit` for every stored point inside `query`, in arrival
-    /// order: the filtered branch of the collecting and streaming scans.
-    #[inline(always)]
-    fn for_each_hit(&self, query: &Rect, mut visit: impl FnMut(Point)) {
-        let (lo, hi) = (query.lo, query.hi);
-        for block in &self.blocks {
-            for lane in Hits::of(block, |x, y| inside(x, y, lo, hi)) {
-                visit(lane_point(block, lane));
-            }
-        }
-    }
-
-    /// Visitor-based scanning-phase filter: invokes `visit` for every stored
-    /// point falling inside `query`, in arrival order, recording one page
-    /// scan plus one point charge per stored point in `stats`. Nothing is
-    /// materialized here, so callers choose between counting, collecting or
-    /// streaming.
-    #[inline]
-    pub fn for_each_in(&self, query: &Rect, stats: &mut ExecStats, mut visit: impl FnMut(&Point)) {
-        stats.pages_scanned += 1;
-        stats.points_scanned += self.len as u64;
-        if self.accepted_whole(query) {
-            self.iter().for_each(|p| visit(&p));
-        } else {
-            self.for_each_hit(query, |p| visit(&p));
-        }
-    }
-
     /// Counting scan: returns the number of stored points inside `query`
-    /// without materializing them, charging the same counters as
-    /// [`Page::for_each_in`].
+    /// without materializing them, charging one page visit and every
+    /// stored point.
     #[inline]
     pub fn count_in(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
         stats.pages_scanned += 1;
@@ -328,23 +300,20 @@ impl Page {
     }
 
     /// Materializing filter: appends the points falling inside `query` to
-    /// `out` in arrival order, charging the same counters as
-    /// [`Page::for_each_in`].
-    #[inline]
-    pub fn filter_into(&self, query: &Rect, out: &mut Vec<Point>, stats: &mut ExecStats) {
-        stats.pages_scanned += 1;
-        self.filter_into_shared(query, out, stats);
-    }
-
-    /// [`Page::filter_into`] without the page-visit charge (see
-    /// [`Page::count_in_shared`]).
+    /// `out` in arrival order, charging every stored point but not the page
+    /// visit (see [`Page::count_in_shared`]).
     #[inline]
     pub fn filter_into_shared(&self, query: &Rect, out: &mut Vec<Point>, stats: &mut ExecStats) {
         stats.points_scanned += self.len as u64;
         if self.accepted_whole(query) {
             self.extend_into(out);
-        } else {
-            self.for_each_hit(query, |p| out.push(p));
+            return;
+        }
+        let (lo, hi) = (query.lo, query.hi);
+        for block in &self.blocks {
+            for lane in Hits::of(block, |x, y| inside(x, y, lo, hi)) {
+                out.push(lane_point(block, lane));
+            }
         }
     }
 
@@ -464,9 +433,9 @@ mod tests {
         let page = sample_page();
         let mut stats = ExecStats::default();
         let mut out = Vec::new();
-        page.filter_into(&Rect::from_coords(0.0, 0.0, 0.6, 0.7), &mut out, &mut stats);
+        page.filter_into_shared(&Rect::from_coords(0.0, 0.0, 0.6, 0.7), &mut out, &mut stats);
         assert_eq!(out, vec![Point::new(0.1, 0.1), Point::new(0.5, 0.6)]);
-        assert_eq!(stats.pages_scanned, 1);
+        assert_eq!(stats.pages_scanned, 0, "the caller charges the visit");
         assert_eq!(stats.points_scanned, 3);
     }
 
@@ -476,23 +445,14 @@ mod tests {
         let query = Rect::from_coords(0.0, 0.0, 0.6, 0.7);
         let mut filter_stats = ExecStats::default();
         let mut out = Vec::new();
-        page.filter_into(&query, &mut out, &mut filter_stats);
+        page.filter_into_shared(&query, &mut out, &mut filter_stats);
         let mut count_stats = ExecStats::default();
+        assert_eq!(page.count_in_shared(&query, &mut count_stats), 2);
+        assert_eq!(filter_stats, count_stats);
         let count = page.count_in(&query, &mut count_stats);
         assert_eq!(count, out.len() as u64);
-        assert_eq!(filter_stats, count_stats);
-    }
-
-    #[test]
-    fn for_each_visits_exactly_the_matches() {
-        let page = sample_page();
-        let mut stats = ExecStats::default();
-        let mut seen = Vec::new();
-        page.for_each_in(&Rect::from_coords(0.4, 0.0, 1.0, 1.0), &mut stats, |p| {
-            seen.push(*p)
-        });
-        assert_eq!(seen, vec![Point::new(0.5, 0.6), Point::new(0.9, 0.2)]);
-        assert_eq!(stats.points_scanned, 3);
+        assert_eq!(count_stats.pages_scanned, 1);
+        assert_eq!(count_stats.points_scanned, 6);
     }
 
     #[test]

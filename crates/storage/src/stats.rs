@@ -68,16 +68,6 @@ impl ExecStats {
         self.projection_ns += d.as_nanos() as u64;
     }
 
-    /// Charges one fused scan-kernel run to the two phase counters of
-    /// Figure 9: the accumulated page-visit time is scan-phase, the rest of
-    /// the kernel (traversal, bounding-box checks, pointer hops) is
-    /// projection-phase. Keeping the attribution rule here means every
-    /// index's kernel splits phases identically.
-    pub fn charge_kernel(&mut self, total_ns: u64, scan_ns: u64) {
-        self.scan_ns += scan_ns;
-        self.projection_ns += total_ns.saturating_sub(scan_ns);
-    }
-
     /// Records a scan-phase duration.
     pub fn add_scan(&mut self, d: Duration) {
         self.scan_ns += d.as_nanos() as u64;

@@ -23,7 +23,7 @@
 use crate::page::{Page, PageId};
 use crate::stats::ExecStats;
 use std::sync::Arc;
-use wazi_geom::{Point, Rect};
+use wazi_geom::Point;
 
 /// A collection of clustered data pages with a fixed leaf capacity.
 ///
@@ -128,37 +128,6 @@ impl PageStore {
         self.pages[id.index()].len() > self.leaf_capacity
     }
 
-    /// Visitor-based scan of one page: invokes `visit` for every stored
-    /// point inside `query` without materializing an intermediate vector.
-    #[inline]
-    pub fn for_each_in(
-        &self,
-        id: PageId,
-        query: &Rect,
-        stats: &mut ExecStats,
-        visit: impl FnMut(&Point),
-    ) {
-        self.pages[id.index()].for_each_in(query, stats, visit);
-    }
-
-    /// Counting scan of one page: the number of stored points inside
-    /// `query`, charging the same counters as a full scan.
-    #[inline]
-    pub fn count_in(&self, id: PageId, query: &Rect, stats: &mut ExecStats) -> u64 {
-        self.pages[id.index()].count_in(query, stats)
-    }
-
-    /// Scans a page against a range query, appending matches to `out`.
-    pub fn filter_page(
-        &self,
-        id: PageId,
-        query: &Rect,
-        out: &mut Vec<Point>,
-        stats: &mut ExecStats,
-    ) {
-        self.pages[id.index()].filter_into(query, out, stats);
-    }
-
     /// Probes a page for an exact point match.
     pub fn probe_page(&self, id: PageId, p: &Point, stats: &mut ExecStats) -> bool {
         self.pages[id.index()].probe(p, stats)
@@ -235,20 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_probe_delegate_to_pages() {
+    fn probe_delegates_to_pages() {
         let (store, ids) = store_with_grid();
         let mut stats = ExecStats::default();
-        let mut out = Vec::new();
-        store.filter_page(
-            ids[1],
-            &Rect::from_coords(0.3, 0.0, 0.32, 1.0),
-            &mut out,
-            &mut stats,
-        );
-        assert_eq!(out.len(), 3);
         assert!(store.probe_page(ids[1], &Point::new(0.31, 0.5), &mut stats));
         assert!(!store.probe_page(ids[0], &Point::new(0.31, 0.5), &mut stats));
-        assert_eq!(stats.pages_scanned, 3);
+        assert_eq!(stats.pages_scanned, 2);
+        assert_eq!(stats.points_scanned, 2 + 4);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Model-based property tests for the page scan primitives: a [`Page`] of
+//! Model-based property tests for the page scan primitives (`count_in`,
+//! `count_in_shared`, `filter_into_shared` and the probes): a [`Page`] of
 //! any length — empty, exact blocks, ragged tail — built by `new` or by a
 //! random `push`/`remove` history must answer and charge exactly like a
 //! plain `Vec<Point>` filtered with `Rect::contains`, on both the filtered
@@ -89,37 +90,26 @@ fn check_scans(page: &Page, model: &[Point], query: &Rect) {
     );
     assert_eq!(count_stats, charge);
 
-    // Appending after a sentinel shows the collect never touches what the
-    // vector already held.
-    let sentinel = Point::new(-7.0, -7.0);
-    let mut collected = vec![sentinel];
-    let mut filter_stats = ExecStats::default();
-    page.filter_into(query, &mut collected, &mut filter_stats);
-    assert_eq!(collected[0], sentinel);
-    assert_eq!(
-        &collected[1..],
-        expected,
-        "collected order is arrival order"
-    );
-    assert_eq!(filter_stats, charge);
-
-    let mut streamed = Vec::new();
-    let mut stream_stats = ExecStats::default();
-    page.for_each_in(query, &mut stream_stats, |p| streamed.push(*p));
-    assert_eq!(streamed, expected, "streamed order is arrival order");
-    assert_eq!(stream_stats, charge);
-
     let mut shared_stats = ExecStats::default();
     assert_eq!(
         page.count_in_shared(query, &mut shared_stats),
         expected.len() as u64
     );
     assert_eq!(shared_stats, shared_charge);
-    let mut shared_out = Vec::new();
-    let mut shared_stats = ExecStats::default();
-    page.filter_into_shared(query, &mut shared_out, &mut shared_stats);
-    assert_eq!(shared_out, expected);
-    assert_eq!(shared_stats, shared_charge);
+
+    // Appending after a sentinel shows the collect never touches what the
+    // vector already held.
+    let sentinel = Point::new(-7.0, -7.0);
+    let mut collected = vec![sentinel];
+    let mut filter_stats = ExecStats::default();
+    page.filter_into_shared(query, &mut collected, &mut filter_stats);
+    assert_eq!(collected[0], sentinel);
+    assert_eq!(
+        &collected[1..],
+        expected,
+        "collected order is arrival order"
+    );
+    assert_eq!(filter_stats, shared_charge);
 
     assert!(collected.iter().all(|p| !p.x.is_nan() && !p.y.is_nan()));
 }
@@ -238,8 +228,8 @@ fn both_branches_agree_on_the_same_page() {
         assert!(!cut.contains_rect(&page.bbox()));
         let (mut all, mut most) = (Vec::new(), Vec::new());
         let mut stats = ExecStats::default();
-        page.filter_into(&whole, &mut all, &mut stats);
-        page.filter_into(&cut, &mut most, &mut stats);
+        page.filter_into_shared(&whole, &mut all, &mut stats);
+        page.filter_into_shared(&cut, &mut most, &mut stats);
         assert_eq!(all, model);
         assert_eq!(most, model[..len]);
     }
@@ -263,10 +253,12 @@ fn a_stored_nan_coordinate_is_never_accepted_with_the_whole_page() {
     for page in [built, pushed] {
         let mut stats = ExecStats::default();
         assert_eq!(page.count_in(&everything, &mut stats), 2);
+        assert_eq!(page.count_in_shared(&everything, &mut stats), 2);
         let mut out = Vec::new();
-        page.filter_into(&everything, &mut out, &mut stats);
+        page.filter_into_shared(&everything, &mut out, &mut stats);
         assert_eq!(out, vec![model[0], model[2]]);
-        assert_eq!(stats.points_scanned, 6);
+        assert_eq!(stats.points_scanned, 9);
+        assert_eq!(stats.pages_scanned, 1);
         assert_eq!(page.len(), 3);
     }
 }

@@ -8,8 +8,8 @@
 //! The layering, bottom to top (see ROADMAP.md, "Architecture"):
 //!
 //! * [`geom`] — points, rectangles, quadrant/ordering geometry, Morton codes;
-//! * [`storage`] — clustered pages with visitor-based scan primitives and
-//!   the [`storage::ExecStats`] work counters;
+//! * [`storage`] — clustered pages with their count, filter and probe
+//!   primitives and the [`storage::ExecStats`] work counters;
 //! * [`density`] — RFDE cardinality estimation used during construction;
 //! * [`core`] — the generalized Z-index (Base and WaZI), the
 //!   [`core::SpatialIndex`] trait with its layered query-execution engine,

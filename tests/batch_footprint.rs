@@ -1,21 +1,21 @@
-//! Cross-crate integration test: the footprint summed from a range batch's
-//! walk record (`WalkRecord::footprint`) is what the per-query loop
-//! actually charges, and the cost model that prices it sends batches to the
-//! right side of its decision boundaries.
+//! Cross-crate integration test: what a solo range query answers and
+//! charges, the footprint summed from a range batch's walk record
+//! (`WalkRecord::footprint`), and the cost model that prices it.
 //!
-//! The footprint is computed without charging anything, so nothing but
-//! these tests ties it to the solo walks' counters. For every kernel —
-//! the Z-indexes (with and without skipping), the packed R-trees, Flood and
-//! QUASII — its page visits, points and checks must equal the sequential
-//! run's summed per-query counters, each request's run its own page
-//! visits, and its distinct pages the fused scan's shared page visits.
+//! A solo range query is the kernel's walk replayed, so the footprint and
+//! the per-query loop agree by construction; what pins the walks
+//! themselves is the golden digest of every index kind's solo outputs and
+//! Eq. 5 counters, recorded while each index still ran a hand-written scan
+//! of its own. The footprint's distinct pages must equal the fused scan's
+//! shared page visits, and the golden decision table pins every choice
+//! Auto makes on the test batches.
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::engine::cost::{KNN_PARALLEL_MIN, POINT_PARALLEL_MIN};
 use wazi_core::{
     decide_knn_strategy, decide_point_strategy, decide_range_strategy, BatchStrategy,
-    ChosenStrategy, CostConstants, Query, QueryEngine, RangeBatchRequest, RangeMode, SpatialIndex,
-    VersionedIndex, WriteOp, ZIndex,
+    ChosenStrategy, CostConstants, Query, QueryEngine, RangeBatchRequest, RangeMode, Snapshot,
+    SpatialIndex, VersionedIndex, WriteOp, ZIndex,
 };
 use wazi_geom::{Point, Rect};
 use wazi_workload::{
@@ -148,6 +148,13 @@ fn assert_footprint_is_the_walk(label: &str, index: &dyn SpatialIndex, batch: &[
     );
 }
 
+/// The footprint against both schedules, for every kernel — the Z-indexes
+/// (with and without skipping), the packed R-trees, Flood and QUASII — and
+/// a snapshot after update bursts. Its page visits and checks equal the
+/// sequential run's summed counters by construction now (the per-query loop
+/// replays the same walk); its points hold the walk's leaf counts against
+/// the pages the replay reads, and its distinct pages the fused scan's
+/// shared visits.
 #[test]
 fn footprint_equals_what_the_walks_charge() {
     let points = generate_dataset(REGION, 20_000);
@@ -159,10 +166,16 @@ fn footprint_equals_what_the_walks_charge() {
             assert_footprint_is_the_walk(&format!("{kind}/{name}"), built.index.as_ref(), batch);
         }
     }
+    let snapshot = post_burst_snapshot(&points, &train);
+    for (name, batch) in &batches {
+        assert_footprint_is_the_walk(&format!("snapshot/{name}"), &snapshot, batch);
+    }
+}
 
-    // A snapshot after insert and delete bursts: leaf counts, boxes and
-    // look-ahead pointers have all moved since the build.
-    let versioned = VersionedIndex::new(ZIndex::build_wazi(points.clone(), &train));
+/// A WaZI snapshot after insert and delete bursts: leaf counts, boxes and
+/// look-ahead pointers have all moved since the build.
+fn post_burst_snapshot(points: &[Point], train: &[Rect]) -> Snapshot {
+    let versioned = VersionedIndex::new(ZIndex::build_wazi(points.to_vec(), train));
     let fresh = generate_dataset_with_seed(REGION, 3_000, 0xF00D);
     for (i, burst) in fresh.chunks(1_000).enumerate() {
         let inserts: Vec<WriteOp> = burst.iter().copied().map(WriteOp::Insert).collect();
@@ -180,9 +193,94 @@ fn footprint_equals_what_the_walks_charge() {
     }
     let snapshot = versioned.snapshot();
     assert_eq!(snapshot.len(), points.len() + 3_000 - 3 * 334 - 3 * 400);
-    for (name, batch) in &batches {
-        assert_footprint_is_the_walk(&format!("snapshot/{name}"), &snapshot, batch);
+    snapshot
+}
+
+/// FNV-1a over the little-endian bytes of `words`, continuing `hash`.
+fn fnv1a(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
+    hash
+}
+
+/// Every plan of `batches` run solo through `QueryEngine::execute`, folded
+/// into one digest: the output (points in order, or the count) and the
+/// work counters. Timing stays out.
+fn solo_digest(index: &dyn SpatialIndex, batches: &[(&str, Vec<Query>)]) -> u64 {
+    let engine = QueryEngine::new(index);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for query in batches.iter().flat_map(|(_, batch)| batch) {
+        let report = engine.execute(query).unwrap();
+        hash = fnv1a(hash, [report.output.result_count()]);
+        if let Some(points) = report.output.points() {
+            hash = fnv1a(
+                hash,
+                points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
+            );
+        }
+        let stats = report.stats;
+        hash = fnv1a(
+            hash,
+            [
+                stats.nodes_visited,
+                stats.bbs_checked,
+                stats.leaves_skipped,
+                stats.pages_scanned,
+                stats.points_scanned,
+                stats.results,
+            ],
+        );
+    }
+    hash
+}
+
+/// The solo digests of every index kind and of the post-burst snapshot.
+const GOLDEN_SOLO_DIGESTS: &[(&str, u64)] = &[
+    ("WaZI", 0xaaba_3077_7346_943f),
+    ("WaZI-SK", 0xd308_4208_4bd1_ed2c),
+    ("Base+SK", 0x3d4b_afb4_1bdf_1bee),
+    ("Base", 0xf154_250c_c186_601c),
+    ("STR", 0xab50_794c_b824_cce4),
+    ("CUR", 0x6561_4071_8471_39eb),
+    ("Flood", 0x44f0_1e7e_f338_6b91),
+    ("QUASII", 0x1bc6_9639_be9d_066a),
+    ("Zpgm", 0x703c_042b_6813_d505),
+    ("snapshot", 0x508c_3ed0_a0b4_5ca1),
+];
+
+/// What a solo range query answers and charges, pinned per index: the
+/// digests were recorded while each index still ran its own hand-written
+/// scan, so a solo path rebuilt on the kernel's walk must reproduce them bit
+/// for bit.
+#[test]
+fn solo_walks_are_pinned_by_golden_counter_digests() {
+    let points = generate_dataset(REGION, 20_000);
+    let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
+    let batches = batches(&points);
+    let mut got: Vec<(String, u64)> = KERNEL_KINDS
+        .iter()
+        .chain([&IndexKind::Zpgm])
+        .map(|&kind| {
+            let built = build_index(kind, &points, &train, 64);
+            (
+                kind.to_string(),
+                solo_digest(built.index.as_ref(), &batches),
+            )
+        })
+        .collect();
+    let snapshot = post_burst_snapshot(&points, &train);
+    got.push(("snapshot".to_string(), solo_digest(&snapshot, &batches)));
+    let golden: Vec<(String, u64)> = GOLDEN_SOLO_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert!(
+        got == golden,
+        "the solo digests moved; they now read:\n{got:#x?}"
+    );
 }
 
 /// The decision boundaries on footprint stats, with no clock read: a

@@ -33,7 +33,10 @@ pub struct ServiceConfig {
     /// the service into a per-query dispatcher (no coalescing, no window
     /// adaptation) — the baseline the bench compares against.
     pub max_batch: usize,
-    /// Lower bound (and starting value) of the adaptive coalescing window.
+    /// Starting value of the adaptive coalescing window, its floor while
+    /// the cost model predicts fusion pays, and where it restarts when
+    /// that prediction returns after the cost gate dropped it to a short
+    /// fixed wait (20 µs, or this value if shorter).
     pub min_window: Duration,
     /// Upper bound of the adaptive coalescing window.
     pub max_window: Duration,

@@ -18,9 +18,9 @@
 //! window before flushing. The window adapts: it grows while arrivals
 //! saturate it (capacity cuts) and shrinks when traffic is light (timer
 //! cuts), and an EWMA of the cost model's predicted fusion saving
-//! ([`wazi_core::CostEstimate`]) collapses it to the minimum whenever the
-//! model says sharing is not worth queueing for. See `docs/SERVICE.md` at
-//! the repository root for the full guide.
+//! ([`wazi_core::CostEstimate`]) drops it below `min_window`, to a short
+//! fixed wait, whenever the model says sharing is not worth queueing for.
+//! See `docs/SERVICE.md` at the repository root for the full guide.
 //!
 //! ## Failure model
 //!
@@ -246,6 +246,42 @@ mod tests {
         let stats = service.shutdown();
         assert!(stats.batches < 16, "every query executed alone");
         assert!(stats.max_batch_size as usize == max_batch);
+    }
+
+    #[test]
+    fn a_gated_window_stops_waiting_out_min_window() {
+        let service = Service::builder(small_index())
+            .window(Duration::from_secs(30), Duration::from_secs(60))
+            .max_batch(2)
+            .strategy(BatchStrategy::Auto)
+            .start();
+        // Two small ranges at opposite corners fill one batch by a capacity
+        // cut. Their footprints share no page, so the model prices fusion
+        // as a loss and the gate drops the 30 s window to the gated one.
+        let tickets: Vec<_> = [
+            Rect::from_coords(0.01, 0.01, 0.03, 0.03),
+            Rect::from_coords(0.95, 0.95, 0.97, 0.97),
+        ]
+        .into_iter()
+        .map(|r| {
+            service
+                .submit(Query::range_count(r))
+                .unwrap()
+                .ticket()
+                .unwrap()
+        })
+        .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().batch.size, 2);
+        }
+        assert_eq!(service.stats().window_ns, crate::window::GATED_WINDOW_NS);
+        // A lone query is cut after the gated window, not 30 s later.
+        let lone = service
+            .submit(Query::point(Point::new(0.5, 0.5)))
+            .unwrap()
+            .ticket()
+            .unwrap();
+        assert_eq!(lone.wait().unwrap().batch.size, 1);
     }
 
     #[test]

@@ -177,7 +177,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Pins the window to a fixed value (no adaptation range).
+    /// Pins the window to a fixed value: neither the rate rule nor the
+    /// cost gate moves it.
     pub fn fixed_window(self, window: Duration) -> Self {
         self.window(window, window)
     }

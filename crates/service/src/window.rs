@@ -16,9 +16,12 @@
 //!   [`wazi_core::CostEstimate`] predicts what fusion saved over the
 //!   sequential loop. The controller tracks an EWMA of that per-query
 //!   saving; while the model predicts fusion buys nothing (scattered
-//!   workloads), the window collapses to
-//!   its minimum — there is no point taxing latency for sharing that does
-//!   not materialize.
+//!   workloads), the window drops below its floor to [`GATED_WINDOW_NS`]
+//!   (or `min_window`, if that is shorter), because there is no point
+//!   taxing latency for sharing that does not materialize. `min_window`
+//!   stays the floor of the rate rule and is where a reopened window
+//!   restarts, once an estimate lifts the EWMA back to the gate. A pinned
+//!   window (`min_window == max_window`) is moved by neither rule.
 //!
 //! Both rules are deterministic functions of the observed flushes, so the
 //! controller is unit-tested without clocks or threads.
@@ -43,11 +46,21 @@ const SHRINK_FILL_DIVISOR: usize = 4;
 /// EWMA smoothing factor for the predicted per-query fusion saving.
 const SAVING_EWMA_ALPHA: f64 = 0.3;
 
-/// Predicted per-query saving (ns) below which the cost gate collapses the
-/// window to its minimum. Roughly the baked calibration's cost of one page
-/// fetch shared between two queries — less than that and coalescing is not
-/// worth any added queueing latency.
+/// Predicted per-query saving (ns) below which the cost gate drops the
+/// window to [`GATED_WINDOW_NS`]. Roughly the baked calibration's cost of
+/// one page fetch shared between two queries — less than that and
+/// coalescing is not worth any added queueing latency.
 const SAVING_GATE_NS: f64 = 50.0;
+
+/// The window while the cost gate holds. It is short, but not 0: a 0
+/// window cuts each lone query the moment a worker wakes, which turns the
+/// cut into a race between thread wake-ups. On a 2-core host that race
+/// moved `serve_solo` throughput between about 60 k and 110 k ops/s with
+/// where the scheduler placed the threads, so runs disagreed by over
+/// 10 %. 20 µs is above a worker's usual wake-up, so a lone query's cut
+/// stays a timed wait, as steady as a wait of `min_window`, and it still
+/// takes 30 µs of the default 50 µs `min_window` off every gated query.
+pub(crate) const GATED_WINDOW_NS: u64 = 20_000;
 
 /// Deterministic controller for the coalescing window. Owned by the queue
 /// state (behind the service mutex), observed by workers after each flush.
@@ -99,15 +112,11 @@ impl WindowController {
             return;
         }
         // Rate rule: grow on capacity cuts, shrink on underfilled timer cuts.
-        match cause {
-            FlushCause::Capacity => {
-                self.window_ns = (self.window_ns.saturating_mul(2)).min(self.max_ns);
-            }
-            FlushCause::Timer if batch_len * SHRINK_FILL_DIVISOR <= max_batch => {
-                self.window_ns = (self.window_ns / 2).max(self.min_ns);
-            }
-            FlushCause::Timer | FlushCause::Shutdown => {}
-        }
+        let rated = match cause {
+            FlushCause::Capacity => self.window_ns.saturating_mul(2),
+            FlushCause::Timer if batch_len * SHRINK_FILL_DIVISOR <= max_batch => self.window_ns / 2,
+            FlushCause::Timer | FlushCause::Shutdown => self.window_ns,
+        };
         // Benefit rule: fold the model's predicted saving into the EWMA...
         if let Some(decision) = decisions.range {
             if let Some(estimate) = decision.estimate {
@@ -123,10 +132,16 @@ impl WindowController {
                 });
             }
         }
-        // ...and collapse the window while fusion is predicted worthless.
-        if matches!(self.saving_ewma_ns, Some(ewma) if ewma < SAVING_GATE_NS) {
-            self.window_ns = self.min_ns;
-        }
+        // ...and drop the window below its floor while fusion is predicted
+        // worthless. The clamp lifts a gated window back to the floor once
+        // the gate reopens; a pinned window has no range for either rule to
+        // move in.
+        let worthless = matches!(self.saving_ewma_ns, Some(ewma) if ewma < SAVING_GATE_NS);
+        self.window_ns = if worthless && self.min_ns < self.max_ns {
+            GATED_WINDOW_NS.min(self.min_ns)
+        } else {
+            rated.clamp(self.min_ns, self.max_ns)
+        };
     }
 }
 
@@ -234,7 +249,8 @@ mod tests {
         }
         assert_eq!(w.window_ns(), MAX);
         // The model predicts fusion costs MORE than sequential (scattered
-        // workload): the gate overrides the rate rule.
+        // workload): the gate overrides the rate rule. A floor shorter than
+        // the gated window is kept.
         w.observe_flush(
             FlushCause::Capacity,
             64,
@@ -250,6 +266,39 @@ mod tests {
             &range_decision(64, 50_000, 90_000),
         );
         assert_eq!(w.window_ns(), MIN);
+    }
+
+    #[test]
+    fn worthless_fusion_drops_a_wide_floor_to_the_gated_window() {
+        let (min, max) = (4 * GATED_WINDOW_NS, 64 * GATED_WINDOW_NS);
+        let mut w = WindowController::new(min, max);
+        w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
+        assert_eq!(w.window_ns(), 2 * min);
+        w.observe_flush(
+            FlushCause::Capacity,
+            64,
+            64,
+            &range_decision(64, 50_000, 90_000),
+        );
+        assert_eq!(w.window_ns(), GATED_WINDOW_NS);
+        // Neither rate rule moves a gated window while the prediction holds.
+        w.observe_flush(
+            FlushCause::Timer,
+            1,
+            64,
+            &range_decision(64, 50_000, 90_000),
+        );
+        assert_eq!(w.window_ns(), GATED_WINDOW_NS);
+        // An estimate that lifts the EWMA over the gate reopens it: the
+        // capacity cut doubles the gated window and lands on the floor.
+        w.observe_flush(
+            FlushCause::Capacity,
+            64,
+            64,
+            &range_decision(64, 900_000, 100_000),
+        );
+        assert!(w.saving_ewma_ns().unwrap() >= SAVING_GATE_NS);
+        assert_eq!(w.window_ns(), min);
     }
 
     #[test]

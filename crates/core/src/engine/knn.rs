@@ -22,6 +22,13 @@
 //!    and termination tests replicate the sequential fallback exactly, so
 //!    outputs are bit-identical to [`crate::SpatialIndex::knn`].
 //!
+//! A ring that holds at least `k` candidates keeps its `k` nearest by
+//! **selection**, not by sorting every candidate: each candidate is keyed
+//! once by (squared distance, position in the ring's output), the `k`
+//! smallest keys are selected in linear time, and only those `k` are
+//! sorted. That is exactly the first `k` of a stable sort by distance —
+//! ties fall to the candidate the ring returned first.
+//!
 //! # Worked example
 //!
 //! ```
@@ -78,13 +85,14 @@ pub(crate) struct KnnSweepState {
 
 impl KnnSweepState {
     /// Starts the doubling loop for one plan; `None` when the plan resolves
-    /// to an empty answer without scanning (`k == 0` or an empty index).
+    /// to an empty answer without scanning (`k == 0`, an empty index, or a
+    /// non-finite centre, whose sweep box could never cover the bounds).
     ///
     /// The initial radius assumes a roughly uniform density over the data
     /// bounds so the first box is expected to hold about `k` points; see
     /// the sequential fallback for the full rationale.
     pub(crate) fn new(q: Point, k: usize, index_len: usize, bounds: Rect) -> Option<Self> {
-        if k == 0 || index_len == 0 {
+        if k == 0 || index_len == 0 || !q.is_finite() {
             return None;
         }
         let k = k.min(index_len);
@@ -124,26 +132,47 @@ impl KnnSweepState {
     /// Feeds one ring's candidates back into the plan. Returns the final
     /// neighbour list when the plan resolves; otherwise the radius doubles
     /// and the plan stays in its group's next ring.
+    ///
+    /// The `k` nearest candidates are selected ([`k_nearest`]), ordered by
+    /// distance and then by their position in `candidates`; the plan
+    /// resolves once the sweep covered everything or the k-th of them lies
+    /// within the radius.
     pub(crate) fn absorb(
         &mut self,
         covers_everything: bool,
-        mut candidates: Vec<Point>,
+        candidates: Vec<Point>,
     ) -> Option<Vec<Point>> {
         if covers_everything || candidates.len() >= self.k {
-            let q = self.q;
-            candidates.sort_by(|a, b| a.distance_squared(&q).total_cmp(&b.distance_squared(&q)));
-            candidates.truncate(self.k);
-            if covers_everything {
-                return Some(candidates);
-            }
-            let kth = candidates[self.k - 1].distance(&q);
-            if kth <= self.radius {
-                return Some(candidates);
+            let nearest = k_nearest(self.q, &candidates, self.k);
+            if covers_everything || nearest[self.k - 1].distance(&self.q) <= self.radius {
+                return Some(nearest);
             }
         }
         self.radius *= 2.0;
         None
     }
+}
+
+/// The `k` candidates nearest to `q`, by increasing distance, ties in
+/// candidate order: exactly the first `k` of a stable sort by squared
+/// distance. Each candidate is keyed once by (squared distance, position);
+/// the keys form a total order, so an unstable selection of the `k`
+/// smallest followed by an unstable sort of those `k` is deterministic, in
+/// `O(n + k log k)`.
+fn k_nearest(q: Point, candidates: &[Point], k: usize) -> Vec<Point> {
+    let by_key =
+        |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+    let mut keys: Vec<(f64, usize)> = candidates
+        .iter()
+        .map(|p| p.distance_squared(&q))
+        .zip(0..)
+        .collect();
+    if 0 < k && k < keys.len() {
+        keys.select_nth_unstable_by(k - 1, by_key);
+    }
+    keys.truncate(k);
+    keys.sort_unstable_by(by_key);
+    keys.into_iter().map(|(_, i)| candidates[i]).collect()
 }
 
 /// The batched answer to a slice of kNN plans: parallel to the plan slice.
@@ -360,5 +389,65 @@ mod tests {
     fn trivial_plans_resolve_without_state() {
         assert!(KnnSweepState::new(Point::new(0.5, 0.5), 0, 100, Rect::UNIT).is_none());
         assert!(KnnSweepState::new(Point::new(0.5, 0.5), 3, 0, Rect::UNIT).is_none());
+        for q in [
+            Point::new(f64::NAN, 0.5),
+            Point::new(f64::INFINITY, 0.5),
+            Point::new(0.5, f64::NEG_INFINITY),
+        ] {
+            assert!(KnnSweepState::new(q, 3, 100, Rect::UNIT).is_none(), "{q:?}");
+        }
+    }
+
+    /// The reference the selection must equal: a stable sort of every
+    /// candidate by squared distance, truncated to `k`.
+    fn sorted_nearest(q: Point, candidates: &[Point], k: usize) -> Vec<Point> {
+        let mut sorted = candidates.to_vec();
+        sorted.sort_by(|a, b| a.distance_squared(&q).total_cmp(&b.distance_squared(&q)));
+        sorted.truncate(k);
+        sorted
+    }
+
+    #[test]
+    fn selection_equals_the_stable_sort_ties_included() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x005E_1EC7);
+        for round in 0..50 {
+            // Coordinates on a 1/8 grid: many candidates share a distance,
+            // and a duplicated run repeats some of them outright.
+            let n = rng.gen_range(3..200);
+            let mut candidates: Vec<Point> = (0..n)
+                .map(|_| {
+                    Point::new(
+                        f64::from(rng.gen_range(0..9u32)) / 8.0,
+                        f64::from(rng.gen_range(0..9u32)) / 8.0,
+                    )
+                })
+                .collect();
+            let duplicates = candidates[..n / 3].to_vec();
+            candidates.extend(duplicates);
+            let n = candidates.len();
+            let q = Point::new(
+                f64::from(rng.gen_range(0..17u32)) / 16.0,
+                f64::from(rng.gen_range(0..17u32)) / 16.0,
+            );
+            for k in [1, 2, n - 1, n, n + 1] {
+                let expected = sorted_nearest(q, &candidates, k);
+                assert_eq!(
+                    k_nearest(q, &candidates, k),
+                    expected,
+                    "round {round}, k {k}"
+                );
+                // Through the state machine: a sweep covering everything
+                // resolves to the same list.
+                let mut state = KnnSweepState::new(q, k, n + 1, Rect::UNIT)
+                    .expect("non-trivial plan has state");
+                assert_eq!(state.absorb(true, candidates.clone()), Some(expected));
+            }
+        }
+        // An empty ring that covers everything resolves to no neighbours.
+        let mut state = KnnSweepState::new(Point::new(0.5, 0.5), 4, 10, Rect::UNIT)
+            .expect("non-trivial plan has state");
+        assert_eq!(state.absorb(true, Vec::new()), Some(Vec::new()));
     }
 }

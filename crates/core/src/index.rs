@@ -173,7 +173,8 @@ pub trait SpatialIndex: Send + Sync {
     /// quantity reported in Table 5.
     fn size_bytes(&self) -> usize;
 
-    /// The `k` nearest neighbours of `q`, ordered by increasing distance.
+    /// The `k` nearest neighbours of `q`, ordered by increasing distance;
+    /// none when `q` has a non-finite coordinate.
     ///
     /// The default implementation decomposes kNN into a sequence of growing
     /// range queries, the strategy the paper describes for indexes without a
@@ -215,6 +216,11 @@ pub trait SpatialIndex: Send + Sync {
 /// mapping was built for). The initial radius assumes a roughly uniform
 /// density over the data bounds, so the first box is expected to hold about
 /// `k` points whatever the dataset's extent.
+///
+/// Each round keeps its `k` nearest candidates by selection rather than by
+/// sorting them all: ordered by distance, ties by the order the range query
+/// returned them, which equals the first `k` of a stable sort by distance.
+/// A centre with a non-finite coordinate has no neighbours.
 ///
 /// The per-round geometry and termination tests live in
 /// [`crate::engine::KnnSweepState`], which the engine's fused kNN batch path

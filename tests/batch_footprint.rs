@@ -8,19 +8,22 @@
 //! Eq. 5 counters, recorded while each index still ran a hand-written scan
 //! of its own. The footprint's distinct pages must equal the fused scan's
 //! shared page visits, and the golden decision table pins every choice
-//! Auto makes on the test batches.
+//! Auto makes on the test batches. Golden kNN digests pin every kind's
+//! neighbour lists, ties included, and the counters of its solo doubling
+//! loop and of the fused ring sweep.
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::engine::cost::{KNN_PARALLEL_MIN, POINT_PARALLEL_MIN};
 use wazi_core::{
     decide_knn_strategy, decide_point_strategy, decide_range_strategy, BatchStrategy,
-    ChosenStrategy, CostConstants, Query, QueryEngine, RangeBatchRequest, RangeMode, Snapshot,
-    SpatialIndex, VersionedIndex, WriteOp, ZIndex,
+    ChosenStrategy, CostConstants, Query, QueryEngine, QueryReport, RangeBatchRequest, RangeMode,
+    Snapshot, SpatialIndex, VersionedIndex, WriteOp, ZIndex,
 };
 use wazi_geom::{Point, Rect};
+use wazi_storage::ExecStats;
 use wazi_workload::{
-    generate_dataset, generate_dataset_with_seed, generate_mixed_batch, generate_overlapping_batch,
-    generate_queries, generate_scattered_batch, Region, SELECTIVITIES,
+    generate_dataset, generate_dataset_with_seed, generate_knn_batch, generate_mixed_batch,
+    generate_overlapping_batch, generate_queries, generate_scattered_batch, Region, SELECTIVITIES,
 };
 
 const REGION: Region = Region::NewYork;
@@ -206,35 +209,46 @@ fn fnv1a(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
-/// Every plan of `batches` run solo through `QueryEngine::execute`, folded
-/// into one digest: the output (points in order, or the count) and the
-/// work counters. Timing stays out.
-fn solo_digest(index: &dyn SpatialIndex, batches: &[(&str, Vec<Query>)]) -> u64 {
-    let engine = QueryEngine::new(index);
-    let mut hash = 0xcbf2_9ce4_8422_2325;
-    for query in batches.iter().flat_map(|(_, batch)| batch) {
-        let report = engine.execute(query).unwrap();
-        hash = fnv1a(hash, [report.output.result_count()]);
-        if let Some(points) = report.output.points() {
-            hash = fnv1a(
-                hash,
-                points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
-            );
-        }
-        let stats = report.stats;
+/// The six work counters of `stats`, folded into `hash`. Timing stays out.
+fn fold_counters(hash: u64, stats: &ExecStats) -> u64 {
+    fnv1a(
+        hash,
+        [
+            stats.nodes_visited,
+            stats.bbs_checked,
+            stats.leaves_skipped,
+            stats.pages_scanned,
+            stats.points_scanned,
+            stats.results,
+        ],
+    )
+}
+
+/// One answered plan folded into `hash`: the output (points in order, or
+/// the count) and the work counters.
+fn fold_report(mut hash: u64, report: &QueryReport) -> u64 {
+    hash = fnv1a(hash, [report.output.result_count()]);
+    if let Some(points) = report.output.points() {
         hash = fnv1a(
             hash,
-            [
-                stats.nodes_visited,
-                stats.bbs_checked,
-                stats.leaves_skipped,
-                stats.pages_scanned,
-                stats.points_scanned,
-                stats.results,
-            ],
+            points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
         );
     }
-    hash
+    fold_counters(hash, &report.stats)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Every plan of `batches` run solo through `QueryEngine::execute`, folded
+/// into one digest.
+fn solo_digest(index: &dyn SpatialIndex, batches: &[(&str, Vec<Query>)]) -> u64 {
+    let engine = QueryEngine::new(index);
+    batches
+        .iter()
+        .flat_map(|(_, batch)| batch)
+        .fold(FNV_OFFSET, |hash, query| {
+            fold_report(hash, &engine.execute(query).unwrap())
+        })
 }
 
 /// The solo digests of every index kind and of the post-burst snapshot.
@@ -280,6 +294,132 @@ fn solo_walks_are_pinned_by_golden_counter_digests() {
     assert!(
         got == golden,
         "the solo digests moved; they now read:\n{got:#x?}"
+    );
+}
+
+/// A tie-heavy dataset of 20 000 points: a 100 × 100 lattice at spacing
+/// 1/128, every node twice. Dyadic coordinates make distances from dyadic
+/// centres exact, so equidistant neighbours tie bit for bit.
+fn duplicated_lattice() -> Vec<Point> {
+    let node = |i: usize| (14 + i) as f64 / 128.0;
+    let lattice: Vec<Point> = (0..10_000)
+        .map(|i| Point::new(node(i % 100), node(i / 100)))
+        .collect();
+    lattice.iter().chain(&lattice).copied().collect()
+}
+
+/// A centre astronomically far outside both datasets.
+const FAR: Point = Point::new(3.0e8, -7.0e8);
+
+/// The kNN plans run on the NewYork data: the benchmark's hot-spot centres
+/// at k = 8, and one far centre.
+fn region_knn_plans() -> Vec<Query> {
+    let mut plans = generate_knn_batch(REGION, 48, 8, 17);
+    plans.push(Query::knn(FAR, 8));
+    plans
+}
+
+/// The kNN plans run on [`duplicated_lattice`] for an index of `len`
+/// points: lattice nodes, cell centres and edge midpoints (four or eight
+/// equidistant neighbours, each duplicated) at k ∈ {1, 8, 64}, two centres
+/// asking for every point (`len + 1`), and one far centre.
+fn lattice_knn_plans(len: usize) -> Vec<Query> {
+    let centres = [
+        (50.0, 50.0),
+        (50.5, 50.5),
+        (50.5, 50.0),
+        (0.0, 0.0),
+        (0.5, 99.5),
+        (99.0, 0.5),
+        (-3.0, 40.0),
+        (37.25, 61.75),
+    ]
+    .map(|(i, j)| Point::new((14.0 + i) / 128.0, (14.0 + j) / 128.0));
+    let mut plans: Vec<Query> = [1, 8, 64]
+        .into_iter()
+        .flat_map(|k| centres.map(|q| Query::knn(q, k)))
+        .collect();
+    plans.extend(centres[..2].iter().map(|&q| Query::knn(q, len + 1)));
+    plans.push(Query::knn(FAR, 8));
+    plans
+}
+
+/// The plans run solo through `QueryEngine::execute`, then as one batch
+/// under `BatchStrategy::Fused` (the ring sweep, for kernel-bearing kinds),
+/// folded into one digest with the batch's shared kNN counters.
+fn knn_digest(index: &dyn SpatialIndex, plans: &[Query]) -> u64 {
+    let solo = QueryEngine::new(index);
+    let mut hash = plans.iter().fold(FNV_OFFSET, |hash, query| {
+        fold_report(hash, &solo.execute(query).unwrap())
+    });
+    let batch = QueryEngine::new(index)
+        .with_strategy(BatchStrategy::Fused)
+        .execute_batch(plans)
+        .unwrap();
+    hash = batch.reports.iter().fold(hash, fold_report);
+    fold_counters(hash, &batch.knn_shared_stats)
+}
+
+/// The kNN digests of every index kind and of the post-burst snapshot, on
+/// the NewYork data and on the duplicated lattice.
+const GOLDEN_KNN_DIGESTS: &[(&str, u64)] = &[
+    ("newyork/WaZI", 0x2cfb_1187_0147_f2f6),
+    ("newyork/WaZI-SK", 0x1b8e_5524_69eb_07e9),
+    ("newyork/Base+SK", 0x9f2c_bec3_f868_5357),
+    ("newyork/Base", 0xa17e_aa57_562e_4523),
+    ("newyork/STR", 0xe32f_42eb_aea2_4bf6),
+    ("newyork/CUR", 0x5c6b_ec02_b525_563a),
+    ("newyork/Flood", 0x328a_2713_1a9d_4c09),
+    ("newyork/QUASII", 0x8b76_12f0_d4d5_1ba4),
+    ("newyork/Zpgm", 0x964c_271b_78d1_9361),
+    ("newyork/snapshot", 0x1c71_5dbb_f79f_41c2),
+    ("lattice/WaZI", 0x8caf_397b_d5e0_4a54),
+    ("lattice/WaZI-SK", 0x0c27_3ebb_2f49_42c4),
+    ("lattice/Base+SK", 0x2731_a110_4165_357c),
+    ("lattice/Base", 0xafbf_71c2_ea85_85fc),
+    ("lattice/STR", 0xaa17_e912_9a91_9ae2),
+    ("lattice/CUR", 0x9727_12bc_d9a4_1a25),
+    ("lattice/Flood", 0x1075_1c29_d559_9ebe),
+    ("lattice/QUASII", 0x2cc9_97ff_0374_66e0),
+    ("lattice/Zpgm", 0xc3d8_13f7_ee2c_0839),
+    ("lattice/snapshot", 0xa281_1af6_9c63_af56),
+];
+
+/// What kNN answers and charges, pinned per index: neighbour lists in
+/// order, ties included, and the six counters of the solo loop and of the
+/// fused ring sweep. How the k nearest are kept may change; which points,
+/// in which order, and what the rings charge may not.
+#[test]
+fn knn_answers_are_pinned_by_golden_digests() {
+    let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (data, points) in [
+        ("newyork", generate_dataset(REGION, 20_000)),
+        ("lattice", duplicated_lattice()),
+    ] {
+        let plans = |len: usize| match data {
+            "newyork" => region_knn_plans(),
+            _ => lattice_knn_plans(len),
+        };
+        for &kind in KERNEL_KINDS.iter().chain([&IndexKind::Zpgm]) {
+            let built = build_index(kind, &points, &train, 64);
+            let index = built.index.as_ref();
+            got.push((
+                format!("{data}/{kind}"),
+                knn_digest(index, &plans(index.len())),
+            ));
+        }
+        let snapshot = post_burst_snapshot(&points, &train);
+        let digest = knn_digest(&snapshot, &plans(snapshot.len()));
+        got.push((format!("{data}/snapshot"), digest));
+    }
+    let golden: Vec<(String, u64)> = GOLDEN_KNN_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert!(
+        got == golden,
+        "the kNN digests moved; they now read:\n{got:#x?}"
     );
 }
 

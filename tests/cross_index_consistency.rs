@@ -15,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wazi_bench::{build_index, IndexKind};
-use wazi_core::{BatchStrategy, QueryEngine};
+use wazi_core::{run_knn_batch, BatchStrategy, QueryEngine, SpatialIndex, VersionedIndex, ZIndex};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 use wazi_workload::{
@@ -198,6 +198,52 @@ fn knn_from_far_outside_the_data_space_agrees_across_indexes() {
         let mut stats = ExecStats::default();
         let got = built.index.knn(&q, 5, &mut stats);
         assert_eq!(got, expected, "{kind} far-query kNN disagrees");
+    }
+}
+
+/// A non-finite centre has no nearest neighbours: its sweep box could never
+/// cover the data, so the doubling loop would not end. Every kind and a
+/// snapshot answer it with no neighbours, and a fused ring batch holding one
+/// still answers its finite plans exactly as `knn` does.
+#[test]
+fn knn_from_a_non_finite_centre_answers_empty_across_indexes() {
+    let region = Region::NewYork;
+    let points = generate_dataset(region, 2_000);
+    let train = generate_queries(region, 80, SELECTIVITIES[1]);
+    let centres = [
+        Point::new(f64::NAN, 0.5),
+        Point::new(f64::INFINITY, 0.5),
+        Point::new(0.5, f64::NEG_INFINITY),
+    ];
+    let snapshot = VersionedIndex::new(ZIndex::build_wazi(points.clone(), &train)).snapshot();
+    let built: Vec<_> = all_kinds()
+        .map(|kind| build_index(kind, &points, &train, 128))
+        .collect();
+    let indexes = built
+        .iter()
+        .map(|built| (built.kind.to_string(), built.index.as_ref()))
+        .chain([("snapshot".to_string(), &snapshot as &dyn SpatialIndex)]);
+    for (name, index) in indexes {
+        let mut stats = ExecStats::default();
+        for q in centres {
+            assert!(index.knn(&q, 3, &mut stats).is_empty(), "{name}: {q:?}");
+        }
+        let Some(kernel) = index.range_batch_kernel() else {
+            continue;
+        };
+        let plans = [
+            (Point::new(0.50, 0.47), 4),
+            (centres[0], 4),
+            (Point::new(0.51, 0.48), 6),
+            (centres[1], 2),
+            (Point::new(0.52, 0.47), 1),
+        ];
+        let (response, _) = run_knn_batch(index, kernel, &plans, 1);
+        for ((q, k), got) in plans.iter().zip(&response.neighbors) {
+            let expected = index.knn(q, *k, &mut stats);
+            assert_eq!(got, &expected, "{name}: batched plan ({q:?}, {k})");
+            assert_eq!(got.len(), if q.is_finite() { *k } else { 0 }, "{name}");
+        }
     }
 }
 

@@ -22,6 +22,17 @@
 //!    and termination tests replicate the sequential fallback exactly, so
 //!    outputs are bit-identical to [`crate::SpatialIndex::knn`].
 //!
+//! A plan's first ring has half-width
+//! [`crate::SpatialIndex::knn_seed_radius`] when the index offers one — the
+//! Z-index's is `sqrt(k · area(cell) / count(cell))` over the smallest cell
+//! on its Algorithm 1 path to the centre holding at least `k` points — and
+//! otherwise `sqrt(k · area(data_bounds) / len)`, the uniform-density
+//! guess. Either box holds about `4k` points where the density matches the
+//! estimate. The seed is asked once per live plan, by
+//! [`KnnSweepState::new`], so both paths charge it alike; it moves only the
+//! work, never the answer, because a ring resolves only once every point as
+//! close as its k-th candidate lies inside the box.
+//!
 //! A ring that holds at least `k` candidates keeps its `k` nearest by
 //! **selection**, not by sorting every candidate: each candidate is keyed
 //! once by (squared distance, position in the ring's output), the `k`
@@ -84,25 +95,52 @@ pub(crate) struct KnnSweepState {
 }
 
 impl KnnSweepState {
-    /// Starts the doubling loop for one plan; `None` when the plan resolves
-    /// to an empty answer without scanning (`k == 0`, an empty index, or a
-    /// non-finite centre, whose sweep box could never cover the bounds).
+    /// Starts the doubling loop for one plan on `index`; `None` when the
+    /// plan resolves to an empty answer without scanning (`k == 0`, an
+    /// empty index, or a non-finite centre, whose sweep box could never
+    /// cover the bounds).
     ///
-    /// The initial radius assumes a roughly uniform density over the data
-    /// bounds so the first box is expected to hold about `k` points; see
-    /// the sequential fallback for the full rationale.
-    pub(crate) fn new(q: Point, k: usize, index_len: usize, bounds: Rect) -> Option<Self> {
+    /// This is the one place a plan asks for its seed radius
+    /// ([`SpatialIndex::knn_seed_radius`], charged to `stats`): after the
+    /// trivial checks and with `k` clamped to the index size, so the solo
+    /// loop and the fused ring sweep charge the same seed work per plan.
+    pub(crate) fn new<I: SpatialIndex + ?Sized>(
+        index: &I,
+        q: Point,
+        k: usize,
+        stats: &mut ExecStats,
+    ) -> Option<Self> {
+        Self::start(q, k, index.len(), index.data_bounds(), |k| {
+            index.knn_seed_radius(&q, k, stats)
+        })
+    }
+
+    /// [`KnnSweepState::new`] over the index's size and bounds, with `seed`
+    /// asked for the first radius (given the clamped `k`) only when the
+    /// plan is live. Without a seed the radius assumes a uniform density
+    /// over the bounds — `sqrt(k · area / len)`, a box of about `4k`
+    /// points; see the sequential fallback for the full rationale.
+    fn start(
+        q: Point,
+        k: usize,
+        index_len: usize,
+        bounds: Rect,
+        seed: impl FnOnce(usize) -> Option<f64>,
+    ) -> Option<Self> {
         if k == 0 || index_len == 0 || !q.is_finite() {
             return None;
         }
         let k = k.min(index_len);
-        let area = bounds.area();
-        let radius = if area.is_finite() && area > 0.0 {
-            (k as f64 * area / index_len.max(1) as f64).sqrt()
-        } else {
-            0.0
-        }
-        .max(1e-6);
+        let radius = seed(k)
+            .unwrap_or_else(|| {
+                let area = bounds.area();
+                if area.is_finite() && area > 0.0 {
+                    (k as f64 * area / index_len as f64).sqrt()
+                } else {
+                    0.0
+                }
+            })
+            .max(1e-6);
         Some(Self {
             q,
             k,
@@ -258,14 +296,13 @@ pub fn run_knn_batch(
         per_query: vec![ExecStats::default(); plans.len()],
         shared: ExecStats::default(),
     };
-    let len = index.len();
-    let bounds = index.data_bounds();
     let mut states: Vec<Option<KnnSweepState>> = plans
         .iter()
-        .map(|&(q, k)| KnnSweepState::new(q, k, len, bounds))
+        .zip(&mut response.per_query)
+        .map(|(&(q, k), stats)| KnnSweepState::new(index, q, k, stats))
         .collect();
-    // Trivial plans (k == 0, empty index) resolved to empty lists above;
-    // the live ones are grouped by their seed boxes.
+    // Trivial plans (k == 0, empty index, non-finite centre) resolved to
+    // empty lists above; the live ones are grouped by their seed boxes.
     let live: Vec<usize> = (0..plans.len()).filter(|&i| states[i].is_some()).collect();
     let seeds: Vec<Rect> = live
         .iter()
@@ -361,7 +398,7 @@ mod tests {
     #[test]
     fn state_machine_replicates_the_doubling_loop() {
         let bounds = Rect::UNIT;
-        let mut state = KnnSweepState::new(Point::new(0.5, 0.5), 2, 100, bounds)
+        let mut state = KnnSweepState::start(Point::new(0.5, 0.5), 2, 100, bounds, |_| None)
             .expect("non-trivial plan has state");
         // First sweep is a finite box centred on the query.
         let (sweep, covers) = state.sweep();
@@ -387,15 +424,40 @@ mod tests {
 
     #[test]
     fn trivial_plans_resolve_without_state() {
-        assert!(KnnSweepState::new(Point::new(0.5, 0.5), 0, 100, Rect::UNIT).is_none());
-        assert!(KnnSweepState::new(Point::new(0.5, 0.5), 3, 0, Rect::UNIT).is_none());
+        assert!(KnnSweepState::start(Point::new(0.5, 0.5), 0, 100, Rect::UNIT, |_| None).is_none());
+        assert!(KnnSweepState::start(Point::new(0.5, 0.5), 3, 0, Rect::UNIT, |_| None).is_none());
         for q in [
             Point::new(f64::NAN, 0.5),
             Point::new(f64::INFINITY, 0.5),
             Point::new(0.5, f64::NEG_INFINITY),
         ] {
-            assert!(KnnSweepState::new(q, 3, 100, Rect::UNIT).is_none(), "{q:?}");
+            assert!(
+                KnnSweepState::start(q, 3, 100, Rect::UNIT, |_| None).is_none(),
+                "{q:?}"
+            );
         }
+    }
+
+    #[test]
+    fn the_seed_is_asked_only_for_live_plans_with_k_clamped() {
+        let q = Point::new(0.5, 0.5);
+        let refuse = |_| -> Option<f64> { panic!("a trivial plan asked for a seed") };
+        assert!(KnnSweepState::start(q, 0, 100, Rect::UNIT, refuse).is_none());
+        assert!(KnnSweepState::start(q, 3, 0, Rect::UNIT, refuse).is_none());
+        let nan = Point::new(f64::NAN, 0.5);
+        assert!(KnnSweepState::start(nan, 3, 100, Rect::UNIT, refuse).is_none());
+        let seeded = KnnSweepState::start(q, 500, 100, Rect::UNIT, |k| {
+            assert_eq!(k, 100, "k is clamped to the index size");
+            Some(0.125)
+        })
+        .expect("a live plan");
+        assert_eq!(
+            seeded.sweep().0,
+            Rect::from_coords(0.375, 0.375, 0.625, 0.625)
+        );
+        // Without a seed the first box is the uniform one: k · area / len.
+        let uniform = KnnSweepState::start(q, 4, 100, Rect::UNIT, |_| None).expect("a live plan");
+        assert_eq!(uniform.sweep().0, Rect::from_coords(0.3, 0.3, 0.7, 0.7));
     }
 
     /// The reference the selection must equal: a stable sort of every
@@ -440,13 +502,13 @@ mod tests {
                 );
                 // Through the state machine: a sweep covering everything
                 // resolves to the same list.
-                let mut state = KnnSweepState::new(q, k, n + 1, Rect::UNIT)
+                let mut state = KnnSweepState::start(q, k, n + 1, Rect::UNIT, |_| None)
                     .expect("non-trivial plan has state");
                 assert_eq!(state.absorb(true, candidates.clone()), Some(expected));
             }
         }
         // An empty ring that covers everything resolves to no neighbours.
-        let mut state = KnnSweepState::new(Point::new(0.5, 0.5), 4, 10, Rect::UNIT)
+        let mut state = KnnSweepState::start(Point::new(0.5, 0.5), 4, 10, Rect::UNIT, |_| None)
             .expect("non-trivial plan has state");
         assert_eq!(state.absorb(true, Vec::new()), Some(Vec::new()));
     }

@@ -246,6 +246,9 @@ impl SpatialIndex for Snapshot {
     fn knn(&self, q: &Point, k: usize, stats: &mut ExecStats) -> Vec<Point> {
         self.index.knn(q, k, stats)
     }
+    fn knn_seed_radius(&self, q: &Point, k: usize, stats: &mut ExecStats) -> Option<f64> {
+        self.index.knn_seed_radius(q, k, stats)
+    }
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
         self.index.range_batch_kernel()
     }

@@ -184,6 +184,21 @@ pub trait SpatialIndex: Send + Sync {
         knn_by_range_queries(self, q, k, stats)
     }
 
+    /// The half-width of the first kNN ring around `q` for `k` neighbours
+    /// (`1 ≤ k ≤ len`, `q` finite), sized from the index's own density
+    /// around `q`; any work it does is charged to `stats`.
+    ///
+    /// The default is `None`: the ring starts at the uniform-density radius
+    /// `sqrt(k · area(data_bounds) / len)`, whose box holds about `4k`
+    /// points when the data is uniform. An index that knows a smaller cell
+    /// around `q` holding at least `k` points returns the same formula over
+    /// that cell. The answer never depends on the seed — the doubling loop
+    /// ends only once the k-th candidate lies inside the swept box — only
+    /// the work of the first rings does.
+    fn knn_seed_radius(&self, _q: &Point, _k: usize, _stats: &mut ExecStats) -> Option<f64> {
+        None
+    }
+
     /// Fused batch-range capability hook for the query engine.
     ///
     /// Indexes that can execute many range queries in one pass (sharing
@@ -213,9 +228,11 @@ pub trait SpatialIndex: Send + Sync {
 /// index's [`SpatialIndex::data_bounds`], in which case no point can hide
 /// outside it (the sweep is then clamped to the bounds themselves, keeping
 /// the coordinates finite and inside the range every index's coordinate
-/// mapping was built for). The initial radius assumes a roughly uniform
-/// density over the data bounds, so the first box is expected to hold about
-/// `k` points whatever the dataset's extent.
+/// mapping was built for). The initial radius is the index's
+/// [`SpatialIndex::knn_seed_radius`] when it has one, and otherwise assumes
+/// a roughly uniform density over the data bounds: a half-width of
+/// `sqrt(k · area / len)`, whose box is expected to hold about `4k` points
+/// whatever the dataset's extent.
 ///
 /// Each round keeps its `k` nearest candidates by selection rather than by
 /// sorting them all: ordered by distance, ties by the order the range query
@@ -231,9 +248,7 @@ pub(crate) fn knn_by_range_queries<I: SpatialIndex + ?Sized>(
     k: usize,
     stats: &mut ExecStats,
 ) -> Vec<Point> {
-    let Some(mut state) =
-        crate::engine::KnnSweepState::new(*q, k, index.len(), index.data_bounds())
-    else {
+    let Some(mut state) = crate::engine::KnnSweepState::new(index, *q, k, stats) else {
         return Vec::new();
     };
     loop {

@@ -86,8 +86,9 @@ impl ZIndex {
     }
 
     /// Verifies the structural invariants of the index: leaf/page counts
-    /// agree, every point is stored in the leaf whose cell contains it, and
-    /// the leaf list is dominance-monotone. Intended for tests.
+    /// agree, every point is stored in the leaf whose cell contains it,
+    /// every internal node counts the points below it, and the leaf list is
+    /// dominance-monotone. Intended for tests.
     pub fn verify_structure(&self) -> Result<(), String> {
         let mut total = 0usize;
         for (i, leaf) in self.leaves.iter().enumerate() {
@@ -119,6 +120,36 @@ impl ZIndex {
                 return Err(format!(
                     "internal node {i}: split point {} outside its region",
                     node.split
+                ));
+            }
+        }
+        // Subtree counts, which the kNN seed reads: every internal node holds
+        // the sum of its children's counts, so the root holds every point.
+        fn subtree_count(index: &ZIndex, node: NodeRef) -> Result<usize, String> {
+            match node {
+                NodeRef::Leaf(i) => Ok(index.leaves[i as usize].count),
+                NodeRef::Internal(i) => {
+                    let internal = &index.nodes[i as usize];
+                    let mut sum = 0;
+                    for child in internal.children {
+                        sum += subtree_count(index, child)?;
+                    }
+                    if sum != internal.count {
+                        return Err(format!(
+                            "internal node {i}: count {} disagrees with its children's {sum}",
+                            internal.count
+                        ));
+                    }
+                    Ok(sum)
+                }
+            }
+        }
+        if !self.leaves.is_empty() {
+            let root = subtree_count(self, self.root)?;
+            if root != self.len {
+                return Err(format!(
+                    "root count {root} disagrees with index length {}",
+                    self.len
                 ));
             }
         }

@@ -6,8 +6,8 @@
 //! * `mod.rs` — the [`ZIndex`] struct, its constructors and the
 //!   [`SpatialIndex`] impl, which only delegates;
 //! * `query.rs` — the leaf-interval walk behind every range read (solo
-//!   queries in all three modes, kNN candidates, batches) and the point
-//!   probe;
+//!   queries in all three modes, kNN candidates, batches), the point probe
+//!   and the kNN seed descent;
 //! * `update.rs` — inserts, deletes, leaf splits and look-ahead pointer
 //!   maintenance;
 //! * `introspect.rs` — accessors, invariant checkers and cost measurement
@@ -128,6 +128,10 @@ impl SpatialIndex for ZIndex {
 
     fn size_bytes(&self) -> usize {
         self.structure_size_bytes()
+    }
+
+    fn knn_seed_radius(&self, q: &Point, k: usize, stats: &mut ExecStats) -> Option<f64> {
+        self.knn_seed(q, k, stats)
     }
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {

@@ -147,6 +147,44 @@ impl ZIndex {
         }
     }
 
+    /// The kNN seed radius ([`crate::SpatialIndex::knn_seed_radius`]): one
+    /// Algorithm 1 descent toward `q`, charged like
+    /// [`ZIndex::locate_leaf`], keeps the smallest cell on its path holding
+    /// at least `k` points — an internal node or the leaf — and sizes the
+    /// first ring for that cell's density, `sqrt(k · area(cell) /
+    /// count(cell))`. `None` (the uniform radius) when `q` lies outside the
+    /// data space, no cell on the path holds `k` points, or the cell has no
+    /// finite positive area.
+    pub(crate) fn knn_seed(&self, q: &Point, k: usize, stats: &mut ExecStats) -> Option<f64> {
+        if self.leaves.is_empty() || !self.data_space.contains(q) {
+            return None;
+        }
+        let mut cell = None;
+        let mut node = self.root;
+        loop {
+            match node {
+                NodeRef::Internal(i) => {
+                    stats.nodes_visited += 1;
+                    let internal = &self.nodes[i as usize];
+                    if internal.count >= k {
+                        cell = Some((internal.region, internal.count));
+                    }
+                    node = internal.child_for(q);
+                }
+                NodeRef::Leaf(i) => {
+                    let leaf = &self.leaves[i as usize];
+                    if leaf.count >= k {
+                        cell = Some((leaf.region, leaf.count));
+                    }
+                    break;
+                }
+            }
+        }
+        let (region, count) = cell?;
+        let radius = (k as f64 * region.area() / count as f64).sqrt();
+        (radius.is_finite() && radius > 0.0).then_some(radius)
+    }
+
     /// Point query: locate the owning leaf (Algorithm 1), then probe its
     /// page.
     pub(crate) fn execute_point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {

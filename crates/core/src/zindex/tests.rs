@@ -436,3 +436,100 @@ fn knn_far_outside_the_data_space_stays_exact() {
     expected.truncate(5);
     assert_eq!(got, expected);
 }
+
+#[test]
+fn verify_structure_catches_a_wrong_subtree_count() {
+    let mut index = ZIndexBuilder::base()
+        .with_config(ZIndexConfig::base().with_leaf_capacity(32))
+        .build(uniform_points(1_000, 29), &[]);
+    index
+        .verify_structure()
+        .expect("a fresh build is consistent");
+    let last = index.nodes.len() - 1;
+    index.nodes[last].count += 1;
+    let err = index.verify_structure().expect_err("a corrupted count");
+    assert!(err.contains("count"), "{err}");
+}
+
+/// A base index over 4 000 uniform points plus 4 000 packed into the
+/// square `[0.10, 0.15]²`.
+fn clustered_index() -> crate::ZIndex {
+    let mut points = uniform_points(4_000, 31);
+    let mut rng = StdRng::seed_from_u64(37);
+    points.extend((0..4_000).map(|_| {
+        Point::new(
+            0.10 + rng.gen::<f64>() * 0.05,
+            0.10 + rng.gen::<f64>() * 0.05,
+        )
+    }));
+    ZIndexBuilder::base()
+        .with_config(ZIndexConfig::base().with_leaf_capacity(64))
+        .build(points, &[])
+}
+
+#[test]
+fn knn_seed_is_smaller_in_a_dense_cell_than_in_a_sparse_one() {
+    let index = clustered_index();
+    let mut stats = ExecStats::default();
+    let dense = index
+        .knn_seed_radius(&Point::new(0.125, 0.125), 8, &mut stats)
+        .expect("inside the data space");
+    let sparse = index
+        .knn_seed_radius(&Point::new(0.8, 0.8), 8, &mut stats)
+        .expect("inside the data space");
+    assert!(dense * 4.0 < sparse, "dense {dense}, sparse {sparse}");
+}
+
+#[test]
+fn knn_seed_on_a_uniform_grid_is_near_the_uniform_radius() {
+    let points: Vec<Point> = (0..10_000)
+        .map(|i| Point::new((i % 100) as f64 / 100.0, (i / 100) as f64 / 100.0))
+        .collect();
+    let index = ZIndexBuilder::base()
+        .with_config(ZIndexConfig::base().with_leaf_capacity(64))
+        .build(points, &[]);
+    let k = 8;
+    let uniform = (k as f64 * index.data_bounds().area() / index.len() as f64).sqrt();
+    let mut stats = ExecStats::default();
+    for q in [(0.5, 0.5), (0.123, 0.877), (0.01, 0.02), (0.98, 0.5)] {
+        let seed = index
+            .knn_seed_radius(&Point::new(q.0, q.1), k, &mut stats)
+            .expect("inside the data space");
+        assert!(
+            uniform / 2.0 <= seed && seed <= uniform * 2.0,
+            "{q:?}: seed {seed}, uniform {uniform}"
+        );
+    }
+}
+
+#[test]
+fn knn_seed_falls_back_to_uniform_outside_the_data_or_without_k_points() {
+    let index = clustered_index();
+    let mut stats = ExecStats::default();
+    for q in [Point::new(1.5, 0.5), Point::new(-0.1, 0.2)] {
+        assert_eq!(index.knn_seed_radius(&q, 8, &mut stats), None, "{q:?}");
+    }
+    let inside = Point::new(0.5, 0.5);
+    let every = index.len() + 1;
+    assert_eq!(index.knn_seed_radius(&inside, every, &mut stats), None);
+    let empty = ZIndexBuilder::base().build(Vec::new(), &[]);
+    assert_eq!(empty.knn_seed_radius(&inside, 1, &mut stats), None);
+    // Refusing the seed does no descent; `k` above every count still pays
+    // the one descent that found no cell.
+    let mut located = ExecStats::default();
+    index.locate_leaf(&inside, &mut located);
+    assert_eq!(stats, located);
+}
+
+#[test]
+fn knn_seed_charges_exactly_one_descent() {
+    let index = clustered_index();
+    for q in [Point::new(0.125, 0.125), Point::new(0.8, 0.3)] {
+        let mut seeded = ExecStats::default();
+        index.knn_seed_radius(&q, 8, &mut seeded);
+        let mut located = ExecStats::default();
+        index.locate_leaf(&q, &mut located);
+        assert!(located.nodes_visited > 0);
+        assert_eq!(seeded, located, "{q:?}");
+    }
+}

@@ -8,9 +8,9 @@
 //! Eq. 5 counters, recorded while each index still ran a hand-written scan
 //! of its own. The footprint's distinct pages must equal the fused scan's
 //! shared page visits, and the golden decision table pins every choice
-//! Auto makes on the test batches. Golden kNN digests pin every kind's
-//! neighbour lists, ties included, and the counters of its solo doubling
-//! loop and of the fused ring sweep.
+//! Auto makes on the test batches. Golden kNN digests pin, in two
+//! halves, every kind's neighbour lists, ties included, and the counters of
+//! its solo doubling loop and of the fused ring sweep.
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::engine::cost::{KNN_PARALLEL_MIN, POINT_PARALLEL_MIN};
@@ -224,9 +224,9 @@ fn fold_counters(hash: u64, stats: &ExecStats) -> u64 {
     )
 }
 
-/// One answered plan folded into `hash`: the output (points in order, or
-/// the count) and the work counters.
-fn fold_report(mut hash: u64, report: &QueryReport) -> u64 {
+/// One answered plan's output folded into `hash`: the result count and,
+/// when materialized, the points in order.
+fn fold_output(mut hash: u64, report: &QueryReport) -> u64 {
     hash = fnv1a(hash, [report.output.result_count()]);
     if let Some(points) = report.output.points() {
         hash = fnv1a(
@@ -234,7 +234,12 @@ fn fold_report(mut hash: u64, report: &QueryReport) -> u64 {
             points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
         );
     }
-    fold_counters(hash, &report.stats)
+    hash
+}
+
+/// One answered plan folded into `hash`: the output and the work counters.
+fn fold_report(hash: u64, report: &QueryReport) -> u64 {
+    fold_counters(fold_output(hash, report), &report.stats)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -346,53 +351,77 @@ fn lattice_knn_plans(len: usize) -> Vec<Query> {
 
 /// The plans run solo through `QueryEngine::execute`, then as one batch
 /// under `BatchStrategy::Fused` (the ring sweep, for kernel-bearing kinds),
-/// folded into one digest with the batch's shared kNN counters.
-fn knn_digest(index: &dyn SpatialIndex, plans: &[Query]) -> u64 {
+/// folded into two digests: `answers` (every neighbour list in order, solo
+/// then fused) and `counters` (every plan's work counters, solo then fused,
+/// then the batch's shared kNN counters).
+fn knn_digests(index: &dyn SpatialIndex, plans: &[Query]) -> KnnDigests {
     let solo = QueryEngine::new(index);
-    let mut hash = plans.iter().fold(FNV_OFFSET, |hash, query| {
-        fold_report(hash, &solo.execute(query).unwrap())
-    });
+    let solo: Vec<QueryReport> = plans
+        .iter()
+        .map(|query| solo.execute(query).unwrap())
+        .collect();
     let batch = QueryEngine::new(index)
         .with_strategy(BatchStrategy::Fused)
         .execute_batch(plans)
         .unwrap();
-    hash = batch.reports.iter().fold(hash, fold_report);
-    fold_counters(hash, &batch.knn_shared_stats)
+    let reports = solo.iter().chain(&batch.reports);
+    let counters = reports.clone().fold(FNV_OFFSET, |hash, report| {
+        fold_counters(hash, &report.stats)
+    });
+    KnnDigests {
+        answers: reports.fold(FNV_OFFSET, fold_output),
+        counters: fold_counters(counters, &batch.knn_shared_stats),
+    }
+}
+
+/// What one index's kNN plans answer and what they charge, hashed apart so
+/// a change to the work (a different first ring) can prove the answers
+/// stayed put.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KnnDigests {
+    answers: u64,
+    counters: u64,
 }
 
 /// The kNN digests of every index kind and of the post-burst snapshot, on
-/// the NewYork data and on the duplicated lattice.
-const GOLDEN_KNN_DIGESTS: &[(&str, u64)] = &[
-    ("newyork/WaZI", 0x2cfb_1187_0147_f2f6),
-    ("newyork/WaZI-SK", 0x1b8e_5524_69eb_07e9),
-    ("newyork/Base+SK", 0x9f2c_bec3_f868_5357),
-    ("newyork/Base", 0xa17e_aa57_562e_4523),
-    ("newyork/STR", 0xe32f_42eb_aea2_4bf6),
-    ("newyork/CUR", 0x5c6b_ec02_b525_563a),
-    ("newyork/Flood", 0x328a_2713_1a9d_4c09),
-    ("newyork/QUASII", 0x8b76_12f0_d4d5_1ba4),
-    ("newyork/Zpgm", 0x964c_271b_78d1_9361),
-    ("newyork/snapshot", 0x1c71_5dbb_f79f_41c2),
-    ("lattice/WaZI", 0x8caf_397b_d5e0_4a54),
-    ("lattice/WaZI-SK", 0x0c27_3ebb_2f49_42c4),
-    ("lattice/Base+SK", 0x2731_a110_4165_357c),
-    ("lattice/Base", 0xafbf_71c2_ea85_85fc),
-    ("lattice/STR", 0xaa17_e912_9a91_9ae2),
-    ("lattice/CUR", 0x9727_12bc_d9a4_1a25),
-    ("lattice/Flood", 0x1075_1c29_d559_9ebe),
-    ("lattice/QUASII", 0x2cc9_97ff_0374_66e0),
-    ("lattice/Zpgm", 0xc3d8_13f7_ee2c_0839),
-    ("lattice/snapshot", 0xa281_1af6_9c63_af56),
+/// the NewYork data and on the duplicated lattice: `(row, answers,
+/// counters)`. Every `answers` digest was recorded while every index still
+/// started its rings at the uniform radius, so they pin that the Z-index's
+/// density seed moved only work; its rows' and the snapshot's `counters`
+/// were recorded with the seed.
+#[rustfmt::skip]
+const GOLDEN_KNN_DIGESTS: &[(&str, u64, u64)] = &[
+    ("newyork/WaZI", 0x063d_e1fc_58af_5e61, 0x7afe_abbb_a2e0_0af9),
+    ("newyork/WaZI-SK", 0x063d_e1fc_58af_5e61, 0xa291_02b4_3d65_5a00),
+    ("newyork/Base+SK", 0x063d_e1fc_58af_5e61, 0x44f3_f82a_6acb_beeb),
+    ("newyork/Base", 0x063d_e1fc_58af_5e61, 0xdd42_acbe_be42_604f),
+    ("newyork/STR", 0x063d_e1fc_58af_5e61, 0x0d78_9de7_2dcf_db22),
+    ("newyork/CUR", 0x063d_e1fc_58af_5e61, 0x94a5_7430_5cd8_bad2),
+    ("newyork/Flood", 0x063d_e1fc_58af_5e61, 0x3411_6e48_e326_65c1),
+    ("newyork/QUASII", 0x063d_e1fc_58af_5e61, 0x812b_3d33_6984_d88c),
+    ("newyork/Zpgm", 0x063d_e1fc_58af_5e61, 0x4a73_b975_46f1_662d),
+    ("newyork/snapshot", 0xd3e7_46c0_2da4_31f9, 0xc7ff_790f_3001_fed7),
+    ("lattice/WaZI", 0x9663_8dc8_a736_30cd, 0x0148_84de_2f1e_6b4e),
+    ("lattice/WaZI-SK", 0x9663_8dc8_a736_30cd, 0x5097_c87d_0008_f056),
+    ("lattice/Base+SK", 0xf064_7d75_8409_85cd, 0x8758_9c6b_3658_c518),
+    ("lattice/Base", 0xf064_7d75_8409_85cd, 0x0dc4_4539_e589_14b8),
+    ("lattice/STR", 0x43a0_3646_5f47_0a35, 0x2fdf_fb9f_7482_73e2),
+    ("lattice/CUR", 0xce8b_a27e_fbbe_26f5, 0x0f7b_b657_d77e_e515),
+    ("lattice/Flood", 0x6207_8a23_9b3f_2555, 0x11a6_a791_93ba_a3fe),
+    ("lattice/QUASII", 0x7194_c538_8f23_f845, 0xf6a1_67b7_2921_2c94),
+    ("lattice/Zpgm", 0x3a65_7141_e124_1085, 0x57f3_c4c3_1102_66f5),
+    ("lattice/snapshot", 0x64c9_2253_f978_43a9, 0xc94e_8f4d_a423_ecd0),
 ];
 
 /// What kNN answers and charges, pinned per index: neighbour lists in
 /// order, ties included, and the six counters of the solo loop and of the
-/// fused ring sweep. How the k nearest are kept may change; which points,
-/// in which order, and what the rings charge may not.
+/// fused ring sweep, each half in its own digest. How the k nearest are
+/// kept may change; which points, in which order, may not. What the rings
+/// charge moves only with the ring geometry, and then only in `counters`.
 #[test]
 fn knn_answers_are_pinned_by_golden_digests() {
     let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
-    let mut got: Vec<(String, u64)> = Vec::new();
+    let mut got: Vec<(String, KnnDigests)> = Vec::new();
     for (data, points) in [
         ("newyork", generate_dataset(REGION, 20_000)),
         ("lattice", duplicated_lattice()),
@@ -406,16 +435,16 @@ fn knn_answers_are_pinned_by_golden_digests() {
             let index = built.index.as_ref();
             got.push((
                 format!("{data}/{kind}"),
-                knn_digest(index, &plans(index.len())),
+                knn_digests(index, &plans(index.len())),
             ));
         }
         let snapshot = post_burst_snapshot(&points, &train);
-        let digest = knn_digest(&snapshot, &plans(snapshot.len()));
-        got.push((format!("{data}/snapshot"), digest));
+        let digests = knn_digests(&snapshot, &plans(snapshot.len()));
+        got.push((format!("{data}/snapshot"), digests));
     }
-    let golden: Vec<(String, u64)> = GOLDEN_KNN_DIGESTS
+    let golden: Vec<(String, KnnDigests)> = GOLDEN_KNN_DIGESTS
         .iter()
-        .map(|&(name, digest)| (name.to_string(), digest))
+        .map(|&(name, answers, counters)| (name.to_string(), KnnDigests { answers, counters }))
         .collect();
     assert!(
         got == golden,

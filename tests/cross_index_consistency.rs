@@ -203,8 +203,9 @@ fn knn_from_far_outside_the_data_space_agrees_across_indexes() {
 
 /// A non-finite centre has no nearest neighbours: its sweep box could never
 /// cover the data, so the doubling loop would not end. Every kind and a
-/// snapshot answer it with no neighbours, and a fused ring batch holding one
-/// still answers its finite plans exactly as `knn` does.
+/// snapshot answer it with no neighbours and charge no work (not even a
+/// seed descent), solo or fused, and a fused ring batch holding one still
+/// answers its finite plans exactly as `knn` does.
 #[test]
 fn knn_from_a_non_finite_centre_answers_empty_across_indexes() {
     let region = Region::NewYork;
@@ -228,6 +229,8 @@ fn knn_from_a_non_finite_centre_answers_empty_across_indexes() {
         for q in centres {
             assert!(index.knn(&q, 3, &mut stats).is_empty(), "{name}: {q:?}");
         }
+        // No seed descent, no ring: such plans charge nothing.
+        assert_eq!(stats, ExecStats::default(), "{name}: solo counters");
         let Some(kernel) = index.range_batch_kernel() else {
             continue;
         };
@@ -239,10 +242,21 @@ fn knn_from_a_non_finite_centre_answers_empty_across_indexes() {
             (Point::new(0.52, 0.47), 1),
         ];
         let (response, _) = run_knn_batch(index, kernel, &plans, 1);
-        for ((q, k), got) in plans.iter().zip(&response.neighbors) {
+        for (((q, k), got), charged) in plans
+            .iter()
+            .zip(&response.neighbors)
+            .zip(&response.per_query)
+        {
             let expected = index.knn(q, *k, &mut stats);
             assert_eq!(got, &expected, "{name}: batched plan ({q:?}, {k})");
             assert_eq!(got.len(), if q.is_finite() { *k } else { 0 }, "{name}");
+            if !q.is_finite() {
+                assert_eq!(
+                    charged,
+                    &ExecStats::default(),
+                    "{name}: fused counters of {q:?}"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Completion handles and response types: what a submitter gets back.
 
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use wazi_core::{EngineError, QueryReport, StrategyDecisions};
 use wazi_storage::ExecStats;
@@ -21,9 +22,12 @@ pub enum ServiceError {
     /// The service has shut down and accepts no new submissions.
     Closed,
     /// The worker that drained this query died (panicked outside the
-    /// execution boundary) before routing a response. The supervisor
-    /// respawns the worker; only the queries it was holding are lost, and
-    /// each of their tickets resolves to this error rather than hanging.
+    /// execution boundary) before routing a response: the query's
+    /// responder was dropped unresolved. The supervisor respawns the
+    /// worker; only the queries it was holding are lost, and each of their
+    /// tickets resolves to this error rather than hanging. A ticket
+    /// redeemed again after it already delivered its outcome also reads
+    /// this error.
     WorkerDied,
     /// Execution panicked inside a kernel while this query was being
     /// answered **and** the panic was attributed to this query: the batch
@@ -182,39 +186,159 @@ impl Submit {
     }
 }
 
+/// Where one query's outcome waits for its submitter.
+// The outcome is stored inline: the slot is one allocation sized for it,
+// and boxing it would add a second allocation per query.
+#[allow(clippy::large_enum_variant)]
+enum State {
+    /// Not answered yet; `Some` names the thread parked in a redemption,
+    /// the only one the resolver wakes.
+    Waiting(Option<Thread>),
+    Ready(Result<QueryResponse, ServiceError>),
+    /// The outcome was handed out; any later redemption reads
+    /// [`ServiceError::WorkerDied`].
+    Taken,
+}
+
+/// A one-shot slot shared by one [`Ticket`] and its [`Responder`].
+struct Slot(Mutex<State>);
+
+impl Slot {
+    /// The state is replaced whole under the guard and no code that can
+    /// panic runs while it is held, so a poisoned guard is still coherent.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A fresh slot's two halves: the submitter's ticket and the responder
+/// that travels with the query through the queue.
+pub(crate) fn ticket() -> (Ticket, Responder) {
+    let slot = Arc::new(Slot(Mutex::new(State::Waiting(None))));
+    (
+        Ticket {
+            slot: Arc::clone(&slot),
+        },
+        Responder { slot: Some(slot) },
+    )
+}
+
+/// The service's half of a ticket. [`Responder::resolve`] consumes it, so
+/// a query is answered at most once; dropping it unresolved (the worker
+/// holding it died) answers [`ServiceError::WorkerDied`], so every ticket
+/// resolves.
+pub(crate) struct Responder {
+    /// `None` once resolved, so `Drop` does not answer a second time.
+    slot: Option<Arc<Slot>>,
+}
+
+impl Responder {
+    /// Publishes the query's outcome. Returns the submitter to wake if one
+    /// is parked in a redemption; a worker holds the wakes until its whole
+    /// batch is published, so it is not preempted mid-batch by the thread
+    /// it woke, and a woken submitter finds all its answers ready. A
+    /// submitter that dropped its ticket is gone; that is its choice, and
+    /// the outcome is dropped with the slot.
+    #[must_use = "dropping the Wake wakes the submitter at once"]
+    pub(crate) fn resolve(mut self, outcome: Result<QueryResponse, ServiceError>) -> Option<Wake> {
+        self.slot.take().and_then(|slot| fill(&slot, outcome))
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            drop(fill(&slot, Err(ServiceError::WorkerDied)));
+        }
+    }
+}
+
+/// A parked submitter whose answer is published. Dropping it unparks the
+/// thread, so a wake-up cannot be lost, only held back.
+pub(crate) struct Wake(Thread);
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        self.0.unpark();
+    }
+}
+
+/// Fills a slot only a [`Responder`] can reach, once: before, it can only
+/// be `Waiting`.
+fn fill(slot: &Slot, outcome: Result<QueryResponse, ServiceError>) -> Option<Wake> {
+    match std::mem::replace(&mut *slot.lock(), State::Ready(outcome)) {
+        State::Waiting(waiter) => waiter.map(Wake),
+        State::Ready(_) | State::Taken => None,
+    }
+}
+
 /// Completion handle for one accepted query. `Send + 'static`: hand it to
 /// whatever thread should consume the response.
 pub struct Ticket {
-    pub(crate) rx: mpsc::Receiver<Result<QueryResponse, ServiceError>>,
+    slot: Arc<Slot>,
 }
 
 impl Ticket {
-    /// Blocks until the service answers. A severed channel (the worker
-    /// holding this query died before routing anything) surfaces as
-    /// [`ServiceError::WorkerDied`], never as a hang.
+    /// Blocks until the service answers. A query whose worker died before
+    /// routing anything surfaces as [`ServiceError::WorkerDied`], never as
+    /// a hang.
     pub fn wait(self) -> Result<QueryResponse, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::WorkerDied))
+        self.redeem(None)
+            .expect("an untimed redemption returns only an outcome")
     }
 
     /// Blocks for at most `timeout` for the service to answer. `None`
     /// means the query is still queued or executing — the ticket remains
     /// redeemable; `Some` carries the terminal outcome (including
-    /// [`ServiceError::WorkerDied`] for a severed channel).
+    /// [`ServiceError::WorkerDied`] when the query's worker died). A
+    /// timeout too large to form a deadline waits without one.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResponse, ServiceError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(response) => Some(response),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServiceError::WorkerDied)),
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.redeem(Some(deadline)),
+            None => self.redeem(None),
         }
     }
 
     /// Returns the response if it has already arrived, without blocking.
     /// `None` means the query is still queued or executing.
     pub fn try_wait(&self) -> Option<Result<QueryResponse, ServiceError>> {
-        match self.rx.try_recv() {
-            Ok(response) => Some(response),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServiceError::WorkerDied)),
+        let mut state = self.slot.lock();
+        match std::mem::replace(&mut *state, State::Taken) {
+            State::Ready(outcome) => Some(outcome),
+            State::Taken => Some(Err(ServiceError::WorkerDied)),
+            waiting @ State::Waiting(_) => {
+                *state = waiting;
+                None
+            }
+        }
+    }
+
+    /// Takes the outcome, parking until it is filled or `deadline` passes.
+    /// Every wake-up re-checks the slot, so spurious wake-ups and stray
+    /// unpark tokens only cost a loop turn.
+    fn redeem(&self, deadline: Option<Instant>) -> Option<Result<QueryResponse, ServiceError>> {
+        loop {
+            {
+                let mut state = self.slot.lock();
+                match std::mem::replace(&mut *state, State::Taken) {
+                    State::Ready(outcome) => return Some(outcome),
+                    State::Taken => return Some(Err(ServiceError::WorkerDied)),
+                    // Register this thread, replacing any waiter left by an
+                    // earlier timed-out redemption (perhaps on another
+                    // thread: the ticket is `Send`).
+                    State::Waiting(_) => *state = State::Waiting(Some(thread::current())),
+                }
+            }
+            match deadline {
+                None => thread::park(),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    thread::park_timeout(left);
+                }
+            }
         }
     }
 }
@@ -255,14 +379,140 @@ mod tests {
         );
     }
 
+    /// A response whose answer is `count`, for slot tests that must tell
+    /// two deliveries apart.
+    fn response(count: u64) -> QueryResponse {
+        QueryResponse {
+            report: QueryReport {
+                output: wazi_core::QueryOutput::Count(count),
+                stats: ExecStats::default(),
+                latency_ns: 0,
+            },
+            batch: BatchSummary {
+                size: 1,
+                latency_ns: 0,
+                fused_queries: 0,
+                fused_points: 0,
+                fused_knn: 0,
+                shards_used: 0,
+                shared_stats: ExecStats::default(),
+                decisions: StrategyDecisions::default(),
+                epoch: 0,
+                degraded: false,
+            },
+            queue_ns: 0,
+            total_ns: 0,
+        }
+    }
+
+    /// Sleeps in short steps until thread `id` is the slot's registered
+    /// waiter, so a test can act on a submitter that is parked (or about
+    /// to park: an unpark before the park is kept as a token).
+    fn until_parked(slot: &Slot, id: std::thread::ThreadId) {
+        while !matches!(&*slot.lock(), State::Waiting(Some(w)) if w.id() == id) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn dropped_sender_surfaces_as_worker_died() {
-        let (tx, rx) = mpsc::channel::<Result<QueryResponse, ServiceError>>();
-        drop(tx);
-        let ticket = Ticket { rx };
+        let (ticket, responder) = super::ticket();
+        drop(responder);
         assert!(ticket.wait_timeout(Duration::ZERO) == Some(Err(ServiceError::WorkerDied)));
         assert!(ticket.try_wait() == Some(Err(ServiceError::WorkerDied)));
         assert_eq!(ticket.wait(), Err(ServiceError::WorkerDied));
+    }
+
+    #[test]
+    fn a_resolve_before_the_wait_is_delivered_without_parking() {
+        let (ticket, responder) = super::ticket();
+        drop(responder.resolve(Ok(response(7))));
+        assert!(matches!(*ticket.slot.lock(), State::Ready(_)));
+        assert_eq!(ticket.wait(), Ok(response(7)));
+    }
+
+    #[test]
+    fn a_parked_wait_is_woken_by_a_resolve_from_another_thread() {
+        let (ticket, responder) = super::ticket();
+        let (slot, me) = (Arc::clone(&ticket.slot), std::thread::current().id());
+        let resolver = std::thread::spawn(move || {
+            until_parked(&slot, me);
+            drop(responder.resolve(Ok(response(3))));
+        });
+        assert_eq!(ticket.wait(), Ok(response(3)));
+        resolver.join().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_the_ticket_redeemable() {
+        let (ticket, responder) = super::ticket();
+        assert!(ticket.wait_timeout(Duration::from_millis(2)).is_none());
+        assert!(ticket.try_wait().is_none());
+        // The timed-out redemption left this thread registered; the resolve
+        // unparks it (a stray token), which no later redemption minds.
+        drop(responder.resolve(Ok(response(5))));
+        assert!(ticket.wait_timeout(Duration::from_secs(5)) == Some(Ok(response(5))));
+        assert!(
+            ticket.wait_timeout(Duration::from_millis(1)) == Some(Err(ServiceError::WorkerDied))
+        );
+    }
+
+    #[test]
+    fn a_stale_waiter_is_replaced_by_the_thread_that_redeems() {
+        let (ticket, responder) = super::ticket();
+        // Time out here, then redeem on another thread: the resolve must
+        // wake that thread, not this one.
+        assert!(ticket.wait_timeout(Duration::ZERO).is_none());
+        let slot = Arc::clone(&ticket.slot);
+        let waiter = std::thread::spawn(move || ticket.wait());
+        until_parked(&slot, waiter.thread().id());
+        drop(responder.resolve(Ok(response(9))));
+        assert_eq!(waiter.join().unwrap(), Ok(response(9)));
+    }
+
+    #[test]
+    fn a_stray_unpark_does_not_end_a_wait_early() {
+        let (ticket, responder) = super::ticket();
+        let ticket = Arc::new(ticket);
+        let waiter = {
+            let ticket = Arc::clone(&ticket);
+            std::thread::spawn(move || ticket.wait_timeout(Duration::from_secs(30)))
+        };
+        until_parked(&ticket.slot, waiter.thread().id());
+        waiter.thread().unpark();
+        waiter.thread().unpark();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "an unpark is not an answer");
+        drop(responder.resolve(Ok(response(11))));
+        assert!(waiter.join().unwrap() == Some(Ok(response(11))));
+    }
+
+    #[test]
+    fn a_redemption_after_try_wait_delivered_reads_worker_died() {
+        let (ticket, responder) = super::ticket();
+        assert!(ticket.try_wait().is_none());
+        drop(responder.resolve(Err(ServiceError::DeadlineExceeded)));
+        assert!(ticket.try_wait() == Some(Err(ServiceError::DeadlineExceeded)));
+        // The outcome is handed out once; every later redemption reads
+        // what a receiver reads from a closed channel after its one message.
+        assert!(ticket.try_wait() == Some(Err(ServiceError::WorkerDied)));
+        assert!(ticket.wait_timeout(Duration::ZERO) == Some(Err(ServiceError::WorkerDied)));
+        assert_eq!(ticket.wait(), Err(ServiceError::WorkerDied));
+    }
+
+    #[test]
+    fn wait_timeout_with_an_unrepresentable_deadline_waits_untimed() {
+        let (ticket, responder) = super::ticket();
+        let ticket = Arc::new(ticket);
+        let waiter = {
+            let ticket = Arc::clone(&ticket);
+            std::thread::spawn(move || ticket.wait_timeout(Duration::MAX))
+        };
+        until_parked(&ticket.slot, waiter.thread().id());
+        drop(responder.resolve(Ok(response(13))));
+        assert!(waiter.join().unwrap() == Some(Ok(response(13))));
+        // Already delivered: the same call returns at once.
+        assert!(ticket.wait_timeout(Duration::MAX) == Some(Err(ServiceError::WorkerDied)));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! cuts), and an EWMA of the cost model's predicted fusion saving
 //! ([`wazi_core::CostEstimate`]) drops it below `min_window`, to a short
 //! fixed wait, whenever the model says sharing is not worth queueing for.
-//! See `docs/SERVICE.md` at the repository root for the full guide.
+//! A wait also ends early on a gated backlog (more queued than workers)
+//! and once arrivals have gone quiet. See `docs/SERVICE.md` at the
+//! repository root for the full guide.
 //!
 //! ## Failure model
 //!
@@ -29,10 +31,10 @@
 //! degrades the batch to one-by-one re-execution, so non-faulty riders
 //! still get answers bit-identical to solo execution and only the faulty
 //! query resolves to [`ServiceError::ExecutionPanicked`]. A worker that
-//! dies outside that boundary severs its drained batch into
-//! [`ServiceError::WorkerDied`] tickets (they error, never hang) and is
-//! respawned by a supervisor thread; every queue-lock acquisition recovers
-//! from poisoning. Per-query deadlines ([`SubmitOptions::deadline`]) are
+//! dies outside that boundary drops its drained batch unanswered, and each
+//! of those tickets resolves to [`ServiceError::WorkerDied`] (they error,
+//! never hang); a supervisor thread respawns the worker, and every
+//! queue-lock acquisition recovers from poisoning. Per-query deadlines ([`SubmitOptions::deadline`]) are
 //! culled at batch formation as [`ServiceError::DeadlineExceeded`] — never
 //! executed late, never silently dropped. A deterministic [`FaultPlan`],
 //! installed with [`ServiceBuilder::fault_plan`], drives the failpoints
@@ -543,6 +545,53 @@ mod tests {
         assert_eq!(stats.completed, 5);
         assert_eq!(stats.worker_panics, 0, "the panic never left the boundary");
         assert!(plan.injected() >= 2, "batch pass + solo re-execution");
+    }
+
+    #[test]
+    fn a_killed_workers_tickets_surface_worker_died_on_every_redemption() {
+        use crate::{Fault, FaultPlan};
+
+        let plan = Arc::new(FaultPlan::new().with(0, Fault::WorkerKill));
+        let service = Service::builder(small_index())
+            .workers(1)
+            .fixed_window(Duration::from_secs(30))
+            .max_batch(3)
+            .fault_plan(plan)
+            .start();
+        // Seq 0 carries the kill; the capacity cut drains all three, and
+        // the worker dies holding them.
+        let tickets: Vec<_> = mixed_queries(3)
+            .into_iter()
+            .map(|q| service.submit(q).unwrap().ticket().unwrap())
+            .collect();
+        assert!(
+            tickets[0].wait_timeout(Duration::from_secs(30)) == Some(Err(ServiceError::WorkerDied))
+        );
+        let polled = loop {
+            if let Some(outcome) = tickets[1].try_wait() {
+                break outcome;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(polled, Err(ServiceError::WorkerDied));
+        // Delivered once; a second redemption reads the same error.
+        assert!(tickets[0].try_wait() == Some(Err(ServiceError::WorkerDied)));
+        for ticket in tickets.into_iter().skip(1) {
+            assert_eq!(ticket.wait(), Err(ServiceError::WorkerDied));
+        }
+        // Only a respawned worker can answer this (one worker slot): the
+        // capacity cut of three needs a full batch.
+        let survivors: Vec<_> = mixed_queries(3)
+            .into_iter()
+            .map(|q| service.submit(q).unwrap().ticket().unwrap())
+            .collect();
+        for ticket in survivors {
+            assert!(ticket.wait().is_ok());
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.worker_restarts, 1);
+        assert_eq!(stats.completed, 3);
     }
 
     #[test]

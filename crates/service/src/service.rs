@@ -25,7 +25,7 @@
 //!    slot — so the pool returns to full strength after any panic that
 //!    escapes the execution boundary. The queries the dead worker had
 //!    already drained are the only casualties; their tickets resolve to
-//!    [`ServiceError::WorkerDied`] when the senders drop.
+//!    [`ServiceError::WorkerDied`] when their unresolved responders drop.
 //!
 //! Deadlines are enforced at batch-formation time: a query whose
 //! [`SubmitOptions::deadline`] expired while queued is culled from the
@@ -45,7 +45,9 @@ use wazi_core::{
 
 use crate::config::{FullQueuePolicy, ServiceConfig};
 use crate::faults::{self, FaultPlan};
-use crate::handle::{BatchSummary, QueryResponse, ServiceError, Submit, SubmitOptions, Ticket};
+use crate::handle::{
+    self, BatchSummary, QueryResponse, Responder, ServiceError, Submit, SubmitOptions,
+};
 use crate::stats::{ServiceStats, StatsInner};
 use crate::window::{FlushCause, WindowController};
 
@@ -54,7 +56,7 @@ struct Pending {
     /// Submission sequence number: the order of acceptance, from 0.
     seq: u64,
     query: Query,
-    tx: mpsc::Sender<Result<QueryResponse, ServiceError>>,
+    responder: Responder,
     submitted_at: Instant,
     /// Absolute expiry instant, from [`SubmitOptions::deadline`].
     deadline: Option<Instant>,
@@ -328,6 +330,8 @@ impl Service {
     ) -> Result<Submit, ServiceError> {
         query.validate()?;
         let shared = &self.shared;
+        // Allocated before the lock; a refused query drops both halves.
+        let (ticket, responder) = handle::ticket();
         let mut queue = lock_queue(shared);
         loop {
             if queue.shutdown {
@@ -354,12 +358,11 @@ impl Service {
         // and chaos tests speak in.
         let seq = shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         faults::stall_on_submit(&shared.fault_plan, seq);
-        let (tx, rx) = mpsc::channel();
         let submitted_at = Instant::now();
         queue.pending.push_back(Pending {
             seq,
             query,
-            tx,
+            responder,
             submitted_at,
             deadline: options.deadline.map(|d| submitted_at + d),
         });
@@ -374,7 +377,7 @@ impl Service {
         if depth == 1 || depth >= shared.config.max_batch {
             shared.work.notify_one();
         }
-        Ok(Submit::Accepted(Ticket { rx }))
+        Ok(Submit::Accepted(ticket))
     }
 
     /// Applies a batch of write operations through the versioned index's
@@ -618,13 +621,18 @@ fn next_batch(shared: &Shared) -> Option<(Vec<Pending>, FlushCause)> {
         } else if queue.pending.len() >= shared.config.max_batch {
             FlushCause::Capacity
         } else {
-            let window = Duration::from_nanos(queue.window.window_ns());
             let oldest = queue.pending.front().expect("non-empty queue").submitted_at;
-            let waited = oldest.elapsed();
-            if waited < window {
+            let newest = queue.pending.back().expect("non-empty queue").submitted_at;
+            let plan = queue.window.wait_plan(
+                oldest.elapsed(),
+                newest.elapsed(),
+                queue.pending.len(),
+                shared.config.workers,
+            );
+            if let Some(wait) = plan {
                 let (guard, _timeout) = shared
                     .work
-                    .wait_timeout(queue, window - waited)
+                    .wait_timeout(queue, wait)
                     .unwrap_or_else(PoisonError::into_inner);
                 queue = guard;
                 continue;
@@ -657,7 +665,11 @@ fn next_batch(shared: &Shared) -> Option<(Vec<Pending>, FlushCause)> {
             match pending.deadline {
                 Some(deadline) if now >= deadline => {
                     expired += 1;
-                    let _ = pending.tx.send(Err(ServiceError::DeadlineExceeded));
+                    drop(
+                        pending
+                            .responder
+                            .resolve(Err(ServiceError::DeadlineExceeded)),
+                    );
                 }
                 _ => live.push(pending),
             }
@@ -706,7 +718,7 @@ fn execute_and_respond(shared: &Shared, batch: Vec<Pending>, cause: FlushCause) 
             // than dropping tickets.
             let service_err = ServiceError::from(err);
             for pending in batch {
-                let _ = pending.tx.send(Err(service_err.clone()));
+                drop(pending.responder.resolve(Err(service_err.clone())));
             }
             return;
         }
@@ -756,18 +768,20 @@ fn execute_and_respond(shared: &Shared, batch: Vec<Pending>, cause: FlushCause) 
         .total_queue_wait_ns
         .fetch_add(queue_wait_total, Ordering::Relaxed);
 
+    // Publish every answer, then wake the submitters parked on them.
+    let mut wakes = Vec::new();
     for ((pending, query_report), queue_ns) in
         batch.into_iter().zip(report.reports).zip(queue_waits)
     {
         let total_ns = pending.submitted_at.elapsed().as_nanos() as u64;
-        // A submitter that dropped its ticket is gone; that is its choice.
-        let _ = pending.tx.send(Ok(QueryResponse {
+        wakes.extend(pending.responder.resolve(Ok(QueryResponse {
             report: query_report,
             batch: summary.clone(),
             queue_ns,
             total_ns,
-        }));
+        })));
     }
+    drop(wakes);
 }
 
 /// Graceful degradation: the coalesced pass panicked, so re-execute the
@@ -850,7 +864,7 @@ fn degrade_batch(
             }
             Err(err) => Err(ServiceError::from(err)),
         };
-        let _ = pending.tx.send(message);
+        drop(pending.responder.resolve(message));
     }
 }
 

@@ -25,6 +25,17 @@
 //!
 //! Both rules are deterministic functions of the observed flushes, so the
 //! controller is unit-tested without clocks or threads.
+//!
+//! The controller also decides when a waiting worker cuts
+//! ([`WindowController::wait_plan`]). Two cases end a wait before the
+//! window runs out. While the gate holds, a backlog — more queries queued
+//! than the pool has workers — is cut at once: the gated wait is there to
+//! keep a lone query's cut from racing thread wake-ups, and sharing is
+//! predicted worthless, so holding a backlog only adds latency. And an
+//! unpinned window ends once arrivals have gone quiet, so a burst's last
+//! partial batch does not wait out the window the burst grew.
+
+use std::time::Duration;
 
 use wazi_core::StrategyDecisions;
 
@@ -60,7 +71,15 @@ const SAVING_GATE_NS: f64 = 50.0;
 /// 10 %. 20 µs is above a worker's usual wake-up, so a lone query's cut
 /// stays a timed wait, as steady as a wait of `min_window`, and it still
 /// takes 30 µs of the default 50 µs `min_window` off every gated query.
+/// (A timed wait wakes ≈ 50 µs late on Linux, its timer slack, so the
+/// wait is ≈ 70 µs in fact.) A gated backlog does not wait at all; see
+/// [`WindowController::wait_plan`].
 pub(crate) const GATED_WINDOW_NS: u64 = 20_000;
+
+/// Arrivals count as stopped once none has come for this many mean gaps
+/// between the queued ones (see [`WindowController::wait_plan`]). Poisson
+/// arrivals leave such a gap once in ≈ 3 000 (e^-8).
+const QUIET_GAPS: u32 = 8;
 
 /// Deterministic controller for the coalescing window. Owned by the queue
 /// state (behind the service mutex), observed by workers after each flush.
@@ -89,6 +108,45 @@ impl WindowController {
     /// Current coalescing window in nanoseconds.
     pub(crate) fn window_ns(&self) -> u64 {
         self.window_ns
+    }
+
+    /// How long a worker should wait before it looks at the queue again;
+    /// `None` means cut now. `waited` is the age of the oldest pending
+    /// query, `idle` the age of the newest, `pending` how many are queued
+    /// and `workers` the size of the pool.
+    ///
+    /// The batch is due when the window has run out, with two exceptions.
+    /// While the gate holds, a backlog (`pending > workers`) is due at
+    /// once. And on an unpinned window the batch is due once arrivals
+    /// have gone quiet: nothing has arrived for [`QUIET_GAPS`] mean gaps
+    /// between the queued arrivals, nor for `min_window`. So only a window
+    /// grown past `min_window` ends early for quiet.
+    pub(crate) fn wait_plan(
+        &self,
+        waited: Duration,
+        idle: Duration,
+        pending: usize,
+        workers: usize,
+    ) -> Option<Duration> {
+        if self.gated() && pending > workers {
+            return None;
+        }
+        let mut left = Duration::from_nanos(self.window_ns).saturating_sub(waited);
+        if self.min_ns < self.max_ns && pending >= 2 {
+            let gaps = u32::try_from(pending - 1).unwrap_or(u32::MAX);
+            let quiet = (waited.saturating_sub(idle) / gaps)
+                .saturating_mul(QUIET_GAPS)
+                .max(Duration::from_nanos(self.min_ns));
+            left = left.min(quiet.saturating_sub(idle));
+        }
+        (!left.is_zero()).then_some(left)
+    }
+
+    /// Whether the cost gate holds: fusion is predicted worthless and the
+    /// window is not pinned.
+    fn gated(&self) -> bool {
+        let worthless = matches!(self.saving_ewma_ns, Some(ewma) if ewma < SAVING_GATE_NS);
+        worthless && self.min_ns < self.max_ns
     }
 
     /// Smoothed predicted per-query fusion saving, for introspection.
@@ -136,8 +194,7 @@ impl WindowController {
         // worthless. The clamp lifts a gated window back to the floor once
         // the gate reopens; a pinned window has no range for either rule to
         // move in.
-        let worthless = matches!(self.saving_ewma_ns, Some(ewma) if ewma < SAVING_GATE_NS);
-        self.window_ns = if worthless && self.min_ns < self.max_ns {
+        self.window_ns = if self.gated() {
             GATED_WINDOW_NS.min(self.min_ns)
         } else {
             rated.clamp(self.min_ns, self.max_ns)
@@ -174,6 +231,77 @@ mod tests {
             }),
             ..StrategyDecisions::default()
         }
+    }
+
+    const US: Duration = Duration::from_micros(1);
+
+    /// A 1 µs..1 ms window grown to its 1 ms max.
+    fn grown() -> WindowController {
+        let mut w = WindowController::new(1_000, 1_000_000);
+        while w.window_ns() < 1_000_000 {
+            w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
+        }
+        w
+    }
+
+    /// A 30..60 µs window with the gate closed (20 µs).
+    fn gated() -> WindowController {
+        let mut w = WindowController::new(30_000, 60_000);
+        w.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 50_000, 90_000));
+        assert_eq!(w.window_ns(), GATED_WINDOW_NS);
+        w
+    }
+
+    #[test]
+    fn a_lone_query_waits_out_the_window() {
+        let w = WindowController::new(MIN, MAX);
+        let ns = Duration::from_nanos;
+        assert_eq!(w.wait_plan(ns(400), ns(400), 1, 2), Some(ns(600)));
+        assert_eq!(w.wait_plan(ns(MIN), ns(MIN), 1, 2), None);
+        assert_eq!(w.wait_plan(ns(2 * MIN), ns(2 * MIN), 1, 2), None);
+    }
+
+    #[test]
+    fn a_gated_backlog_is_cut_at_once() {
+        let w = gated();
+        // Up to one query per worker: the gated wait holds.
+        assert_eq!(w.wait_plan(5 * US, US, 2, 2), Some(15 * US));
+        // More queued than workers: cut now.
+        assert_eq!(w.wait_plan(5 * US, US, 3, 2), None);
+        assert_eq!(w.wait_plan(Duration::ZERO, Duration::ZERO, 32, 2), None);
+        // An open gate never cuts a backlog early; nor does a pinned window.
+        let open = WindowController::new(30_000, 60_000);
+        assert_eq!(open.wait_plan(5 * US, 5 * US, 32, 2), Some(25 * US));
+        let mut pinned = WindowController::new(30_000, 30_000);
+        pinned.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 50_000, 90_000));
+        assert_eq!(pinned.wait_plan(5 * US, 5 * US, 32, 2), Some(25 * US));
+    }
+
+    #[test]
+    fn a_grown_window_ends_once_arrivals_go_quiet() {
+        let w = grown();
+        // 101 arrivals 1 µs apart, the newest 5 µs ago: quiet is 8 gaps
+        // (above the 1 µs min_window), so 3 µs from now.
+        assert_eq!(w.wait_plan(105 * US, 5 * US, 101, 2), Some(3 * US));
+        assert_eq!(w.wait_plan(108 * US, 8 * US, 101, 2), None);
+        // Still arriving (the newest just now): wait out the 8 gaps.
+        assert_eq!(w.wait_plan(100 * US, Duration::ZERO, 101, 2), Some(8 * US));
+        // A lone query has no gap to judge by: the window holds.
+        assert_eq!(w.wait_plan(105 * US, 105 * US, 1, 2), Some(895 * US));
+    }
+
+    #[test]
+    fn the_quiet_wait_is_at_least_min_window() {
+        let mut w = WindowController::new(100_000, 1_000_000);
+        w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
+        // Gaps of 1 µs would say quiet after 8 µs; min_window says 100.
+        assert_eq!(w.wait_plan(11 * US, US, 11, 2), Some(99 * US));
+    }
+
+    #[test]
+    fn a_pinned_window_ignores_quiet_arrivals() {
+        let w = WindowController::new(MAX, MAX);
+        assert_eq!(w.wait_plan(10 * US, 9 * US, 50, 2), Some(6 * US));
     }
 
     #[test]

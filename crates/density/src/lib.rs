@@ -21,7 +21,11 @@
 //! costs one linear pass. Both flavours share that one fitting path; the
 //! unweighted one works on a single scratch copy of the bare 16-byte points.
 //! What the fit draws from its generator, and in which order, is part of the
-//! construction's determinism contract (`docs/BUILD.md`).
+//! construction's determinism contract (`docs/BUILD.md`). The unweighted fit
+//! forks each tree's large nodes across the host's cores, starting the right
+//! subtree from a predicted generator offset that is verified after the
+//! join; the forest equals the one-core forest node for node
+//! (`docs/BUILD.md`, "The forest on every core").
 //!
 //! Estimation is construction-time only: query execution (including the
 //! engine's fused batch kernels) never consults the estimator, so its cost

@@ -1,10 +1,18 @@
 //! Random Forest Density Estimation (RFDE) over two-dimensional points.
 
-use crate::tree::{CountKdTree, Item, TreeParams};
+use crate::tree::{CountKdTree, ForkStats, Item, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 use wazi_geom::{Point, Rect};
+
+/// The fit's thread budget: the process-wide `available_parallelism`
+/// (one when unknown), read once.
+fn fit_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Configuration of an RFDE forest.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +72,8 @@ pub struct Rfde {
 }
 
 impl Rfde {
-    /// Fits the forest on unweighted points (every point has weight one).
+    /// Fits the forest on unweighted points (every point has weight one),
+    /// on every core; the forest is the same whatever the core count.
     pub fn fit(points: &[Point], config: RfdeConfig) -> Self {
         Self::fit_items(points, config)
     }
@@ -85,7 +94,23 @@ impl Rfde {
     /// `(point, weight)` pairs. Consumes the generator tree after tree: the
     /// sub-sample's `partial_shuffle` (when `sample_fraction < 1`), then the
     /// tree's own draws.
+    ///
+    /// Trees are fitted one after another, each on every core: a
+    /// bare-point tree forks its large nodes onto
+    /// `available_parallelism` threads (read once) with a verified
+    /// generator offset ([`CountKdTree::fit`]), and the forest equals the
+    /// one-thread forest node for node. Weighted trees never fork.
     fn fit_items<T: Item>(items: &[T], config: RfdeConfig) -> Self {
+        Self::fit_on(items, config, fit_workers()).0
+    }
+
+    /// [`Rfde::fit_items`] on `workers` threads, with what forking did
+    /// summed over the trees.
+    pub(crate) fn fit_on<T: Item>(
+        items: &[T],
+        config: RfdeConfig,
+        workers: usize,
+    ) -> (Self, ForkStats) {
         assert!(config.trees > 0, "RFDE needs at least one tree");
         assert!(
             config.sample_fraction > 0.0 && config.sample_fraction <= 1.0,
@@ -109,6 +134,7 @@ impl Rfde {
         // place (a full-data tree starts from the previous tree's order, a
         // sub-sampled one from a fresh copy of the input).
         let mut trees = Vec::with_capacity(config.trees);
+        let mut stats = ForkStats::default();
         let mut scratch: Vec<T> = items.to_vec();
         for _ in 0..config.trees {
             let sample = if sample_len < items.len() {
@@ -117,7 +143,9 @@ impl Rfde {
             } else {
                 &mut scratch[..]
             };
-            trees.push(CountKdTree::fit(sample, params, &mut rng));
+            let (tree, tree_stats) = CountKdTree::fit(sample, params, &mut rng, workers);
+            trees.push(tree);
+            stats += tree_stats;
         }
 
         // Per-tree estimates cover only the sampled weight; rescale so that a
@@ -130,12 +158,13 @@ impl Rfde {
             1.0
         };
 
-        Self {
+        let forest = Self {
             trees,
             total_weight,
             scale,
             config,
-        }
+        };
+        (forest, stats)
     }
 
     /// Estimated (weighted) number of points inside `query`.
@@ -338,6 +367,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn assert_same_forest(got: &Rfde, want: &[CountKdTree], what: &str) {
+        assert_eq!(got.trees.len(), want.len(), "{what}: tree count");
+        for (i, (g, w)) in got.trees.iter().zip(want).enumerate() {
+            crate::tree::reference::assert_same_tree(g, w, &format!("{what}, tree {i}"));
+        }
+    }
+
+    /// Fits `points` on one to four workers and demands the one-worker
+    /// forest and the reference forest from every one of them; returns the
+    /// fork counts summed over the worker counts.
+    fn fit_on_every_worker_count(points: &[Point], config: RfdeConfig, what: &str) -> ForkStats {
+        let unit: Vec<(Point, f64)> = points.iter().map(|p| (*p, 1.0)).collect();
+        let reference = reference_forest(&unit, config);
+        let (one, one_stats) = Rfde::fit_on(points, config, 1);
+        assert_eq!(one_stats, ForkStats::default(), "{what}: one worker forked");
+        assert_same_forest(&one, &reference, &format!("{what}, 1 worker"));
+        let mut total = ForkStats::default();
+        for workers in 2..=4 {
+            let (got, stats) = Rfde::fit_on(points, config, workers);
+            let what = format!("{what}, {workers} workers");
+            assert_same_forest(&got, &one.trees, &what);
+            assert_same_forest(&got, &reference, &what);
+            total += stats;
+        }
+        total
+    }
+
+    /// Above the fork threshold: forking changes no tree, and on distinct
+    /// coordinates every predicted generator offset holds.
+    #[test]
+    fn forked_forests_equal_the_one_worker_forest() {
+        let points = uniform_points(20_001, 8);
+        for config in [
+            RfdeConfig::default(),
+            RfdeConfig {
+                sample_fraction: 0.5,
+                ..Default::default()
+            },
+        ] {
+            let what = format!("uniform, fraction {}", config.sample_fraction);
+            let stats = fit_on_every_worker_count(&points, config, &what);
+            assert!(stats.forks > 0, "{what}: never forked");
+            assert_eq!(stats.misses, 0, "{what}: a prediction missed");
+        }
+    }
+
+    /// x takes 16 integer values and every point appears twice, so medians
+    /// tie, splits leave `n / 2` and predictions miss; the rebuilt right
+    /// subtrees still give the one-worker forest.
+    #[test]
+    fn forked_forests_survive_mispredicted_offsets() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let points: Vec<Point> = (0..10_001)
+            .flat_map(|_| {
+                let p = Point::new(rng.gen_range(0u32..16) as f64, rng.gen::<f64>());
+                [p, p]
+            })
+            .collect();
+        let stats = fit_on_every_worker_count(&points, RfdeConfig::default(), "ties");
+        assert!(stats.misses > 0, "ties: no prediction missed");
+    }
+
+    /// Identical points: the root draws its axis, cannot split and stays a
+    /// leaf, so there is nothing to fork.
+    #[test]
+    fn identical_points_fit_the_same_forest_on_every_worker_count() {
+        let points = vec![Point::new(0.25, 0.75); 20_001];
+        let stats = fit_on_every_worker_count(&points, RfdeConfig::default(), "identical");
+        assert_eq!(stats, ForkStats::default());
+    }
+
+    #[test]
+    fn weighted_forests_never_fork() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let counted: Vec<(Point, f64)> = uniform_points(20_001, 9)
+            .into_iter()
+            .map(|p| (p, rng.gen_range(1u32..9) as f64))
+            .collect();
+        let config = RfdeConfig::default();
+        let (got, stats) = Rfde::fit_on(&counted, config, 4);
+        assert_eq!(stats, ForkStats::default());
+        assert_same_forest(&got, &reference_forest(&counted, config), "weighted");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A single randomized count k-d tree, the building block of the RFDE forest.
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use wazi_geom::{Point, Rect};
 
 /// Axis of a k-d split.
@@ -74,34 +74,48 @@ pub(crate) struct TreeParams {
 
 impl CountKdTree {
     /// Builds a tree over weighted items ([`Point`]s of weight one, or
-    /// `(point, weight)` pairs), reordering `data` in place.
+    /// `(point, weight)` pairs), reordering `data` in place, on up to
+    /// `workers` threads; returns the tree and what forking did.
     ///
     /// `rng` drives the randomized choice of split dimension at every node
     /// — one `gen_bool` per node that may split, in depth-first pre-order —
     /// which is what makes a *forest* of such trees a variance-reducing
     /// estimator (Wen & Hang, 2022). Every node costs one selection and at
     /// most one partition pass over its slice, `O(n log n)` for the tree.
-    pub(crate) fn fit<T: Item>(data: &mut [T], params: TreeParams, rng: &mut StdRng) -> Self {
-        let mut nodes = Vec::new();
+    ///
+    /// With `workers > 1`, a unit-weight node holding at least
+    /// [`FORK_MIN_POINTS`] points builds its right subtree on a second
+    /// thread, from the generator advanced by the draws its left subtree
+    /// is predicted to make ([`draws`]). The prediction is checked after
+    /// the join; a miss throws the right subtree away and rebuilds it at
+    /// the true offset. Either way the tree, its node numbering and the
+    /// generator's final state equal the one-worker fit's.
+    pub(crate) fn fit<T: Item>(
+        data: &mut [T],
+        params: TreeParams,
+        rng: &mut StdRng,
+        workers: usize,
+    ) -> (Self, ForkStats) {
+        let mut arena = Arena::default();
         let total_weight: f64 = data.iter().map(Item::weight).sum();
-        let mut leaf_count = 0usize;
         let root = if data.is_empty() {
-            nodes.push(Node {
+            arena.nodes.push(Node {
                 region: Rect::EMPTY,
                 weight: 0.0,
                 split: None,
             });
-            leaf_count = 1;
+            arena.leaf_count = 1;
             0
         } else {
-            build_node(data, params, rng, 0, &mut nodes, &mut leaf_count)
+            build_node(data, params, rng, 0, workers, &mut arena)
         };
-        Self {
-            nodes,
+        let tree = Self {
+            nodes: arena.nodes,
             root,
             total_weight,
-            leaf_count,
-        }
+            leaf_count: arena.leaf_count,
+        };
+        (tree, arena.stats)
     }
 
     /// Total weight indexed by the tree.
@@ -192,12 +206,18 @@ fn axis_fraction(extent: f64, overlap: f64) -> f64 {
 /// What a tree is fitted on: a point and its weight. Implemented for bare
 /// [`Point`]s (weight one) and `(point, weight)` pairs, so the unweighted
 /// forest sorts 16-byte items and both share one fitting path.
-pub(crate) trait Item: Copy {
+pub(crate) trait Item: Copy + Send {
+    /// Whether every item weighs one. Only then does a subtree's draw
+    /// count follow from its point count ([`draws`]), so only then may a
+    /// fit fork.
+    const UNIT_WEIGHT: bool;
     fn point(&self) -> &Point;
     fn weight(&self) -> f64;
 }
 
 impl Item for Point {
+    const UNIT_WEIGHT: bool = true;
+
     #[inline]
     fn point(&self) -> &Point {
         self
@@ -210,6 +230,8 @@ impl Item for Point {
 }
 
 impl Item for (Point, f64) {
+    const UNIT_WEIGHT: bool = false;
+
     #[inline]
     fn point(&self) -> &Point {
         &self.0
@@ -221,13 +243,71 @@ impl Item for (Point, f64) {
     }
 }
 
+/// Nodes holding fewer points are never forked: below this a thread costs
+/// more than the subtree it would build.
+pub(crate) const FORK_MIN_POINTS: usize = 4_096;
+
+/// What forking did during a fit.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ForkStats {
+    /// Nodes whose right subtree was built on a second thread.
+    pub forks: usize,
+    /// Forks whose predicted generator offset was wrong, so the right
+    /// subtree was rebuilt at the true one.
+    pub misses: usize,
+}
+
+impl std::ops::AddAssign for ForkStats {
+    fn add_assign(&mut self, other: Self) {
+        self.forks += other.forks;
+        self.misses += other.misses;
+    }
+}
+
+/// A fit's pre-order node arena and counters. A forked right subtree grows
+/// into an arena of its own, appended after the left subtree's nodes.
+#[derive(Default)]
+struct Arena {
+    nodes: Vec<Node>,
+    leaf_count: usize,
+    stats: ForkStats,
+}
+
+impl Arena {
+    /// Appends `other`'s nodes, offsetting their child indices, and returns
+    /// the index its root (node 0) now has.
+    fn append(&mut self, other: Arena) -> u32 {
+        let offset = self.nodes.len() as u32;
+        self.nodes.extend(other.nodes.into_iter().map(|mut node| {
+            if let Some(split) = &mut node.split {
+                split.left += offset;
+                split.right += offset;
+            }
+            node
+        }));
+        self.leaf_count += other.leaf_count;
+        self.stats += other.stats;
+        offset
+    }
+}
+
+/// The generator draws a unit-weight subtree of `n` points at `depth` makes
+/// when every split lands at index `⌊n/2⌋` — which it does unless a tie
+/// across the median moves the boundary, or a node's points all coincide.
+pub(crate) fn draws(n: usize, depth: usize, params: TreeParams) -> u64 {
+    if n <= 1 || n as f64 <= params.leaf_weight || depth >= params.max_depth {
+        return 0;
+    }
+    1 + draws(n / 2, depth + 1, params) + draws(n - n / 2, depth + 1, params)
+}
+
 fn build_node<T: Item>(
     data: &mut [T],
     params: TreeParams,
     rng: &mut StdRng,
     depth: usize,
-    nodes: &mut Vec<Node>,
-    leaf_count: &mut usize,
+    workers: usize,
+    arena: &mut Arena,
 ) -> u32 {
     let mut weight = 0.0;
     let mut region = Rect::EMPTY;
@@ -235,8 +315,8 @@ fn build_node<T: Item>(
         weight += item.weight();
         region.expand(item.point());
     }
-    let idx = nodes.len() as u32;
-    nodes.push(Node {
+    let idx = arena.nodes.len() as u32;
+    arena.nodes.push(Node {
         region,
         weight,
         split: None,
@@ -244,7 +324,7 @@ fn build_node<T: Item>(
 
     let should_split = weight > params.leaf_weight && depth < params.max_depth && data.len() > 1;
     if !should_split {
-        *leaf_count += 1;
+        arena.leaf_count += 1;
         return idx;
     }
 
@@ -256,22 +336,108 @@ fn build_node<T: Item>(
         .or_else(|| split_at_median(data, axis.other(), &region));
     let Some((axis, split_value, boundary)) = split else {
         // All points identical on both axes: cannot split further.
-        *leaf_count += 1;
+        arena.leaf_count += 1;
         return idx;
     };
 
+    let fork = T::UNIT_WEIGHT && workers > 1 && data.len() >= FORK_MIN_POINTS;
     let (left_data, right_data) = data.split_at_mut(boundary);
     debug_assert!(!left_data.is_empty() && !right_data.is_empty());
 
-    let left = build_node(left_data, params, rng, depth + 1, nodes, leaf_count);
-    let right = build_node(right_data, params, rng, depth + 1, nodes, leaf_count);
-    nodes[idx as usize].split = Some(Split {
+    let (left, right) = if fork {
+        build_forked(
+            left_data,
+            right_data,
+            params,
+            rng,
+            depth + 1,
+            workers,
+            arena,
+        )
+    } else {
+        let left = build_node(left_data, params, rng, depth + 1, workers, arena);
+        let right = build_node(right_data, params, rng, depth + 1, workers, arena);
+        (left, right)
+    };
+    arena.nodes[idx as usize].split = Some(Split {
         axis,
         value: split_value,
         left,
         right,
     });
     idx
+}
+
+/// Builds two sibling subtrees at once: the left one on this thread into
+/// `arena`, the right one on a scoped thread into its own arena, from a
+/// clone of `rng` advanced by the left subtree's predicted [`draws`]. The
+/// workers are shared out between the halves. After the join the
+/// prediction is checked against `rng`, which the left subtree really
+/// advanced: if it holds, the right arena is appended and its generator
+/// state taken over; if not — or if no thread could be started — the right
+/// subtree is built here at the true offset (and may fork again). Returns
+/// both subtrees' root indices.
+fn build_forked<T: Item>(
+    left_data: &mut [T],
+    right_data: &mut [T],
+    params: TreeParams,
+    rng: &mut StdRng,
+    depth: usize,
+    workers: usize,
+    arena: &mut Arena,
+) -> (u32, u32) {
+    let mut predicted = rng.clone();
+    for _ in 0..draws(left_data.len(), depth, params) {
+        predicted.next_u64();
+    }
+    let right_workers = workers / 2;
+    let mut right_rng = predicted.clone();
+    // Sized on this thread by the same prediction: when it holds, the
+    // worker never grows the arena and leaves no heap of its own behind.
+    let mut right = Arena {
+        nodes: Vec::with_capacity(2 * draws(right_data.len(), depth, params) as usize + 1),
+        ..Arena::default()
+    };
+    let (left, forked) = std::thread::scope(|scope| {
+        let worker = std::thread::Builder::new()
+            .spawn_scoped(scope, || {
+                build_node(
+                    right_data,
+                    params,
+                    &mut right_rng,
+                    depth,
+                    right_workers,
+                    &mut right,
+                )
+            })
+            .ok();
+        let left = build_node(
+            left_data,
+            params,
+            rng,
+            depth,
+            workers - right_workers,
+            arena,
+        );
+        let joined = worker.map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        (left, joined.is_some())
+    });
+    if forked {
+        arena.stats.forks += 1;
+        if *rng == predicted {
+            *rng = right_rng;
+            return (left, arena.append(right));
+        }
+        arena.stats.misses += 1;
+    }
+    (
+        left,
+        build_node(right_data, params, rng, depth, workers, arena),
+    )
 }
 
 /// Chooses the median-based split value along `axis` and reorders `data` so
@@ -481,16 +647,21 @@ mod tests {
                 params,
                 &mut StdRng::seed_from_u64(seed),
             );
-            let got = CountKdTree::fit(
+            let (got, _) = CountKdTree::fit(
                 &mut points.to_vec(),
                 params,
                 &mut StdRng::seed_from_u64(seed),
+                1,
             );
             assert_same_tree(&got, &want, &what);
             if points.iter().all(|(_, w)| *w == 1.0) {
-                let mut bare: Vec<Point> = points.iter().map(|(p, _)| *p).collect();
-                let got = CountKdTree::fit(&mut bare, params, &mut StdRng::seed_from_u64(seed));
-                assert_same_tree(&got, &want, &format!("{what}, bare points"));
+                for workers in [1, 2] {
+                    let mut bare: Vec<Point> = points.iter().map(|(p, _)| *p).collect();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (got, _) = CountKdTree::fit(&mut bare, params, &mut rng, workers);
+                    let what = format!("{what}, bare points, {workers} workers");
+                    assert_same_tree(&got, &want, &what);
+                }
             }
         }
     }
@@ -578,14 +749,11 @@ mod tests {
 
     fn fit(data: &mut [(Point, f64)], leaf_weight: f64) -> CountKdTree {
         let mut rng = StdRng::seed_from_u64(7);
-        CountKdTree::fit(
-            data,
-            TreeParams {
-                leaf_weight,
-                max_depth: 32,
-            },
-            &mut rng,
-        )
+        let params = TreeParams {
+            leaf_weight,
+            max_depth: 32,
+        };
+        CountKdTree::fit(data, params, &mut rng, 1).0
     }
 
     #[test]
@@ -663,5 +831,39 @@ mod tests {
         assert!(tree.leaf_count() > 1);
         assert_eq!(tree.node_count(), 2 * tree.leaf_count() - 1);
         assert!(tree.size_bytes() > tree.node_count());
+    }
+
+    /// How far `rng` has advanced past `start`, in `next_u64` calls.
+    fn draws_between(start: &StdRng, rng: &StdRng) -> u64 {
+        let mut probe = start.clone();
+        let mut count = 0;
+        while probe != *rng {
+            probe.next_u64();
+            count += 1;
+        }
+        count
+    }
+
+    #[test]
+    fn predicted_draws_equal_what_a_one_worker_fit_consumes() {
+        let mut rng = StdRng::seed_from_u64(0xD4A5);
+        for n in [0usize, 1, 64, 65, 129, 4_097, 20_001] {
+            // Distinct coordinates on both axes: every split lands at n / 2.
+            let points: Vec<Point> = (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect();
+            for max_depth in [0, 1, 40] {
+                let params = TreeParams {
+                    leaf_weight: 64.0,
+                    max_depth,
+                };
+                let start = StdRng::seed_from_u64(n as u64);
+                let mut fitted = start.clone();
+                CountKdTree::fit(&mut points.clone(), params, &mut fitted, 1);
+                assert_eq!(
+                    draws(n, 0, params),
+                    draws_between(&start, &fitted),
+                    "n {n}, max_depth {max_depth}"
+                );
+            }
+        }
     }
 }

@@ -609,3 +609,160 @@ fn auto_decisions_are_pinned_by_a_golden_table() {
         "Auto's decisions moved; the table now reads:\n{got:#?}"
     );
 }
+
+/// The probe batch every index is checked on: hits, eight copies of one
+/// hot point, misses inside the data's bounding box (midpoints of two data
+/// points) and misses outside it, interleaved so groups of probes sharing
+/// a unit never arrive together.
+fn probe_batch(points: &[Point]) -> Vec<Query> {
+    let hot = points[points.len() / 3];
+    let outside = [
+        Point::new(1.5, 0.5),
+        Point::new(-0.2, -0.3),
+        Point::new(0.5, 2.0),
+        FAR,
+    ];
+    let mut probes = Vec::new();
+    for i in 0..24 {
+        let at = i * 797 % points.len();
+        probes.push(points[at]);
+        if i % 3 == 0 {
+            probes.push(hot);
+        }
+        if i % 2 == 0 {
+            let (a, b) = (points[at], points[(at + 1) % points.len()]);
+            probes.push(Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0));
+        }
+        if i % 6 == 0 {
+            probes.push(outside[i / 6]);
+        }
+    }
+    probes.into_iter().map(Query::point).collect()
+}
+
+/// Every probe of `batches` run solo, or each batch run under `strategy`,
+/// folded into one digest: answers and per-probe counters, then each
+/// batch's shared page visits.
+fn point_digest(
+    index: &dyn SpatialIndex,
+    batches: &[Vec<Query>],
+    strategy: Option<BatchStrategy>,
+) -> u64 {
+    let Some(strategy) = strategy else {
+        return solo_digest(index, &[("probes", batches.concat())]);
+    };
+    let engine = QueryEngine::new(index).with_strategy(strategy);
+    batches.iter().fold(FNV_OFFSET, |hash, batch| {
+        let report = engine.execute_batch(batch).unwrap();
+        let hash = report.reports.iter().fold(hash, fold_report);
+        fnv1a(hash, [report.shared_stats.pages_scanned])
+    })
+}
+
+/// The point digests of every index kind and of the post-burst snapshot,
+/// one row per kind and run: each probe solo, then the batches under each
+/// strategy.
+const GOLDEN_POINT_DIGESTS: &[(&str, u64)] = &[
+    ("WaZI/solo", 0xe148_050f_1aef_bbaf),
+    ("WaZI/sequential", 0x3d71_23de_7931_9a0f),
+    ("WaZI/fused", 0x7386_c3e4_e41e_78ae),
+    ("WaZI/parallel/2", 0x7386_c3e4_e41e_78ae),
+    ("WaZI/parallel/4", 0x7386_c3e4_e41e_78ae),
+    ("WaZI-SK/solo", 0x7129_9097_ff82_d526),
+    ("WaZI-SK/sequential", 0x20e0_bb75_5270_76a6),
+    ("WaZI-SK/fused", 0x6528_7196_a328_aa47),
+    ("WaZI-SK/parallel/2", 0x6528_7196_a328_aa47),
+    ("WaZI-SK/parallel/4", 0x6528_7196_a328_aa47),
+    ("Base+SK/solo", 0xc077_9cac_0a7c_a41a),
+    ("Base+SK/sequential", 0x33b8_54bd_72dd_6b1a),
+    ("Base+SK/fused", 0xd49a_b830_57be_057b),
+    ("Base+SK/parallel/2", 0xd49a_b830_57be_057b),
+    ("Base+SK/parallel/4", 0xd49a_b830_57be_057b),
+    ("Base/solo", 0xc077_9cac_0a7c_a41a),
+    ("Base/sequential", 0x33b8_54bd_72dd_6b1a),
+    ("Base/fused", 0xd49a_b830_57be_057b),
+    ("Base/parallel/2", 0xd49a_b830_57be_057b),
+    ("Base/parallel/4", 0xd49a_b830_57be_057b),
+    ("STR/solo", 0xf105_9620_c0c4_6a58),
+    ("STR/sequential", 0x82ce_e0c7_b37a_7fd8),
+    ("STR/fused", 0x0750_41f9_75c7_29fa),
+    ("STR/parallel/2", 0x0750_41f9_75c7_29fa),
+    ("STR/parallel/4", 0x0750_41f9_75c7_29fa),
+    ("CUR/solo", 0x9013_ce41_fb7f_af58),
+    ("CUR/sequential", 0xa8e7_cfd8_2965_7a98),
+    ("CUR/fused", 0x28ab_2afa_2c27_577d),
+    ("CUR/parallel/2", 0x28ab_2afa_2c27_577d),
+    ("CUR/parallel/4", 0x28ab_2afa_2c27_577d),
+    ("Flood/solo", 0x2813_0175_75a5_4144),
+    ("Flood/sequential", 0xb1a1_cbfb_99ff_b304),
+    ("Flood/fused", 0xb1a1_cbfb_99ff_b304),
+    ("Flood/parallel/2", 0xb1a1_cbfb_99ff_b304),
+    ("Flood/parallel/4", 0xb1a1_cbfb_99ff_b304),
+    ("QUASII/solo", 0xb191_add2_2293_c7af),
+    ("QUASII/sequential", 0x6f9a_a2be_25f0_5a4f),
+    ("QUASII/fused", 0x6f9a_a2be_25f0_5a4f),
+    ("QUASII/parallel/2", 0x6f9a_a2be_25f0_5a4f),
+    ("QUASII/parallel/4", 0x6f9a_a2be_25f0_5a4f),
+    ("Zpgm/solo", 0x2813_0175_75a5_4144),
+    ("Zpgm/sequential", 0xb1a1_cbfb_99ff_b304),
+    ("Zpgm/fused", 0xb1a1_cbfb_99ff_b304),
+    ("Zpgm/parallel/2", 0xb1a1_cbfb_99ff_b304),
+    ("Zpgm/parallel/4", 0xb1a1_cbfb_99ff_b304),
+    ("snapshot/solo", 0xcb4a_67f6_cfce_1112),
+    ("snapshot/sequential", 0x9608_8775_1819_a9d2),
+    ("snapshot/fused", 0x83e0_cbf2_9cab_6c72),
+    ("snapshot/parallel/2", 0x83e0_cbf2_9cab_6c72),
+    ("snapshot/parallel/4", 0x83e0_cbf2_9cab_6c72),
+];
+
+/// What point probes answer and charge, pinned per index and schedule:
+/// solo, sequential, fused and sharded over two and four chunks, on a
+/// batch of hits, hot duplicates and misses inside and outside the data,
+/// on a batch of none and on a batch of one.
+#[test]
+fn point_batches_are_pinned_by_golden_counter_digests() {
+    let points = generate_dataset(REGION, 20_000);
+    let train = generate_queries(REGION, 200, SELECTIVITIES[1]);
+    let probes = probe_batch(&points);
+    let batches = vec![probes.clone(), Vec::new(), probes[..1].to_vec()];
+    let runs: [(&str, Option<BatchStrategy>); 5] = [
+        ("solo", None),
+        ("sequential", Some(BatchStrategy::Sequential)),
+        ("fused", Some(BatchStrategy::Fused)),
+        (
+            "parallel/2",
+            Some(BatchStrategy::FusedParallel { shards: 2 }),
+        ),
+        (
+            "parallel/4",
+            Some(BatchStrategy::FusedParallel { shards: 4 }),
+        ),
+    ];
+    let mut indexes: Vec<(String, Box<dyn SpatialIndex>)> = KERNEL_KINDS
+        .iter()
+        .chain([&IndexKind::Zpgm])
+        .map(|&kind| {
+            let built = build_index(kind, &points, &train, 64);
+            (kind.to_string(), built.index)
+        })
+        .collect();
+    indexes.push((
+        "snapshot".to_string(),
+        Box::new(post_burst_snapshot(&points, &train)),
+    ));
+    let mut got = Vec::new();
+    for (name, index) in &indexes {
+        for (run, strategy) in runs {
+            let digest = point_digest(index.as_ref(), &batches, strategy);
+            got.push((format!("{name}/{run}"), digest));
+        }
+    }
+    let golden: Vec<(String, u64)> = GOLDEN_POINT_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert!(
+        got == golden,
+        "the point digests moved; they now read:\n{got:#x?}"
+    );
+}

@@ -9,7 +9,7 @@
 //! the anticipated workload.
 
 use crate::rtree::PackedRTree;
-use wazi_core::{solo_range_query, IndexError, PointBatchKernel, RangeBatchKernel, SpatialIndex};
+use wazi_core::{solo_point_query, solo_range_query, IndexError, RangeBatchKernel, SpatialIndex};
 use wazi_density::{Rfde, RfdeConfig};
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageStore};
@@ -184,13 +184,7 @@ impl SpatialIndex for CurTree {
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        let start = std::time::Instant::now();
-        let found = self.tree.point_query(p, stats);
-        stats.add_scan(start.elapsed());
-        if found {
-            stats.results += 1;
-        }
-        found
+        solo_point_query(&self.tree, p, stats)
     }
 
     fn insert(&mut self, p: Point) -> Result<(), IndexError> {
@@ -206,10 +200,6 @@ impl SpatialIndex for CurTree {
     }
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
-        Some(&self.tree)
-    }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
         Some(&self.tree)
     }
 }
@@ -390,11 +380,15 @@ mod tests {
             response.shared.pages_scanned < sequential_pages,
             "the query-hot corner must share page fetches"
         );
-        // The point kernel answers hot-key duplicates on one fetch.
-        let point_kernel = index.point_batch_kernel().expect("CUR probes in batches");
-        let probes = vec![points[7], points[7], points[7]];
-        let probe_response = wazi_core::run_point_batch(point_kernel, &probes);
-        assert_eq!(probe_response.found, vec![true, true, true]);
-        assert!(probe_response.shared.pages_scanned >= 1);
+        // The kernel answers hot-key duplicate probes on one fetch.
+        let probes = [points[7]; 3].map(wazi_core::Query::point);
+        let report = wazi_core::QueryEngine::new(&index)
+            .with_strategy(wazi_core::BatchStrategy::Fused)
+            .execute_batch(&probes)
+            .unwrap();
+        for probe in &report.reports {
+            assert_eq!(probe.output, wazi_core::QueryOutput::Found(true));
+        }
+        assert_eq!(report.point_shared_stats.pages_scanned, 1);
     }
 }

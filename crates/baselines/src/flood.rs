@@ -10,8 +10,8 @@
 //! of the training workload and keeping the cheapest one.
 
 use wazi_core::{
-    solo_range_query, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, SpatialIndex, WalkRecord,
+    solo_point_query, solo_range_query, IndexError, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -147,26 +147,7 @@ impl SpatialIndex for FloodIndex {
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        let start = std::time::Instant::now();
-        let column = column_of(&self.boundaries, p.x);
-        let points = &self.columns[column];
-        let from = points.partition_point(|q| q.y < p.y);
-        let mut found = false;
-        for q in &points[from..] {
-            if q.y > p.y {
-                break;
-            }
-            stats.points_scanned += 1;
-            if q == p {
-                found = true;
-                break;
-            }
-        }
-        stats.add_scan(start.elapsed());
-        if found {
-            stats.results += 1;
-        }
-        found
+        solo_point_query(self, p, stats)
     }
 
     fn insert(&mut self, p: Point) -> Result<(), IndexError> {
@@ -205,16 +186,12 @@ impl SpatialIndex for FloodIndex {
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
         Some(self)
     }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
-        Some(self)
-    }
 }
 
-/// Flood's range kernel: a unit is a grid column, and a request's run lists
-/// the columns of its x extent whose y-run is non-empty, ascending. A
-/// column read by `m` overlapping requests of a batch is fetched once
-/// instead of once per request.
+/// Flood's kernel: a unit is a grid column, and a request's run lists the
+/// columns of its x extent whose y-run is non-empty, ascending; a probe
+/// reads the one column of its x. A column read by `m` requests or probes
+/// of a batch is fetched once instead of once per request.
 impl RangeBatchKernel for FloodIndex {
     /// Walks every request over its column interval — the projection phase,
     /// Flood's fastest: one bounding-box check per column, two binary
@@ -247,46 +224,25 @@ impl RangeBatchKernel for FloodIndex {
         let run = self.y_run(column as usize, rect);
         output.scan_run(run, |p| p.x >= lo_x && p.x <= hi_x, stats);
     }
-}
 
-/// Flood's fused point-probe kernel: the owning-page address is the grid
-/// column (the same clamped binary search the sequential probe performs,
-/// which charges nothing), so a column shared by several probes is fetched
-/// once per batch while every probe still pays its own y-run scan.
-impl PointBatchKernel for FloodIndex {
-    fn locate_probes(&self, probes: &[Point], _per_query: &mut [ExecStats]) -> Vec<u64> {
-        probes
-            .iter()
-            .map(|p| column_of(&self.boundaries, p.x) as u64)
-            .collect()
+    /// The probe's column: the clamped binary search the walk uses, which
+    /// charges nothing.
+    fn locate(&self, p: &Point, _stats: &mut ExecStats) -> Option<u32> {
+        Some(column_of(&self.boundaries, p.x) as u32)
     }
 
-    fn probe_page(
-        &self,
-        address: u64,
-        group: &[(usize, Point)],
-        response: &mut PointBatchResponse,
-    ) {
-        let points = &self.columns[address as usize];
-        for &(slot, p) in group {
-            let stats = &mut response.per_query[slot];
-            let from = points.partition_point(|q| q.y < p.y);
-            let mut found = false;
-            for q in &points[from..] {
-                if q.y > p.y {
-                    break;
-                }
-                stats.points_scanned += 1;
-                if *q == p {
-                    found = true;
-                    break;
-                }
-            }
-            if found {
-                stats.results += 1;
-                response.found[slot] = true;
+    /// Binary-searches the column for `p.y` and compares the points of
+    /// equal y.
+    fn probe(&self, column: u32, p: &Point, stats: &mut ExecStats) -> bool {
+        let points = &self.columns[column as usize];
+        let from = points.partition_point(|q| q.y < p.y);
+        for q in points[from..].iter().take_while(|q| q.y <= p.y) {
+            stats.points_scanned += 1;
+            if q == p {
+                return true;
             }
         }
+        false
     }
 }
 

@@ -19,17 +19,20 @@
 //! ## Fused batch kernels
 //!
 //! Every page-backed baseline also implements the query engine's fused batch
-//! kernels ([`wazi_core::RangeBatchKernel`] / [`wazi_core::PointBatchKernel`])
-//! over its own layout: a range kernel walks a batch once and records the
-//! units each request scans — leaf pages reached by one pruning descent for
-//! STR and CUR, cracked pieces for QUASII, grid columns for Flood — and the
-//! engine scans each distinct unit once for all of its requests, so
-//! [`wazi_core::QueryEngine`] batch fusion is genuinely cross-index. The
-//! sorted Z-order array has no page fetch to share and advertises no
-//! kernel; the engine runs its batches through the per-query loop. The
-//! kernels obey one contract: answers and per-query work counters are
-//! bit-identical to the sequential path, only physical page fetches are
-//! shared:
+//! kernel ([`wazi_core::RangeBatchKernel`]) over its own layout. Its walk
+//! records, for a batch of range requests, the units each request scans —
+//! leaf pages reached by one pruning descent for STR and CUR, cracked
+//! pieces for QUASII, grid columns for Flood — and its `locate` names the
+//! one unit a point probe reads first: the first page or piece its walk
+//! probes, or Flood's column. The engine reads each distinct unit once for
+//! all of its requests and probes, so [`wazi_core::QueryEngine`] batch
+//! fusion is genuinely cross-index, and a solo query of either kind is the
+//! batch of one ([`wazi_core::solo_range_query`],
+//! [`wazi_core::solo_point_query`]). The sorted Z-order array has no page
+//! fetch to share and advertises no kernel; the engine runs its batches
+//! through the per-query loop. The kernels obey one contract: answers and
+//! per-query work counters are bit-identical to the sequential path, only
+//! physical page fetches are shared:
 //!
 //! ```
 //! use wazi_baselines::StrRTree;

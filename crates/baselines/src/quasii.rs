@@ -13,8 +13,8 @@
 //! x-piece.
 
 use wazi_core::{
-    solo_range_query, IndexError, PointBatchKernel, PointBatchResponse, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, SpatialIndex, WalkRecord,
+    solo_point_query, solo_range_query, IndexError, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -229,30 +229,7 @@ impl SpatialIndex for Quasii {
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        let start = std::time::Instant::now();
-        let mut found = false;
-        'outer: for slice in &self.slices {
-            stats.nodes_visited += 1;
-            if p.x < slice.x_lo || p.x > slice.x_hi {
-                continue;
-            }
-            for piece in &slice.pieces {
-                stats.bbs_checked += 1;
-                if p.y < piece.y_lo || p.y > piece.y_hi {
-                    continue;
-                }
-                stats.points_scanned += piece.points.len() as u64;
-                if piece.points.contains(p) {
-                    found = true;
-                    break 'outer;
-                }
-            }
-        }
-        stats.add_scan(start.elapsed());
-        if found {
-            stats.results += 1;
-        }
-        found
+        solo_point_query(self, p, stats)
     }
 
     fn insert(&mut self, _p: Point) -> Result<(), IndexError> {
@@ -275,10 +252,6 @@ impl SpatialIndex for Quasii {
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
         Some(self)
     }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
-        Some(self)
-    }
 }
 
 impl Quasii {
@@ -291,12 +264,52 @@ impl Quasii {
         let hi = self.slices.partition_point(|s| s.x_lo <= x1);
         lo..hi.max(lo)
     }
+
+    /// The first piece the probe's walk reads for `p`, found by binary
+    /// search without charging anything: the first piece holding `p.y` in
+    /// the first slice holding `p.x` that has one.
+    fn first_piece_holding(&self, p: &Point) -> Option<u32> {
+        self.slice_interval(p.x, p.x).find_map(|s| {
+            let pieces = &self.slices[s].pieces;
+            let at = pieces
+                .iter()
+                .position(|piece| piece.y_lo <= p.y && p.y <= piece.y_hi)?;
+            Some(self.piece_starts[s] + at as u32)
+        })
+    }
+
+    /// The point probe's walk over the cracked layout: a tick for every
+    /// slice until `p` is found, a check for every piece of a slice holding
+    /// `p.x`, and every point of a piece holding `p.y` compared. Every
+    /// piece read is charged its visit but `located`, whose visit the
+    /// engine charges.
+    fn probe_walk(&self, p: &Point, located: Option<u32>, stats: &mut ExecStats) -> bool {
+        for (slice, &start) in self.slices.iter().zip(&self.piece_starts) {
+            stats.nodes_visited += 1;
+            if p.x < slice.x_lo || p.x > slice.x_hi {
+                continue;
+            }
+            for (piece, id) in slice.pieces.iter().zip(start..) {
+                stats.bbs_checked += 1;
+                if p.y < piece.y_lo || p.y > piece.y_hi {
+                    continue;
+                }
+                stats.pages_scanned += u64::from(located != Some(id));
+                stats.points_scanned += piece.points.len() as u64;
+                if piece.points.contains(p) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
-/// QUASII's range kernel: a unit is a y-piece, numbered in flattened
-/// (slice, piece) order, and a request's run lists the pieces it reads in
-/// that order. A piece relevant to `k` requests of a batch is scanned once
-/// instead of once per request.
+/// QUASII's kernel: a unit is a y-piece, numbered in flattened (slice,
+/// piece) order, and a request's run lists the pieces it reads in that
+/// order; a probe's unit is the first piece its walk reads. A piece read by
+/// `k` requests or probes of a batch is fetched once instead of once per
+/// request.
 impl RangeBatchKernel for Quasii {
     /// Walks every request over the cracked layout: the tick for every
     /// slice (the cracked-layout walk the paper charges), one bounding-box
@@ -331,65 +344,21 @@ impl RangeBatchKernel for Quasii {
         let rect = *rect;
         output.scan_run(points, |p| rect.contains(p), stats);
     }
-}
 
-/// Sentinel address for probes outside every x-slice: their walk scans the
-/// whole slice list without entering any, so there is no piece to share.
-const NO_PROBE_SLICE: u64 = u64::MAX;
-
-/// QUASII's fused point-probe kernel. The cracked layout has no page
-/// indirection to share — the sequential probe charges no page visits, only
-/// its slice walk and piece comparisons — so the batched win is ordering:
-/// probes grouped by their first containing x-slice replay their walks over
-/// adjacent slices instead of bouncing across the cracked layout in arrival
-/// order. Each probe replays [`Quasii`]'s sequential `point_query` loop
-/// verbatim (early exit included), so answers and per-probe counters are
-/// bit-identical.
-impl PointBatchKernel for Quasii {
-    fn locate_probes(&self, probes: &[Point], _per_query: &mut [ExecStats]) -> Vec<u64> {
-        probes
-            .iter()
-            .map(|p| {
-                let at = self.slices.partition_point(|s| s.x_hi < p.x);
-                match self.slices.get(at) {
-                    Some(slice) if p.x >= slice.x_lo => at as u64,
-                    _ => NO_PROBE_SLICE,
-                }
-            })
-            .collect()
+    /// A probe's unit is the first piece its walk reads. A probe no piece
+    /// holds reads none and is charged its whole walk here.
+    fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32> {
+        let piece = self.first_piece_holding(p);
+        if piece.is_none() {
+            self.probe_walk(p, None, stats);
+        }
+        piece
     }
 
-    fn probe_page(
-        &self,
-        _address: u64,
-        group: &[(usize, Point)],
-        response: &mut PointBatchResponse,
-    ) {
-        for &(slot, p) in group {
-            let stats = &mut response.per_query[slot];
-            let mut found = false;
-            'outer: for slice in &self.slices {
-                stats.nodes_visited += 1;
-                if p.x < slice.x_lo || p.x > slice.x_hi {
-                    continue;
-                }
-                for piece in &slice.pieces {
-                    stats.bbs_checked += 1;
-                    if p.y < piece.y_lo || p.y > piece.y_hi {
-                        continue;
-                    }
-                    stats.points_scanned += piece.points.len() as u64;
-                    if piece.points.contains(&p) {
-                        found = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if found {
-                stats.results += 1;
-                response.found[slot] = true;
-            }
-        }
+    /// Replays the whole walk, early exit included, charged as the solo
+    /// probe charges it but for the located piece's visit.
+    fn probe(&self, piece: u32, p: &Point, stats: &mut ExecStats) -> bool {
+        self.probe_walk(p, Some(piece), stats)
     }
 }
 
@@ -546,32 +515,35 @@ mod tests {
         );
     }
 
-    /// The fused probe kernel replays the sequential cracked-layout walk
-    /// verbatim, early exit included.
+    /// A fused probe batch replays the sequential cracked-layout walk,
+    /// early exit included: per probe, the same answer, slice ticks,
+    /// checks and comparisons.
     #[test]
     fn fused_point_batch_replicates_the_sequential_walk() {
+        use wazi_core::{BatchStrategy, Query, QueryEngine};
         let points = dataset(3_000, 34);
         let index = Quasii::build(points.clone(), &workload(150, 35), 64);
-        let kernel = index
-            .point_batch_kernel()
-            .expect("QUASII probes in batches now");
-        let probes = vec![
+        let batch: Vec<Query> = [
             points[11],
             points[11],
             Point::new(0.987_6, 0.012_3),
             Point::new(5.0, 5.0),
-        ];
-        let response = wazi_core::run_point_batch(kernel, &probes);
-        let mut sequential = ExecStats::default();
-        let mut expected = Vec::new();
-        for probe in &probes {
-            expected.push(index.point_query(probe, &mut sequential));
+        ]
+        .map(Query::point)
+        .to_vec();
+        let engine = QueryEngine::new(&index);
+        let fused = QueryEngine::new(&index)
+            .with_strategy(BatchStrategy::Fused)
+            .execute_batch(&batch)
+            .unwrap();
+        assert_eq!(fused.fused_points, batch.len());
+        for (query, report) in batch.iter().zip(&fused.reports) {
+            let solo = engine.execute(query).unwrap();
+            assert_eq!(report.output, solo.output);
+            assert_eq!(report.stats.nodes_visited, solo.stats.nodes_visited);
+            assert_eq!(report.stats.bbs_checked, solo.stats.bbs_checked);
+            assert_eq!(report.stats.points_scanned, solo.stats.points_scanned);
         }
-        assert_eq!(response.found, expected);
-        let merged: u64 = response.per_query.iter().map(|s| s.points_scanned).sum();
-        assert_eq!(merged, sequential.points_scanned);
-        let nodes: u64 = response.per_query.iter().map(|s| s.nodes_visited).sum();
-        assert_eq!(nodes, sequential.nodes_visited);
     }
 
     #[test]

@@ -8,10 +8,7 @@
 //! leaves), so the two baselines only differ in how the leaf pages are
 //! packed.
 
-use wazi_core::{
-    PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
-    WalkRecord,
-};
+use wazi_core::{RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, WalkRecord};
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageId, PageStore};
 
@@ -102,9 +99,12 @@ impl PackedRTree {
         self.nodes[self.root as usize].mbr()
     }
 
-    /// Point query: descend into every child whose bounding box contains the
-    /// point (R-tree leaves may overlap after inserts).
-    pub(crate) fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
+    /// The point probe's walk: descend into every child whose bounding box
+    /// contains the point (R-tree leaves may overlap after inserts),
+    /// charging each internal node's visit and checks, and probe the
+    /// reached leaves' pages until one holds the point. Every page probed
+    /// is charged its visit but `located`, whose visit the engine charges.
+    fn probe_walk(&self, p: &Point, located: Option<u32>, stats: &mut ExecStats) -> bool {
         let mut stack = vec![self.root];
         while let Some(index) = stack.pop() {
             match &self.nodes[index as usize] {
@@ -118,7 +118,8 @@ impl PackedRTree {
                     }
                 }
                 RNode::Leaf { page, .. } => {
-                    if self.store.probe_page(*page, p, stats) {
+                    stats.pages_scanned += u64::from(located != Some(page.0));
+                    if self.store.page(*page).probe_shared(p, stats) {
                         return true;
                     }
                 }
@@ -261,10 +262,9 @@ impl PackedRTree {
 }
 
 impl PackedRTree {
-    /// The first leaf page the sequential [`PackedRTree::point_query`] walk
-    /// would probe for `p`, computed without charging anything (the fused
-    /// probe re-runs the walk with full accounting). `None` when no leaf's
-    /// bounding box contains the point.
+    /// The first leaf page [`PackedRTree::probe_walk`] probes for `p`,
+    /// found without charging anything. `None` when no leaf's bounding box
+    /// contains the point.
     fn first_probe_page(&self, p: &Point) -> Option<PageId> {
         let mut stack = vec![self.root];
         while let Some(index) = stack.pop() {
@@ -283,12 +283,13 @@ impl PackedRTree {
     }
 }
 
-/// The packed R-tree's range kernel: a unit is a leaf page, and its id is
-/// the order in which the batch descent first reaches it. The descent is
-/// depth-first, popped LIFO, and a single request's walk reaches a subset
-/// of its nodes closed under parents, so each request's leaves come in the
-/// order its walk alone would reach them and its run is ascending. The
-/// record maps each id to its page.
+/// The packed R-tree's kernel: a range request's unit is a leaf page, and
+/// its id is the order in which the batch descent first reaches it. The
+/// descent is depth-first, popped LIFO, and a single request's walk
+/// reaches a subset of its nodes closed under parents, so each request's
+/// leaves come in the order its walk alone would reach them and its run is
+/// ascending. The record maps each id to its page. A probe's unit is the
+/// first page its walk probes, its id the page id.
 impl RangeBatchKernel for PackedRTree {
     /// One pruning descent over the whole batch, carrying the requests
     /// whose walk reaches each node: a reached internal node charges each
@@ -374,89 +375,22 @@ impl RangeBatchKernel for PackedRTree {
     fn scan(&self, page: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats) {
         output.scan_page(self.store.page(PageId(page)), rect, stats);
     }
-}
 
-/// Sentinel address for probes no leaf bounding box contains: their walk
-/// dies in the upper tree without touching a page, so there is nothing to
-/// share — they group together and answer `false` after their (charged)
-/// descent.
-const NO_PROBE_PAGE: u64 = u64::MAX;
-
-/// The packed R-tree's fused point-probe kernel. R-tree leaves may overlap
-/// (especially after inserts), so a probe has no single owning leaf by
-/// construction; the grouping address is the *first* page the sequential
-/// probe walk touches — on packed trees, almost always the only one. The
-/// group's shared first-page fetch is charged once per batch; each probe
-/// then replays its full sequential walk (descent charges, early exit on
-/// the first hit, per-page point comparisons), so answers and per-probe
-/// counters are exactly [`PackedRTree::point_query`]'s.
-///
-/// Cost profile: the uncharged grouping descent in
-/// [`PointBatchKernel::locate_probes`] means every probe walks the upper
-/// tree twice (a correct grouping key *is* the walk's first leaf — a
-/// cheaper key would misattribute the shared page charge). The in-memory
-/// descent is small next to a page scan, so the kernel wins wherever
-/// probes share owning pages (hot keys, duplicates) and pays a bounded
-/// CPU overhead on spread-out batches; the batch experiment reports both
-/// sides of that trade.
-impl PointBatchKernel for PackedRTree {
-    fn locate_probes(&self, probes: &[Point], _per_query: &mut [ExecStats]) -> Vec<u64> {
-        probes
-            .iter()
-            .map(|p| {
-                self.first_probe_page(p)
-                    .map_or(NO_PROBE_PAGE, |page| u64::from(page.0))
-            })
-            .collect()
+    /// The first page the probe's walk probes. A probe no leaf holds reads
+    /// no page and is charged its whole walk here.
+    fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32> {
+        let page = self.first_probe_page(p).map(|page| page.0);
+        if page.is_none() {
+            self.probe_walk(p, None, stats);
+        }
+        page
     }
 
-    fn probe_page(
-        &self,
-        address: u64,
-        group: &[(usize, Point)],
-        response: &mut PointBatchResponse,
-    ) {
-        // One shared fetch of the group's common first page; probes of the
-        // no-page group visit nothing.
-        if address != NO_PROBE_PAGE {
-            response.shared.pages_scanned += 1;
-        }
-        for &(slot, p) in group {
-            let stats = &mut response.per_query[slot];
-            let mut found = false;
-            let mut stack = vec![self.root];
-            while let Some(index) = stack.pop() {
-                match &self.nodes[index as usize] {
-                    RNode::Internal { children, .. } => {
-                        stats.nodes_visited += 1;
-                        for &child in children {
-                            stats.bbs_checked += 1;
-                            if self.nodes[child as usize].mbr().contains(&p) {
-                                stack.push(child);
-                            }
-                        }
-                    }
-                    RNode::Leaf { page, .. } => {
-                        // The group's shared first page charges no
-                        // per-probe page visit (it moved to the shared
-                        // stats above); comparisons are charged by the one
-                        // canonical rule either way.
-                        found = if u64::from(page.0) == address {
-                            self.store.page(*page).probe_shared(&p, stats)
-                        } else {
-                            self.store.probe_page(*page, &p, stats)
-                        };
-                        if found {
-                            break;
-                        }
-                    }
-                }
-            }
-            if found {
-                stats.results += 1;
-                response.found[slot] = true;
-            }
-        }
+    /// Replays the whole walk, charged as the solo probe charges it but
+    /// for the located page's visit. On packed trees the located page is
+    /// almost always the only one, so probes sharing it share its fetch.
+    fn probe(&self, page: u32, p: &Point, stats: &mut ExecStats) -> bool {
+        self.probe_walk(p, Some(page), stats)
     }
 }
 
@@ -474,7 +408,7 @@ fn enlargement(mbr: &Rect, p: &Point) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wazi_core::solo_range_query;
+    use wazi_core::{solo_point_query, solo_range_query};
 
     fn packed_tree(n: usize) -> PackedRTree {
         // Pack points row-by-row into pages of 8.
@@ -499,8 +433,12 @@ mod tests {
             .filter(|p| query.contains(p))
             .count();
         assert_eq!(got.len(), expected);
-        assert!(tree.point_query(&Point::new(0.0, 0.0), &mut stats));
-        assert!(!tree.point_query(&Point::new(0.99, 0.99), &mut stats));
+        assert!(solo_point_query(&tree, &Point::new(0.0, 0.0), &mut stats));
+        assert!(!solo_point_query(
+            &tree,
+            &Point::new(0.99, 0.99),
+            &mut stats
+        ));
         assert!(stats.bbs_checked > 0);
         assert!(stats.nodes_visited > 0);
     }
@@ -510,7 +448,7 @@ mod tests {
         let tree = PackedRTree::from_packed_pages(PageStore::new(8), 0);
         let mut stats = ExecStats::default();
         assert!(solo_range_query(&tree, &Rect::UNIT, &mut stats).is_empty());
-        assert!(!tree.point_query(&Point::new(0.5, 0.5), &mut stats));
+        assert!(!solo_point_query(&tree, &Point::new(0.5, 0.5), &mut stats));
         assert_eq!(tree.height(), 1);
     }
 
@@ -548,7 +486,7 @@ mod tests {
             .count();
         assert_eq!(got.len(), expected);
         for p in &rng_points {
-            assert!(tree.point_query(p, &mut stats));
+            assert!(solo_point_query(&tree, p, &mut stats));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! STR: Sort-Tile-Recursive R-tree packing (Leutenegger et al., 1997).
 
 use crate::rtree::PackedRTree;
-use wazi_core::{solo_range_query, IndexError, PointBatchKernel, RangeBatchKernel, SpatialIndex};
+use wazi_core::{solo_point_query, solo_range_query, IndexError, RangeBatchKernel, SpatialIndex};
 use wazi_geom::{Point, Rect};
 use wazi_storage::{ExecStats, PageStore};
 
@@ -76,13 +76,7 @@ impl SpatialIndex for StrRTree {
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        let start = std::time::Instant::now();
-        let found = self.tree.point_query(p, stats);
-        stats.add_scan(start.elapsed());
-        if found {
-            stats.results += 1;
-        }
-        found
+        solo_point_query(&self.tree, p, stats)
     }
 
     fn insert(&mut self, p: Point) -> Result<(), IndexError> {
@@ -98,10 +92,6 @@ impl SpatialIndex for StrRTree {
     }
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
-        Some(&self.tree)
-    }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
         Some(&self.tree)
     }
 }
@@ -242,29 +232,28 @@ mod tests {
     /// the sequential walk's comparisons and answers.
     #[test]
     fn fused_point_batch_groups_duplicate_probes() {
+        use wazi_core::{BatchStrategy, Query, QueryEngine, QueryOutput};
         let points = dataset(2_000, 12);
         let index = StrRTree::build(points.clone(), 64);
-        let kernel = index
-            .point_batch_kernel()
-            .expect("STR probes in batches now");
         let probes = vec![points[5], points[5], points[5], Point::new(2.0, 2.0)];
-        let response = wazi_core::run_point_batch(kernel, &probes);
-        assert_eq!(response.found, vec![true, true, true, false]);
+        let batch: Vec<Query> = probes.iter().copied().map(Query::point).collect();
+        let report = QueryEngine::new(&index)
+            .with_strategy(BatchStrategy::Fused)
+            .execute_batch(&batch)
+            .unwrap();
+        assert_eq!(report.fused_points, probes.len());
+        let found: Vec<QueryOutput> = report.reports.iter().map(|r| r.output.clone()).collect();
+        assert_eq!(found, [true, true, true, false].map(QueryOutput::Found));
         let mut sequential = ExecStats::default();
         for probe in &probes {
             index.point_query(probe, &mut sequential);
         }
-        let fused_points: u64 = response.per_query.iter().map(|s| s.points_scanned).sum();
+        let fused = report.merged_stats();
         assert_eq!(
-            fused_points, sequential.points_scanned,
+            fused.points_scanned, sequential.points_scanned,
             "per-probe comparisons must replicate the sequential walk"
         );
-        let fused_pages: u64 = response.shared.pages_scanned
-            + response
-                .per_query
-                .iter()
-                .map(|s| s.pages_scanned)
-                .sum::<u64>();
+        let fused_pages = fused.pages_scanned;
         assert!(
             fused_pages < sequential.pages_scanned,
             "duplicate probes must share their owning page ({fused_pages} fused vs {} sequential)",

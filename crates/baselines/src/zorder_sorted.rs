@@ -265,7 +265,6 @@ mod tests {
             ZOrderSorted::with_default_bits(dataset(100, 6)),
         ] {
             assert!(index.range_batch_kernel().is_none());
-            assert!(index.point_batch_kernel().is_none());
         }
     }
 }

@@ -432,15 +432,15 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     );
     mixed.push_note(
         "r/p/k columns split each quantity by plan type (range / point probe / kNN); \
-         'Fused r/p/k' counts the plans routed through each fused kernel — range plans \
-         through the range kernel, point probes leaf-grouped through the point-batch \
-         kernel, kNN plans through grouped expanding-ring sweeps over the range kernel",
+         'Fused r/p/k' counts the plans routed through the fused kernel — range plans \
+         walked, point probes located and grouped by unit, kNN plans through grouped \
+         expanding-ring sweeps over the same kernel",
     );
     mixed.push_note(
         "asserted per row: fused results (overall and per plan type) equal sequential, \
          and no kernel-backed partition scans more pages fused than sequential — the \
          point partition's fused pages drop below sequential wherever probes share \
-         owning pages. Zpgm's flat code array has no fetches to share and no kernel, \
+         a unit. Zpgm's flat code array has no fetches to share and no kernel, \
          so its rows read the per-query loop under every strategy",
     );
     scattered.push_note(format!(
@@ -470,8 +470,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     ));
     decisions_table.push_note(
         "one row per partition of the mixed batch the Auto scheduler decided \
-         (range partitions carry the full cost estimate; point and kNN partitions \
-         are routed by a size rule, so their predicted columns are '-'; Zpgm has no \
+         (range partitions carry the full cost estimate; point partitions always \
+         fuse on one shard and kNN partitions are routed by a size rule, so their \
+         predicted columns are '-'; Zpgm has no \
          kernel, so nothing to decide and no rows). 'Measured' is the partition's \
          wall-clock under the chosen schedule",
     );
@@ -661,9 +662,9 @@ mod tests {
     }
 
     /// The point-probe acceptance shape behind `BENCH_batch.json`: on a
-    /// probe batch with hot-key duplicates, WaZI's leaf-grouped point
-    /// kernel visits strictly fewer pages than the per-probe loop, at
-    /// identical answers.
+    /// probe batch with hot-key duplicates, WaZI's fused point partition
+    /// visits strictly fewer pages than the per-probe loop, at identical
+    /// answers.
     #[test]
     fn fused_point_partition_scans_fewer_pages_on_wazi() {
         let ctx = ExperimentContext::smoke_test();

@@ -173,8 +173,7 @@ pub struct BatchMeasurement {
     pub queries: usize,
     /// Number of range queries executed through the fused batch kernel.
     pub fused_queries: usize,
-    /// Number of point probes executed through the fused point-batch
-    /// kernel.
+    /// Number of point probes executed through the fused batch kernel.
     pub fused_points: usize,
     /// Number of kNN plans executed through the shared expanding-ring
     /// sweep.

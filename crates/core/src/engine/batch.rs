@@ -1,34 +1,38 @@
 //! The fused batch-execution seam between the engine and the indexes.
 //!
 //! The engine speaks to indexes through [`crate::SpatialIndex`], one query
-//! at a time. An index that can do better on a *batch* of range queries —
-//! WaZI scans each relevant page once per batch instead of once per
-//! overlapping query — advertises the capability by returning itself from
+//! at a time. An index that can do better on a *batch* — WaZI scans each
+//! relevant page once per batch instead of once per overlapping query —
+//! advertises the capability by returning itself from
 //! [`crate::SpatialIndex::range_batch_kernel`] and implementing
-//! [`RangeBatchKernel`]. The engine's fused strategy routes every range
-//! plan of a batch through the kernel and falls back to the sequential loop
-//! for indexes without one, so fusion is purely an optimization: answers
-//! are identical either way.
+//! [`RangeBatchKernel`]. The engine's fused strategies route every range
+//! plan and point probe of a batch through the kernel and fall back to the
+//! sequential loop for indexes without one, so fusion is purely an
+//! optimization: answers are identical either way.
 //!
 //! The index says *where* the points are; this module decides *how* they
-//! are read. A kernel has two calls. [`RangeBatchKernel::walk`] runs every
-//! request's solo walk once, charging it its checks, skips and node visits,
-//! and returns a [`WalkRecord`]: the units (leaves, pages, columns, pieces)
-//! each request must scan, in one ascending order the kernel defines for
-//! the whole batch. [`RangeBatchKernel::scan`] filters one unit for one
-//! request. Everything else is here, and the record is the plan of every
-//! schedule, so a range request is walked exactly once per batch:
+//! are read. [`RangeBatchKernel::walk`] runs every range request's solo
+//! walk once, charging it its checks, skips and node visits, and returns a
+//! [`WalkRecord`]: the units (leaves, pages, columns, pieces) each request
+//! must scan, in one ascending order the kernel defines for the whole
+//! batch. [`RangeBatchKernel::locate`] does the same for a point probe: the
+//! record of a point partition holds, per probe, a run of at most one unit
+//! — the one it reads first. Reading a unit is the one difference between
+//! the two: [`RangeBatchKernel::scan`] filters it for a range,
+//! [`RangeBatchKernel::probe`] probes it for a point. Everything else is
+//! here, and the record is the plan of every schedule, so a request is
+//! walked or located exactly once per batch:
 //!
-//! * the cost model prices the footprint summed from the record
+//! * the cost model prices the footprint summed from a range record
 //!   ([`WalkRecord::footprint`]);
 //! * the sequential route replays each request's run, one page visit per
 //!   unit per request;
-//! * the fused route ([`run_range_batch`]) counting-sorts the record into
-//!   unit → requests and scans each distinct unit once for all of its
-//!   requests, in ascending unit order — which is every request's own scan
-//!   order, so each output comes out in its solo order;
+//! * the fused route ([`run_range_batch`]) groups the record into unit →
+//!   requests and reads each distinct unit once for all of its requests,
+//!   in ascending unit order — which is every request's own scan order, so
+//!   each output comes out in its solo order;
 //! * the sharded route cuts the *distinct-unit list* into contiguous,
-//!   work-balanced chunks scanned on worker threads, so a unit is fetched
+//!   work-balanced chunks read on worker threads, so a unit is fetched
 //!   exactly once per batch whatever the shard count, and outputs
 //!   concatenate in chunk order.
 
@@ -236,9 +240,9 @@ impl WalkRecord {
     }
 }
 
-/// Fused execution of many range requests: the index walks, the engine
-/// schedules the scans (`Sync` because chunks of a batch may be scanned
-/// concurrently against the same index).
+/// Fused execution of many range requests and point probes: the index
+/// walks and locates, the engine schedules the reads (`Sync` because chunks
+/// of a batch may be read concurrently against the same index).
 ///
 /// # Contract
 ///
@@ -252,8 +256,13 @@ impl WalkRecord {
 ///   produces and charges — matches in scan order, points, results — except
 ///   the page visit itself, which the engine charges.
 ///
+/// * [`RangeBatchKernel::locate`], one visit of the located unit and
+///   [`RangeBatchKernel::probe`] together charge exactly what the solo
+///   probe charges; the kernel decides which of the two calls charges
+///   what.
+///
 /// Replaying each run then reproduces the sequential path bit for bit, and
-/// scanning the distinct units in ascending order for all of their
+/// reading the distinct units in ascending order for all of their
 /// requests at once does too, per request: fusion shares page fetches, it
 /// never adds work.
 pub trait RangeBatchKernel: Sync {
@@ -265,13 +274,23 @@ pub trait RangeBatchKernel: Sync {
     /// request with rectangle `rect`, charging `stats` its points and
     /// matches but not the visit.
     fn scan(&self, unit: u32, rect: &Rect, output: &mut RangeBatchOutput, stats: &mut ExecStats);
+
+    /// The unit a probe for `p` reads first, `None` when it reads no unit,
+    /// charging `stats` the kernel's share of the solo probe's work.
+    fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32>;
+
+    /// Everything the solo probe for `p` does once `locate` named `unit`,
+    /// except the visit of `unit`, which the engine charges: comparisons,
+    /// and any further unit the probe reads with its visit. Returns
+    /// whether `p` is indexed.
+    fn probe(&self, unit: u32, p: &Point, stats: &mut ExecStats) -> bool;
 }
 
 /// Worker threads the host can usefully run
 /// ([`std::thread::available_parallelism`], one when unknown), read once
 /// per process: the query reads cgroup files, which costs microseconds per
-/// call. Feeds the oversubscription guards of the threaded range scan and
-/// point partition and the cost model's parallel-candidate gate — on a
+/// call. Feeds the oversubscription guard of the threaded unit reads and
+/// the cost model's parallel-candidate gate — on a
 /// single-core host the model never picks
 /// [`crate::BatchStrategy::FusedParallel`].
 pub(crate) fn available_workers() -> usize {
@@ -312,39 +331,96 @@ pub fn run_range_batch(
 
 /// [`run_range_batch`] with the walk already done — the entry point Auto
 /// uses, so the record it priced is the plan it executes.
-///
-/// Oversubscription guard: worker threads are capped at the host's
-/// [`available_workers`], each scanning a contiguous run of chunks. The
-/// chunk plan itself never depends on the host, and neither does any
-/// counter: on a single-core host every chunk is scanned inline.
 pub(crate) fn run_walked_batch(
     kernel: &dyn RangeBatchKernel,
     requests: &[RangeBatchRequest],
     record: &WalkRecord,
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
+    let zeroed = RangeBatchResponse::zeroed(requests);
+    read_walked(record, shards, &zeroed, &filter(kernel, requests))
+}
+
+/// Locates every probe through `kernel` and stamps the time taken: a
+/// record whose runs hold at most one unit each, the unit the probe reads
+/// first.
+pub(crate) fn locate(kernel: &dyn RangeBatchKernel, probes: &[Point]) -> WalkRecord {
+    let start = Instant::now();
+    let mut record = WalkRecord::new(probes.len());
+    for (p, stats) in probes.iter().zip(&mut record.per_query) {
+        record.units.extend(kernel.locate(p, stats));
+        record.offsets.push(record.units.len() as u32);
+    }
+    record.walk_ns = start.elapsed().as_nanos() as u64;
+    record
+}
+
+/// Runs a point partition through `kernel`: every probe located, then the
+/// located units read as a range batch's are, each probe probing its
+/// unit. A probe's output counts its match, zero or one. Returns the
+/// merged response and the number of chunks planned.
+pub(crate) fn run_probe_batch(
+    kernel: &dyn RangeBatchKernel,
+    probes: &[Point],
+    shards: usize,
+) -> (RangeBatchResponse, usize) {
+    let record = locate(kernel, probes);
+    let zeroed = RangeBatchResponse {
+        outputs: vec![RangeBatchOutput::Count(0); probes.len()],
+        per_query: vec![ExecStats::default(); probes.len()],
+        shared: ExecStats::default(),
+    };
+    read_walked(&record, shards, &zeroed, &|unit, qi, output, stats| {
+        let found = u64::from(kernel.probe(unit, &probes[qi], stats));
+        stats.results += found;
+        if let RangeBatchOutput::Count(count) = output {
+            *count += found;
+        }
+    })
+}
+
+/// What reading one unit does for one request of a walked batch, given
+/// the unit's handle, the request's position, its output and its stats:
+/// filter the unit for a range, probe it for a point.
+pub(crate) type ReadUnit<'a> =
+    dyn Fn(u32, usize, &mut RangeBatchOutput, &mut ExecStats) + Sync + 'a;
+
+/// Reading a unit for a range request: [`RangeBatchKernel::scan`] with the
+/// request's rectangle.
+pub(crate) fn filter<'a>(
+    kernel: &'a dyn RangeBatchKernel,
+    requests: &'a [RangeBatchRequest],
+) -> impl Fn(u32, usize, &mut RangeBatchOutput, &mut ExecStats) + Sync + 'a {
+    move |unit, qi, output, stats| kernel.scan(unit, &requests[qi].rect, output, stats)
+}
+
+/// Reads the distinct units of `record` in up to `shards` work-balanced
+/// chunks and merges the chunks' partial responses, each shaped like
+/// `zeroed`, in chunk order.
+///
+/// Oversubscription guard: worker threads are capped at the host's
+/// [`available_workers`], each reading a contiguous run of chunks. The
+/// chunk plan itself never depends on the host, and neither does any
+/// counter: on a single-core host every chunk is read inline.
+fn read_walked(
+    record: &WalkRecord,
+    shards: usize,
+    zeroed: &RangeBatchResponse,
+    read: &ReadUnit<'_>,
+) -> (RangeBatchResponse, usize) {
     let groups = UnitGroups::of(record);
     let chunks = plan_unit_chunks(&groups, shards);
     let workers = available_workers().min(chunks.len());
     let partials = if workers <= 1 {
-        vec![scan_units(
-            kernel,
-            requests,
-            record,
-            &groups,
-            0..groups.len(),
-        )]
+        vec![scan_units(record, &groups, 0..groups.len(), zeroed, read)]
     } else {
         let spans: Vec<Range<usize>> = chunks
             .chunks(chunks.len().div_ceil(workers))
             .map(|run| run[0].start..run[run.len() - 1].end)
             .collect();
-        scan_spans_threaded(kernel, requests, record, &groups, &spans)
+        scan_spans_threaded(record, &groups, &spans, zeroed, read)
     };
-    (
-        merge_partials(requests, record, partials),
-        chunks.len().max(1),
-    )
+    (merge_partials(record, partials), chunks.len().max(1))
 }
 
 /// The sequential loop: replays request `qi`'s run from `record`, one page
@@ -425,6 +501,30 @@ pub fn solo_range_query(
         RangeBatchOutput::Points(points) => points,
         RangeBatchOutput::Count(_) => unreachable!("a collecting request"),
     }
+}
+
+/// [`crate::SpatialIndex::point_query`] of an index with a fused kernel:
+/// the batch of one, without a record. The probe is located (the
+/// projection phase) and, when it reads a unit, charged that unit's visit
+/// and probed (the scan phase). Every kernel-bearing index answers
+/// `point_query` with this one call.
+pub fn solo_point_query<K: RangeBatchKernel + ?Sized>(
+    kernel: &K,
+    p: &Point,
+    stats: &mut ExecStats,
+) -> bool {
+    let start = Instant::now();
+    let unit = kernel.locate(p, stats);
+    let located = Instant::now();
+    stats.add_projection(located - start);
+    let Some(unit) = unit else {
+        return false;
+    };
+    stats.pages_scanned += 1;
+    let found = kernel.probe(unit, p, stats);
+    stats.add_scan(located.elapsed());
+    stats.results += u64::from(found);
+    found
 }
 
 /// The transpose of a walk record: the distinct units in ascending order,
@@ -510,40 +610,44 @@ pub(crate) fn plan_unit_chunks(groups: &UnitGroups, shards: usize) -> Vec<Range<
     cuts.windows(2).map(|pair| pair[0]..pair[1]).collect()
 }
 
-/// Scans the distinct units `span` for all of their requests: one shared
-/// visit per unit, matches and comparisons charged per request. Returns a
-/// partial response holding just that span's work.
+/// Reads the distinct units `span` for all of their requests: one shared
+/// visit per unit, what `read` charges per request. Returns a partial
+/// response, shaped like `zeroed`, holding just that span's work.
 pub(crate) fn scan_units(
-    kernel: &dyn RangeBatchKernel,
-    requests: &[RangeBatchRequest],
     record: &WalkRecord,
     groups: &UnitGroups,
     span: Range<usize>,
+    zeroed: &RangeBatchResponse,
+    read: &ReadUnit<'_>,
 ) -> RangeBatchResponse {
     let start = Instant::now();
-    let mut response = RangeBatchResponse::zeroed(requests);
+    let mut response = zeroed.clone();
     for g in span {
         let unit = record.handle(groups.units[g]);
         response.shared.pages_scanned += 1;
         for &qi in groups.requests_of(g) {
             let qi = qi as usize;
-            let (output, stats) = (&mut response.outputs[qi], &mut response.per_query[qi]);
-            kernel.scan(unit, &requests[qi].rect, output, stats);
+            read(
+                unit,
+                qi,
+                &mut response.outputs[qi],
+                &mut response.per_query[qi],
+            );
         }
     }
     response.shared.scan_ns += start.elapsed().as_nanos() as u64;
     response
 }
 
-/// Scans each of `spans` on its own scoped worker thread (the first on the
+/// Reads each of `spans` on its own scoped worker thread (the first on the
 /// calling thread), returning the partial responses in span order however
 /// the workers were scheduled.
 pub(crate) fn scan_spans_threaded(
-    kernel: &dyn RangeBatchKernel,
-    requests: &[RangeBatchRequest],
     record: &WalkRecord,
     groups: &UnitGroups,
     spans: &[Range<usize>],
+    zeroed: &RangeBatchResponse,
+    read: &ReadUnit<'_>,
 ) -> Vec<RangeBatchResponse> {
     let Some((first, rest)) = spans.split_first() else {
         return Vec::new();
@@ -551,11 +655,9 @@ pub(crate) fn scan_spans_threaded(
     std::thread::scope(|scope| {
         let handles: Vec<_> = rest
             .iter()
-            .map(|span| {
-                scope.spawn(move || scan_units(kernel, requests, record, groups, span.clone()))
-            })
+            .map(|span| scope.spawn(move || scan_units(record, groups, span.clone(), zeroed, read)))
             .collect();
-        let mut partials = vec![scan_units(kernel, requests, record, groups, first.clone())];
+        let mut partials = vec![scan_units(record, groups, first.clone(), zeroed, read)];
         partials.extend(handles.into_iter().map(|handle| {
             // Re-raise a worker's panic with its original payload, so a
             // kernel panic on a worker thread reaches the engine's
@@ -569,20 +671,19 @@ pub(crate) fn scan_spans_threaded(
     })
 }
 
-/// Merges partial responses of ascending unit spans into one
-/// [`RangeBatchResponse`], folding in the walk's per-request work and
-/// wall-clock. Point outputs concatenate in span order, which keeps each
-/// request's units ascending and so its matches in solo order; counts and
-/// counters sum.
+/// Merges the partial responses of ascending unit spans, at least one,
+/// into one [`RangeBatchResponse`], folding in the walk's per-request work
+/// and wall-clock. Point outputs concatenate in span order, which keeps
+/// each request's units ascending and so its matches in solo order; counts
+/// and counters sum.
 pub(crate) fn merge_partials(
-    requests: &[RangeBatchRequest],
     record: &WalkRecord,
     partials: impl IntoIterator<Item = RangeBatchResponse>,
 ) -> RangeBatchResponse {
     let mut partials = partials.into_iter();
     let mut merged = partials
         .next()
-        .unwrap_or_else(|| RangeBatchResponse::zeroed(requests));
+        .expect("one partial a span, one span at least");
     for partial in partials {
         for (into, from) in merged.outputs.iter_mut().zip(partial.outputs) {
             match (into, from) {
@@ -725,16 +826,6 @@ mod tests {
 
     #[test]
     fn merge_concatenates_points_and_sums_counts() {
-        let requests = [
-            RangeBatchRequest {
-                rect: Rect::UNIT,
-                collect: true,
-            },
-            RangeBatchRequest {
-                rect: Rect::UNIT,
-                collect: false,
-            },
-        ];
         let mut walked = record(&[&[0, 1], &[0, 1]]);
         walked.walk_ns = 5;
         for stats in &mut walked.per_query {
@@ -760,7 +851,6 @@ mod tests {
         let a = Point::new(0.1, 0.1);
         let b = Point::new(0.9, 0.9);
         let merged = merge_partials(
-            &requests,
             &walked,
             vec![partial(vec![a], 2, 1), partial(vec![b], 3, 1)],
         );

@@ -156,7 +156,7 @@ pub struct CostEstimate {
 
 /// One recorded strategy decision: what the engine chose for a partition,
 /// the model's predicted costs (when the quantitative model ran — point and
-/// kNN partitions, decided by rule, carry `None`), and the measured wall-clock
+/// kNN partitions, fused without it, carry `None`), and the measured wall-clock
 /// of executing the partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionDecision {
@@ -256,24 +256,8 @@ pub fn decide_range_strategy(
     (choose_range_strategy(&estimate), estimate)
 }
 
-/// Minimum fused point-probe partition that justifies sharded execution.
-pub const POINT_PARALLEL_MIN: usize = 2_048;
-
 /// Minimum fused kNN partition that justifies sharded ring sweeps.
 pub const KNN_PARALLEL_MIN: usize = 256;
-
-/// The rule for a point-probe partition: the index groups probes by owning
-/// page and shares the fetches, so fusion wins, sharded once the partition
-/// is large and the host has workers.
-pub fn decide_point_strategy(probes: usize, workers: usize) -> ChosenStrategy {
-    if workers >= 2 && probes >= POINT_PARALLEL_MIN {
-        ChosenStrategy::FusedParallel {
-            shards: workers.min(8),
-        }
-    } else {
-        ChosenStrategy::Fused
-    }
-}
 
 /// The rule for a kNN partition: grouped expanding-ring sweeps share
 /// candidate pages, so fusion wins, with sharded rings on large partitions
@@ -366,17 +350,22 @@ mod tests {
             );
             assert_eq!(estimate.fused_parallel_ns, None);
         }
-        assert_eq!(decide_point_strategy(1_000_000, 1), ChosenStrategy::Fused);
         assert_eq!(decide_knn_strategy(1_000_000, 1), ChosenStrategy::Fused);
     }
 
     #[test]
     fn class_rules_route_point_and_knn_partitions() {
-        assert_eq!(decide_point_strategy(100, 8), ChosenStrategy::Fused);
-        assert_eq!(
-            decide_point_strategy(POINT_PARALLEL_MIN, 4),
-            ChosenStrategy::FusedParallel { shards: 4 }
-        );
+        // A point partition fuses on one shard at any size: each probe
+        // reads at most one unit, so there is no scan for threads to split.
+        use crate::{Query, QueryEngine, ZIndex};
+        use wazi_geom::Point;
+        let grid = |i: usize| Point::new((i % 64) as f64 / 64.0, (i / 64) as f64 / 64.0);
+        let index = ZIndex::build_base((0..4_096).map(grid).collect());
+        let probes: Vec<Query> = (0..3_000).map(|i| Query::point(grid(i * 7))).collect();
+        let report = QueryEngine::new(&index).execute_batch(&probes).unwrap();
+        let decision = report.strategy_chosen.point.expect("Auto decides points");
+        assert_eq!(decision.chosen, ChosenStrategy::Fused);
+        assert_eq!(report.shards_used, 1);
         assert_eq!(
             decide_knn_strategy(KNN_PARALLEL_MIN, 16),
             ChosenStrategy::FusedParallel { shards: 8 }

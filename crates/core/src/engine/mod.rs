@@ -14,11 +14,10 @@
 //!   the sequential per-query loop (the default, byte- and
 //!   counter-equivalent to calling [`QueryEngine::execute`] in a loop) or,
 //!   under [`BatchStrategy::Fused`], by partitioning the batch by plan
-//!   type and routing each partition through the index's fused kernels —
-//!   range plans through the [`RangeBatchKernel`], point probes through
-//!   the [`PointBatchKernel`], kNN plans through grouped expanding-ring
-//!   sweeps — so pages shared by co-located queries are scanned once per
-//!   batch.
+//!   type and routing each partition through the index's fused
+//!   [`RangeBatchKernel`] — range plans walked, point probes located, kNN
+//!   plans through grouped expanding-ring sweeps — so pages shared by
+//!   co-located queries are read once per batch.
 //!
 //! The engine is configured builder-style and borrows the index, so it can
 //! be created per request batch without cost:
@@ -47,26 +46,24 @@ mod batch;
 pub mod cost;
 mod knn;
 mod plan;
-mod point;
 mod report;
 pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
 pub(crate) use batch::solo_range;
-use batch::{available_workers, replay_sequential, run_walked_batch, walk};
+use batch::{available_workers, replay_sequential, run_probe_batch, run_walked_batch, walk};
 pub use batch::{
-    run_range_batch, solo_range_query, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
-    RangeBatchResponse, WalkRecord,
+    run_range_batch, solo_point_query, solo_range_query, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, RangeBatchResponse, WalkRecord,
 };
 pub use cost::{
-    decide_knn_strategy, decide_point_strategy, decide_range_strategy, ChosenStrategy,
-    CostConstants, CostEstimate, PartitionDecision, RangeBatchStats,
+    decide_knn_strategy, decide_range_strategy, ChosenStrategy, CostConstants, CostEstimate,
+    PartitionDecision, RangeBatchStats,
 };
 pub(crate) use knn::KnnSweepState;
 pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
 pub use plan::{Query, QueryOutput, RangeMode};
-pub use point::{run_point_batch, run_point_batch_sharded, PointBatchKernel, PointBatchResponse};
 pub use report::{BatchReport, QueryReport, StrategyDecisions};
 pub use snapshot::{
     Snapshot, SnapshotSource, VersionStats, VersionedIndex, WriteFault, WriteFaultPlan, WriteOp,
@@ -132,7 +129,7 @@ impl std::error::Error for EngineError {
 /// engine's execution model:
 ///
 /// * every kernel entry point ([`SpatialIndex::range_query`],
-///   [`SpatialIndex::range_batch_kernel`], [`SpatialIndex::point_batch_kernel`],
+///   [`SpatialIndex::point_query`], [`SpatialIndex::range_batch_kernel`],
 ///   the kNN sweeps) takes `&self` — index state is never mutated during
 ///   query execution, and no index implementation uses interior mutability
 ///   (the workspace forbids `unsafe`), so an unwound kernel cannot leave
@@ -200,8 +197,8 @@ pub enum BatchStrategy {
     /// Pick the strategy per batch and per partition with the calibrated
     /// cost model ([`cost`]): range partitions are decided quantitatively
     /// from the batch's walk footprint (page visits against distinct
-    /// pages, checks, points, host parallelism), point and kNN partitions by
-    /// a size rule. Never changes results, only cost — a misprediction
+    /// pages, checks, points, host parallelism), point partitions always
+    /// fused on one shard, kNN partitions by a size rule. Never changes results, only cost — a misprediction
     /// costs wall-clock, not correctness — and never schedules worker
     /// threads on a single-core host. The decision per partition, with
     /// predicted and measured cost, lands in
@@ -213,33 +210,30 @@ pub enum BatchStrategy {
     /// [`QueryEngine::execute`] loop.
     Sequential,
     /// Partition the batch by plan type and route every partition through
-    /// the matching fused kernel the index advertises: range plans through
-    /// the [`RangeBatchKernel`] ([`SpatialIndex::range_batch_kernel`]),
-    /// point probes through the [`PointBatchKernel`]
-    /// ([`SpatialIndex::point_batch_kernel`]), kNN plans through grouped
-    /// expanding-ring sweeps reusing the range kernel per ring. Partitions
-    /// without a kernel fall back to the sequential loop. Answers are
+    /// the fused [`RangeBatchKernel`] the index advertises
+    /// ([`SpatialIndex::range_batch_kernel`]): range plans walked, point
+    /// probes located, each distinct unit read once for all of its plans,
+    /// and kNN plans through grouped expanding-ring sweeps reusing the
+    /// kernel per ring. Without a kernel the batch runs the sequential
+    /// loop. Answers are
     /// identical to [`BatchStrategy::Sequential`]; pages relevant to
     /// several queries are scanned once per batch (per ring for kNN)
     /// instead of once per query, and per-query bounding-box checks never
     /// exceed the sequential walk's.
     Fused,
-    /// Like [`BatchStrategy::Fused`], but fused range scans — the range
-    /// partition's and every kNN ring's — cut the batch's distinct units
-    /// (leaves for the Z-index) into up to `shards` contiguous,
-    /// work-balanced chunks scanned on scoped worker threads. Every request
-    /// is still walked once, before any chunk is scanned, so per-request
-    /// walks (bounding-box checks, look-ahead skips) are those of the
-    /// single scan, and every unit is fetched once per batch whatever the
-    /// shard count; partial results merge deterministically in unit order,
-    /// so outputs and counters are bit-identical to the other strategies
-    /// regardless of thread scheduling. The point
-    /// partition parallelizes the same way: its sorted probe-group list is
-    /// split at group boundaries ([`run_point_batch_sharded`]) onto worker
-    /// threads — groups are disjoint by construction, so probe-heavy
-    /// batches scale without any cross-chunk coordination. Degenerates to
-    /// [`BatchStrategy::Fused`] — the same scan with a one-chunk plan — when
-    /// `shards <= 1` or the batch reads a single unit.
+    /// Like [`BatchStrategy::Fused`], but every fused read — the range
+    /// partition's, the point partition's and every kNN ring's — cuts the
+    /// batch's distinct units (leaves for the Z-index) into up to `shards`
+    /// contiguous, work-balanced chunks read on scoped worker threads.
+    /// Every request is still walked or located once, before any chunk is
+    /// read, so per-request walks (bounding-box checks, look-ahead skips)
+    /// are those of the single pass, and every unit is fetched once per
+    /// batch whatever the shard count; partial results merge
+    /// deterministically in unit order, so outputs and counters are
+    /// bit-identical to the other strategies regardless of thread
+    /// scheduling. Degenerates to [`BatchStrategy::Fused`] — the same read
+    /// with a one-chunk plan — when `shards <= 1` or the batch reads a
+    /// single unit.
     FusedParallel {
         /// Upper bound on the number of concurrently scanned chunks
         /// (clamped to the batch's distinct units; `0` is treated as `1`).
@@ -359,24 +353,23 @@ impl<'a> QueryEngine<'a> {
     /// Every plan is validated before anything executes, so an invalid
     /// query rejects the whole batch without partial work.
     ///
-    /// Under the fused strategies the batch is partitioned by plan type and
-    /// each partition with at least two members routes through the matching
-    /// kernel when the index has one: range plans through the
-    /// [`RangeBatchKernel`], point probes through the [`PointBatchKernel`],
-    /// kNN plans through the shared expanding-ring sweep (which reuses the
-    /// range kernel per ring). Partitions without a kernel — and leftover
-    /// single plans — run sequentially; answers are identical either way.
+    /// Under the fused strategies the batch is partitioned by plan type and,
+    /// when the index has a [`RangeBatchKernel`], each partition with at
+    /// least two members routes through it: range plans walked, point
+    /// probes located, both read unit by unit, and kNN plans through the
+    /// shared expanding-ring sweep (which reuses the kernel per ring).
+    /// Without a kernel — and for leftover single plans — plans run
+    /// sequentially; answers are identical either way.
     pub fn execute_batch(&self, queries: &[Query]) -> Result<BatchReport, EngineError> {
         for query in queries {
             query.validate()?;
         }
         let start = Instant::now();
-        let (kernel, point_kernel) = match self.strategy {
-            BatchStrategy::Auto | BatchStrategy::Fused | BatchStrategy::FusedParallel { .. } => (
-                self.index.range_batch_kernel(),
-                self.index.point_batch_kernel(),
-            ),
-            BatchStrategy::Sequential => (None, None),
+        let kernel = match self.strategy {
+            BatchStrategy::Auto | BatchStrategy::Fused | BatchStrategy::FusedParallel { .. } => {
+                self.index.range_batch_kernel()
+            }
+            BatchStrategy::Sequential => None,
         };
         let mut ranges = 0usize;
         let mut points = 0usize;
@@ -388,12 +381,11 @@ impl<'a> QueryEngine<'a> {
                 Query::Knn { .. } => knns += 1,
             }
         }
-        let fusable = (kernel.is_some() && (ranges >= 2 || knns >= 2))
-            || (point_kernel.is_some() && points >= 2);
-        let mut report = if fusable {
-            self.execute_batch_fused(queries, kernel, point_kernel)?
-        } else {
-            self.execute_batch_sequential(queries)?
+        let mut report = match kernel {
+            Some(kernel) if ranges >= 2 || points >= 2 || knns >= 2 => {
+                self.execute_batch_fused(queries, kernel)?
+            }
+            _ => self.execute_batch_sequential(queries)?,
         };
         report.latency_ns = start.elapsed().as_nanos() as u64;
         Ok(report)
@@ -420,13 +412,12 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The fused path: the batch is partitioned by plan type and every
-    /// partition with at least two members and a kernel executes fused —
-    /// range plans walked once and each distinct page scanned once (in
-    /// chunks on worker threads under [`BatchStrategy::FusedParallel`]),
-    /// point probes leaf-grouped with one page visit per group, kNN plans
-    /// through grouped expanding-ring sweeps whose rings reuse the range
-    /// kernel. Everything else runs sequentially, and the answers are
-    /// reassembled into input order.
+    /// partition with at least two members executes fused — range plans
+    /// walked once and point probes located once, each distinct unit read
+    /// once (in chunks on worker threads under
+    /// [`BatchStrategy::FusedParallel`]), kNN plans through grouped
+    /// expanding-ring sweeps whose rings reuse the kernel. Everything else
+    /// runs sequentially, and the answers are reassembled into input order.
     ///
     /// Under [`BatchStrategy::Auto`] each partition first passes through
     /// the cost model ([`cost`]): the range partition is walked once, the
@@ -439,8 +430,7 @@ impl<'a> QueryEngine<'a> {
     fn execute_batch_fused(
         &self,
         queries: &[Query],
-        kernel: Option<&dyn RangeBatchKernel>,
-        point_kernel: Option<&dyn PointBatchKernel>,
+        kernel: &dyn RangeBatchKernel,
     ) -> Result<BatchReport, EngineError> {
         let auto = self.strategy == BatchStrategy::Auto;
         // What a pinned fused strategy runs every partition as.
@@ -456,89 +446,76 @@ impl<'a> QueryEngine<'a> {
         // Range partition: one walk for every range plan, then the scans
         // its schedule asks for.
         let mut range = PartitionOutcome::default();
-        if let Some(kernel) = kernel {
-            let (positions, requests) = gather(queries, |query| match query {
-                Query::Range { rect, mode } => Some(RangeBatchRequest {
-                    rect: *rect,
-                    collect: *mode == RangeMode::Collect,
-                }),
-                _ => None,
-            });
-            if requests.len() >= 2 {
-                // Auto prices the record's footprint; the record is then
-                // the plan of whichever schedule wins.
-                let record = walk(kernel, &requests);
-                let choice = if auto {
-                    let (chosen, estimate) =
-                        decide_range_strategy(&record.footprint(), workers, &CostConstants::BAKED);
-                    (chosen, Some(estimate))
-                } else {
-                    (pinned, None)
+        let (positions, requests) = gather(queries, |query| match query {
+            Query::Range { rect, mode } => Some(RangeBatchRequest {
+                rect: *rect,
+                collect: *mode == RangeMode::Collect,
+            }),
+            _ => None,
+        });
+        if requests.len() >= 2 {
+            // Auto prices the record's footprint; the record is then the
+            // plan of whichever schedule wins.
+            let record = walk(kernel, &requests);
+            let choice = if auto {
+                let (chosen, estimate) =
+                    decide_range_strategy(&record.footprint(), workers, &CostConstants::BAKED);
+                (chosen, Some(estimate))
+            } else {
+                (pinned, None)
+            };
+            range = self.run_partition(&positions, &mut slots, choice, |chosen| {
+                let (response, shards_used) = match chosen {
+                    ChosenStrategy::Sequential => {
+                        (replay_sequential(kernel, &requests, &record), 0)
+                    }
+                    _ => run_walked_batch(kernel, &requests, &record, chosen.shards()),
                 };
-                range =
-                    self.run_partition(&positions, &mut slots, choice, |chosen| {
-                        let (response, shards_used) = match chosen {
-                            ChosenStrategy::Sequential => {
-                                (replay_sequential(kernel, &requests, &record), 0)
-                            }
-                            _ => run_walked_batch(kernel, &requests, &record, chosen.shards()),
-                        };
-                        let outputs = positions.iter().zip(response.outputs).map(
-                            |(&position, output)| match (output, &queries[position]) {
-                                (RangeBatchOutput::Points(points), _) => {
-                                    QueryOutput::Points(points)
-                                }
-                                (
-                                    RangeBatchOutput::Count(n),
-                                    Query::Range {
-                                        mode: RangeMode::Stream,
-                                        ..
-                                    },
-                                ) => QueryOutput::Streamed(n),
-                                (RangeBatchOutput::Count(n), _) => QueryOutput::Count(n),
+                let outputs = positions
+                    .iter()
+                    .zip(response.outputs)
+                    .map(|(&position, output)| match (output, &queries[position]) {
+                        (RangeBatchOutput::Points(points), _) => QueryOutput::Points(points),
+                        (
+                            RangeBatchOutput::Count(n),
+                            Query::Range {
+                                mode: RangeMode::Stream,
+                                ..
                             },
-                        );
-                        PartitionRun {
-                            outputs,
-                            per_query: response.per_query,
-                            shared: response.shared,
-                            shards_used,
-                        }
+                        ) => QueryOutput::Streamed(n),
+                        (RangeBatchOutput::Count(n), _) => QueryOutput::Count(n),
                     });
-            }
+                PartitionRun {
+                    outputs,
+                    per_query: response.per_query,
+                    shared: response.shared,
+                    shards_used,
+                }
+            });
         }
 
-        // Point partition: probes grouped by owning page, one visit per
-        // group (`run_point_batch_sharded`'s sorted pass owns the grouping).
+        // Point partition: every probe located, a run of at most one unit,
+        // then read like a range partition. A located unit is shared by
+        // the probes that read it, so Auto fuses, on one shard.
         let mut point = PartitionOutcome::default();
-        if let Some(point_kernel) = point_kernel {
-            let (positions, probes) = gather(queries, |query| match query {
-                Query::Point(p) => Some(*p),
-                _ => None,
+        let (positions, probes) = gather(queries, |query| match query {
+            Query::Point(p) => Some(*p),
+            _ => None,
+        });
+        if probes.len() >= 2 {
+            let chosen = if auto { ChosenStrategy::Fused } else { pinned };
+            point = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
+                let (response, shards_used) = run_probe_batch(kernel, &probes, chosen.shards());
+                PartitionRun {
+                    outputs: response
+                        .outputs
+                        .into_iter()
+                        .map(|output| QueryOutput::Found(output != RangeBatchOutput::Count(0))),
+                    per_query: response.per_query,
+                    shared: response.shared,
+                    shards_used,
+                }
             });
-            if probes.len() >= 2 {
-                // Grouped probes share page fetches, so Auto fuses; only
-                // the shard count depends on the partition's size.
-                let chosen = if auto {
-                    decide_point_strategy(probes.len(), workers)
-                } else {
-                    pinned
-                };
-                point = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
-                    // Probe-heavy batches parallelize too: the sorted
-                    // group list splits at group boundaries (groups are
-                    // disjoint by construction), so chunked execution
-                    // is bit-identical to the single pass.
-                    let (response, shards_used) =
-                        run_point_batch_sharded(point_kernel, &probes, chosen.shards());
-                    PartitionRun {
-                        outputs: response.found.into_iter().map(QueryOutput::Found),
-                        per_query: response.per_query,
-                        shared: response.shared,
-                        shards_used,
-                    }
-                });
-            }
         }
 
         // kNN partition: plans grouped by seed-box overlap, each group
@@ -546,34 +523,31 @@ impl<'a> QueryEngine<'a> {
         // as fused range batches (sharded rings under the parallel
         // strategy).
         let mut knn = PartitionOutcome::default();
-        if let Some(kernel) = kernel {
-            let (positions, plans) = gather(queries, |query| match query {
-                Query::Knn { q, k } => Some((*q, *k)),
-                _ => None,
+        let (positions, plans) = gather(queries, |query| match query {
+            Query::Knn { q, k } => Some((*q, *k)),
+            _ => None,
+        });
+        if plans.len() >= 2 {
+            // Ring sweeps share candidate pages, so Auto fuses; only the
+            // shard count depends on the partition's size.
+            let chosen = if auto {
+                decide_knn_strategy(plans.len(), workers)
+            } else {
+                pinned
+            };
+            knn = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
+                let (response, shards_used) =
+                    run_knn_batch(self.index, kernel, &plans, chosen.shards());
+                PartitionRun {
+                    outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
+                    per_query: response.per_query,
+                    shared: response.shared,
+                    shards_used,
+                }
             });
-            if plans.len() >= 2 {
-                // Ring sweeps share candidate pages, so Auto fuses; only
-                // the shard count depends on the partition's size.
-                let chosen = if auto {
-                    decide_knn_strategy(plans.len(), workers)
-                } else {
-                    pinned
-                };
-                knn = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
-                    let (response, shards_used) =
-                        run_knn_batch(self.index, kernel, &plans, chosen.shards());
-                    PartitionRun {
-                        outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
-                        per_query: response.per_query,
-                        shared: response.shared,
-                        shards_used,
-                    }
-                });
-            }
         }
 
-        // Leftovers — partitions without a kernel, single-plan partitions —
-        // run sequentially in place.
+        // Leftovers — single-plan partitions — run sequentially in place.
         for (slot, query) in slots.iter_mut().zip(queries) {
             if slot.is_none() {
                 *slot = Some(self.execute(query)?);
@@ -610,8 +584,8 @@ impl<'a> QueryEngine<'a> {
     /// The partition driver: executes one plan-type partition (the batch's
     /// members at `positions`) through `run` with the chosen strategy,
     /// fills the members' slots, and, under [`BatchStrategy::Auto`], puts
-    /// the decision on record with its measured cost. Point and kNN rules
-    /// always fuse, so only a range partition reaches `run` as
+    /// the decision on record with its measured cost. Point and kNN
+    /// partitions always fuse, so only a range partition reaches `run` as
     /// `Sequential`: its members answer one by one, each with its own
     /// latency, and count as unfused.
     fn run_partition<O: ExactSizeIterator<Item = QueryOutput>>(
@@ -669,7 +643,7 @@ struct PartitionRun<O> {
 }
 
 /// How one plan-type partition executed; all zero when it never ran as a
-/// partition (no kernel, fewer than two members).
+/// partition (fewer than two members).
 #[derive(Default)]
 struct PartitionOutcome {
     /// Work the fused kernel did once on behalf of the whole partition.

@@ -27,10 +27,10 @@ pub struct QueryReport {
 /// every report carries the counters attributable to its own query, while
 /// `shared_stats` holds work the fused kernels performed once on behalf of
 /// several queries (page visits of shared pages, batch-level skipping). The
-/// engine partitions a fused batch by plan type — range plans through the
-/// [`crate::RangeBatchKernel`], point probes through the
-/// [`crate::PointBatchKernel`], kNN plans through the shared expanding-ring
-/// sweep — so the shared work is also broken down per partition
+/// engine partitions a fused batch by plan type — range plans walked and
+/// point probes located through the [`crate::RangeBatchKernel`], kNN plans
+/// through the shared expanding-ring sweep — so the shared work is also
+/// broken down per partition
 /// (`range_shared_stats` / `point_shared_stats` / `knn_shared_stats`, whose
 /// merge equals `shared_stats`). On the sequential path every shared field
 /// is zero and [`BatchReport::merged_stats`] equals the merge of the
@@ -46,7 +46,7 @@ pub struct BatchReport {
     /// Shared work of the fused range partition (one scan of each distinct
     /// page serving every fused range plan).
     pub range_shared_stats: ExecStats,
-    /// Shared work of the fused point-probe partition (each owning page
+    /// Shared work of the fused point-probe partition (each located unit
     /// fetched once per batch, however many probes share it).
     pub point_shared_stats: ExecStats,
     /// Shared work of the fused kNN partition (each candidate page scanned
@@ -58,7 +58,7 @@ pub struct BatchReport {
     /// batch kernel (zero on the sequential path).
     pub fused_queries: usize,
     /// Number of point probes that were executed through the fused
-    /// point-batch kernel (zero on the sequential path).
+    /// batch kernel (zero on the sequential path).
     pub fused_points: usize,
     /// Number of kNN plans that were executed through the shared
     /// expanding-ring sweep (zero on the sequential path).

@@ -61,7 +61,7 @@
 //! assert_eq!(before.epoch() + 1, after.epoch());
 //! ```
 
-use crate::engine::{PointBatchKernel, RangeBatchKernel};
+use crate::engine::RangeBatchKernel;
 use crate::faults::FaultPlan;
 use crate::index::{IndexError, SpatialIndex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -251,9 +251,6 @@ impl SpatialIndex for Snapshot {
     }
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
         self.index.range_batch_kernel()
-    }
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
-        self.index.point_batch_kernel()
     }
 }
 
@@ -657,7 +654,6 @@ mod tests {
         assert!(!snap.is_empty());
         assert!(snap.size_bytes() > 0);
         assert!(snap.range_batch_kernel().is_some());
-        assert!(snap.point_batch_kernel().is_some());
         assert!(!snap.data_bounds().is_empty());
         let mut stats = ExecStats::default();
         let q = Rect::from_coords(0.1, 0.1, 0.3, 0.3);

@@ -556,8 +556,10 @@ fn overlapping_requests() -> Vec<crate::engine::RangeBatchRequest> {
 /// and shared page visits, since every unit belongs to exactly one chunk.
 #[test]
 fn manual_shard_partition_reproduces_the_full_sweep() {
-    use crate::engine::batch::{merge_partials, plan_unit_chunks, scan_units, walk, UnitGroups};
-    use crate::engine::{run_range_batch, RangeBatchKernel};
+    use crate::engine::batch::{
+        filter, merge_partials, plan_unit_chunks, scan_units, walk, UnitGroups,
+    };
+    use crate::engine::{run_range_batch, RangeBatchKernel, RangeBatchResponse};
     let index = wazi_index();
     let requests = overlapping_requests();
     let kernel: &dyn RangeBatchKernel = &index;
@@ -565,6 +567,10 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
     assert_eq!(single_shards, 1);
     let record = walk(kernel, &requests);
     let groups = UnitGroups::of(&record);
+    let (zeroed, read) = (
+        RangeBatchResponse::zeroed(&requests),
+        filter(kernel, &requests),
+    );
     for shards in [2, 3, 5] {
         let chunks = plan_unit_chunks(&groups, shards);
         assert_eq!(chunks.len(), shards, "enough units for {shards} chunks");
@@ -572,11 +578,11 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
         let mut partials: Vec<_> = chunks
             .iter()
             .rev()
-            .map(|chunk| scan_units(kernel, &requests, &record, &groups, chunk.clone()))
+            .map(|chunk| scan_units(&record, &groups, chunk.clone(), &zeroed, &read))
             .collect();
         // …then merge in chunk order, as the engine does.
         partials.reverse();
-        let merged = merge_partials(&requests, &record, partials);
+        let merged = merge_partials(&record, partials);
         assert_eq!(merged.outputs, single.outputs, "{shards} shards");
         assert_eq!(
             merged.shared.pages_scanned, single.shared.pages_scanned,
@@ -598,21 +604,25 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
 #[test]
 fn threaded_fan_out_matches_inline_sweeps() {
     use crate::engine::batch::{
-        plan_unit_chunks, scan_spans_threaded, scan_units, walk, UnitGroups,
+        filter, plan_unit_chunks, scan_spans_threaded, scan_units, walk, UnitGroups,
     };
-    use crate::engine::RangeBatchKernel;
+    use crate::engine::{RangeBatchKernel, RangeBatchResponse};
     let index = wazi_index();
     let requests = overlapping_requests();
     let kernel: &dyn RangeBatchKernel = &index;
     let record = walk(kernel, &requests);
     let groups = UnitGroups::of(&record);
+    let (zeroed, read) = (
+        RangeBatchResponse::zeroed(&requests),
+        filter(kernel, &requests),
+    );
     let chunks = plan_unit_chunks(&groups, 4);
     assert_eq!(chunks.len(), 4, "need a real multi-chunk plan");
     let inline: Vec<_> = chunks
         .iter()
-        .map(|chunk| scan_units(kernel, &requests, &record, &groups, chunk.clone()))
+        .map(|chunk| scan_units(&record, &groups, chunk.clone(), &zeroed, &read))
         .collect();
-    let threaded = scan_spans_threaded(kernel, &requests, &record, &groups, &chunks);
+    let threaded = scan_spans_threaded(&record, &groups, &chunks, &zeroed, &read);
     assert_eq!(threaded.len(), inline.len());
     for (t, i) in threaded.iter().zip(&inline) {
         assert_eq!(t.outputs, i.outputs);
@@ -658,6 +668,12 @@ fn every_range_request_is_walked_once() {
             stats: &mut ExecStats,
         ) {
             self.index.scan(unit, rect, output, stats)
+        }
+        fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32> {
+            self.index.locate(p, stats)
+        }
+        fn probe(&self, unit: u32, p: &Point, stats: &mut ExecStats) -> bool {
+            self.index.probe(unit, p, stats)
         }
     }
     impl SpatialIndex for WalkTrap {

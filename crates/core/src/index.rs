@@ -1,6 +1,6 @@
 //! The `SpatialIndex` trait implemented by every index in the evaluation.
 
-use crate::engine::{solo_range, PointBatchKernel, RangeBatchKernel, RangeBatchOutput};
+use crate::engine::{solo_range, RangeBatchKernel, RangeBatchOutput};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
@@ -62,7 +62,10 @@ impl std::error::Error for IndexError {}
 /// take the same route without materializing — counting allocates no
 /// result, streaming hands the matches over unit by unit through one
 /// buffer — so all three charge the paper's Eq. 5 counters identically.
-/// Without a kernel both defaults materialize through `range_query`.
+/// Without a kernel both defaults materialize through `range_query`. Such
+/// an index answers [`SpatialIndex::point_query`] the same way, with
+/// [`crate::solo_point_query`]: the probe located, its unit visited and
+/// probed.
 ///
 /// The trait requires `Send + Sync`: all query methods take `&self`, and the
 /// concurrent query service (`wazi-service`) shares one index across its
@@ -73,7 +76,7 @@ impl std::error::Error for IndexError {}
 /// # Panic safety
 ///
 /// Every query entry point — the three range modes, [`SpatialIndex::point_query`],
-/// [`SpatialIndex::knn`], and both batch kernels — executes over `&self` and
+/// [`SpatialIndex::knn`], and the batch kernel — executes over `&self` and
 /// must not mutate index state (updates go through the exclusive `&mut self`
 /// methods). Under that contract a panic unwinding out of a kernel leaves
 /// the index exactly as it was: walk records, partial responses and counters
@@ -199,24 +202,15 @@ pub trait SpatialIndex: Send + Sync {
         None
     }
 
-    /// Fused batch-range capability hook for the query engine.
+    /// Fused batch capability hook for the query engine.
     ///
-    /// Indexes that can execute many range queries in one pass (sharing
-    /// page visits between overlapping queries) return themselves here;
+    /// Indexes that can execute many range queries and point probes in one
+    /// pass (sharing page visits between the queries that read the same
+    /// unit) return themselves here;
     /// the default advertises nothing, and
     /// [`crate::QueryEngine::execute_batch`] under
     /// [`crate::BatchStrategy::Fused`] falls back to the sequential loop.
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
-        None
-    }
-
-    /// Fused batch-point-probe capability hook for the query engine.
-    ///
-    /// Indexes that can answer many exact-match probes in one leaf-grouped
-    /// pass (probes grouped by owning page, each page fetched once per
-    /// batch) return themselves here; the default advertises nothing, and
-    /// the engine's fused strategies fall back to per-probe execution.
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
         None
     }
 }

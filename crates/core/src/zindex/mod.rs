@@ -21,7 +21,7 @@ mod update;
 
 use crate::build::BuildReport;
 use crate::config::ZIndexConfig;
-use crate::engine::{solo_range_query, PointBatchKernel, RangeBatchKernel};
+use crate::engine::{solo_point_query, solo_range_query, RangeBatchKernel};
 use crate::index::{IndexError, SpatialIndex};
 use crate::node::{InternalNode, Leaf, NodeRef};
 use wazi_geom::{Point, Rect};
@@ -111,7 +111,7 @@ impl SpatialIndex for ZIndex {
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        self.execute_point_query(p, stats)
+        solo_point_query(self, p, stats)
     }
 
     fn insert(&mut self, p: Point) -> Result<(), IndexError> {
@@ -136,13 +136,5 @@ impl SpatialIndex for ZIndex {
 
     fn range_batch_kernel(&self) -> Option<&dyn RangeBatchKernel> {
         Some(self)
-    }
-
-    fn point_batch_kernel(&self) -> Option<&dyn PointBatchKernel> {
-        if self.leaves.is_empty() {
-            None
-        } else {
-            Some(self)
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Query execution: the Z-index's walk and its point probe.
+//! Query execution: the Z-index's walk and its point probe's locate.
 //!
 //! Every range read of the Z-index — a solo range query in any of its three
 //! modes, the candidate collection behind kNN, and every batch schedule —
@@ -7,7 +7,9 @@
 //! `[leaf(BL(q)) : leaf(TR(q))]`, and the look-ahead pointers of Section 5
 //! jump past irrelevant runs. The walk only records the overlapping leaves;
 //! the engine reads them ([`RangeBatchKernel::scan`] filters one leaf's page
-//! for one request), so a solo query is the one-request batch replayed.
+//! for one request), so a solo query is the one-request batch replayed. A
+//! point probe's walk is Algorithm 1 alone ([`RangeBatchKernel::locate`]):
+//! it names the one leaf whose page the probe reads.
 //!
 //! The paper's cost model (Eq. 5) charges queries by bounding boxes checked
 //! and points compared; because every path is the same walk and the same
@@ -15,14 +17,10 @@
 //! schedule the caller picks — only the per-match work differs.
 
 use super::ZIndex;
-use crate::engine::{
-    PointBatchKernel, PointBatchResponse, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
-    WalkRecord,
-};
+use crate::engine::{RangeBatchKernel, RangeBatchOutput, RangeBatchRequest, WalkRecord};
 use crate::node::{Leaf, NodeRef, LOOKAHEAD_END};
-use std::time::Instant;
 use wazi_geom::{Point, Rect};
-use wazi_storage::{ExecStats, Page};
+use wazi_storage::ExecStats;
 
 /// The Z-index's range kernel: a unit is a leaf, and a request's run lists
 /// the leaves its walk reaches, in ascending leaf index.
@@ -61,6 +59,23 @@ impl RangeBatchKernel for ZIndex {
         let page = self.store.page(self.leaves[leaf as usize].page);
         output.scan_page(page, rect, stats);
     }
+
+    /// Algorithm 1 down to the leaf whose cell holds `p`, charged per
+    /// internal node; a probe outside the leaf's tight bounding box reads
+    /// no page.
+    fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32> {
+        if self.leaves.is_empty() {
+            return None;
+        }
+        let i = self.locate_leaf(p, stats);
+        let leaf = &self.leaves[i as usize];
+        (leaf.count > 0 && leaf.bbox.contains(p)).then_some(i)
+    }
+
+    fn probe(&self, leaf: u32, p: &Point, stats: &mut ExecStats) -> bool {
+        let page = self.store.page(self.leaves[leaf as usize].page);
+        page.probe_shared(p, stats)
+    }
 }
 
 /// Where a walk goes after finding leaf `i` irrelevant to `query`: the next
@@ -84,51 +99,6 @@ fn skip_target(leaf: &Leaf, query: &Rect, i: u32, high: u32, skipping: bool) -> 
         }
     }
     next
-}
-
-/// The Z-index's fused point-probe kernel: the owning-page address is the
-/// leaf index found by the Algorithm-1 descent, charged per probe exactly
-/// like the sequential probe's own descent; a leaf's page is then fetched
-/// once for all probes grouped onto it, while every probe still pays its
-/// own point comparisons.
-impl PointBatchKernel for ZIndex {
-    fn locate_probes(&self, probes: &[Point], per_query: &mut [ExecStats]) -> Vec<u64> {
-        probes
-            .iter()
-            .zip(per_query)
-            .map(|(p, stats)| u64::from(self.locate_leaf(p, stats)))
-            .collect()
-    }
-
-    fn probe_page(
-        &self,
-        address: u64,
-        group: &[(usize, Point)],
-        response: &mut PointBatchResponse,
-    ) {
-        let leaf = &self.leaves[address as usize];
-        // The page is fetched lazily, once for the whole group: probes
-        // outside the leaf's tight bounding box answer without touching it,
-        // exactly like the sequential probe.
-        let mut page: Option<&Page> = None;
-        for &(slot, p) in group {
-            if leaf.count == 0 || !leaf.bbox.contains(&p) {
-                continue;
-            }
-            let page = *page.get_or_insert_with(|| {
-                response.shared.pages_scanned += 1;
-                self.store.page(leaf.page)
-            });
-            // Per-probe comparisons are charged by `Page::probe`'s one
-            // canonical rule — only the page visit itself moved to the
-            // shared stats above.
-            let stats = &mut response.per_query[slot];
-            if page.probe_shared(&p, stats) {
-                stats.results += 1;
-                response.found[slot] = true;
-            }
-        }
-    }
 }
 
 impl ZIndex {
@@ -183,29 +153,5 @@ impl ZIndex {
         let (region, count) = cell?;
         let radius = (k as f64 * region.area() / count as f64).sqrt();
         (radius.is_finite() && radius > 0.0).then_some(radius)
-    }
-
-    /// Point query: locate the owning leaf (Algorithm 1), then probe its
-    /// page.
-    pub(crate) fn execute_point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
-        if self.leaves.is_empty() {
-            return false;
-        }
-        let projection_start = Instant::now();
-        let leaf = self.locate_leaf(p, stats);
-        stats.add_projection(projection_start.elapsed());
-
-        let scan_start = Instant::now();
-        let leaf = &self.leaves[leaf as usize];
-        let found = if leaf.count == 0 || !leaf.bbox.contains(p) {
-            false
-        } else {
-            self.store.probe_page(leaf.page, p, stats)
-        };
-        stats.add_scan(scan_start.elapsed());
-        if found {
-            stats.results += 1;
-        }
-        found
     }
 }

@@ -120,7 +120,7 @@ pub struct BatchSummary {
     pub latency_ns: u64,
     /// Range queries executed through the fused range kernel.
     pub fused_queries: usize,
-    /// Point probes executed through the fused leaf-grouped kernel.
+    /// Point probes executed through the fused kernel, grouped by unit.
     pub fused_points: usize,
     /// kNN plans executed through the shared expanding-ring sweep.
     pub fused_knn: usize,

@@ -182,17 +182,17 @@ pub fn generate_scattered_batch(
 
 /// Fraction of probes in a point-heavy batch that repeat an earlier probe
 /// (hot-key skew): the share of a real lookup workload that hammers the
-/// same keys, and the share the fused point kernel collapses onto already
+/// same keys, and the share a fused point partition collapses onto already
 /// fetched pages.
 const POINT_BATCH_DUPLICATES: f64 = 0.25;
 
 /// Generates a deterministic all-point-probe batch following the region's
-/// *data* profile — the workload shape the fused point-batch kernel exists
+/// *data* profile — the workload shape a fused point partition exists
 /// for.
 ///
 /// A quarter of the probes repeat an earlier probe of the same batch
-/// (hot-key skew), so probes sharing an owning page are guaranteed and
-/// leaf-grouped execution has page visits to save; a small tail probes
+/// (hot-key skew), so probes sharing a unit are guaranteed and unit-grouped
+/// execution has page visits to save; a small tail probes
 /// points outside the unit data space, exercising the miss path. Equal
 /// seeds produce equal batches.
 pub fn generate_point_batch(region: Region, count: usize, seed: u64) -> Vec<Query> {

@@ -383,11 +383,7 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
             .with_strategy(BatchStrategy::Fused)
             .execute_batch(&batch)
             .expect("fused batch executes");
-        kernels.push((
-            kind,
-            built.index.range_batch_kernel().is_some(),
-            built.index.point_batch_kernel().is_some(),
-        ));
+        kernels.push((kind, built.index.range_batch_kernel().is_some()));
         assert!(
             fused.bbs_checked() <= sequential.bbs_checked(),
             "{kind}: fused checks {} bounding boxes, sequential {}",
@@ -427,15 +423,12 @@ fn fused_bb_checks_never_exceed_sequential_on_any_index() {
             );
         }
     }
-    // Range and point kernels on every kind but Zpgm, which has neither:
-    // its flat code array has no page fetch to share.
+    // A kernel on every kind but Zpgm: its flat code array has no page
+    // fetch to share.
     let expected: Vec<_> = all_kinds()
-        .map(|kind| (kind, kind != IndexKind::Zpgm, kind != IndexKind::Zpgm))
+        .map(|kind| (kind, kind != IndexKind::Zpgm))
         .collect();
-    assert_eq!(
-        kernels, expected,
-        "(kind, range kernel, point kernel) per index kind"
-    );
+    assert_eq!(kernels, expected, "(kind, kernel) per index kind");
 }
 
 /// `stats` with the wall-clock fields zeroed: what is left is deterministic.
@@ -628,8 +621,7 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
             0,
             "{kind}: fixed strategies record no decisions"
         );
-        let has_range_kernel = built.index.range_batch_kernel().is_some();
-        let has_point_kernel = built.index.point_batch_kernel().is_some();
+        let has_kernel = built.index.range_batch_kernel().is_some();
         for (label, strategy) in [
             ("fused", BatchStrategy::Fused),
             (
@@ -714,7 +706,7 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
                 // Auto decides per partition, so fused counts depend on
                 // what it chose — but the choice itself must be on record
                 // wherever a kernel gave it one.
-                if has_range_kernel {
+                if has_kernel {
                     assert!(
                         report.strategy_chosen.range.is_some(),
                         "{kind}/{label}: no range decision recorded"
@@ -726,17 +718,17 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
                 // fused strategy.
                 assert_eq!(
                     report.fused_queries,
-                    if has_range_kernel { ranges } else { 0 },
+                    if has_kernel { ranges } else { 0 },
                     "{kind}/{label}"
                 );
                 assert_eq!(
                     report.fused_points,
-                    if has_point_kernel { probes } else { 0 },
+                    if has_kernel { probes } else { 0 },
                     "{kind}/{label}"
                 );
                 assert_eq!(
                     report.fused_knn,
-                    if has_range_kernel { knns } else { 0 },
+                    if has_kernel { knns } else { 0 },
                     "{kind}/{label}"
                 );
             }

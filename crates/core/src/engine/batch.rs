@@ -529,7 +529,8 @@ pub fn solo_point_query<K: RangeBatchKernel + ?Sized>(
 
 /// The transpose of a walk record: the distinct units in ascending order,
 /// each with the requests whose runs hold it (ascending), built by one
-/// counting sort over the recorded span.
+/// counting sort over the recorded span, or by sorting the visits when
+/// they are sparse over it.
 #[derive(Debug, Default)]
 pub(crate) struct UnitGroups {
     units: Vec<u32>,
@@ -543,8 +544,12 @@ impl UnitGroups {
         let Some((lo, hi)) = record.unit_span() else {
             return Self::default();
         };
+        let span = (hi - lo) as usize + 1;
+        if record.units.len() * 16 < span {
+            return Self::sorted(record);
+        }
         // Requests per unit, then each occupied slot's first position.
-        let mut slots = vec![0u32; (hi - lo) as usize + 1];
+        let mut slots = vec![0u32; span];
         for &unit in &record.units {
             slots[(unit - lo) as usize] += 1;
         }
@@ -569,6 +574,31 @@ impl UnitGroups {
                 *slot += 1;
             }
         }
+        groups
+    }
+
+    /// [`UnitGroups::of`] for visits sparse over their unit span (a few
+    /// probes, or scattered ranges, over a large index): the `(unit,
+    /// request)` pairs sorted, so the work follows the visits, not the
+    /// span.
+    fn sorted(record: &WalkRecord) -> Self {
+        let mut pairs = Vec::with_capacity(record.units.len());
+        for qi in 0..record.requests() {
+            pairs.extend(record.run(qi).iter().map(|&unit| (unit, qi as u32)));
+        }
+        pairs.sort_unstable();
+        let mut groups = Self {
+            requests: Vec::with_capacity(pairs.len()),
+            ..Self::default()
+        };
+        for (unit, qi) in pairs {
+            if groups.units.last() != Some(&unit) {
+                groups.units.push(unit);
+                groups.offsets.push(groups.requests.len() as u32);
+            }
+            groups.requests.push(qi);
+        }
+        groups.offsets.push(groups.requests.len() as u32);
         groups
     }
 
@@ -737,14 +767,18 @@ mod tests {
         assert_eq!(WalkRecord::new(0).footprint(), RangeBatchStats::default());
     }
 
+    /// Dense runs take the counting sort, runs sparse over their span
+    /// the pair sort; both transpose alike.
     #[test]
     fn groups_transpose_the_runs() {
-        let walked = record(&[&[3, 5], &[], &[1, 3], &[5]]);
-        let groups = UnitGroups::of(&walked);
-        assert_eq!(groups.units, [1, 3, 5]);
-        assert_eq!(groups.requests_of(0), [2]);
-        assert_eq!(groups.requests_of(1), [0, 2]);
-        assert_eq!(groups.requests_of(2), [0, 3]);
+        for far in [5, 5_000] {
+            let walked = record(&[&[3, far], &[], &[1, 3], &[far]]);
+            let groups = UnitGroups::of(&walked);
+            assert_eq!(groups.units, [1, 3, far]);
+            assert_eq!(groups.requests_of(0), [2]);
+            assert_eq!(groups.requests_of(1), [0, 2]);
+            assert_eq!(groups.requests_of(2), [0, 3]);
+        }
         assert_eq!(UnitGroups::of(&record(&[&[], &[]])).len(), 0);
     }
 

@@ -338,7 +338,7 @@ pub(crate) fn run_walked_batch(
     shards: usize,
 ) -> (RangeBatchResponse, usize) {
     let zeroed = RangeBatchResponse::zeroed(requests);
-    read_walked(record, shards, &zeroed, &filter(kernel, requests))
+    read_walked(record, shards, zeroed, &filter(kernel, requests))
 }
 
 /// Locates every probe through `kernel` and stamps the time taken: a
@@ -347,6 +347,7 @@ pub(crate) fn run_walked_batch(
 pub(crate) fn locate(kernel: &dyn RangeBatchKernel, probes: &[Point]) -> WalkRecord {
     let start = Instant::now();
     let mut record = WalkRecord::new(probes.len());
+    record.units.reserve(probes.len());
     for (p, stats) in probes.iter().zip(&mut record.per_query) {
         record.units.extend(kernel.locate(p, stats));
         record.offsets.push(record.units.len() as u32);
@@ -370,7 +371,7 @@ pub(crate) fn run_probe_batch(
         per_query: vec![ExecStats::default(); probes.len()],
         shared: ExecStats::default(),
     };
-    read_walked(&record, shards, &zeroed, &|unit, qi, output, stats| {
+    read_walked(&record, shards, zeroed, &|unit, qi, output, stats| {
         let found = u64::from(kernel.probe(unit, &probes[qi], stats));
         stats.results += found;
         if let RangeBatchOutput::Count(count) = output {
@@ -395,8 +396,8 @@ pub(crate) fn filter<'a>(
 }
 
 /// Reads the distinct units of `record` in up to `shards` work-balanced
-/// chunks and merges the chunks' partial responses, each shaped like
-/// `zeroed`, in chunk order.
+/// chunks into partial responses, each `zeroed` or a copy of it, and
+/// merges them in chunk order.
 ///
 /// Oversubscription guard: worker threads are capped at the host's
 /// [`available_workers`], each reading a contiguous run of chunks. The
@@ -405,7 +406,7 @@ pub(crate) fn filter<'a>(
 fn read_walked(
     record: &WalkRecord,
     shards: usize,
-    zeroed: &RangeBatchResponse,
+    zeroed: RangeBatchResponse,
     read: &ReadUnit<'_>,
 ) -> (RangeBatchResponse, usize) {
     let groups = UnitGroups::of(record);
@@ -418,7 +419,7 @@ fn read_walked(
             .chunks(chunks.len().div_ceil(workers))
             .map(|run| run[0].start..run[run.len() - 1].end)
             .collect();
-        scan_spans_threaded(record, &groups, &spans, zeroed, read)
+        scan_spans_threaded(record, &groups, &spans, &zeroed, read)
     };
     (merge_partials(record, partials), chunks.len().max(1))
 }
@@ -588,8 +589,9 @@ impl UnitGroups {
         }
         pairs.sort_unstable();
         let mut groups = Self {
+            units: Vec::with_capacity(pairs.len()),
+            offsets: Vec::with_capacity(pairs.len() + 1),
             requests: Vec::with_capacity(pairs.len()),
-            ..Self::default()
         };
         for (unit, qi) in pairs {
             if groups.units.last() != Some(&unit) {
@@ -640,18 +642,18 @@ pub(crate) fn plan_unit_chunks(groups: &UnitGroups, shards: usize) -> Vec<Range<
     cuts.windows(2).map(|pair| pair[0]..pair[1]).collect()
 }
 
-/// Reads the distinct units `span` for all of their requests: one shared
-/// visit per unit, what `read` charges per request. Returns a partial
-/// response, shaped like `zeroed`, holding just that span's work.
+/// Reads the distinct units `span` for all of their requests into
+/// `response`, a zeroed one: one shared visit per unit, what `read`
+/// charges per request. Returns the partial response holding just that
+/// span's work.
 pub(crate) fn scan_units(
     record: &WalkRecord,
     groups: &UnitGroups,
     span: Range<usize>,
-    zeroed: &RangeBatchResponse,
+    mut response: RangeBatchResponse,
     read: &ReadUnit<'_>,
 ) -> RangeBatchResponse {
     let start = Instant::now();
-    let mut response = zeroed.clone();
     for g in span {
         let unit = record.handle(groups.units[g]);
         response.shared.pages_scanned += 1;
@@ -685,9 +687,18 @@ pub(crate) fn scan_spans_threaded(
     std::thread::scope(|scope| {
         let handles: Vec<_> = rest
             .iter()
-            .map(|span| scope.spawn(move || scan_units(record, groups, span.clone(), zeroed, read)))
+            .map(|span| {
+                let zeroed = zeroed.clone();
+                scope.spawn(move || scan_units(record, groups, span.clone(), zeroed, read))
+            })
             .collect();
-        let mut partials = vec![scan_units(record, groups, first.clone(), zeroed, read)];
+        let mut partials = vec![scan_units(
+            record,
+            groups,
+            first.clone(),
+            zeroed.clone(),
+            read,
+        )];
         partials.extend(handles.into_iter().map(|handle| {
             // Re-raise a worker's panic with its original payload, so a
             // kernel panic on a worker thread reaches the engine's

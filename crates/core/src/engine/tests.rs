@@ -578,7 +578,7 @@ fn manual_shard_partition_reproduces_the_full_sweep() {
         let mut partials: Vec<_> = chunks
             .iter()
             .rev()
-            .map(|chunk| scan_units(&record, &groups, chunk.clone(), &zeroed, &read))
+            .map(|chunk| scan_units(&record, &groups, chunk.clone(), zeroed.clone(), &read))
             .collect();
         // …then merge in chunk order, as the engine does.
         partials.reverse();
@@ -620,7 +620,7 @@ fn threaded_fan_out_matches_inline_sweeps() {
     assert_eq!(chunks.len(), 4, "need a real multi-chunk plan");
     let inline: Vec<_> = chunks
         .iter()
-        .map(|chunk| scan_units(&record, &groups, chunk.clone(), &zeroed, &read))
+        .map(|chunk| scan_units(&record, &groups, chunk.clone(), zeroed.clone(), &read))
         .collect();
     let threaded = scan_spans_threaded(&record, &groups, &chunks, &zeroed, &read);
     assert_eq!(threaded.len(), inline.len());

@@ -99,33 +99,48 @@ impl PackedRTree {
         self.nodes[self.root as usize].mbr()
     }
 
-    /// The point probe's walk: descend into every child whose bounding box
-    /// contains the point (R-tree leaves may overlap after inserts),
-    /// charging each internal node's visit and checks, and probe the
-    /// reached leaves' pages until one holds the point. Every page probed
-    /// is charged its visit but `located`, whose visit the engine charges.
-    fn probe_walk(&self, p: &Point, located: Option<u32>, stats: &mut ExecStats) -> bool {
-        let mut stack = vec![self.root];
-        while let Some(index) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    stats.nodes_visited += 1;
-                    for &child in children {
-                        stats.bbs_checked += 1;
-                        if self.nodes[child as usize].mbr().contains(p) {
-                            stack.push(child);
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => {
-                    stats.pages_scanned += u64::from(located != Some(page.0));
-                    if self.store.page(*page).probe_shared(p, stats) {
-                        return true;
-                    }
-                }
+    /// The point probe's walk from `node`: depth first into every child
+    /// whose bounding box contains the point (R-tree leaves may overlap
+    /// after inserts), last child first, charging each internal node's
+    /// visit and checks, and probing the reached leaves' pages until one
+    /// holds the point. Every page probed is charged its visit but
+    /// `located`, whose visit the engine charges.
+    fn probe_walk(
+        &self,
+        node: u32,
+        p: &Point,
+        located: Option<u32>,
+        stats: &mut ExecStats,
+    ) -> bool {
+        match &self.nodes[node as usize] {
+            RNode::Internal { children, .. } => {
+                stats.nodes_visited += 1;
+                stats.bbs_checked += children.len() as u64;
+                children
+                    .iter()
+                    .rev()
+                    .filter(|&&child| self.nodes[child as usize].mbr().contains(p))
+                    .any(|&child| self.probe_walk(child, p, located, stats))
+            }
+            RNode::Leaf { page, .. } => {
+                stats.pages_scanned += u64::from(located != Some(page.0));
+                self.store.page(*page).probe_shared(p, stats)
             }
         }
-        false
+    }
+
+    /// The first page [`PackedRTree::probe_walk`] from `node` probes for
+    /// `p`, found without charging anything; `None` when the walk reaches
+    /// no leaf.
+    fn first_probe_page(&self, node: u32, p: &Point) -> Option<u32> {
+        match &self.nodes[node as usize] {
+            RNode::Internal { children, .. } => children
+                .iter()
+                .rev()
+                .filter(|&&child| self.nodes[child as usize].mbr().contains(p))
+                .find_map(|&child| self.first_probe_page(child, p)),
+            RNode::Leaf { page, .. } => Some(page.0),
+        }
     }
 
     /// Inserts a point: descend by least area enlargement, append to the
@@ -261,28 +276,6 @@ impl PackedRTree {
     }
 }
 
-impl PackedRTree {
-    /// The first leaf page [`PackedRTree::probe_walk`] probes for `p`,
-    /// found without charging anything. `None` when no leaf's bounding box
-    /// contains the point.
-    fn first_probe_page(&self, p: &Point) -> Option<PageId> {
-        let mut stack = vec![self.root];
-        while let Some(index) = stack.pop() {
-            match &self.nodes[index as usize] {
-                RNode::Internal { children, .. } => {
-                    for &child in children {
-                        if self.nodes[child as usize].mbr().contains(p) {
-                            stack.push(child);
-                        }
-                    }
-                }
-                RNode::Leaf { page, .. } => return Some(*page),
-            }
-        }
-        None
-    }
-}
-
 /// The packed R-tree's kernel: a range request's unit is a leaf page, and
 /// its id is the order in which the batch descent first reaches it. The
 /// descent is depth-first, popped LIFO, and a single request's walk
@@ -379,9 +372,9 @@ impl RangeBatchKernel for PackedRTree {
     /// The first page the probe's walk probes. A probe no leaf holds reads
     /// no page and is charged its whole walk here.
     fn locate(&self, p: &Point, stats: &mut ExecStats) -> Option<u32> {
-        let page = self.first_probe_page(p).map(|page| page.0);
+        let page = self.first_probe_page(self.root, p);
         if page.is_none() {
-            self.probe_walk(p, None, stats);
+            self.probe_walk(self.root, p, None, stats);
         }
         page
     }
@@ -390,7 +383,7 @@ impl RangeBatchKernel for PackedRTree {
     /// for the located page's visit. On packed trees the located page is
     /// almost always the only one, so probes sharing it share its fetch.
     fn probe(&self, page: u32, p: &Point, stats: &mut ExecStats) -> bool {
-        self.probe_walk(p, Some(page), stats)
+        self.probe_walk(self.root, p, Some(page), stats)
     }
 }
 

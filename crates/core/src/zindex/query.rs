@@ -22,8 +22,9 @@ use crate::node::{Leaf, NodeRef, LOOKAHEAD_END};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
-/// The Z-index's range kernel: a unit is a leaf, and a request's run lists
-/// the leaves its walk reaches, in ascending leaf index.
+/// The Z-index's kernel: a unit is a leaf, and a request's run lists the
+/// leaves its walk reaches, in ascending leaf index; a probe's unit is the
+/// leaf its Algorithm 1 descent ends in.
 impl RangeBatchKernel for ZIndex {
     /// Walks every request — Algorithm 1 for both corners, a check per leaf
     /// stepped on, a look-ahead jump past each irrelevant one (§5) —

@@ -324,9 +324,9 @@ impl Page {
         self.probe_shared(p, stats)
     }
 
-    /// [`Page::probe`] without the page-visit charge: the fused point-batch
-    /// kernels fetch a page once per probe *group* (charged to the batch's
-    /// shared stats) while every probe still pays its own comparisons —
+    /// [`Page::probe`] without the page-visit charge: the engine charges
+    /// the visit itself, once per probe alone and once per batch for every
+    /// probe that reads the page, while every probe pays its own comparisons —
     /// this is the one definition of those comparison charges, so the
     /// fused and sequential paths cannot drift apart. A hit at arrival
     /// position `i` charges `i + 1` points, a miss charges `len()`.

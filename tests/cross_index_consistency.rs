@@ -651,7 +651,7 @@ fn fused_mixed_batches_match_sequential_for_every_index() {
                 "{kind}/{label}: result counts diverge"
             );
             // Counter equality across the whole mix: every fused kernel —
-            // range scan, leaf-grouped probes, kNN rings — must replicate
+            // range scan, unit-grouped probes, kNN rings — must replicate
             // each plan's solo walk exactly; only page visits may be
             // shared, never added.
             let fused_totals = report.merged_stats();

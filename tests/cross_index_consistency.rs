@@ -15,7 +15,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wazi_bench::{build_index, IndexKind};
-use wazi_core::{run_knn_batch, BatchStrategy, QueryEngine, SpatialIndex, VersionedIndex, ZIndex};
+use wazi_core::{
+    run_knn_batch, BatchStrategy, Query, QueryEngine, QueryOutput, SpatialIndex, VersionedIndex,
+    WriteOp, ZIndex,
+};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 use wazi_workload::{
@@ -126,6 +129,59 @@ fn range_count_and_for_each_agree_with_range_query_for_every_index() {
                     "{kind}/{label}: results differs on {query}"
                 );
             }
+        }
+    }
+}
+
+/// A `Stream` range plan executed on its own is a count under another name:
+/// on every index kind and on a snapshot pinned after a write burst,
+/// `execute(range_stream(r))` answers `Streamed(n)` with the `n` of
+/// `execute(range_count(r))`, and charges the same work counters.
+#[test]
+fn stream_plans_answer_and_charge_as_count_plans() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let region = Region::Iberia;
+    let points = generate_dataset(region, 4_000);
+    let train = generate_queries(region, 120, SELECTIVITIES[1]);
+    let mut queries = generate_queries(region, 25, SELECTIVITIES[2]);
+    for _ in 0..25 {
+        let a = Point::new(rng.gen(), rng.gen());
+        let b = Point::new(rng.gen(), rng.gen());
+        queries.push(Rect::from_corners(a, b));
+    }
+    queries.push(Rect::UNIT);
+    queries.push(Rect::from_coords(0.5, 0.5, 0.5, 0.5));
+
+    let versioned = VersionedIndex::new(ZIndex::build_wazi(points.clone(), &train));
+    let mut burst: Vec<WriteOp> = (0..200)
+        .map(|_| WriteOp::Insert(Point::new(rng.gen(), rng.gen())))
+        .collect();
+    burst.extend(points.iter().step_by(40).copied().map(WriteOp::Delete));
+    burst.push(WriteOp::Maintain);
+    versioned.apply(&burst).expect("the burst applies");
+    let snapshot = versioned.snapshot();
+
+    let built: Vec<_> = all_kinds()
+        .map(|kind| build_index(kind, &points, &train, 128))
+        .collect();
+    let indexes = built
+        .iter()
+        .map(|built| (built.kind.to_string(), built.index.as_ref()))
+        .chain([("snapshot".to_string(), &snapshot as &dyn SpatialIndex)]);
+    for (name, index) in indexes {
+        let engine = QueryEngine::new(index);
+        for rect in &queries {
+            let streamed = engine.execute(&Query::range_stream(*rect)).unwrap();
+            let counted = engine.execute(&Query::range_count(*rect)).unwrap();
+            let QueryOutput::Count(n) = counted.output else {
+                panic!("{name}: a count plan answered {:?}", counted.output);
+            };
+            assert_eq!(streamed.output, QueryOutput::Streamed(n), "{name}: {rect}");
+            assert_eq!(
+                counters(&streamed.stats),
+                counters(&counted.stats),
+                "{name}: counters on {rect}"
+            );
         }
     }
 }

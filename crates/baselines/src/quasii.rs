@@ -13,8 +13,8 @@
 //! x-piece.
 
 use wazi_core::{
-    solo_point_query, solo_range_query, IndexError, RangeBatchKernel, RangeBatchOutput,
-    RangeBatchRequest, SpatialIndex, WalkRecord,
+    solo_point_query, solo_range_query, RangeBatchKernel, RangeBatchOutput, RangeBatchRequest,
+    SpatialIndex, WalkRecord,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -232,15 +232,9 @@ impl SpatialIndex for Quasii {
         solo_point_query(self, p, stats)
     }
 
-    fn insert(&mut self, _p: Point) -> Result<(), IndexError> {
-        // The evaluation uses a converged (read-only) QUASII instance;
-        // incremental insertion is outside the replicated scope. The typed
-        // error lets the versioned writer fall back to a full rebuild.
-        Err(IndexError::UpdateUnsupported {
-            index: "QUASII",
-            op: "insert",
-        })
-    }
+    // `insert` / `delete` keep the trait's typed refusal: the evaluation
+    // uses a converged (read-only) QUASII instance, and the typed error
+    // lets the versioned writer fall back to a full rebuild.
 
     fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -367,6 +361,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use wazi_core::{IndexError, UpdateOp};
 
     fn dataset(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -457,9 +452,9 @@ mod tests {
         assert!(matches!(
             index.insert(Point::new(0.5, 0.5)),
             Err(IndexError::UpdateUnsupported {
-                index: "QUASII",
-                op: "insert"
-            })
+                index,
+                op: UpdateOp::Insert
+            }) if index == "QUASII"
         ));
         assert_eq!(index.name(), "QUASII");
         assert!(index.size_bytes() > 0);

@@ -62,7 +62,7 @@ impl ZOrderSorted {
         self.entries.partition_point(|(c, _)| *c < code)
     }
 
-    /// The range-scan kernel shared by every execution mode: scans the
+    /// The range-scan kernel shared by both range modes: scans the
     /// Morton-code interval `[code(BL), code(TR)]`, consulting BIGMIN to
     /// jump over runs of codes outside the query rectangle, and invokes
     /// `on_match` for every matching point.
@@ -132,15 +132,6 @@ impl SpatialIndex for ZOrderSorted {
         self.scan_range(query, stats, |_| count += 1);
         stats.results += count;
         count
-    }
-
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        let mut matched = 0u64;
-        self.scan_range(query, stats, |p| {
-            matched += 1;
-            visit(p);
-        });
-        stats.results += matched;
     }
 
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {

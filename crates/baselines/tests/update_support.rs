@@ -12,12 +12,12 @@
 //!
 //! Unsupported operations must fail with the *typed*
 //! [`IndexError::UpdateUnsupported`] naming the index, never a panic and
-//! never the untyped `Unsupported` — that is what lets the versioned
-//! writer (`wazi_core::VersionedIndex::with_rebuild`) recognise a
-//! bulk-only index and fall back to a rebuild.
+//! never `Unsupported`, the immutable snapshot's refusal — that is what
+//! lets the versioned writer (`wazi_core::VersionedIndex::with_rebuild`)
+//! recognise a bulk-only index and fall back to a rebuild.
 
 use wazi_baselines::{CurTree, FloodIndex, Quasii, StrRTree, ZOrderSorted};
-use wazi_core::{IndexError, SpatialIndex};
+use wazi_core::{IndexError, SpatialIndex, UpdateOp};
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
@@ -59,8 +59,8 @@ fn assert_delete_unsupported(index: &mut dyn SpatialIndex, name: &'static str) {
     assert_eq!(
         err,
         IndexError::UpdateUnsupported {
-            index: name,
-            op: "delete"
+            index: name.to_owned(),
+            op: UpdateOp::Delete
         }
     );
 }
@@ -103,8 +103,8 @@ fn quasii_supports_neither_insert_nor_delete() {
     assert_eq!(
         index.insert(Point::new(0.5, 0.5)),
         Err(IndexError::UpdateUnsupported {
-            index: "QUASII",
-            op: "insert"
+            index: "QUASII".to_owned(),
+            op: UpdateOp::Insert
         })
     );
     assert_delete_unsupported(&mut index, "QUASII");

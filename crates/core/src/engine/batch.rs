@@ -50,8 +50,8 @@ use super::cost::RangeBatchStats;
 pub struct RangeBatchRequest {
     /// The query rectangle.
     pub rect: Rect,
-    /// Whether the matching points must be materialized. Counting and
-    /// streaming plans set this to `false`: the kernel only tallies matches.
+    /// Whether the matching points must be materialized. `Count` and
+    /// `Stream` plans set this to `false`: the kernel only tallies matches.
     pub collect: bool,
 }
 
@@ -425,10 +425,9 @@ fn read_walked(
 }
 
 /// The sequential loop: replays request `qi`'s run from `record`, one page
-/// visit per unit, scanning each unit into `output` and handing the output
-/// to `after_unit` once the unit is in. The one definition of what a
-/// request answered on its own charges; the replay's time is its scan
-/// phase.
+/// visit per unit, scanning each unit into `output`. The one definition of
+/// what a request answered on its own charges; the replay's time is its
+/// scan phase.
 pub(crate) fn replay_run(
     kernel: &dyn RangeBatchKernel,
     record: &WalkRecord,
@@ -436,13 +435,11 @@ pub(crate) fn replay_run(
     rect: &Rect,
     output: &mut RangeBatchOutput,
     stats: &mut ExecStats,
-    mut after_unit: impl FnMut(&mut RangeBatchOutput),
 ) {
     let start = Instant::now();
     for &unit in record.run(qi) {
         stats.pages_scanned += 1;
         kernel.scan(record.handle(unit), rect, output, stats);
-        after_unit(output);
     }
     stats.scan_ns += start.elapsed().as_nanos() as u64;
 }
@@ -460,22 +457,19 @@ pub(crate) fn replay_sequential(
     let n = requests.len().max(1) as u64;
     for (qi, request) in requests.iter().enumerate() {
         let (output, stats) = (&mut response.outputs[qi], &mut response.per_query[qi]);
-        replay_run(kernel, record, qi, &request.rect, output, stats, |_| {});
+        replay_run(kernel, record, qi, &request.rect, output, stats);
         stats.projection_ns += record.walk_ns / n + u64::from((qi as u64) < record.walk_ns % n);
     }
     response
 }
 
 /// One range request answered on its own: walked by `kernel`, its run
-/// replayed ([`replay_run`]). The walk's time is the projection phase. A
-/// collecting `output` that `after_unit` drains streams the answer unit by
-/// unit through one buffer.
+/// replayed ([`replay_run`]). The walk's time is the projection phase.
 pub(crate) fn solo_range(
     kernel: &dyn RangeBatchKernel,
     rect: &Rect,
     output: &mut RangeBatchOutput,
     stats: &mut ExecStats,
-    after_unit: impl FnMut(&mut RangeBatchOutput),
 ) {
     let request = RangeBatchRequest {
         rect: *rect,
@@ -484,7 +478,7 @@ pub(crate) fn solo_range(
     let record = walk(kernel, std::slice::from_ref(&request));
     stats.merge(&record.per_query[0]);
     stats.projection_ns += record.walk_ns;
-    replay_run(kernel, &record, 0, rect, output, stats, after_unit);
+    replay_run(kernel, &record, 0, rect, output, stats);
 }
 
 /// [`crate::SpatialIndex::range_query`] of an index with a fused range
@@ -497,7 +491,7 @@ pub fn solo_range_query(
     stats: &mut ExecStats,
 ) -> Vec<Point> {
     let mut output = RangeBatchOutput::Points(Vec::new());
-    solo_range(kernel, query, &mut output, stats, |_| {});
+    solo_range(kernel, query, &mut output, stats);
     match output {
         RangeBatchOutput::Points(points) => points,
         RangeBatchOutput::Count(_) => unreachable!("a collecting request"),

@@ -256,22 +256,6 @@ pub fn decide_range_strategy(
     (choose_range_strategy(&estimate), estimate)
 }
 
-/// Minimum fused kNN partition that justifies sharded ring sweeps.
-pub const KNN_PARALLEL_MIN: usize = 256;
-
-/// The rule for a kNN partition: grouped expanding-ring sweeps share
-/// candidate pages, so fusion wins, with sharded rings on large partitions
-/// when the host has workers.
-pub fn decide_knn_strategy(plans: usize, workers: usize) -> ChosenStrategy {
-    if workers >= 2 && plans >= KNN_PARALLEL_MIN {
-        ChosenStrategy::FusedParallel {
-            shards: workers.min(8),
-        }
-    } else {
-        ChosenStrategy::Fused
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,27 +334,27 @@ mod tests {
             );
             assert_eq!(estimate.fused_parallel_ns, None);
         }
-        assert_eq!(decide_knn_strategy(1_000_000, 1), ChosenStrategy::Fused);
     }
 
     #[test]
     fn class_rules_route_point_and_knn_partitions() {
-        // A point partition fuses on one shard at any size: each probe
-        // reads at most one unit, so there is no scan for threads to split.
+        // Point and kNN partitions fuse on one shard at any size: each probe
+        // reads at most one unit, and ring sweeps share candidate pages.
         use crate::{Query, QueryEngine, ZIndex};
         use wazi_geom::Point;
         let grid = |i: usize| Point::new((i % 64) as f64 / 64.0, (i / 64) as f64 / 64.0);
         let index = ZIndex::build_base((0..4_096).map(grid).collect());
+        let engine = QueryEngine::new(&index);
         let probes: Vec<Query> = (0..3_000).map(|i| Query::point(grid(i * 7))).collect();
-        let report = QueryEngine::new(&index).execute_batch(&probes).unwrap();
+        let report = engine.execute_batch(&probes).unwrap();
         let decision = report.strategy_chosen.point.expect("Auto decides points");
         assert_eq!(decision.chosen, ChosenStrategy::Fused);
         assert_eq!(report.shards_used, 1);
-        assert_eq!(
-            decide_knn_strategy(KNN_PARALLEL_MIN, 16),
-            ChosenStrategy::FusedParallel { shards: 8 }
-        );
-        assert_eq!(decide_knn_strategy(10, 16), ChosenStrategy::Fused);
+        let plans: Vec<Query> = (0..300).map(|i| Query::knn(grid(i * 13), 4)).collect();
+        let report = engine.execute_batch(&plans).unwrap();
+        let decision = report.strategy_chosen.knn.expect("Auto decides kNN");
+        assert_eq!(decision.chosen, ChosenStrategy::Fused);
+        assert_eq!(report.shards_used, 1);
     }
 
     #[test]

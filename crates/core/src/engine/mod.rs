@@ -58,8 +58,8 @@ pub use batch::{
     RangeBatchRequest, RangeBatchResponse, WalkRecord,
 };
 pub use cost::{
-    decide_knn_strategy, decide_range_strategy, ChosenStrategy, CostConstants, CostEstimate,
-    PartitionDecision, RangeBatchStats,
+    decide_range_strategy, ChosenStrategy, CostConstants, CostEstimate, PartitionDecision,
+    RangeBatchStats,
 };
 pub(crate) use knn::KnnSweepState;
 pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
@@ -72,7 +72,6 @@ pub use snapshot::{
 
 use crate::index::{IndexError, SpatialIndex};
 use std::time::Instant;
-use wazi_geom::Point;
 use wazi_storage::ExecStats;
 
 /// Errors returned by the engine.
@@ -183,7 +182,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   every range plan's pages, pages relevant to several queries are
 ///   scanned once per batch, and pages are visited in layout order
 ///   (cache-friendly) instead of once per query in arrival order. The win
-///   is largest for counting/streaming plans; materializing
+///   is largest for counting plans; materializing
 ///   ([`RangeMode::Collect`]) plans gain less because result
 ///   materialization, which fusion cannot share, dominates their cost.
 /// * [`BatchStrategy::FusedParallel`] wins when a fused batch has enough
@@ -277,32 +276,10 @@ impl<'a> QueryEngine<'a> {
         self.index
     }
 
-    /// Executes one query plan, owning the stats bookkeeping.
-    ///
-    /// [`RangeMode::Stream`] plans executed through this entry point count
-    /// and drop the matches (the non-materializing measurement mode); use
-    /// [`QueryEngine::execute_streaming`] to receive them.
+    /// Executes one query plan, owning the stats bookkeeping. A
+    /// [`RangeMode::Stream`] plan counts, exactly as a
+    /// [`RangeMode::Count`] plan does.
     pub fn execute(&self, query: &Query) -> Result<QueryReport, EngineError> {
-        self.execute_with_sink(query, &mut |_| {})
-    }
-
-    /// Executes one query plan, delivering the matches of a
-    /// [`RangeMode::Stream`] range plan to `sink` as they are found. For
-    /// every other plan this behaves exactly like [`QueryEngine::execute`]
-    /// (`sink` is never called).
-    pub fn execute_streaming(
-        &self,
-        query: &Query,
-        sink: &mut dyn FnMut(&Point),
-    ) -> Result<QueryReport, EngineError> {
-        self.execute_with_sink(query, sink)
-    }
-
-    fn execute_with_sink(
-        &self,
-        query: &Query,
-        sink: &mut dyn FnMut(&Point),
-    ) -> Result<QueryReport, EngineError> {
         query.validate()?;
         let mut stats = ExecStats::default();
         let start = Instant::now();
@@ -311,12 +288,7 @@ impl<'a> QueryEngine<'a> {
                 RangeMode::Collect => QueryOutput::Points(self.index.range_query(rect, &mut stats)),
                 RangeMode::Count => QueryOutput::Count(self.index.range_count(rect, &mut stats)),
                 RangeMode::Stream => {
-                    let mut streamed = 0u64;
-                    self.index.range_for_each(rect, &mut stats, &mut |p| {
-                        streamed += 1;
-                        sink(p);
-                    });
-                    QueryOutput::Streamed(streamed)
+                    QueryOutput::Streamed(self.index.range_count(rect, &mut stats))
                 }
             },
             Query::Point(p) => QueryOutput::Found(self.index.point_query(p, &mut stats)),
@@ -528,13 +500,9 @@ impl<'a> QueryEngine<'a> {
             _ => None,
         });
         if plans.len() >= 2 {
-            // Ring sweeps share candidate pages, so Auto fuses; only the
-            // shard count depends on the partition's size.
-            let chosen = if auto {
-                decide_knn_strategy(plans.len(), workers)
-            } else {
-                pinned
-            };
+            // Ring sweeps share candidate pages, so Auto fuses, on one
+            // shard as a point partition does.
+            let chosen = if auto { ChosenStrategy::Fused } else { pinned };
             knn = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
                 let (response, shards_used) =
                     run_knn_batch(self.index, kernel, &plans, chosen.shards());

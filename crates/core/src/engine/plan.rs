@@ -14,17 +14,17 @@ use wazi_geom::{Point, Rect};
 ///
 /// All three modes share one scan kernel per index and charge identical work
 /// counters (the paper's cost model charges bounding boxes checked and
-/// points compared, not allocation); they differ only in the per-match work.
+/// points compared, not allocation); they differ only in the per-match work,
+/// and `Stream` does exactly what `Count` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RangeMode {
     /// Materialize the matching points ([`QueryOutput::Points`]).
     Collect,
     /// Return only the number of matches ([`QueryOutput::Count`]).
     Count,
-    /// Stream matches to a sink without materializing them
-    /// ([`QueryOutput::Streamed`]). Without an explicit sink
-    /// ([`crate::engine::QueryEngine::execute`]) the matches are counted and
-    /// dropped, which is the measurement mode of the benchmark harness.
+    /// Count the matches, answered as [`QueryOutput::Streamed`]: `Count`
+    /// under another name, kept for the wire protocol's tags and the
+    /// benchmark's traffic, which still send it.
     Stream,
 }
 
@@ -66,7 +66,7 @@ impl Query {
         }
     }
 
-    /// Streaming range query plan.
+    /// [`RangeMode::Stream`] range query plan: a count.
     pub fn range_stream(rect: Rect) -> Self {
         Query::Range {
             rect,
@@ -126,7 +126,9 @@ pub enum QueryOutput {
     Points(Vec<Point>),
     /// Result-set size of a [`RangeMode::Count`] range query.
     Count(u64),
-    /// Number of points delivered by a [`RangeMode::Stream`] range query.
+    /// Result-set size of a [`RangeMode::Stream`] range query, counted as
+    /// a [`RangeMode::Count`] one is; kept for the wire protocol and the
+    /// benchmark.
     Streamed(u64),
     /// Whether a [`Query::Point`] probe found its point.
     Found(bool),

@@ -63,7 +63,7 @@
 
 use crate::engine::RangeBatchKernel;
 use crate::faults::FaultPlan;
-use crate::index::{IndexError, SpatialIndex};
+use crate::index::{IndexError, SpatialIndex, UpdateOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use wazi_geom::{Point, Rect};
@@ -228,17 +228,14 @@ impl SpatialIndex for Snapshot {
     fn range_count(&self, query: &Rect, stats: &mut ExecStats) -> u64 {
         self.index.range_count(query, stats)
     }
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        self.index.range_for_each(query, stats, visit)
-    }
     fn point_query(&self, p: &Point, stats: &mut ExecStats) -> bool {
         self.index.point_query(p, stats)
     }
     fn insert(&mut self, _p: Point) -> Result<(), IndexError> {
-        Err(IndexError::Unsupported("insert into an immutable snapshot"))
+        Err(IndexError::Unsupported(UpdateOp::Insert))
     }
     fn delete(&mut self, _p: &Point) -> Result<bool, IndexError> {
-        Err(IndexError::Unsupported("delete from an immutable snapshot"))
+        Err(IndexError::Unsupported(UpdateOp::Delete))
     }
     fn size_bytes(&self) -> usize {
         self.index.size_bytes()
@@ -638,11 +635,11 @@ mod tests {
         let mut snap = v.snapshot();
         assert!(matches!(
             snap.insert(Point::new(0.1, 0.1)),
-            Err(IndexError::Unsupported(_))
+            Err(IndexError::Unsupported(UpdateOp::Insert))
         ));
         assert!(matches!(
             snap.delete(&Point::new(0.1, 0.1)),
-            Err(IndexError::Unsupported(_))
+            Err(IndexError::Unsupported(UpdateOp::Delete))
         ));
     }
 
@@ -661,9 +658,6 @@ mod tests {
             snap.range_count(&q, &mut stats),
             snap.range_query(&q, &mut stats).len() as u64
         );
-        let mut streamed = 0u64;
-        snap.range_for_each(&q, &mut stats, &mut |_| streamed += 1);
-        assert_eq!(streamed, snap.range_count(&q, &mut stats));
         assert_eq!(snap.knn(&Point::new(0.2, 0.2), 3, &mut stats).len(), 3);
         assert!(format!("{snap:?}").contains("epoch"));
     }
@@ -731,9 +725,9 @@ mod tests {
         assert!(matches!(
             err,
             Err(IndexError::UpdateUnsupported {
-                index: "FrozenScan",
-                op: "insert"
-            })
+                index,
+                op: UpdateOp::Insert
+            }) if index == "FrozenScan"
         ));
         let stats = v.version_stats();
         assert_eq!(stats.current_epoch, 0);

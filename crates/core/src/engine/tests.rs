@@ -2,7 +2,7 @@
 //! fused-kernel sharing and error paths.
 
 use crate::engine::{BatchStrategy, EngineError, Query, QueryEngine, QueryOutput, RangeMode};
-use crate::index::{IndexError, SpatialIndex};
+use crate::index::{IndexError, SpatialIndex, UpdateOp};
 use crate::zindex::ZIndex;
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -86,23 +86,6 @@ fn execute_agrees_with_the_raw_trait_calls() {
         .execute(&Query::knn(Point::new(0.2, 0.2), 5))
         .unwrap();
     assert_eq!(knn.output, QueryOutput::Neighbors(expected_knn));
-}
-
-#[test]
-fn execute_streaming_delivers_the_collected_points() {
-    let index = wazi_index();
-    let engine = QueryEngine::new(&index);
-    let rect = Rect::from_coords(0.05, 0.05, 0.3, 0.25);
-    let collected = match engine.execute(&Query::range(rect)).unwrap().output {
-        QueryOutput::Points(points) => points,
-        other => panic!("unexpected output {other:?}"),
-    };
-    let mut sunk = Vec::new();
-    let report = engine
-        .execute_streaming(&Query::range_stream(rect), &mut |p| sunk.push(*p))
-        .unwrap();
-    assert_eq!(report.output, QueryOutput::Streamed(collected.len() as u64));
-    assert_eq!(sunk, collected);
 }
 
 /// The sequential batch path must be indistinguishable from a hand-written
@@ -266,8 +249,11 @@ fn invalid_plans_reject_the_whole_batch_before_any_work() {
 
 #[test]
 fn engine_error_wraps_index_errors_and_displays() {
-    let err: EngineError = IndexError::Unsupported("insert").into();
-    assert_eq!(err, EngineError::Index(IndexError::Unsupported("insert")));
+    let err: EngineError = IndexError::Unsupported(UpdateOp::Insert).into();
+    assert_eq!(
+        err,
+        EngineError::Index(IndexError::Unsupported(UpdateOp::Insert))
+    );
     assert!(err.to_string().contains("operation not supported"));
     assert!(std::error::Error::source(&err).is_some());
     let invalid = EngineError::InvalidQuery("nan".into());

@@ -1,6 +1,7 @@
 //! The `SpatialIndex` trait implemented by every index in the evaluation.
 
 use crate::engine::{solo_range, RangeBatchKernel, RangeBatchOutput};
+use std::fmt;
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 
@@ -12,26 +13,61 @@ use wazi_storage::ExecStats;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IndexError {
-    /// The index does not support the requested operation (e.g. inserts into
-    /// a statically packed index such as STR).
-    Unsupported(&'static str),
+    /// The update is refused outright, whatever the index: an immutable
+    /// snapshot takes no writes.
+    Unsupported(UpdateOp),
     /// The operation's input was invalid (e.g. a non-finite point).
     InvalidInput(String),
-    /// The index's structure cannot apply the requested incremental update;
-    /// callers that must make progress anyway (e.g. the versioned writer's
-    /// rebuild fallback) match on this variant specifically.
+    /// The index's structure cannot apply the requested incremental update
+    /// (e.g. inserts into a statically packed index such as STR); callers
+    /// that must make progress anyway (e.g. the versioned writer's rebuild
+    /// fallback) match on this variant specifically.
     UpdateUnsupported {
         /// Display name of the rejecting index ([`SpatialIndex::name`]).
-        index: &'static str,
-        /// The rejected update operation (`"insert"` or `"delete"`).
-        op: &'static str,
+        index: String,
+        /// The rejected update operation.
+        op: UpdateOp,
     },
 }
 
-impl std::fmt::Display for IndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// An incremental update operation, as named by an [`IndexError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateOp {
+    /// [`SpatialIndex::insert`].
+    Insert,
+    /// [`SpatialIndex::delete`].
+    Delete,
+}
+
+impl UpdateOp {
+    /// The operation's lower-case name: `"insert"` or `"delete"`.
+    pub fn as_str(self) -> &'static str {
         match self {
-            IndexError::Unsupported(op) => write!(f, "operation not supported: {op}"),
+            UpdateOp::Insert => "insert",
+            UpdateOp::Delete => "delete",
+        }
+    }
+}
+
+impl fmt::Display for UpdateOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Display for IndexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IndexError::Unsupported(op) => {
+                let preposition = match op {
+                    UpdateOp::Insert => "into",
+                    UpdateOp::Delete => "from",
+                };
+                write!(
+                    f,
+                    "operation not supported: {op} {preposition} an immutable snapshot"
+                )
+            }
             IndexError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             IndexError::UpdateUnsupported { index, op } => {
                 write!(f, "{index} does not support incremental {op}")
@@ -49,20 +85,18 @@ impl std::error::Error for IndexError {}
 /// can report the counters of Figures 9 and 13 uniformly, independent of
 /// wall-clock measurement.
 ///
-/// Range queries come in three execution modes sharing one semantics:
+/// Range queries come in two execution modes sharing one semantics:
 ///
 /// * [`SpatialIndex::range_query`] materializes the result set;
-/// * [`SpatialIndex::range_count`] returns only its size;
-/// * [`SpatialIndex::range_for_each`] streams every result to a closure.
+/// * [`SpatialIndex::range_count`] returns only its size.
 ///
 /// An index with a fused range kernel ([`SpatialIndex::range_batch_kernel`])
 /// answers a solo range query as a batch of one: the kernel's walk, its run
 /// replayed with one page visit per unit. It implements `range_query` with
-/// [`crate::solo_range_query`], and the defaults of the other two modes
-/// take the same route without materializing — counting allocates no
-/// result, streaming hands the matches over unit by unit through one
-/// buffer — so all three charge the paper's Eq. 5 counters identically.
-/// Without a kernel both defaults materialize through `range_query`. Such
+/// [`crate::solo_range_query`], and the `range_count` default takes the
+/// same route without allocating a result, so both charge the paper's
+/// Eq. 5 counters identically. Without a kernel the default materializes
+/// through `range_query`. Such
 /// an index answers [`SpatialIndex::point_query`] the same way, with
 /// [`crate::solo_point_query`]: the probe located, its unit visited and
 /// probed.
@@ -75,7 +109,7 @@ impl std::error::Error for IndexError {}
 ///
 /// # Panic safety
 ///
-/// Every query entry point — the three range modes, [`SpatialIndex::point_query`],
+/// Every query entry point — both range modes, [`SpatialIndex::point_query`],
 /// [`SpatialIndex::knn`], and the batch kernel — executes over `&self` and
 /// must not mutate index state (updates go through the exclusive `&mut self`
 /// methods). Under that contract a panic unwinding out of a kernel leaves
@@ -116,30 +150,11 @@ pub trait SpatialIndex: Send + Sync {
             return self.range_query(query, stats).len() as u64;
         };
         let mut output = RangeBatchOutput::Count(0);
-        solo_range(kernel, query, &mut output, stats, |_| {});
+        solo_range(kernel, query, &mut output, stats);
         match output {
             RangeBatchOutput::Count(count) => count,
             RangeBatchOutput::Points(_) => unreachable!("a counting request"),
         }
-    }
-
-    /// Invokes `visit` for every indexed point inside `query`.
-    ///
-    /// The default streams through the range kernel's walk, unit by unit,
-    /// when the index has one, and materializes through
-    /// [`SpatialIndex::range_query`] otherwise. Visit order is unspecified
-    /// (it follows the index's layout).
-    fn range_for_each(&self, query: &Rect, stats: &mut ExecStats, visit: &mut dyn FnMut(&Point)) {
-        let Some(kernel) = self.range_batch_kernel() else {
-            self.range_query(query, stats).iter().for_each(visit);
-            return;
-        };
-        let mut buffer = RangeBatchOutput::Points(Vec::new());
-        solo_range(kernel, query, &mut buffer, stats, |output| {
-            if let RangeBatchOutput::Points(points) = output {
-                points.drain(..).for_each(|p| visit(&p));
-            }
-        });
     }
 
     /// Returns `true` when a point equal to `p` is indexed.
@@ -151,8 +166,8 @@ pub trait SpatialIndex: Send + Sync {
     /// back to a rebuild.
     fn insert(&mut self, _p: Point) -> Result<(), IndexError> {
         Err(IndexError::UpdateUnsupported {
-            index: self.name(),
-            op: "insert",
+            index: self.name().to_owned(),
+            op: UpdateOp::Insert,
         })
     }
 
@@ -161,8 +176,8 @@ pub trait SpatialIndex: Send + Sync {
     /// loading return [`IndexError::UpdateUnsupported`] naming themselves.
     fn delete(&mut self, _p: &Point) -> Result<bool, IndexError> {
         Err(IndexError::UpdateUnsupported {
-            index: self.name(),
-            op: "delete",
+            index: self.name().to_owned(),
+            op: UpdateOp::Delete,
         })
     }
 
@@ -310,15 +325,15 @@ mod tests {
         assert_eq!(
             idx.insert(Point::new(0.5, 0.5)),
             Err(IndexError::UpdateUnsupported {
-                index: "Scan",
-                op: "insert"
+                index: "Scan".to_owned(),
+                op: UpdateOp::Insert
             })
         );
         assert_eq!(
             idx.delete(&Point::new(0.5, 0.5)),
             Err(IndexError::UpdateUnsupported {
-                index: "Scan",
-                op: "delete"
+                index: "Scan".to_owned(),
+                op: UpdateOp::Delete
             })
         );
         assert!(!idx.is_empty());
@@ -334,9 +349,6 @@ mod tests {
             idx.range_count(&query, &mut stats),
             materialized.len() as u64
         );
-        let mut streamed = Vec::new();
-        idx.range_for_each(&query, &mut stats, &mut |p| streamed.push(*p));
-        assert_eq!(streamed, materialized);
     }
 
     #[test]
@@ -426,15 +438,15 @@ mod tests {
     #[test]
     fn index_error_display() {
         assert_eq!(
-            IndexError::Unsupported("insert").to_string(),
-            "operation not supported: insert"
+            IndexError::Unsupported(UpdateOp::Insert).to_string(),
+            "operation not supported: insert into an immutable snapshot"
         );
         assert!(IndexError::InvalidInput("nan".into())
             .to_string()
             .contains("nan"));
         let typed = IndexError::UpdateUnsupported {
-            index: "QUASII",
-            op: "insert",
+            index: "QUASII".to_owned(),
+            op: UpdateOp::Insert,
         };
         assert_eq!(
             typed.to_string(),

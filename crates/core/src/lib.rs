@@ -114,15 +114,15 @@ mod zindex;
 pub use build::{BuildReport, BuildStrategy, ZIndexBuilder};
 pub use config::{DensityMode, ZIndexConfig};
 pub use engine::{
-    catch_execution_panic, decide_knn_strategy, decide_range_strategy, group_knn_plans,
-    panic_message, run_knn_batch, run_range_batch, solo_point_query, solo_range_query, BatchReport,
-    BatchStrategy, ChosenStrategy, CostConstants, CostEstimate, EngineError, KnnBatchResponse,
-    PartitionDecision, Query, QueryEngine, QueryOutput, QueryReport, RangeBatchKernel,
-    RangeBatchOutput, RangeBatchRequest, RangeBatchResponse, RangeBatchStats, RangeMode, Snapshot,
-    SnapshotSource, StrategyDecisions, VersionStats, VersionedIndex, WalkRecord, WriteFault,
-    WriteFaultPlan, WriteOp, WritePhase, WriteReceipt,
+    catch_execution_panic, decide_range_strategy, group_knn_plans, panic_message, run_knn_batch,
+    run_range_batch, solo_point_query, solo_range_query, BatchReport, BatchStrategy,
+    ChosenStrategy, CostConstants, CostEstimate, EngineError, KnnBatchResponse, PartitionDecision,
+    Query, QueryEngine, QueryOutput, QueryReport, RangeBatchKernel, RangeBatchOutput,
+    RangeBatchRequest, RangeBatchResponse, RangeBatchStats, RangeMode, Snapshot, SnapshotSource,
+    StrategyDecisions, VersionStats, VersionedIndex, WalkRecord, WriteFault, WriteFaultPlan,
+    WriteOp, WritePhase, WriteReceipt,
 };
-pub use index::{IndexError, SpatialIndex};
+pub use index::{IndexError, SpatialIndex, UpdateOp};
 pub use node::{Leaf, Lookahead, SkipCriterion};
 pub use zindex::ZIndex;
 

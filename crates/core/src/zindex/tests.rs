@@ -86,9 +86,9 @@ fn wazi_index_answers_range_queries_exactly() {
     }
 }
 
-/// Every execution mode of the scan kernel must agree: the count path and
-/// the streaming path see exactly the multiset the materializing path
-/// returns, and all three charge identical work counters.
+/// Both execution modes of the scan kernel must agree: the count path
+/// sees exactly as many points as the materializing path returns, and both
+/// charge identical work counters.
 #[test]
 fn kernel_execution_modes_agree_and_charge_identical_work() {
     let points = uniform_points(4_000, 21);
@@ -98,33 +98,18 @@ fn kernel_execution_modes_agree_and_charge_identical_work() {
         .build(points.clone(), &queries);
     for query in queries.iter().chain([Rect::UNIT].iter()) {
         let mut collect_stats = ExecStats::default();
-        let mut collected = index.range_query(query, &mut collect_stats);
+        let collected = index.range_query(query, &mut collect_stats);
 
         let mut count_stats = ExecStats::default();
         let count = index.range_count(query, &mut count_stats);
 
-        let mut stream_stats = ExecStats::default();
-        let mut streamed = Vec::new();
-        index.range_for_each(query, &mut stream_stats, &mut |p| streamed.push(*p));
-
         assert_eq!(count, collected.len() as u64);
-        collected.sort_by(|a, b| a.lex_cmp(b));
-        streamed.sort_by(|a, b| a.lex_cmp(b));
-        assert_eq!(collected, streamed);
-
-        for (label, other) in [("count", &count_stats), ("stream", &stream_stats)] {
-            assert_eq!(collect_stats.bbs_checked, other.bbs_checked, "{label}");
-            assert_eq!(collect_stats.pages_scanned, other.pages_scanned, "{label}");
-            assert_eq!(
-                collect_stats.points_scanned, other.points_scanned,
-                "{label}"
-            );
-            assert_eq!(collect_stats.results, other.results, "{label}");
-            assert_eq!(
-                collect_stats.leaves_skipped, other.leaves_skipped,
-                "{label}"
-            );
-        }
+        let counters = |stats: &ExecStats| ExecStats {
+            projection_ns: 0,
+            scan_ns: 0,
+            ..*stats
+        };
+        assert_eq!(counters(&count_stats), counters(&collect_stats), "{query}");
     }
 }
 

@@ -49,12 +49,11 @@
 //! wrong variant.
 
 use std::io::{Read, Write};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use wazi_core::{
     ChosenStrategy, CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput,
-    QueryReport, RangeMode, StrategyDecisions,
+    QueryReport, RangeMode, StrategyDecisions, UpdateOp,
 };
 use wazi_geom::{Point, Rect};
 use wazi_service::{BatchSummary, QueryResponse, ServiceError, SubmitOptions};
@@ -65,7 +64,7 @@ use crate::error::TransportError;
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"WZ";
 /// Protocol version carried in byte 2 of the header.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes (magic + version + kind + request id + len).
 pub const HEADER_LEN: usize = 16;
 /// Trailing checksum size in bytes.
@@ -573,7 +572,7 @@ fn put_engine_error(out: &mut Vec<u8>, error: &EngineError) {
             match err {
                 IndexError::Unsupported(op) => {
                     out.push(0);
-                    put_str(out, op);
+                    put_str(out, op.as_str());
                 }
                 IndexError::InvalidInput(msg) => {
                     out.push(1);
@@ -582,7 +581,7 @@ fn put_engine_error(out: &mut Vec<u8>, error: &EngineError) {
                 IndexError::UpdateUnsupported { index, op } => {
                     out.push(2);
                     put_str(out, index);
-                    put_str(out, op);
+                    put_str(out, op.as_str());
                 }
                 other => {
                     out.push(u8::MAX);
@@ -686,6 +685,17 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len, context)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| TransportError::Protocol(format!("invalid UTF-8 in {context}")))
+    }
+
+    /// An [`UpdateOp`], sent by its name.
+    fn update_op(&mut self, context: &'static str) -> Result<UpdateOp, TransportError> {
+        match self.string(context)?.as_str() {
+            "insert" => Ok(UpdateOp::Insert),
+            "delete" => Ok(UpdateOp::Delete),
+            other => Err(TransportError::Protocol(format!(
+                "unknown {context} {other:?}"
+            ))),
+        }
     }
 
     fn point(&mut self, context: &'static str) -> Result<Point, TransportError> {
@@ -878,23 +888,16 @@ impl<'a> Reader<'a> {
     fn engine_error(&mut self) -> Result<EngineError, TransportError> {
         match self.u8("engine error tag")? {
             0 => match self.u8("index error tag")? {
-                0 => {
-                    let op = self.string("unsupported operation")?;
-                    Ok(EngineError::Index(IndexError::Unsupported(intern_static(
-                        &op,
-                    ))))
-                }
+                0 => Ok(EngineError::Index(IndexError::Unsupported(
+                    self.update_op("unsupported operation")?,
+                ))),
                 1 => Ok(EngineError::Index(IndexError::InvalidInput(
                     self.string("invalid input message")?,
                 ))),
-                2 => {
-                    let index = self.string("update-unsupported index")?;
-                    let op = self.string("update-unsupported operation")?;
-                    Ok(EngineError::Index(IndexError::UpdateUnsupported {
-                        index: intern_static(&index),
-                        op: intern_static(&op),
-                    }))
-                }
+                2 => Ok(EngineError::Index(IndexError::UpdateUnsupported {
+                    index: self.string("update-unsupported index")?,
+                    op: self.update_op("update-unsupported operation")?,
+                })),
                 u8::MAX => {
                     let message = self.string("unknown index error")?;
                     Err(TransportError::Protocol(format!(
@@ -934,57 +937,6 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
-}
-
-/// Re-interns a decoded `Unsupported` message as a `&'static str` so
-/// [`IndexError::Unsupported`] roundtrips losslessly.
-///
-/// The in-tree message set is tiny and closed, so the known table answers
-/// every honest frame without allocating. Unknown messages (a newer peer,
-/// or an adversarial frame) are leaked at most [`INTERN_CAP`] times and
-/// only up to [`INTERN_MAX_LEN`] bytes each — beyond either bound the
-/// decoder substitutes a fixed fallback message rather than letting remote
-/// input grow process memory without limit.
-fn intern_static(message: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "insert",
-        "delete",
-        "insert into an immutable snapshot",
-        "delete from an immutable snapshot",
-        // Index display names, as carried by `IndexError::UpdateUnsupported`.
-        "WaZI",
-        "Base",
-        "STR",
-        "CUR",
-        "Flood",
-        "QUASII",
-        "Zpgm",
-        "Scan",
-    ];
-    /// Most distinct unknown messages ever leaked.
-    const INTERN_CAP: usize = 32;
-    /// Longest unknown message ever leaked, in bytes.
-    const INTERN_MAX_LEN: usize = 256;
-    const FALLBACK: &str = "unsupported operation (message table full)";
-    if let Some(known) = KNOWN.iter().find(|known| **known == message) {
-        return known;
-    }
-    if message.len() > INTERN_MAX_LEN {
-        return FALLBACK;
-    }
-    static EXTRA: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut extra = EXTRA
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(seen) = extra.iter().find(|seen| **seen == message) {
-        return seen;
-    }
-    if extra.len() >= INTERN_CAP {
-        return FALLBACK;
-    }
-    let leaked: &'static str = Box::leak(message.to_owned().into_boxed_str());
-    extra.push(leaked);
-    leaked
 }
 
 #[cfg(test)]
@@ -1080,22 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_message_interning_is_capped() {
-        assert_eq!(intern_static("insert"), "insert");
-        assert_eq!(intern_static("delete"), "delete");
-        let novel = intern_static("compact");
-        assert_eq!(novel, "compact");
-        // Same unknown message again: same interned pointer, no new leak.
-        assert!(std::ptr::eq(
-            novel.as_ptr(),
-            intern_static("compact").as_ptr()
-        ));
-        // An absurdly long message falls back instead of leaking.
-        let long = "x".repeat(10_000);
-        assert!(intern_static(&long).contains("table full"));
-    }
-
-    #[test]
     fn service_errors_roundtrip_losslessly() {
         let errors = vec![
             ServiceError::Closed,
@@ -1105,10 +1041,12 @@ mod tests {
                 message: "index out of bounds".into(),
             },
             ServiceError::Engine(EngineError::InvalidQuery("non-finite point".into())),
-            ServiceError::Engine(EngineError::Index(IndexError::Unsupported("insert"))),
+            ServiceError::Engine(EngineError::Index(IndexError::Unsupported(
+                UpdateOp::Insert,
+            ))),
             ServiceError::Engine(EngineError::Index(IndexError::UpdateUnsupported {
-                index: "QUASII",
-                op: "insert",
+                index: "QUASII".into(),
+                op: UpdateOp::Insert,
             })),
             ServiceError::Engine(EngineError::Index(IndexError::InvalidInput("nan".into()))),
             ServiceError::Engine(EngineError::ExecutionPanicked("boom".into())),

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use wazi_core::{
     ChosenStrategy, CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput,
-    QueryReport, StrategyDecisions,
+    QueryReport, StrategyDecisions, UpdateOp,
 };
 use wazi_geom::{Point, Rect};
 use wazi_net::wire::{
@@ -118,10 +118,12 @@ fn every_output() -> Vec<QueryOutput> {
 
 fn every_service_error() -> Vec<ServiceError> {
     vec![
-        ServiceError::Engine(EngineError::Index(IndexError::Unsupported("insert"))),
+        ServiceError::Engine(EngineError::Index(IndexError::Unsupported(
+            UpdateOp::Insert,
+        ))),
         ServiceError::Engine(EngineError::Index(IndexError::UpdateUnsupported {
-            index: "Flood",
-            op: "delete",
+            index: "Flood".into(),
+            op: UpdateOp::Delete,
         })),
         ServiceError::Engine(EngineError::Index(IndexError::InvalidInput(
             "page size must be positive".into(),
@@ -273,6 +275,43 @@ fn a_single_bit_flip_anywhere_is_caught() {
                     "payload flip at {offset}"
                 );
             }
+        }
+    }
+}
+
+/// An update operation travels by name; a name this version does not know
+/// (a newer peer, or a forged frame) decodes to a typed protocol error.
+#[test]
+fn unknown_update_op_is_a_protocol_error() {
+    for error in [
+        IndexError::Unsupported(UpdateOp::Delete),
+        IndexError::UpdateUnsupported {
+            index: "STR".into(),
+            op: UpdateOp::Delete,
+        },
+    ] {
+        let frame = Frame {
+            request_id: 3,
+            body: FrameBody::Error(WireError::Service(ServiceError::Engine(
+                EngineError::Index(error),
+            ))),
+        };
+        let mut bytes = frame.encode();
+        // Rename the op in place, same length, and re-seal the checksum so
+        // only the name is wrong.
+        let body_end = bytes.len() - CHECKSUM_LEN;
+        let at = bytes[..body_end]
+            .windows(6)
+            .rposition(|w| w == b"delete")
+            .expect("the op travels by name");
+        bytes[at..at + 6].copy_from_slice(b"vacuum");
+        let reseal = checksum(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&reseal.to_le_bytes());
+        match Frame::decode(&bytes, DEFAULT_MAX_FRAME_LEN) {
+            Err(TransportError::Protocol(message)) => {
+                assert!(message.contains("vacuum"), "{message}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 }

@@ -340,66 +340,6 @@ impl Page {
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.blocks.capacity() * std::mem::size_of::<Block>()
     }
-
-    /// Serialises the page to a compact binary representation
-    /// (`id, len, [x, y] * len, checksum`, all little-endian), the on-disk
-    /// page format of the simulated clustered storage. The trailing 8 bytes
-    /// are an FNV-1a-64 checksum over everything before them, so torn or
-    /// corrupted pages are detected at decode time rather than silently
-    /// reinterpreted.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + 16 * self.len);
-        buf.extend_from_slice(&self.id.0.to_le_bytes());
-        buf.extend_from_slice(&(self.len as u32).to_le_bytes());
-        for p in self.iter() {
-            buf.extend_from_slice(&p.x.to_le_bytes());
-            buf.extend_from_slice(&p.y.to_le_bytes());
-        }
-        let checksum = fnv1a64(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-        buf
-    }
-
-    /// Decodes a page previously produced by [`Page::to_bytes`].
-    ///
-    /// Returns `None` when the buffer is truncated, extended, bit-flipped or
-    /// otherwise malformed: the length must be exactly `8 + 16·len + 8` and
-    /// the trailing checksum must match. Never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let header: [u8; 4] = bytes.get(0..4)?.try_into().ok()?;
-        let id = PageId(u32::from_le_bytes(header));
-        let len_bytes: [u8; 4] = bytes.get(4..8)?.try_into().ok()?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let expected = 8usize.checked_add(len.checked_mul(16)?)?.checked_add(8)?;
-        if bytes.len() != expected {
-            return None;
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored: [u8; 8] = tail.try_into().ok()?;
-        if fnv1a64(body) != u64::from_le_bytes(stored) {
-            return None;
-        }
-        let mut points = Vec::with_capacity(len);
-        for chunk in body[8..].chunks_exact(16) {
-            let x = f64::from_le_bytes(chunk[0..8].try_into().ok()?);
-            let y = f64::from_le_bytes(chunk[8..16].try_into().ok()?);
-            points.push(Point::new(x, y));
-        }
-        Some(Self::new(id, points))
-    }
-}
-
-/// FNV-1a 64-bit checksum guarding the binary page format (the same
-/// integrity primitive the wire protocol uses for frames).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -463,58 +403,6 @@ mod tests {
         assert!(!page.probe(&Point::new(0.5, 0.61), &mut stats));
         assert_eq!(stats.pages_scanned, 2);
         assert!(stats.points_scanned >= 3);
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let page = sample_page();
-        let bytes = page.to_bytes();
-        let decoded = Page::from_bytes(&bytes).expect("decoding must succeed");
-        assert_eq!(decoded.id(), page.id());
-        assert_eq!(decoded.to_vec(), page.to_vec());
-        assert_eq!(decoded.bbox(), page.bbox());
-    }
-
-    #[test]
-    fn truncated_bytes_are_rejected() {
-        let page = sample_page();
-        let bytes = page.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(Page::from_bytes(&bytes[..cut]).is_none());
-        }
-        assert!(Page::from_bytes(&[1, 2, 3]).is_none());
-    }
-
-    #[test]
-    fn extended_bytes_are_rejected() {
-        let page = sample_page();
-        let mut bytes = page.to_bytes();
-        bytes.push(0);
-        assert!(Page::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn bit_flips_are_rejected() {
-        let page = sample_page();
-        let bytes = page.to_bytes();
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[i] ^= 1 << bit;
-                assert!(
-                    Page::from_bytes(&corrupt).is_none(),
-                    "flip of byte {i} bit {bit} was not detected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_page_round_trips() {
-        let page = Page::new(PageId(0), Vec::new());
-        let decoded = Page::from_bytes(&page.to_bytes()).expect("empty page decodes");
-        assert!(decoded.is_empty());
-        assert_eq!(decoded.id(), PageId(0));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! copy.
 
 use crate::page::{Page, PageId};
-use crate::stats::ExecStats;
 use std::sync::Arc;
 use wazi_geom::Point;
 
@@ -128,11 +127,6 @@ impl PageStore {
         self.pages[id.index()].len() > self.leaf_capacity
     }
 
-    /// Probes a page for an exact point match.
-    pub fn probe_page(&self, id: PageId, p: &Point, stats: &mut ExecStats) -> bool {
-        self.pages[id.index()].probe(p, stats)
-    }
-
     /// Approximate in-memory footprint of the store in bytes.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.pages.iter().map(|p| p.size_bytes()).sum::<usize>()
@@ -201,16 +195,6 @@ mod tests {
         assert!(!store.is_overflowing(ids[0]));
         store.append(ids[0], Point::new(0.02, 0.5));
         assert!(store.is_overflowing(ids[0]));
-    }
-
-    #[test]
-    fn probe_delegates_to_pages() {
-        let (store, ids) = store_with_grid();
-        let mut stats = ExecStats::default();
-        assert!(store.probe_page(ids[1], &Point::new(0.31, 0.5), &mut stats));
-        assert!(!store.probe_page(ids[0], &Point::new(0.31, 0.5), &mut stats));
-        assert_eq!(stats.pages_scanned, 2);
-        assert_eq!(stats.points_scanned, 2 + 4);
     }
 
     #[test]

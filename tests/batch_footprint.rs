@@ -13,11 +13,10 @@
 //! its solo doubling loop and of the fused ring sweep.
 
 use wazi_bench::{build_index, IndexKind};
-use wazi_core::engine::cost::KNN_PARALLEL_MIN;
 use wazi_core::{
-    decide_knn_strategy, decide_range_strategy, BatchStrategy, ChosenStrategy, CostConstants,
-    Query, QueryEngine, QueryReport, RangeBatchRequest, RangeMode, Snapshot, SpatialIndex,
-    VersionedIndex, WriteOp, ZIndex,
+    decide_range_strategy, BatchStrategy, ChosenStrategy, CostConstants, Query, QueryEngine,
+    QueryReport, RangeBatchRequest, RangeMode, Snapshot, SpatialIndex, VersionedIndex, WriteOp,
+    ZIndex,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -510,9 +509,7 @@ fn cell(chosen: ChosenStrategy) -> String {
 }
 
 /// The golden decision table: for each kernel-bearing kind and batch
-/// shape, Auto's range choice at seeds 0–3, each at 1, 2 and 8 workers;
-/// then the kNN rule on both sides of its parallel threshold at 1, 2 and 8
-/// workers.
+/// shape, Auto's range choice at seeds 0–3, each at 1, 2 and 8 workers.
 const GOLDEN_DECISIONS: &[&str] = &[
     "WaZI/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
     "WaZI/scattered: S S S S S S S S S S S S",
@@ -538,8 +535,6 @@ const GOLDEN_DECISIONS: &[&str] = &[
     "QUASII/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
     "QUASII/scattered: S S S S S S S S S S S S",
     "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P4",
-    "knn/255: F F F",
-    "knn/256: F P2 P8",
 ];
 
 /// Auto's choices, pinned without a clock. Given a footprint, the baked
@@ -593,10 +588,6 @@ fn auto_decisions_are_pinned_by_a_golden_table() {
                 .collect();
             got.push(format!("{kind}/{shape}: {}", cells.join(" ")));
         }
-    }
-    for n in [KNN_PARALLEL_MIN - 1, KNN_PARALLEL_MIN] {
-        let cells = [1, 2, 8].map(|workers| cell(decide_knn_strategy(n, workers)));
-        got.push(format!("knn/{n}: {}", cells.join(" ")));
     }
     assert!(
         got == GOLDEN_DECISIONS,

@@ -4,10 +4,9 @@
 //! harness relies on — latency comparisons are only meaningful if the
 //! indexes agree on correctness.
 //!
-//! With the layered query-execution engine, "the same answers" spans three
-//! execution modes: the materializing `range_query`, the counting
-//! `range_count` and the streaming `range_for_each` must agree for every
-//! index on every query. With the typed query-plan engine on top, the same
+//! With the layered query-execution engine, "the same answers" spans both
+//! execution modes: the materializing `range_query` and the counting
+//! `range_count` must agree for every index on every query. With the typed query-plan engine on top, the same
 //! guarantee extends to batch execution: `execute_batch` must be output-
 //! and counter-equivalent to the per-query loop on every index, whatever
 //! scheduling strategy the engine picks internally.
@@ -63,9 +62,8 @@ fn all_indexes_agree_with_brute_force_on_every_region() {
 }
 
 /// The engine-consistency property of the layered query executor: for every
-/// index and every query, `range_count` equals the materialized result size,
-/// and `range_for_each` visits exactly the same multiset of points — while
-/// charging identical work counters, since all three modes share one scan
+/// index and every query, `range_count` equals the materialized result size
+/// while charging identical work counters, since both modes share one scan
 /// kernel per index.
 #[test]
 fn range_count_and_for_each_agree_with_range_query_for_every_index() {
@@ -74,7 +72,7 @@ fn range_count_and_for_each_agree_with_range_query_for_every_index() {
     let points = generate_dataset(region, 5_000);
     let train = generate_queries(region, 150, SELECTIVITIES[1]);
     // Training-shaped queries, unseen queries, random rectangles and
-    // degenerate boxes all exercise the same three paths.
+    // degenerate boxes all exercise both paths.
     let mut queries = generate_queries(region, 30, SELECTIVITIES[2]);
     for _ in 0..30 {
         let a = Point::new(rng.gen(), rng.gen());
@@ -93,42 +91,18 @@ fn range_count_and_for_each_agree_with_range_query_for_every_index() {
             let mut count_stats = ExecStats::default();
             let count = built.index.range_count(query, &mut count_stats);
 
-            let mut stream_stats = ExecStats::default();
-            let mut streamed = Vec::new();
-            built
-                .index
-                .range_for_each(query, &mut stream_stats, &mut |p| streamed.push(*p));
-
             assert_eq!(
                 count,
                 materialized.len() as u64,
                 "{kind}: range_count disagrees with range_query on {query}"
             );
-            assert_eq!(
-                sorted(streamed),
-                sorted(materialized),
-                "{kind}: range_for_each visits a different multiset on {query}"
-            );
-            // All three modes share one scan kernel per index, so the work
+            // Both modes share one scan kernel per index, so the work
             // counters of the paper's cost model must be identical.
-            for (label, other) in [("count", &count_stats), ("for_each", &stream_stats)] {
-                assert_eq!(
-                    query_stats.points_scanned, other.points_scanned,
-                    "{kind}/{label}: points_scanned differs on {query}"
-                );
-                assert_eq!(
-                    query_stats.bbs_checked, other.bbs_checked,
-                    "{kind}/{label}: bbs_checked differs on {query}"
-                );
-                assert_eq!(
-                    query_stats.pages_scanned, other.pages_scanned,
-                    "{kind}/{label}: pages_scanned differs on {query}"
-                );
-                assert_eq!(
-                    query_stats.results, other.results,
-                    "{kind}/{label}: results differs on {query}"
-                );
-            }
+            assert_eq!(
+                counters(&count_stats),
+                counters(&query_stats),
+                "{kind}: counters differ on {query}"
+            );
         }
     }
 }

@@ -49,12 +49,6 @@ impl UpdateOp {
     }
 }
 
-impl fmt::Display for UpdateOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 impl fmt::Display for IndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -63,6 +57,7 @@ impl fmt::Display for IndexError {
                     UpdateOp::Insert => "into",
                     UpdateOp::Delete => "from",
                 };
+                let op = op.as_str();
                 write!(
                     f,
                     "operation not supported: {op} {preposition} an immutable snapshot"
@@ -70,7 +65,7 @@ impl fmt::Display for IndexError {
             }
             IndexError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             IndexError::UpdateUnsupported { index, op } => {
-                write!(f, "{index} does not support incremental {op}")
+                write!(f, "{index} does not support incremental {}", op.as_str())
             }
         }
     }
@@ -96,8 +91,8 @@ impl std::error::Error for IndexError {}
 /// [`crate::solo_range_query`], and the `range_count` default takes the
 /// same route without allocating a result, so both charge the paper's
 /// Eq. 5 counters identically. Without a kernel the default materializes
-/// through `range_query`. Such
-/// an index answers [`SpatialIndex::point_query`] the same way, with
+/// through `range_query`. Such an index answers
+/// [`SpatialIndex::point_query`] the same way, with
 /// [`crate::solo_point_query`]: the probe located, its unit visited and
 /// probed.
 ///

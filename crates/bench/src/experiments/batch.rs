@@ -7,15 +7,17 @@
 //! the index's batched kernel, and pages relevant to several overlapping
 //! queries are scanned once per batch), the parallel fused strategy (the
 //! batch's distinct pages are cut into work-balanced chunks scanned on
-//! worker threads) and the cost-based `Auto` scheduler, which picks among
-//! the fixed strategies per batch partition from the walk's footprint. Every overview index participates — the Z-indexes and
+//! worker threads) and the cost-based `Auto` scheduler, which runs every
+//! partition fused and picks a range partition's shard count from the
+//! walk's footprint. Every overview index participates — the Z-indexes and
 //! Flood, and the tree baselines STR / CUR / QUASII over their own node
 //! layouts, fuse; Zpgm, which advertises no kernel, runs the per-query loop
 //! under every strategy — so the comparison is genuinely cross-index. A
 //! dedicated shard-scaling table sweeps the shard count on a large
 //! overlapping batch for every index with a fused kernel, a scattered
 //! low-overlap table exercises the case fusion cannot win, and a decision
-//! table prints what `Auto` chose with its predicted versus measured costs.
+//! table prints the shard counts `Auto` chose with its predicted versus
+//! measured costs.
 //! `reproduce batch --json BENCH_batch.json` regenerates the committed
 //! artifact from these tables.
 
@@ -23,7 +25,7 @@ use super::{workload_setup, ExperimentContext};
 use crate::measure::{format_ns, measure_warm, BatchMeasurement};
 use crate::report::Report;
 use crate::suite::{build_index, IndexKind};
-use wazi_core::{BatchStrategy, ChosenStrategy, Query, StrategyDecisions};
+use wazi_core::{BatchStrategy, Query, StrategyDecisions};
 use wazi_workload::{
     generate_mixed_batch, generate_overlapping_batch, generate_scattered_batch, Region,
     SELECTIVITIES,
@@ -36,8 +38,7 @@ const BATCH_REGION: Region = Region::NewYork;
 const BATCH_SELECTIVITY: f64 = SELECTIVITIES[3];
 
 /// The scattered workload: a modest batch of tiny stratified queries with
-/// almost nothing to share, so the per-query loop must win and the cost
-/// model must say so.
+/// almost nothing to share, where fusion has only its bookkeeping to pay.
 const SCATTERED_BATCH: usize = 256;
 const SCATTERED_SELECTIVITY: f64 = SELECTIVITIES[0];
 
@@ -61,8 +62,8 @@ fn assert_decisions_sane(
 ) {
     for (partition, decision) in decisions.iter() {
         if workers == 1 {
-            assert!(
-                !matches!(decision.chosen, ChosenStrategy::FusedParallel { .. }),
+            assert_eq!(
+                decision.shards, 1,
                 "{kind}/{batch_name}/{partition}: Auto chose a parallel schedule \
                  on a single-core host"
             );
@@ -139,8 +140,8 @@ fn push_sweep(
 /// The batch experiment: sequential vs fused vs parallel-fused vs
 /// cost-based auto execution of an overlapping range batch on every
 /// overview index, a mixed range/point/kNN batch exercising the
-/// heterogeneous path, a scattered low-overlap batch the scheduler must
-/// route sequentially, a shard-count sweep on a large overlapping batch
+/// heterogeneous path, a scattered low-overlap batch with almost nothing
+/// to share, a shard-count sweep on a large overlapping batch
 /// for the sharded kernels, and the decision table of what Auto chose.
 pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
     let (points, train, eval) =
@@ -221,8 +222,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "Index",
         "Partition",
         "Queries",
-        "Chosen",
-        "Pred sequential",
+        "Shards",
         "Pred fused",
         "Pred parallel",
         "Measured",
@@ -303,17 +303,6 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
             }
             let m = measure_warm(index, &parallel_batch, BatchStrategy::Auto);
             assert_decisions_sane(kind, "parallel", &m.decisions, workers);
-            // On this heavily overlapping batch every kernel has real
-            // fetches to share: a scheduler that falls back to the
-            // per-query loop here has its calibration upside down.
-            if let Some(range) = m.decisions.range {
-                assert_ne!(
-                    range.chosen,
-                    ChosenStrategy::Sequential,
-                    "{kind}/parallel: Auto refused to fuse a heavily \
-                     overlapping batch"
-                );
-            }
             let base = one_shard_ns.unwrap_or(1);
             scaling.push_row(vec![
                 kind.name().to_string(),
@@ -321,7 +310,7 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
                     "auto ({})",
                     m.decisions
                         .range
-                        .map_or("-".to_string(), |d| d.chosen.to_string())
+                        .map_or("-".to_string(), |d| d.shards.to_string())
                 ),
                 m.totals.pages_scanned.to_string(),
                 m.totals.bbs_checked.to_string(),
@@ -392,22 +381,20 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         let (auto_m, _) = auto_vs_best_fixed(&mixed_measured);
         assert_decisions_sane(kind, "mixed", &auto_m.decisions, workers);
         for (partition, decision) in auto_m.decisions.iter() {
-            let (pred_seq, pred_fused, pred_par) = match decision.estimate {
+            let (pred_fused, pred_par) = match decision.estimate {
                 Some(e) => (
-                    format_ns(e.sequential_ns as f64),
                     format_ns(e.fused_ns as f64),
                     e.fused_parallel_ns.map_or("-".to_string(), |ns| {
                         format!("{} ({} shards)", format_ns(ns as f64), e.shards)
                     }),
                 ),
-                None => ("-".to_string(), "-".to_string(), "-".to_string()),
+                None => ("-".to_string(), "-".to_string()),
             };
             decisions_table.push_row(vec![
                 kind.name().to_string(),
                 partition.to_string(),
                 decision.queries.to_string(),
-                decision.chosen.to_string(),
-                pred_seq,
+                decision.shards.to_string(),
                 pred_fused,
                 pred_par,
                 format_ns(decision.actual_ns as f64),
@@ -447,8 +434,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
         "{SCATTERED_BATCH} tiny counting queries stratified over a jittered grid \
          (generate_scattered_batch) at selectivity {:.4}%: page visits ≈ distinct \
          pages, so a fused scan has almost no shared fetches to amortize its \
-         setup against. Asserted: identical results across strategies; the auto \
-         row's '÷ best fixed' is reported, not asserted",
+         bookkeeping against. Asserted: identical results across strategies; the \
+         auto row (fused, like every Auto range partition) reports its '÷ best \
+         fixed', not asserted",
         SCATTERED_SELECTIVITY * 100.0
     ));
     scaling.push_note(format!(
@@ -458,9 +446,9 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
          Units: leaves (WaZI/Base), grid columns (Flood), leaf pages (STR/CUR), \
          cracked pieces (QUASII); Zpgm has no kernel and no rows. Pages and BB checks \
          are shard-invariant: chunks split the scans, never a walk, and every unit is \
-         fetched once per batch. The closing auto row shows the cost model's pick \
-         for the same batch (never a parallel schedule without worker threads; never \
-         the per-query loop on this much overlap)",
+         fetched once per batch. The closing auto row shows the shard count the cost \
+         model picked for the same batch (never more than one without worker \
+         threads)",
         parallel_batch.len()
     ));
     scaling.push_note(format!(
@@ -469,12 +457,11 @@ pub fn batch(ctx: &ExperimentContext) -> Vec<Report> {
          so >1-shard rows measure sharding overhead only"
     ));
     decisions_table.push_note(
-        "one row per partition of the mixed batch the Auto scheduler decided \
-         (range partitions carry the full cost estimate; point partitions always \
-         fuse on one shard and kNN partitions are routed by a size rule, so their \
-         predicted columns are '-'; Zpgm has no \
-         kernel, so nothing to decide and no rows). 'Measured' is the partition's \
-         wall-clock under the chosen schedule",
+        "one row per partition of the mixed batch the Auto scheduler ran fused \
+         (range partitions carry the cost estimate of one shard and of the best \
+         parallel cut; point and kNN partitions always fuse on one shard, so their \
+         predicted columns are '-'; Zpgm has no kernel, so nothing to decide and no \
+         rows). 'Measured' is the partition's wall-clock at the chosen shard count",
     );
 
     vec![overlap, mixed, scattered, scaling, decisions_table]

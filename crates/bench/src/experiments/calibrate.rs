@@ -3,22 +3,19 @@
 //! the host you are running on.
 //!
 //! The engine's [`wazi_core::BatchStrategy::Auto`] scheduler prices each
-//! candidate schedule with one set of constants (nanoseconds per request,
-//! per page fetch, per point comparison, ...). Those constants are baked
-//! into the core crate so scheduling never needs a warm-up run — but baked
-//! numbers age with hardware, so this experiment re-fits them from targeted
+//! range partition's shard count with one set of constants (nanoseconds
+//! per page fetch, per point comparison, per thread spawn, and the
+//! parallel efficiency). Those constants are baked into the core crate so
+//! scheduling never needs a warm-up run — but baked numbers age with
+//! hardware, so this experiment re-fits them from targeted
 //! micro-measurements on WaZI, prints baked-versus-fitted per constant, and
-//! *asserts* the two things that must hold regardless of the hardware:
+//! *asserts* that each fitted constant is within a loose sanity band of its
+//! baked value (an order-of-magnitude drift means the model's units are
+//! wrong, not that the machine is fast).
 //!
-//! * each fitted constant is within a loose sanity band of its baked value
-//!   (an order-of-magnitude drift means the model's units are wrong, not
-//!   that the machine is fast), and
-//! * the decision boundary comes out right on the workload built to pin
-//!   it — Auto fuses WaZI's heavily overlapping batch.
-//!
-//! What the boundary costs on this host's clock — fused ÷ sequential on the
-//! overlapping batch and on a scattered one beside it — is reported, not
-//! asserted.
+//! What fusion costs on this host's clock — fused ÷ sequential on an
+//! overlapping batch and on a scattered one beside it, with the shard
+//! count Auto picked for each — is reported, not asserted.
 //!
 //! `reproduce calibrate --json BENCH_calibrate.json` regenerates the
 //! committed table; re-baking after a hardware change is a copy-paste of
@@ -28,7 +25,7 @@ use super::{workload_setup, ExperimentContext};
 use crate::measure::{format_ns, measure_warm, BatchMeasurement};
 use crate::report::Report;
 use crate::suite::{build_index, IndexKind};
-use wazi_core::{BatchStrategy, ChosenStrategy, CostConstants};
+use wazi_core::{BatchStrategy, CostConstants};
 use wazi_workload::{generate_overlapping_batch, generate_scattered_batch, Region, SELECTIVITIES};
 
 /// Region and selectivities mirrored from the batch experiment, so the
@@ -37,8 +34,8 @@ const CALIBRATE_REGION: Region = Region::NewYork;
 const OVERLAP_SELECTIVITY: f64 = SELECTIVITIES[3];
 const SCATTERED_SELECTIVITY: f64 = SELECTIVITIES[0];
 
-/// Sizes of the fitting batches: large enough that per-request terms
-/// dominate timer resolution, small enough for a `--smoke` CI job.
+/// Size of the scattered batch: large enough that its latency dominates
+/// timer resolution, small enough for a `--smoke` CI job.
 const FIT_BATCH: usize = 512;
 
 /// A fitted constant may drift this factor from its baked value in either
@@ -62,12 +59,13 @@ impl Fitted {
     }
 }
 
-/// One decision-boundary row: what Auto chose for `batch` on WaZI, beside
-/// the measured latency of every candidate.
+/// One decision-boundary row: the shard count Auto chose for `batch` on
+/// WaZI, beside the measured latency of the per-query loop, one fused
+/// shard and Auto.
 struct Boundary {
     batch: &'static str,
-    chosen: ChosenStrategy,
-    sequential_ns: u64,
+    shards: usize,
+    sequential_latency_ns: u64,
     fused_ns: u64,
     auto_ns: u64,
 }
@@ -85,16 +83,6 @@ fn fit_point_ns(m: &BatchMeasurement) -> Option<f64> {
         .then(|| m.batch_latency_ns as f64 / m.totals.points_scanned as f64)
 }
 
-/// Per-request setup costs fitted from a scattered batch: subtract the
-/// already-fitted data-touching terms from the batch latency and divide
-/// what remains across the requests.
-fn fit_per_query_ns(m: &BatchMeasurement, point_ns: f64, page_ns: f64) -> Option<f64> {
-    let data_ns =
-        m.totals.points_scanned as f64 * point_ns + m.totals.pages_scanned as f64 * page_ns;
-    let residual = m.batch_latency_ns as f64 - data_ns;
-    (m.queries > 0 && residual > 0.0).then(|| residual / m.queries as f64)
-}
-
 /// Runs the experiment: the fit, the sanity band, and the report.
 pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
     let (fits, boundaries) = fit(ctx);
@@ -103,8 +91,7 @@ pub fn calibrate(ctx: &ExperimentContext) -> Vec<Report> {
 }
 
 /// Fits the constants on WaZI, returning the constant rows and the
-/// decision-boundary measurements. Asserts only what no clock can change:
-/// which strategy Auto *chose* on the workload built to pin the boundary.
+/// decision-boundary measurements.
 fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
     let (points, train, _) =
         workload_setup(ctx, CALIBRATE_REGION, OVERLAP_SELECTIVITY, ctx.dataset_size);
@@ -130,56 +117,31 @@ fn fit(ctx: &ExperimentContext) -> (Vec<Fitted>, Vec<Boundary>) {
     // Attribute a leaf-capacity's worth of point cost per fetch as the page
     // term's loose fit.
     let page_ns = point_ns.map(|p| p * ctx.leaf_capacity as f64 * 0.25);
+    let fits = constants_rows(&baked, point_ns, page_ns);
+
+    let shards = |m: &BatchMeasurement| {
+        m.decisions
+            .range
+            .expect("the batch has a range partition to decide")
+            .shards
+    };
     let seq_m = measure_warm(index, &scattered, BatchStrategy::Sequential);
     let fused_m = measure_warm(index, &scattered, BatchStrategy::Fused);
     let auto_m = measure_warm(index, &scattered, BatchStrategy::Auto);
-    let seq_query_ns = fit_per_query_ns(
-        &seq_m,
-        point_ns.unwrap_or(baked.point_ns),
-        page_ns.unwrap_or(baked.page_ns),
-    );
-    let fused_query_ns = fit_per_query_ns(
-        &fused_m,
-        point_ns.unwrap_or(baked.point_ns),
-        page_ns.unwrap_or(baked.page_ns),
-    )
-    // The fused scan must price above the sequential loop per request, or
-    // tiny disjoint batches would fuse: clamp the fit to preserve the
-    // model's structural invariant.
-    .map(|ns| ns.max(seq_query_ns.unwrap_or(0.0) * 1.1));
-    let fits = constants_rows(&baked, point_ns, page_ns, seq_query_ns, fused_query_ns);
-
-    // Scattered: fused setup has nothing to amortise against; reported.
-    let chosen = auto_m
-        .decisions
-        .range
-        .map(|d| d.chosen)
-        .expect("the scattered batch has a range partition to decide");
-    // Overlapping: the batch must fuse.
     let fused_o = measure_warm(index, &overlapping, BatchStrategy::Fused);
     let auto_o = measure_warm(index, &overlapping, BatchStrategy::Auto);
-    let chosen_o = auto_o
-        .decisions
-        .range
-        .map(|d| d.chosen)
-        .expect("the overlapping batch has a range partition to decide");
-    assert_ne!(
-        chosen_o,
-        ChosenStrategy::Sequential,
-        "calibration boundary: WaZI's heavily overlapping batch must fuse"
-    );
     let boundaries = vec![
         Boundary {
             batch: "scattered",
-            chosen,
-            sequential_ns: seq_m.batch_latency_ns,
+            shards: shards(&auto_m),
+            sequential_latency_ns: seq_m.batch_latency_ns,
             fused_ns: fused_m.batch_latency_ns,
             auto_ns: auto_m.batch_latency_ns,
         },
         Boundary {
             batch: "overlapping",
-            chosen: chosen_o,
-            sequential_ns: seq_o.batch_latency_ns,
+            shards: shards(&auto_o),
+            sequential_latency_ns: seq_o.batch_latency_ns,
             fused_ns: fused_o.batch_latency_ns,
             auto_ns: auto_o.batch_latency_ns,
         },
@@ -228,7 +190,7 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
     )
     .with_headers(&[
         "Batch",
-        "Chosen",
+        "Shards",
         "Sequential",
         "Fused",
         "Auto",
@@ -237,11 +199,14 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
     for b in boundaries {
         boundary_table.push_row(vec![
             b.batch.to_string(),
-            b.chosen.to_string(),
-            format_ns(b.sequential_ns as f64),
+            b.shards.to_string(),
+            format_ns(b.sequential_latency_ns as f64),
             format_ns(b.fused_ns as f64),
             format_ns(b.auto_ns as f64),
-            format!("{:.2}x", b.fused_ns as f64 / b.sequential_ns.max(1) as f64),
+            format!(
+                "{:.2}x",
+                b.fused_ns as f64 / b.sequential_latency_ns.max(1) as f64
+            ),
         ]);
     }
 
@@ -249,21 +214,19 @@ fn render(fits: &[Fitted], boundaries: &[Boundary]) -> Vec<Report> {
         "fits: point_ns from the sequential overlapping batch (latency / points charged: \
          the effective cost at that query set's share of pages accepted whole, not the \
          cost of one comparison), page_ns as a quarter leaf-capacity of point cost per \
-         fetch, per-request constants from a \
-         {FIT_BATCH}-query scattered batch after subtracting the fitted data-touching \
-         terms; '-' marks constants this host cannot fit (the parallel constants need \
+         fetch; '-' marks constants this host cannot fit (the parallel constants need \
          worker threads — available_parallelism = {}). Asserted: every fitted constant \
          within {SANITY_BAND:.0}x of its baked value. To re-bake after a hardware \
          change, copy the fitted column into CostConstants::BAKED (engine/cost.rs) \
          and re-run `reproduce batch`",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
-    boundary_table.push_note(
-        "asserted: Auto fuses WaZI's overlapping batch — the decision boundary the \
-         scheduler exists to get right; a violation fails the run, baked constants or \
-         not. Latencies and 'Fused ÷ sequential' are this host's clock, reported, not \
-         asserted: fused should read below 1x on the overlapping row",
-    );
+    boundary_table.push_note(format!(
+        "Auto runs every range partition fused; 'Shards' is the count it picked (1 = one \
+         fused shard). The scattered batch has {FIT_BATCH} queries. Latencies and \
+         'Fused ÷ sequential' are this host's clock, reported, not asserted: fused \
+         should read below 1x on the overlapping row",
+    ));
     vec![table, boundary_table]
 }
 
@@ -273,29 +236,12 @@ fn constants_rows(
     baked: &CostConstants,
     point_ns: Option<f64>,
     page_ns: Option<f64>,
-    seq_query_ns: Option<f64>,
-    fused_query_ns: Option<f64>,
 ) -> Vec<Fitted> {
     vec![
-        Fitted {
-            name: "seq_query_ns",
-            baked: baked.seq_query_ns,
-            fitted: seq_query_ns,
-        },
-        Fitted {
-            name: "fused_query_ns",
-            baked: baked.fused_query_ns,
-            fitted: fused_query_ns,
-        },
         Fitted {
             name: "page_ns",
             baked: baked.page_ns,
             fitted: page_ns,
-        },
-        Fitted {
-            name: "check_ns",
-            baked: baked.check_ns,
-            fitted: None,
         },
         Fitted {
             name: "point_ns",
@@ -320,9 +266,8 @@ mod tests {
     use super::*;
 
     /// The calibrate experiment's own acceptance: the fit runs at smoke
-    /// scale, Auto lands on the fused side of the overlapping boundary (the
-    /// assert inside `fit`), every constant is covered and both
-    /// decision-boundary rows are recorded. Nothing here reads the
+    /// scale, every constant is covered and both decision-boundary rows
+    /// are recorded. Nothing here reads the
     /// clock: a debug build beside parallel tests times nothing meaningful,
     /// so the sanity band stays with the CLI run and the latencies are
     /// only reported.
@@ -336,7 +281,7 @@ mod tests {
             panic!("expected two reports");
         };
         // One row per constant.
-        assert_eq!(table.rows.len(), 7);
+        assert_eq!(table.rows.len(), 4);
         // Every fitted row has a numeric ratio; unfittable rows show '-'.
         assert!(table.rows.iter().any(|r| r[0] == "point_ns" && r[2] != "-"));
         assert!(table.rows.iter().all(|r| r[0] != "spawn_ns" || r[2] == "-"));

@@ -690,9 +690,9 @@ pub fn service(ctx: &ExperimentContext) -> Vec<Report> {
     );
     table.push_note(format!(
         "configs: dispatch = max_batch 1 (per-query execution); adaptive = window \
-         {}..{} adapting by arrival rate and the cost model's predicted fusion \
-         saving; fixed = window pinned at {}; strategies are the engine's \
-         (auto = cost-based per partition)",
+         {}..{} adapting by arrival rate and the page visits each query \
+         shares; fixed = window pinned at {}; strategies are the engine's \
+         (auto = fused, shard count cost-based per partition)",
         format_ns(MIN_WINDOW.as_nanos() as f64),
         format_ns(MAX_WINDOW.as_nanos() as f64),
         format_ns(FIXED_WINDOW.as_nanos() as f64)

@@ -25,8 +25,8 @@
 //!
 //! * the cost model prices the footprint summed from a range record
 //!   ([`WalkRecord::footprint`]);
-//! * the sequential route replays each request's run, one page visit per
-//!   unit per request;
+//! * a request answered on its own ([`solo_range`]) replays its run, one
+//!   page visit per unit;
 //! * the fused route ([`run_range_batch`]) groups the record into unit →
 //!   requests and reads each distinct unit once for all of its requests,
 //!   in ascending unit order — which is every request's own scan order, so
@@ -442,25 +442,6 @@ pub(crate) fn replay_run(
         kernel.scan(record.handle(unit), rect, output, stats);
     }
     stats.scan_ns += start.elapsed().as_nanos() as u64;
-}
-
-/// Auto's sequential route: each request replays its own run — the
-/// per-query loop's answers and counters without walking again. The walk's
-/// time is spread evenly over the requests' projection phases.
-pub(crate) fn replay_sequential(
-    kernel: &dyn RangeBatchKernel,
-    requests: &[RangeBatchRequest],
-    record: &WalkRecord,
-) -> RangeBatchResponse {
-    let mut response = RangeBatchResponse::zeroed(requests);
-    response.per_query.clone_from_slice(&record.per_query);
-    let n = requests.len().max(1) as u64;
-    for (qi, request) in requests.iter().enumerate() {
-        let (output, stats) = (&mut response.outputs[qi], &mut response.per_query[qi]);
-        replay_run(kernel, record, qi, &request.rect, output, stats);
-        stats.projection_ns += record.walk_ns / n + u64::from((qi as u64) < record.walk_ns % n);
-    }
-    response
 }
 
 /// One range request answered on its own: walked by `kernel`, its run

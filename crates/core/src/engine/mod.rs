@@ -52,14 +52,13 @@ pub mod snapshot;
 mod tests;
 
 pub(crate) use batch::solo_range;
-use batch::{available_workers, replay_sequential, run_probe_batch, run_walked_batch, walk};
+use batch::{available_workers, run_probe_batch, run_walked_batch, walk};
 pub use batch::{
     run_range_batch, solo_point_query, solo_range_query, RangeBatchKernel, RangeBatchOutput,
     RangeBatchRequest, RangeBatchResponse, WalkRecord,
 };
 pub use cost::{
-    decide_range_strategy, ChosenStrategy, CostConstants, CostEstimate, PartitionDecision,
-    RangeBatchStats,
+    decide_range_shards, CostConstants, CostEstimate, PartitionDecision, RangeBatchStats,
 };
 pub(crate) use knn::KnnSweepState;
 pub use knn::{group_knn_plans, run_knn_batch, KnnBatchResponse};
@@ -121,10 +120,14 @@ impl std::error::Error for EngineError {
 /// Runs `f` under [`std::panic::catch_unwind`], converting a panic into
 /// [`EngineError::ExecutionPanicked`] with the payload's message preserved.
 ///
-/// This is the engine's panic-isolation boundary, used by
-/// [`QueryEngine::execute_caught`] / [`QueryEngine::execute_batch_caught`]
-/// and by service layers that need to survive a faulty query without
-/// losing the process. The unwind-safety assertion is justified by the
+/// This is the engine's panic-isolation boundary, for service layers that
+/// need to survive a faulty query without losing the process. Around
+/// [`QueryEngine::execute_batch`] the whole batch fails as one
+/// [`EngineError::ExecutionPanicked`], because a fused kernel interleaves
+/// every member's work in one sweep; a caller that wants per-query
+/// isolation re-executes the members one by one around
+/// [`QueryEngine::execute`], which is what `wazi-service`'s degraded path
+/// does. The unwind-safety assertion is justified by the
 /// engine's execution model:
 ///
 /// * every kernel entry point ([`SpatialIndex::range_query`],
@@ -170,14 +173,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// physical work is scheduled, so picking one is purely a performance
 /// decision:
 ///
-/// * [`BatchStrategy::Auto`] (the default) lets the engine pick per batch
-///   and per partition, using the cost model in [`cost`]: the footprint of
-///   the walk every schedule executes feeds calibrated formulas, and the
-///   cheapest predicted candidate runs.
-///   The decision is recorded in [`BatchReport::strategy_chosen`].
-/// * [`BatchStrategy::Sequential`] wins on batches whose queries barely
-///   overlap — there is no shared work to exploit, and the per-query loop
-///   has the least bookkeeping.
+/// * [`BatchStrategy::Auto`] (the default) runs every partition fused and
+///   asks the cost model in [`cost`] one question per range partition: how
+///   many shards. The decision is recorded in
+///   [`BatchReport::strategy_chosen`].
+/// * [`BatchStrategy::Sequential`] is the per-query reference loop that
+///   every fused run is pinned to.
 /// * [`BatchStrategy::Fused`] wins on overlapping batches: one walk records
 ///   every range plan's pages, pages relevant to several queries are
 ///   scanned once per batch, and pages are visited in layout order
@@ -193,14 +194,15 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   — prefer plain fusion below a few hundred microseconds of batch work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchStrategy {
-    /// Pick the strategy per batch and per partition with the calibrated
-    /// cost model ([`cost`]): range partitions are decided quantitatively
-    /// from the batch's walk footprint (page visits against distinct
-    /// pages, checks, points, host parallelism), point partitions always
-    /// fused on one shard, kNN partitions by a size rule. Never changes results, only cost — a misprediction
-    /// costs wall-clock, not correctness — and never schedules worker
-    /// threads on a single-core host. The decision per partition, with
-    /// predicted and measured cost, lands in
+    /// Run every partition of two or more plans fused, as
+    /// [`BatchStrategy::Fused`] does, and pick each range partition's shard
+    /// count with the calibrated cost model ([`cost`]) from the batch's
+    /// walk footprint (distinct pages, points, host parallelism): one
+    /// shard, or the parallel cut when it is predicted cheaper. Point and
+    /// kNN partitions run on one shard. Never changes results, only cost —
+    /// a misprediction costs wall-clock, not correctness — and never
+    /// schedules worker threads on a single-core host. The decision per
+    /// partition, with predicted and measured cost, lands in
     /// [`BatchReport::strategy_chosen`].
     #[default]
     Auto,
@@ -301,25 +303,6 @@ impl<'a> QueryEngine<'a> {
         })
     }
 
-    /// [`QueryEngine::execute`] behind the engine's panic-isolation
-    /// boundary: a panic inside a kernel is caught and returned as
-    /// [`EngineError::ExecutionPanicked`] instead of unwinding the caller.
-    /// See [`catch_execution_panic`] for why this is sound.
-    pub fn execute_caught(&self, query: &Query) -> Result<QueryReport, EngineError> {
-        catch_execution_panic(|| self.execute(query))
-    }
-
-    /// [`QueryEngine::execute_batch`] behind the engine's panic-isolation
-    /// boundary ([`catch_execution_panic`]). Note the granularity: the
-    /// whole batch fails as one [`EngineError::ExecutionPanicked`], because
-    /// a fused kernel interleaves every member's work in one sweep — a
-    /// caller that wants per-query isolation re-executes the members
-    /// one-by-one through [`QueryEngine::execute_caught`], which is exactly
-    /// what `wazi-service`'s degraded path does.
-    pub fn execute_batch_caught(&self, queries: &[Query]) -> Result<BatchReport, EngineError> {
-        catch_execution_panic(|| self.execute_batch(queries))
-    }
-
     /// Executes a batch of query plans, answering in input order.
     ///
     /// Every plan is validated before anything executes, so an invalid
@@ -391,26 +374,20 @@ impl<'a> QueryEngine<'a> {
     /// expanding-ring sweeps whose rings reuse the kernel. Everything else
     /// runs sequentially, and the answers are reassembled into input order.
     ///
-    /// Under [`BatchStrategy::Auto`] each partition first passes through
-    /// the cost model ([`cost`]): the range partition is walked once, the
-    /// record's footprint decides among the candidates, and the record is
-    /// the plan whichever candidate wins executes. A range partition the
-    /// model routes to `Sequential` replays each request's run with one page
-    /// visit per unit (zero fused counters, the per-query loop's answers
-    /// and counters); every decision is recorded in
-    /// [`BatchReport::strategy_chosen`].
+    /// Under [`BatchStrategy::Auto`] the range partition is walked once,
+    /// the record's footprint decides the shard count ([`cost`]), and the
+    /// record is the plan the fused run executes; every decision is
+    /// recorded in [`BatchReport::strategy_chosen`].
     fn execute_batch_fused(
         &self,
         queries: &[Query],
         kernel: &dyn RangeBatchKernel,
     ) -> Result<BatchReport, EngineError> {
         let auto = self.strategy == BatchStrategy::Auto;
-        // What a pinned fused strategy runs every partition as.
+        // The shard count a pinned fused strategy runs every partition at.
         let pinned = match self.strategy {
-            BatchStrategy::FusedParallel { shards } if shards > 1 => {
-                ChosenStrategy::FusedParallel { shards }
-            }
-            _ => ChosenStrategy::Fused,
+            BatchStrategy::FusedParallel { shards } => shards.max(1),
+            _ => 1,
         };
         let workers = available_workers();
         let mut slots: Vec<Option<QueryReport>> = (0..queries.len()).map(|_| None).collect();
@@ -427,22 +404,19 @@ impl<'a> QueryEngine<'a> {
         });
         if requests.len() >= 2 {
             // Auto prices the record's footprint; the record is then the
-            // plan of whichever schedule wins.
+            // plan the fused run executes at the chosen shard count.
             let record = walk(kernel, &requests);
             let choice = if auto {
-                let (chosen, estimate) =
-                    decide_range_strategy(&record.footprint(), workers, &CostConstants::BAKED);
-                (chosen, Some(estimate))
+                let footprint = record.footprint();
+                let (shards, estimate) =
+                    decide_range_shards(&footprint, workers, &CostConstants::BAKED);
+                let shared_visits = footprint.page_visits - footprint.distinct_pages;
+                (shards, shared_visits, Some(estimate))
             } else {
-                (pinned, None)
+                (pinned, 0, None)
             };
-            range = self.run_partition(&positions, &mut slots, choice, |chosen| {
-                let (response, shards_used) = match chosen {
-                    ChosenStrategy::Sequential => {
-                        (replay_sequential(kernel, &requests, &record), 0)
-                    }
-                    _ => run_walked_batch(kernel, &requests, &record, chosen.shards()),
-                };
+            range = self.run_partition(&positions, &mut slots, choice, |shards| {
+                let (response, shards_used) = run_walked_batch(kernel, &requests, &record, shards);
                 let outputs = positions
                     .iter()
                     .zip(response.outputs)
@@ -475,9 +449,9 @@ impl<'a> QueryEngine<'a> {
             _ => None,
         });
         if probes.len() >= 2 {
-            let chosen = if auto { ChosenStrategy::Fused } else { pinned };
-            point = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
-                let (response, shards_used) = run_probe_batch(kernel, &probes, chosen.shards());
+            let shards = if auto { 1 } else { pinned };
+            point = self.run_partition(&positions, &mut slots, (shards, 0, None), |shards| {
+                let (response, shards_used) = run_probe_batch(kernel, &probes, shards);
                 PartitionRun {
                     outputs: response
                         .outputs
@@ -502,10 +476,9 @@ impl<'a> QueryEngine<'a> {
         if plans.len() >= 2 {
             // Ring sweeps share candidate pages, so Auto fuses, on one
             // shard as a point partition does.
-            let chosen = if auto { ChosenStrategy::Fused } else { pinned };
-            knn = self.run_partition(&positions, &mut slots, (chosen, None), |chosen| {
-                let (response, shards_used) =
-                    run_knn_batch(self.index, kernel, &plans, chosen.shards());
+            let shards = if auto { 1 } else { pinned };
+            knn = self.run_partition(&positions, &mut slots, (shards, 0, None), |shards| {
+                let (response, shards_used) = run_knn_batch(self.index, kernel, &plans, shards);
                 PartitionRun {
                     outputs: response.neighbors.into_iter().map(QueryOutput::Neighbors),
                     per_query: response.per_query,
@@ -550,38 +523,37 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The partition driver: executes one plan-type partition (the batch's
-    /// members at `positions`) through `run` with the chosen strategy,
-    /// fills the members' slots, and, under [`BatchStrategy::Auto`], puts
-    /// the decision on record with its measured cost. Point and kNN
-    /// partitions always fuse, so only a range partition reaches `run` as
-    /// `Sequential`: its members answer one by one, each with its own
-    /// latency, and count as unfused.
+    /// members at `positions`) through `run`'s fused read at `shards`
+    /// shards, fills the members' slots, and, under [`BatchStrategy::Auto`],
+    /// puts the decision on record with the page visits its walks share,
+    /// the model's estimate and the measured cost. A fused member has no
+    /// latency of its own.
     fn run_partition<O: ExactSizeIterator<Item = QueryOutput>>(
         &self,
         positions: &[usize],
         slots: &mut [Option<QueryReport>],
-        (chosen, estimate): (ChosenStrategy, Option<CostEstimate>),
-        run: impl FnOnce(ChosenStrategy) -> PartitionRun<O>,
+        (shards, shared_visits, estimate): (usize, u64, Option<CostEstimate>),
+        run: impl FnOnce(usize) -> PartitionRun<O>,
     ) -> PartitionOutcome {
         let executed = Instant::now();
-        let run = run(chosen);
+        let run = run(shards);
         debug_assert_eq!(run.outputs.len(), positions.len());
         debug_assert_eq!(run.per_query.len(), positions.len());
-        let fused = chosen != ChosenStrategy::Sequential;
         for ((&position, output), stats) in positions.iter().zip(run.outputs).zip(run.per_query) {
             slots[position] = Some(QueryReport {
                 output,
                 stats,
-                latency_ns: if fused { 0 } else { stats.total_ns() },
+                latency_ns: 0,
             });
         }
         PartitionOutcome {
             shared: run.shared,
-            fused: if fused { positions.len() } else { 0 },
+            fused: positions.len(),
             shards_used: run.shards_used,
             decision: (self.strategy == BatchStrategy::Auto).then(|| PartitionDecision {
                 queries: positions.len(),
-                chosen,
+                shards,
+                shared_visits,
                 estimate,
                 actual_ns: executed.elapsed().as_nanos() as u64,
             }),
@@ -616,7 +588,7 @@ struct PartitionRun<O> {
 struct PartitionOutcome {
     /// Work the fused kernel did once on behalf of the whole partition.
     shared: ExecStats,
-    /// Members answered by the fused kernel (zero on the sequential route).
+    /// Members answered by the fused kernel.
     fused: usize,
     shards_used: usize,
     /// The cost model's decision, recorded under Auto only.

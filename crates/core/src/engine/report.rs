@@ -68,7 +68,7 @@ pub struct BatchReport {
     /// the planned shard count under
     /// [`crate::BatchStrategy::FusedParallel`]).
     pub shards_used: usize,
-    /// The strategies [`crate::BatchStrategy::Auto`] picked per partition,
+    /// The shard counts [`crate::BatchStrategy::Auto`] picked per partition,
     /// with the model's predicted costs and the partition's measured
     /// wall-clock. Empty (every field `None`) under a fixed strategy, and
     /// for partitions where no choice existed (fewer than two members, or

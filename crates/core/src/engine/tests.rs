@@ -1,7 +1,9 @@
 //! Engine unit tests: plan execution against the trait, batch equivalence,
 //! fused-kernel sharing and error paths.
 
-use crate::engine::{BatchStrategy, EngineError, Query, QueryEngine, QueryOutput, RangeMode};
+use crate::engine::{
+    catch_execution_panic, BatchStrategy, EngineError, Query, QueryEngine, QueryOutput, RangeMode,
+};
 use crate::index::{IndexError, SpatialIndex, UpdateOp};
 use crate::zindex::ZIndex;
 use wazi_geom::{Point, Rect};
@@ -935,7 +937,6 @@ fn range_mode_is_exposed_on_the_plan() {
 /// report says which strategies the cost model picked.
 #[test]
 fn auto_matches_sequential_and_records_its_decisions() {
-    use crate::engine::ChosenStrategy;
     let index = wazi_index();
     let mut batch: Vec<Query> = overlapping_rects().into_iter().map(Query::range).collect();
     batch.push(Query::point(Point::new(0.205, 0.205)));
@@ -968,27 +969,31 @@ fn auto_matches_sequential_and_records_its_decisions() {
             "range" => {
                 assert_eq!(decision.queries, overlapping_rects().len());
                 let estimate = decision.estimate.expect("range partitions are modelled");
-                match decision.chosen {
-                    ChosenStrategy::Sequential => {
-                        assert!(estimate.sequential_ns <= estimate.fused_ns);
-                    }
-                    ChosenStrategy::Fused | ChosenStrategy::FusedParallel { .. } => {
-                        assert!(estimate.fused_ns <= estimate.sequential_ns);
+                match decision.shards {
+                    1 => assert!(estimate
+                        .fused_parallel_ns
+                        .is_none_or(|p| p >= estimate.fused_ns)),
+                    shards => {
+                        assert_eq!(shards, estimate.shards);
+                        assert!(estimate.fused_parallel_ns.unwrap() < estimate.fused_ns);
                     }
                 }
             }
-            "point" => assert_eq!(decision.queries, 2),
-            "knn" => assert_eq!(decision.queries, 2),
+            "point" | "knn" => {
+                assert_eq!(decision.queries, 2);
+                assert_eq!(decision.shards, 1);
+                assert_eq!(decision.estimate, None);
+            }
             other => panic!("unexpected partition kind {other}"),
         }
     }
 }
 
-/// A tiny batch of two far-apart range plans gives fusion nothing to share:
-/// the cost model must route it sequentially, leaving fused counters at 0.
+/// A tiny batch of two far-apart range plans gives fusion nothing to
+/// share: Auto still fuses it, on one shard, with no shared page visit,
+/// and each plan's counters are those of the per-query loop.
 #[test]
-fn auto_routes_tiny_disjoint_batches_sequentially() {
-    use crate::engine::ChosenStrategy;
+fn auto_fuses_tiny_disjoint_batches_on_one_shard() {
     let index = wazi_index();
     let batch = vec![
         Query::range_count(Rect::from_coords(0.02, 0.02, 0.03, 0.03)),
@@ -996,9 +1001,10 @@ fn auto_routes_tiny_disjoint_batches_sequentially() {
     ];
     let report = QueryEngine::new(&index).execute_batch(&batch).unwrap();
     let decision = report.strategy_chosen.range.expect("a choice was made");
-    assert_eq!(decision.chosen, ChosenStrategy::Sequential);
-    assert_eq!(report.fused_queries, 0);
-    assert_eq!(report.shared_stats, ExecStats::default());
+    assert_eq!(decision.shards, 1);
+    assert_eq!(decision.shared_visits, 0);
+    assert_eq!(report.fused_queries, 2);
+    assert_eq!(report.shards_used, 1);
 
     let sequential = QueryEngine::new(&index)
         .with_strategy(BatchStrategy::Sequential)
@@ -1006,15 +1012,23 @@ fn auto_routes_tiny_disjoint_batches_sequentially() {
         .unwrap();
     for (a, s) in report.reports.iter().zip(&sequential.reports) {
         assert_eq!(a.output, s.output);
-        // Timings are wall-clock; compare only the deterministic counters.
-        let mut a_stats = a.stats;
+        // The fused run charges page visits to the batch, not the plan.
         let mut s_stats = s.stats;
-        a_stats.projection_ns = 0;
-        a_stats.scan_ns = 0;
-        s_stats.projection_ns = 0;
-        s_stats.scan_ns = 0;
-        assert_eq!(a_stats, s_stats);
+        s_stats.pages_scanned = 0;
+        assert_eq!(without_timings(a.stats), without_timings(s_stats));
     }
+    // Nothing is shared, so the batch pays every visit the loop pays.
+    assert_eq!(
+        without_timings(report.merged_stats()),
+        without_timings(sequential.merged_stats())
+    );
+}
+
+/// `stats` with its wall-clock phases zeroed: the deterministic counters.
+fn without_timings(mut stats: ExecStats) -> ExecStats {
+    stats.projection_ns = 0;
+    stats.scan_ns = 0;
+    stats
 }
 
 /// A delegating index that panics mid-kernel whenever a query touches its
@@ -1066,18 +1080,15 @@ impl SpatialIndex for PanickyIndex {
 }
 
 #[test]
-fn execute_caught_converts_a_kernel_panic_into_an_error() {
+fn a_caught_kernel_panic_becomes_an_error() {
     let index = PanickyIndex {
         inner: wazi_index(),
         poison: Rect::from_coords(0.8, 0.8, 0.9, 0.9),
     };
     let engine = QueryEngine::new(&index);
 
-    let err = engine
-        .execute_caught(&Query::range_count(Rect::from_coords(
-            0.79, 0.79, 0.95, 0.95,
-        )))
-        .unwrap_err();
+    let poisoned = Query::range_count(Rect::from_coords(0.79, 0.79, 0.95, 0.95));
+    let err = catch_execution_panic(|| engine.execute(&poisoned)).unwrap_err();
     match err {
         EngineError::ExecutionPanicked(msg) => {
             assert!(msg.contains("poisoned rect"), "message lost: {msg}");
@@ -1088,7 +1099,7 @@ fn execute_caught_converts_a_kernel_panic_into_an_error() {
     // The unwound kernel left the index intact: the same engine keeps
     // answering non-poisoned queries with correct results.
     let safe = Rect::from_coords(0.05, 0.05, 0.2, 0.2);
-    let report = engine.execute_caught(&Query::range_count(safe)).unwrap();
+    let report = catch_execution_panic(|| engine.execute(&Query::range_count(safe))).unwrap();
     let mut stats = ExecStats::default();
     assert_eq!(
         report.output,
@@ -1097,26 +1108,26 @@ fn execute_caught_converts_a_kernel_panic_into_an_error() {
 }
 
 #[test]
-fn execute_batch_caught_fails_the_batch_as_one_unit() {
+fn a_caught_batch_fails_as_one_unit() {
     let index = PanickyIndex {
         inner: wazi_index(),
         poison: Rect::from_coords(0.8, 0.8, 0.9, 0.9),
     };
     // Sequential strategy: the panic still happens inside execute_batch,
     // and the whole batch fails as one error (per-query isolation is the
-    // caller's job, via execute_caught per member).
+    // caller's job, by catching each member's execute).
     let engine = QueryEngine::new(&index).with_strategy(BatchStrategy::Sequential);
     let batch = vec![
         Query::range_count(Rect::from_coords(0.05, 0.05, 0.2, 0.2)),
         Query::range_count(Rect::from_coords(0.79, 0.79, 0.95, 0.95)),
     ];
-    let err = engine.execute_batch_caught(&batch).unwrap_err();
+    let err = catch_execution_panic(|| engine.execute_batch(&batch)).unwrap_err();
     assert!(matches!(err, EngineError::ExecutionPanicked(_)));
 
     // One-by-one re-execution recovers every non-poisoned member.
-    let ok = engine.execute_caught(&batch[0]).unwrap();
+    let ok = catch_execution_panic(|| engine.execute(&batch[0])).unwrap();
     assert!(matches!(ok.output, QueryOutput::Count(_)));
-    assert!(engine.execute_caught(&batch[1]).is_err());
+    assert!(catch_execution_panic(|| engine.execute(&batch[1])).is_err());
 }
 
 #[test]

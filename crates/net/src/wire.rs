@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  "WZ" (0x57 0x5A)
-//! 2       1     version (currently 1)
+//! 2       1     version (currently 3)
 //! 3       1     frame kind (1 request, 2 response, 3 error, 4 rejected)
 //! 4       8     request id (little-endian u64, chosen by the client)
 //! 12      4     payload length (little-endian u32)
@@ -52,8 +52,8 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 use wazi_core::{
-    ChosenStrategy, CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput,
-    QueryReport, RangeMode, StrategyDecisions, UpdateOp,
+    CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput, QueryReport,
+    RangeMode, StrategyDecisions, UpdateOp,
 };
 use wazi_geom::{Point, Rect};
 use wazi_service::{BatchSummary, QueryResponse, ServiceError, SubmitOptions};
@@ -64,7 +64,7 @@ use crate::error::TransportError;
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"WZ";
 /// Protocol version carried in byte 2 of the header.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes (magic + version + kind + request id + len).
 pub const HEADER_LEN: usize = 16;
 /// Trailing checksum size in bytes.
@@ -491,19 +491,12 @@ fn put_report(out: &mut Vec<u8>, report: &QueryReport) {
 
 fn put_decision(out: &mut Vec<u8>, decision: &PartitionDecision) {
     put_usize(out, decision.queries);
-    match decision.chosen {
-        ChosenStrategy::Sequential => out.push(0),
-        ChosenStrategy::Fused => out.push(1),
-        ChosenStrategy::FusedParallel { shards } => {
-            out.push(2);
-            put_usize(out, shards);
-        }
-    }
+    put_usize(out, decision.shards);
+    put_u64(out, decision.shared_visits);
     match &decision.estimate {
         None => out.push(0),
         Some(estimate) => {
             out.push(1);
-            put_u64(out, estimate.sequential_ns);
             put_u64(out, estimate.fused_ns);
             put_opt_u64(out, estimate.fused_parallel_ns);
             put_usize(out, estimate.shards);
@@ -793,22 +786,16 @@ impl<'a> Reader<'a> {
 
     fn decision(&mut self) -> Result<PartitionDecision, TransportError> {
         let queries = self.usize("decision queries")?;
-        let chosen = match self.u8("strategy tag")? {
-            0 => ChosenStrategy::Sequential,
-            1 => ChosenStrategy::Fused,
-            2 => ChosenStrategy::FusedParallel {
-                shards: self.usize("strategy shards")?,
-            },
-            other => {
-                return Err(TransportError::Protocol(format!(
-                    "unknown strategy tag {other}"
-                )))
-            }
-        };
+        let shards = self.usize("decision shards")?;
+        if shards == 0 {
+            return Err(TransportError::Protocol(
+                "a decision with 0 shards".to_string(),
+            ));
+        }
+        let shared_visits = self.u64("decision shared visits")?;
         let estimate = match self.u8("estimate option")? {
             0 => None,
             1 => Some(CostEstimate {
-                sequential_ns: self.u64("estimate")?,
                 fused_ns: self.u64("estimate")?,
                 fused_parallel_ns: self.opt_u64("estimate")?,
                 shards: self.usize("estimate shards")?,
@@ -821,7 +808,8 @@ impl<'a> Reader<'a> {
         };
         Ok(PartitionDecision {
             queries,
-            chosen,
+            shards,
+            shared_visits,
             estimate,
             actual_ns: self.u64("decision actual")?,
         })

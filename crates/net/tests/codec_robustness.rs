@@ -12,8 +12,8 @@
 use std::time::Duration;
 
 use wazi_core::{
-    ChosenStrategy, CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput,
-    QueryReport, StrategyDecisions, UpdateOp,
+    CostEstimate, EngineError, IndexError, PartitionDecision, Query, QueryOutput, QueryReport,
+    StrategyDecisions, UpdateOp,
 };
 use wazi_geom::{Point, Rect};
 use wazi_net::wire::{
@@ -69,9 +69,9 @@ fn response_with(output: QueryOutput) -> QueryResponse {
             decisions: StrategyDecisions {
                 range: Some(PartitionDecision {
                     queries: 5,
-                    chosen: ChosenStrategy::FusedParallel { shards: 2 },
+                    shards: 2,
+                    shared_visits: 7,
                     estimate: Some(CostEstimate {
-                        sequential_ns: 100,
                         fused_ns: 60,
                         fused_parallel_ns: Some(40),
                         shards: 2,
@@ -80,15 +80,16 @@ fn response_with(output: QueryOutput) -> QueryResponse {
                 }),
                 point: Some(PartitionDecision {
                     queries: 1,
-                    chosen: ChosenStrategy::Sequential,
+                    shards: 1,
+                    shared_visits: 0,
                     estimate: None,
                     actual_ns: 5,
                 }),
                 knn: Some(PartitionDecision {
                     queries: 1,
-                    chosen: ChosenStrategy::Fused,
+                    shards: 1,
+                    shared_visits: 3,
                     estimate: Some(CostEstimate {
-                        sequential_ns: 10,
                         fused_ns: 8,
                         fused_parallel_ns: None,
                         shards: 1,
@@ -401,6 +402,25 @@ fn unknown_tags_are_protocol_errors() {
     let err = Frame::decode(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap_err();
     assert!(
         matches!(err, TransportError::Protocol(_)),
+        "expected a protocol error, got {err:?}"
+    );
+}
+
+#[test]
+fn a_decision_with_zero_shards_is_a_protocol_error() {
+    // Every run has at least one shard: a zero on the wire is a lie the
+    // decoder refuses by type, without panicking.
+    let mut response = response_with(QueryOutput::Count(1));
+    if let Some(range) = response.batch.decisions.range.as_mut() {
+        range.shards = 0;
+    }
+    let frame = Frame {
+        request_id: 12,
+        body: FrameBody::Response(Box::new(response)),
+    };
+    let err = Frame::decode(&frame.encode(), DEFAULT_MAX_FRAME_LEN).unwrap_err();
+    assert!(
+        matches!(&err, TransportError::Protocol(message) if message.contains("0 shards")),
         "expected a protocol error, got {err:?}"
     );
 }

@@ -34,9 +34,9 @@ pub struct ServiceConfig {
     /// adaptation) — the baseline the bench compares against.
     pub max_batch: usize,
     /// Starting value of the adaptive coalescing window, its floor while
-    /// the cost model predicts fusion pays, and where it restarts when
-    /// that prediction returns after the cost gate dropped it to a short
-    /// fixed wait (20 µs, or this value if shorter).
+    /// queries share enough page visits, and where it restarts when the
+    /// sharing returns after the sharing gate dropped it to a short fixed
+    /// wait (20 µs, or this value if shorter).
     pub min_window: Duration,
     /// Upper bound of the adaptive coalescing window.
     pub max_window: Duration,
@@ -46,8 +46,8 @@ pub struct ServiceConfig {
     /// Backpressure policy when the submission queue is full.
     pub on_full: FullQueuePolicy,
     /// Batch strategy handed to the [`wazi_core::QueryEngine`] for every
-    /// coalesced batch. Defaults to [`BatchStrategy::Auto`], the calibrated
-    /// cost model.
+    /// coalesced batch. Defaults to [`BatchStrategy::Auto`], fused with
+    /// the shard count the calibrated cost model picks.
     pub strategy: BatchStrategy,
 }
 

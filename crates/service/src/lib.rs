@@ -17,9 +17,10 @@
 //! batches from the arrival stream itself, waiting at most one coalescing
 //! window before flushing. The window adapts: it grows while arrivals
 //! saturate it (capacity cuts) and shrinks when traffic is light (timer
-//! cuts), and an EWMA of the cost model's predicted fusion saving
-//! ([`wazi_core::CostEstimate`]) drops it below `min_window`, to a short
-//! fixed wait, whenever the model says sharing is not worth queueing for.
+//! cuts), and an EWMA of the page visits each query shares with its batch
+//! ([`wazi_core::PartitionDecision::shared_visits`]) drops it below
+//! `min_window`, to a short fixed wait, whenever too little is shared to
+//! be worth queueing for.
 //! A wait also ends early on a gated backlog (more queued than workers)
 //! and once arrivals have gone quiet. See `docs/SERVICE.md` at the
 //! repository root for the full guide.
@@ -258,8 +259,8 @@ mod tests {
             .strategy(BatchStrategy::Auto)
             .start();
         // Two small ranges at opposite corners fill one batch by a capacity
-        // cut. Their footprints share no page, so the model prices fusion
-        // as a loss and the gate drops the 30 s window to the gated one.
+        // cut. Their footprints share no page, so too little is shared
+        // and the gate drops the 30 s window to the gated one.
         let tickets: Vec<_> = [
             Rect::from_coords(0.01, 0.01, 0.03, 0.03),
             Rect::from_coords(0.95, 0.95, 0.97, 0.97),

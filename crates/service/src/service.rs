@@ -180,7 +180,7 @@ impl ServiceBuilder {
     }
 
     /// Pins the window to a fixed value: neither the rate rule nor the
-    /// cost gate moves it.
+    /// sharing gate moves it.
     pub fn fixed_window(self, window: Duration) -> Self {
         self.window(window, window)
     }

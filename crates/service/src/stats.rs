@@ -94,7 +94,7 @@ pub struct ServiceStats {
     /// Longest time any completed query spent in the queue, in nanoseconds.
     pub max_queue_wait_ns: u64,
     /// The adaptive coalescing window after the most recent flush, in
-    /// nanoseconds; below `min_window` while the cost gate holds.
+    /// nanoseconds; below `min_window` while the sharing gate holds.
     pub window_ns: u64,
     /// Queries whose [`crate::SubmitOptions::deadline`] expired in the
     /// queue; culled at batch-formation time with

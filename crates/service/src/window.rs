@@ -11,16 +11,16 @@
 //!   flush forced by the timer that drained only a sliver of `max_batch`
 //!   (*timer cut* at under a quarter of capacity) means traffic is light —
 //!   waiting longer would buy little sharing, so the window halves.
-//! * **Predicted fusion benefit** (the cost-model gate): every executed
-//!   batch carries the engine's [`StrategyDecisions`], whose range
-//!   [`wazi_core::CostEstimate`] predicts what fusion saved over the
-//!   sequential loop. The controller tracks an EWMA of that per-query
-//!   saving; while the model predicts fusion buys nothing (scattered
+//! * **Shared page visits** (the sharing gate): every executed batch
+//!   carries the engine's [`StrategyDecisions`], whose range
+//!   [`wazi_core::PartitionDecision`] counts the page visits its walks
+//!   share — the fetches fusion saves. The controller tracks an EWMA of
+//!   the shared visits per query; while too few are shared (scattered
 //!   workloads), the window drops below its floor to [`GATED_WINDOW_NS`]
 //!   (or `min_window`, if that is shorter), because there is no point
 //!   taxing latency for sharing that does not materialize. `min_window`
 //!   stays the floor of the rate rule and is where a reopened window
-//!   restarts, once an estimate lifts the EWMA back to the gate. A pinned
+//!   restarts, once shared visits lift the EWMA back to the gate. A pinned
 //!   window (`min_window == max_window`) is moved by neither rule.
 //!
 //! Both rules are deterministic functions of the observed flushes, so the
@@ -30,8 +30,8 @@
 //! ([`WindowController::wait_plan`]). Two cases end a wait before the
 //! window runs out. While the gate holds, a backlog — more queries queued
 //! than the pool has workers — is cut at once: the gated wait is there to
-//! keep a lone query's cut from racing thread wake-ups, and sharing is
-//! predicted worthless, so holding a backlog only adds latency. And an
+//! keep a lone query's cut from racing thread wake-ups, and too little is
+//! shared, so holding a backlog only adds latency. And an
 //! unpinned window ends once arrivals have gone quiet, so a burst's last
 //! partial batch does not wait out the window the burst grew.
 
@@ -54,16 +54,18 @@ pub(crate) enum FlushCause {
 /// light traffic and shrinks the window.
 const SHRINK_FILL_DIVISOR: usize = 4;
 
-/// EWMA smoothing factor for the predicted per-query fusion saving.
-const SAVING_EWMA_ALPHA: f64 = 0.3;
+/// EWMA smoothing factor for the shared page visits per query.
+const SHARED_EWMA_ALPHA: f64 = 0.3;
 
-/// Predicted per-query saving (ns) below which the cost gate drops the
-/// window to [`GATED_WINDOW_NS`]. Roughly the baked calibration's cost of
-/// one page fetch shared between two queries — less than that and
-/// coalescing is not worth any added queueing latency.
-const SAVING_GATE_NS: f64 = 50.0;
+/// Shared page visits per query below which the sharing gate drops the
+/// window to [`GATED_WINDOW_NS`]: with less sharing than that, coalescing
+/// is not worth any added queueing latency. At ≈ 150 ns saved per shared
+/// page fetch against ≈ 200 ns of fused bookkeeping per query, a batch
+/// saves the 50 ns per query worth waiting for only from `s = 5/3`
+/// shared visits per query up (`150 · s − 200 ≥ 50`).
+const SHARED_GATE: f64 = 5.0 / 3.0;
 
-/// The window while the cost gate holds. It is short, but not 0: a 0
+/// The window while the sharing gate holds. It is short, but not 0: a 0
 /// window cuts each lone query the moment a worker wakes, which turns the
 /// cut into a race between thread wake-ups. On a 2-core host that race
 /// moved `serve_solo` throughput between about 60 k and 110 k ops/s with
@@ -88,9 +90,9 @@ pub(crate) struct WindowController {
     min_ns: u64,
     max_ns: u64,
     window_ns: u64,
-    /// EWMA of the cost model's predicted per-query fusion saving, `None`
-    /// until a batch carries a quantitative range estimate.
-    saving_ewma_ns: Option<f64>,
+    /// EWMA of the shared page visits per query of range partitions,
+    /// `None` until a batch carries a range decision.
+    shared_ewma: Option<f64>,
 }
 
 impl WindowController {
@@ -101,7 +103,7 @@ impl WindowController {
             min_ns,
             max_ns,
             window_ns: min_ns,
-            saving_ewma_ns: None,
+            shared_ewma: None,
         }
     }
 
@@ -142,17 +144,17 @@ impl WindowController {
         (!left.is_zero()).then_some(left)
     }
 
-    /// Whether the cost gate holds: fusion is predicted worthless and the
-    /// window is not pinned.
+    /// Whether the sharing gate holds: too few page visits are shared and
+    /// the window is not pinned.
     fn gated(&self) -> bool {
-        let worthless = matches!(self.saving_ewma_ns, Some(ewma) if ewma < SAVING_GATE_NS);
+        let worthless = matches!(self.shared_ewma, Some(ewma) if ewma < SHARED_GATE);
         worthless && self.min_ns < self.max_ns
     }
 
-    /// Smoothed predicted per-query fusion saving, for introspection.
+    /// Smoothed shared page visits per query, for introspection.
     #[cfg(test)]
-    pub(crate) fn saving_ewma_ns(&self) -> Option<f64> {
-        self.saving_ewma_ns
+    pub(crate) fn shared_ewma(&self) -> Option<f64> {
+        self.shared_ewma
     }
 
     /// Feeds one executed flush back into the controller.
@@ -175,23 +177,17 @@ impl WindowController {
             FlushCause::Timer if batch_len * SHRINK_FILL_DIVISOR <= max_batch => self.window_ns / 2,
             FlushCause::Timer | FlushCause::Shutdown => self.window_ns,
         };
-        // Benefit rule: fold the model's predicted saving into the EWMA...
+        // Sharing rule: fold the range partition's shared visits into the
+        // EWMA...
         if let Some(decision) = decisions.range {
-            if let Some(estimate) = decision.estimate {
-                let best_fused = match estimate.fused_parallel_ns {
-                    Some(parallel) => estimate.fused_ns.min(parallel),
-                    None => estimate.fused_ns,
-                };
-                let saving_per_query = (estimate.sequential_ns as f64 - best_fused as f64)
-                    / decision.queries.max(1) as f64;
-                self.saving_ewma_ns = Some(match self.saving_ewma_ns {
-                    Some(ewma) => ewma + SAVING_EWMA_ALPHA * (saving_per_query - ewma),
-                    None => saving_per_query,
-                });
-            }
+            let shared = decision.shared_visits as f64 / decision.queries.max(1) as f64;
+            self.shared_ewma = Some(match self.shared_ewma {
+                Some(ewma) => ewma + SHARED_EWMA_ALPHA * (shared - ewma),
+                None => shared,
+            });
         }
-        // ...and drop the window below its floor while fusion is predicted
-        // worthless. The clamp lifts a gated window back to the floor once
+        // ...and drop the window below its floor while too little is
+        // shared. The clamp lifts a gated window back to the floor once
         // the gate reopens; a pinned window has no range for either rule to
         // move in.
         self.window_ns = if self.gated() {
@@ -205,7 +201,7 @@ impl WindowController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wazi_core::{ChosenStrategy, CostEstimate, PartitionDecision};
+    use wazi_core::PartitionDecision;
 
     const MIN: u64 = 1_000;
     const MAX: u64 = 16_000;
@@ -214,19 +210,15 @@ mod tests {
         StrategyDecisions::default()
     }
 
-    /// A range decision whose estimate predicts `saving` ns of total fusion
-    /// benefit spread over `queries` queries.
-    fn range_decision(queries: usize, sequential_ns: u64, fused_ns: u64) -> StrategyDecisions {
+    /// A range decision whose walks share `shared_visits` page visits
+    /// among `queries` queries.
+    fn range_decision(queries: usize, shared_visits: u64) -> StrategyDecisions {
         StrategyDecisions {
             range: Some(PartitionDecision {
                 queries,
-                chosen: ChosenStrategy::Fused,
-                estimate: Some(CostEstimate {
-                    sequential_ns,
-                    fused_ns,
-                    fused_parallel_ns: None,
-                    shards: 1,
-                }),
+                shards: 1,
+                shared_visits,
+                estimate: None,
                 actual_ns: 0,
             }),
             ..StrategyDecisions::default()
@@ -247,7 +239,7 @@ mod tests {
     /// A 30..60 µs window with the gate closed (20 µs).
     fn gated() -> WindowController {
         let mut w = WindowController::new(30_000, 60_000);
-        w.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 50_000, 90_000));
+        w.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 0));
         assert_eq!(w.window_ns(), GATED_WINDOW_NS);
         w
     }
@@ -273,7 +265,7 @@ mod tests {
         let open = WindowController::new(30_000, 60_000);
         assert_eq!(open.wait_plan(5 * US, 5 * US, 32, 2), Some(25 * US));
         let mut pinned = WindowController::new(30_000, 30_000);
-        pinned.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 50_000, 90_000));
+        pinned.observe_flush(FlushCause::Timer, 8, 64, &range_decision(8, 0));
         assert_eq!(pinned.wait_plan(5 * US, 5 * US, 32, 2), Some(25 * US));
     }
 
@@ -344,29 +336,43 @@ mod tests {
         w.observe_flush(FlushCause::Capacity, 1, 1, &no_decisions());
         w.observe_flush(FlushCause::Timer, 1, 1, &no_decisions());
         assert_eq!(w.window_ns(), MIN);
-        assert_eq!(w.saving_ewma_ns(), None);
+        assert_eq!(w.shared_ewma(), None);
     }
 
     #[test]
     fn predicted_saving_feeds_the_ewma() {
         let mut w = WindowController::new(MIN, MAX);
-        // 10 queries saving 100_000 ns total: 10_000 ns per query.
-        w.observe_flush(
-            FlushCause::Capacity,
-            10,
-            64,
-            &range_decision(10, 150_000, 50_000),
-        );
-        assert_eq!(w.saving_ewma_ns(), Some(10_000.0));
+        // 10 queries sharing 30 page visits: 3 per query.
+        w.observe_flush(FlushCause::Capacity, 10, 64, &range_decision(10, 30));
+        assert_eq!(w.shared_ewma(), Some(3.0));
         // A second observation moves the EWMA by the smoothing factor.
-        w.observe_flush(
-            FlushCause::Capacity,
-            10,
-            64,
-            &range_decision(10, 50_000, 50_000),
-        );
-        let ewma = w.saving_ewma_ns().unwrap();
-        assert!(ewma > 6_000.0 && ewma < 8_000.0, "ewma = {ewma}");
+        w.observe_flush(FlushCause::Capacity, 10, 64, &range_decision(10, 0));
+        let ewma = w.shared_ewma().unwrap();
+        assert!((ewma - 2.1).abs() < 1e-9, "ewma = {ewma}");
+    }
+
+    #[test]
+    fn the_gate_holds_below_five_thirds_shared_visits_per_query() {
+        // One flush sets the EWMA to its sample: just below 5/3 gates, 5/3
+        // itself and just above it do not.
+        for (queries, shared, gated) in [
+            (3, 4, true),
+            (1_000, 1_666, true),
+            (3, 5, false),
+            (1_000, 1_667, false),
+            (3, 6, false),
+        ] {
+            let mut w = WindowController::new(30_000, 60_000);
+            w.observe_flush(
+                FlushCause::Timer,
+                queries,
+                64,
+                &range_decision(queries, shared),
+            );
+            let expected = if gated { GATED_WINDOW_NS } else { 30_000 };
+            assert_eq!(w.window_ns(), expected, "{shared} shared by {queries}");
+            assert_eq!(w.gated(), gated, "{shared} shared by {queries}");
+        }
     }
 
     #[test]
@@ -376,23 +382,13 @@ mod tests {
             w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
         }
         assert_eq!(w.window_ns(), MAX);
-        // The model predicts fusion costs MORE than sequential (scattered
-        // workload): the gate overrides the rate rule. A floor shorter than
-        // the gated window is kept.
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 50_000, 90_000),
-        );
+        // The walks share no page visit (scattered workload): the gate
+        // overrides the rate rule. A floor shorter than the gated window is
+        // kept.
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 0));
         assert_eq!(w.window_ns(), MIN);
-        // And it stays collapsed while the prediction holds.
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 50_000, 90_000),
-        );
+        // And it stays collapsed while nothing is shared.
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 0));
         assert_eq!(w.window_ns(), MIN);
     }
 
@@ -402,30 +398,15 @@ mod tests {
         let mut w = WindowController::new(min, max);
         w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
         assert_eq!(w.window_ns(), 2 * min);
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 50_000, 90_000),
-        );
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 0));
         assert_eq!(w.window_ns(), GATED_WINDOW_NS);
-        // Neither rate rule moves a gated window while the prediction holds.
-        w.observe_flush(
-            FlushCause::Timer,
-            1,
-            64,
-            &range_decision(64, 50_000, 90_000),
-        );
+        // Neither rate rule moves a gated window while nothing is shared.
+        w.observe_flush(FlushCause::Timer, 1, 64, &range_decision(64, 0));
         assert_eq!(w.window_ns(), GATED_WINDOW_NS);
-        // An estimate that lifts the EWMA over the gate reopens it: the
+        // Shared visits that lift the EWMA over the gate reopen it: the
         // capacity cut doubles the gated window and lands on the floor.
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 900_000, 100_000),
-        );
-        assert!(w.saving_ewma_ns().unwrap() >= SAVING_GATE_NS);
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 640));
+        assert!(w.shared_ewma().unwrap() >= SHARED_GATE);
         assert_eq!(w.window_ns(), min);
     }
 
@@ -433,7 +414,7 @@ mod tests {
     fn batches_without_range_estimates_leave_the_ewma_alone() {
         let mut w = WindowController::new(MIN, MAX);
         w.observe_flush(FlushCause::Capacity, 32, 64, &no_decisions());
-        assert_eq!(w.saving_ewma_ns(), None);
+        assert_eq!(w.shared_ewma(), None);
         assert!(
             w.window_ns() > MIN,
             "the gate must not fire without evidence"
@@ -459,8 +440,8 @@ mod tests {
         assert_eq!(w.window_ns(), MIN, "capacity growth is clamped");
         w.observe_flush(FlushCause::Timer, 1, 64, &no_decisions());
         assert_eq!(w.window_ns(), MIN, "timer shrink is clamped");
-        // Even the cost gate cannot move a pinned window anywhere else.
-        w.observe_flush(FlushCause::Timer, 1, 64, &range_decision(64, 0, 90_000));
+        // Even the sharing gate cannot move a pinned window anywhere else.
+        w.observe_flush(FlushCause::Timer, 1, 64, &range_decision(64, 0));
         assert_eq!(w.window_ns(), MIN);
     }
 
@@ -476,46 +457,37 @@ mod tests {
     #[test]
     fn the_gate_never_fires_before_the_first_estimate() {
         // With no prior samples the EWMA is None: even a long run of
-        // estimate-free flushes must leave the rate rule fully in charge.
+        // flushes without a range decision must leave the rate rule fully
+        // in charge.
         let mut w = WindowController::new(MIN, MAX);
         for _ in 0..8 {
             w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
         }
-        assert_eq!(w.saving_ewma_ns(), None);
+        assert_eq!(w.shared_ewma(), None);
         assert_eq!(w.window_ns(), MAX);
     }
 
     #[test]
     fn degraded_batches_interleave_without_stalling_adaptation() {
         // A degraded (panic-recovered) batch reports default decisions —
-        // no estimate. It must count for the rate rule (its flush cause is
-        // real) while leaving the benefit EWMA untouched, so adaptation
-        // resumes seamlessly when healthy batches return.
+        // no range decision. It must count for the rate rule (its flush
+        // cause is real) while leaving the sharing EWMA untouched, so
+        // adaptation resumes seamlessly when healthy batches return.
         let mut w = WindowController::new(MIN, MAX);
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 900_000, 100_000),
-        );
-        let ewma_before = w.saving_ewma_ns().unwrap();
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 640));
+        let ewma_before = w.shared_ewma().unwrap();
         assert_eq!(w.window_ns(), 2_000);
         // The degraded batch: capacity cut, no decisions.
         w.observe_flush(FlushCause::Capacity, 64, 64, &no_decisions());
         assert_eq!(w.window_ns(), 4_000, "rate rule still applies");
         assert_eq!(
-            w.saving_ewma_ns(),
+            w.shared_ewma(),
             Some(ewma_before),
             "EWMA must not decay across a degraded batch"
         );
         // Healthy traffic resumes and keeps adapting from where it left.
-        w.observe_flush(
-            FlushCause::Capacity,
-            64,
-            64,
-            &range_decision(64, 900_000, 100_000),
-        );
+        w.observe_flush(FlushCause::Capacity, 64, 64, &range_decision(64, 640));
         assert_eq!(w.window_ns(), 8_000);
-        assert!(w.saving_ewma_ns().unwrap() >= ewma_before);
+        assert!(w.shared_ewma().unwrap() >= ewma_before);
     }
 }

@@ -14,9 +14,8 @@
 
 use wazi_bench::{build_index, IndexKind};
 use wazi_core::{
-    decide_range_strategy, BatchStrategy, ChosenStrategy, CostConstants, Query, QueryEngine,
-    QueryReport, RangeBatchRequest, RangeMode, Snapshot, SpatialIndex, VersionedIndex, WriteOp,
-    ZIndex,
+    decide_range_shards, BatchStrategy, CostConstants, Query, QueryEngine, QueryReport,
+    RangeBatchRequest, RangeMode, Snapshot, SpatialIndex, VersionedIndex, WriteOp, ZIndex,
 };
 use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
@@ -453,8 +452,7 @@ fn knn_answers_are_pinned_by_golden_digests() {
 
 /// The decision boundaries on footprint stats, with no clock read: a
 /// scattered batch of 64 ranges has nothing for threads to split, so the
-/// model never picks the parallel scan for it, while a heavily
-/// overlapping batch still fuses. At 200 k points the Z-intervals are long
+/// model never picks the parallel scan for it. At 200 k points the Z-intervals are long
 /// enough that pricing every address under them as a fetch (the
 /// statistics the footprint replaced) sends some of these batches to
 /// threads; at 50 k points it does not.
@@ -476,65 +474,55 @@ fn footprint_stats_keep_scattered_batches_off_threads() {
             })
             .collect();
         let stats = kernel.walk(&requests).footprint();
-        decide_range_strategy(&stats, workers, &CostConstants::BAKED).0
+        decide_range_shards(&stats, workers, &CostConstants::BAKED).0
     };
     for seed in 0..8 {
         let scattered = generate_scattered_batch(REGION, 64, SELECTIVITIES[0], seed);
         for workers in [2, 8] {
-            let chosen = decide(&scattered, workers);
-            assert!(
-                !matches!(chosen, ChosenStrategy::FusedParallel { .. }),
-                "seed {seed}, {workers} workers: a scattered batch chose {chosen}"
-            );
-        }
-        let overlapping = generate_overlapping_batch(REGION, 512, SELECTIVITIES[3], seed);
-        for workers in [1, 2, 8] {
-            let chosen = decide(&overlapping, workers);
-            assert_ne!(
-                chosen,
-                ChosenStrategy::Sequential,
-                "seed {seed}, {workers} workers: an overlapping batch stopped fusing"
+            let shards = decide(&scattered, workers);
+            assert_eq!(
+                shards, 1,
+                "seed {seed}, {workers} workers: a scattered batch chose {shards} shards"
             );
         }
     }
 }
 
-/// One decision as a table cell: `S`equential, `F`used, `P<shards>`.
-fn cell(chosen: ChosenStrategy) -> String {
-    match chosen {
-        ChosenStrategy::Sequential => "S".to_string(),
-        ChosenStrategy::Fused => "F".to_string(),
-        ChosenStrategy::FusedParallel { shards } => format!("P{shards}"),
+/// One decision as a table cell: `F`used on one shard, `P<shards>`.
+fn cell(shards: usize) -> String {
+    match shards {
+        1 => "F".to_string(),
+        shards => format!("P{shards}"),
     }
 }
 
 /// The golden decision table: for each kernel-bearing kind and batch
 /// shape, Auto's range choice at seeds 0–3, each at 1, 2 and 8 workers.
 const GOLDEN_DECISIONS: &[&str] = &[
-    "WaZI/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "WaZI/scattered: S S S S S S S S S S S S",
+    "WaZI/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "WaZI/scattered: F F F F F F F F F F F F",
     "WaZI/mixed: F F F F F F F F F F F F",
-    "WaZI-SK/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "WaZI-SK/scattered: S S S S S S S S S S S S",
+    "WaZI-SK/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "WaZI-SK/scattered: F F F F F F F F F F F F",
     "WaZI-SK/mixed: F F F F F F F F F F F F",
-    "Base+SK/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "Base+SK/scattered: S S S S S S S S S S S S",
+    "Base+SK/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "Base+SK/scattered: F F F F F F F F F F F F",
     "Base+SK/mixed: F F F F F F F F F F F F",
-    "Base/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "Base/scattered: S S S S S S S S S S S S",
+    "Base/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
+    "Base/scattered: F F F F F F F F F F F F",
     "Base/mixed: F F F F F F F F F F F F",
     "STR/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "STR/scattered: S S S S S S S S S S S S",
+    "STR/scattered: F F F F F F F F F F F F",
     "STR/mixed: F F F F F F F F F F F F",
     "CUR/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "CUR/scattered: S S S S S S S S S S S S",
+    "CUR/scattered: F F F F F F F F F F F F",
     "CUR/mixed: F F F F F F F F F F F F",
     "Flood/overlapping: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
-    "Flood/scattered: S S S S S S S S S S S S",
+    "Flood/scattered: F F F F F F F F F F F F",
     "Flood/mixed: F F F F F F F F F F F F",
     "QUASII/overlapping: F P2 P4 F P2 P4 F P2 P4 F P2 P4",
-    "QUASII/scattered: S S S S S S S S S S S S",
-    "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P4",
+    "QUASII/scattered: F F F F F F F F F F F F",
+    "QUASII/mixed: F P2 P2 F P2 P2 F P2 P2 F P2 P2",
 ];
 
 /// Auto's choices, pinned without a clock. Given a footprint, the baked
@@ -582,7 +570,7 @@ fn auto_decisions_are_pinned_by_a_golden_table() {
                     let requests = range_requests(batch);
                     let stats = kernel.walk(&requests).footprint();
                     [1, 2, 8].map(|workers| {
-                        cell(decide_range_strategy(&stats, workers, &CostConstants::BAKED).0)
+                        cell(decide_range_shards(&stats, workers, &CostConstants::BAKED).0)
                     })
                 })
                 .collect();

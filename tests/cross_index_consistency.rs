@@ -22,7 +22,7 @@ use wazi_geom::{Point, Rect};
 use wazi_storage::ExecStats;
 use wazi_workload::{
     generate_dataset, generate_mixed_batch, generate_overlapping_batch, generate_queries,
-    sample_point_queries, Region, SELECTIVITIES,
+    generate_scattered_batch, sample_point_queries, Region, SELECTIVITIES,
 };
 
 fn sorted(mut points: Vec<Point>) -> Vec<Point> {
@@ -489,11 +489,12 @@ fn counters_but_pages(stats: &ExecStats) -> ExecStats {
 ///   cost-based `Auto` included;
 /// * every deterministic per-query counter equals the sequential loop's,
 ///   except the page visit, which fusion moves to the shared record;
-/// * `Fused` and `FusedParallel { shards: n }` are the same run cut into
-///   chunks of the distinct-page list, bit for bit on every deterministic
-///   counter, shared page visits included: a page is fetched once per
-///   batch whatever the shard count, and the total never exceeds the
-///   sequential loop's.
+/// * `Fused`, `FusedParallel { shards: n }` and `Auto` are the same run cut
+///   into chunks of the distinct-page list, bit for bit on every
+///   deterministic counter, shared page visits included: a page is fetched
+///   once per batch whatever the shard count, and the total never exceeds
+///   the sequential loop's. `Auto` only picks the shard count, so it fuses
+///   every range plan of a batch with two or more, scattered or not.
 #[test]
 fn fused_parallel_is_equivalent_to_sequential_for_every_index_and_shard_count() {
     let region = Region::NewYork;
@@ -515,6 +516,10 @@ fn fused_parallel_is_equivalent_to_sequential_for_every_index_and_shard_count() 
         (
             "mixed-120",
             generate_mixed_batch(region, 120, SELECTIVITIES[2], 0xD1CE),
+        ),
+        (
+            "scattered-64",
+            generate_scattered_batch(region, 64, SELECTIVITIES[0], 0x5CA7),
         ),
     ];
     let run = |index: &dyn wazi_core::SpatialIndex, strategy, batch: &[wazi_core::Query]| {
@@ -560,11 +565,17 @@ fn fused_parallel_is_equivalent_to_sequential_for_every_index_and_shard_count() 
                         "{at}/{name}: fusion added page visits"
                     );
                     if strategy == BatchStrategy::Auto {
-                        continue;
+                        let ranges = batch
+                            .iter()
+                            .filter(|query| matches!(query, Query::Range { .. }))
+                            .count();
+                        if index.range_batch_kernel().is_some() && ranges >= 2 {
+                            assert_eq!(report.fused_queries, ranges, "{at}/{name}");
+                        }
                     }
-                    // The pinned fused strategies all take the one route:
-                    // per-plan counters are shard-count-invariant, page
-                    // visits included.
+                    // The fused strategies, Auto included, all take the one
+                    // route: per-plan counters are shard-count-invariant,
+                    // page visits included.
                     for (i, (got, want)) in report.reports.iter().zip(&fused.reports).enumerate() {
                         assert_eq!(
                             counters(&got.stats),
